@@ -280,6 +280,7 @@ class MaterialCache:
         self._rng = rng
         self._pool: deque = deque()
         self._lock = threading.Lock()
+        self._fill_lock = threading.Lock()
         self._next_epoch = 0
         self.hits = 0
         self.misses = 0
@@ -306,17 +307,21 @@ class MaterialCache:
         return material
 
     def prewarm(self, depth: Optional[int] = None) -> int:
-        """Fill the pool up to ``depth`` epochs; returns epochs built."""
+        """Fill the pool up to ``depth`` epochs; returns epochs built.
+
+        One filler at a time: callers sharing this cache (a server's
+        worker threads) queue up, and each returns only once the pool
+        has been full — so the fill never overshoots ``depth`` and
+        "returned" always means "was warm"."""
         target = self.depth if depth is None else min(depth, self.depth)
         built = 0
-        while True:
-            with self._lock:
-                if len(self._pool) >= target:
-                    return built
-            material = self._build_one()
-            with self._lock:
-                self._pool.append(material)
-            built += 1
+        with self._fill_lock:
+            while len(self) < target:
+                material = self._build_one()
+                with self._lock:
+                    self._pool.append(material)
+                built += 1
+        return built
 
     def refill(self, low_water: Optional[int] = None) -> int:
         """Top the pool back up, but only once it has drained below the

@@ -79,7 +79,7 @@ def run_serve(args) -> int:
             {"event": "ready", "host": server.host, "port": server.port,
              "programs": sorted(programs), "workers": config.workers,
              "queue_depth": config.queue_depth, "pool": server.pool,
-             "fleet": server.fleet},
+             "fleet": config.fleet},
             sort_keys=True,
         ),
         flush=True,
@@ -229,11 +229,11 @@ def add_serve_parser(sub) -> None:
                         "each under the default process pool (default 4)")
     p.add_argument("--pool", choices=("auto", "process", "thread"),
                    default="auto",
-                   help="worker pool kind: 'process' pins one forkserver "
-                        "process per worker (true multi-core garbling), "
-                        "'thread' keeps the in-process pool, 'auto' "
-                        "(default) picks process when the platform and "
-                        "programs allow it")
+                   help="how workers are started: 'process' pins one "
+                        "forkserver process per worker (true multi-core "
+                        "garbling), 'thread' runs the same worker in "
+                        "threads of this process, 'auto' (default) picks "
+                        "process when the platform and programs allow it")
     p.add_argument("--queue-depth", type=int, default=8,
                    help="bounded accept queue; beyond it new sessions get "
                         "an immediate structured busy reject (default 8)")

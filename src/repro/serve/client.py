@@ -12,12 +12,15 @@ checkpoint.
 
 A client that names itself (``client_id=``) opts into **base-OT
 reuse**: after its first successful ``ot="extension"`` session the
-receiver-side base-OT seeds are cached per ``(host, port, client_id)``,
-the next hello advertises them (``"base_ot": True``), and a server
-still holding the matching sender side answers ``"base_ot": "cached"``
-— both sides then skip the kappa base DH OTs and re-derive fresh
-extension pools under a session-unique PRG salt.  Any disagreement
-degrades to a fresh base phase, never to a protocol error.
+receiver-side base-OT seeds are cached per ``(host, port, client_id)``
+together with the id of the session that ran their base phase, the
+next hello advertises that id (``"base_ot": "<session id>"``), and a
+server whose stored sender side came from the same session answers
+``"base_ot": "cached"`` — both sides then skip the kappa base DH OTs
+and re-derive fresh extension pools under a session-unique PRG salt.
+Any disagreement — including one identity whose sessions reach two
+shards, or one shard both directly and through a router — degrades to
+a fresh base phase, never to a protocol error.
 
 :func:`fetch_stats` is the one-shot stats probe
 (``op: "stats"`` hello), used by the CLI and the load generator.
@@ -59,9 +62,10 @@ from .handshake import (
 
 BitSource = Union[Sequence[int], Callable[[int], Sequence[int]]]
 
-#: Receiver-side base-OT seeds by (host, port, client_id).  Process
-#: local by design: the seeds are secret key material, so they never
-#: leave the process that ran the base phase.
+#: Receiver-side base-OT seeds by (host, port, client_id), stored as
+#: ``(session id of the fresh base phase, seeds)``.  Process local by
+#: design: the seeds are secret key material, so they never leave the
+#: process that ran the base phase.
 _RECEIVER_BASES: dict = {}
 _RECEIVER_BASES_LOCK = threading.Lock()
 
@@ -370,9 +374,12 @@ def run_session(
         if ot == "extension":
             # Snapshot the cached base now: the hello's advertisement
             # and the base actually used must be the same material.
+            # The advertisement is the id of the session whose base
+            # phase made it (servers that predate the tag read it as
+            # the plain truthy flag it used to be).
             advertised_base = _cached_receiver_base(base_key)
             if advertised_base is not None:
-                hello["base_ot"] = True
+                hello["base_ot"] = advertised_base[0]
     state = {"attempt": 0, "first": None}
     #: Mutable dial target: a drain-time ``moved`` redirect rewrites
     #: it so mid-session redials chase the session to its new shard.
@@ -419,7 +426,7 @@ def run_session(
     base_mode = welcome.get("base_ot") if ot == "extension" else None
     ot_factory = None
     if base_mode is not None:
-        reuse = advertised_base if base_mode == "cached" else None
+        reuse = advertised_base[1] if base_mode == "cached" else None
         salt = session_salt(sid)
 
         def ot_factory(chan, _base=reuse, _salt=salt):
@@ -467,7 +474,7 @@ def run_session(
         # the next session under this identity can skip it.
         export = getattr(party.backend._ot, "export_base", None)
         if export is not None:
-            _store_receiver_base(base_key, export())
+            _store_receiver_base(base_key, (sid, export()))
     return result
 
 

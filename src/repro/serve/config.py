@@ -66,6 +66,9 @@ class ServeConfig:
     heartbeat: Optional[float] = None
     max_sessions: Optional[int] = None
     pool: str = "auto"
+    #: Offline/online split: pre-garble ``material_depth`` delta epochs
+    #: per program before serving, so admitted sessions replay cached
+    #: material and the online path is evaluate+OT.
     precompute: bool = True
     material_depth: int = 2
     #: Fleet flag: accept ``op: "adopt"`` hellos carrying another

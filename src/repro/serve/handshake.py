@@ -13,12 +13,12 @@ stats probe.
 Two optional hello fields arm the serve layer's per-client caches:
 ``"client"`` names a stable client identity (sessions of one identity
 may share cached key material; distinct identities never do), and
-``"base_ot": True`` advertises that this client still holds the
-receiver side of a previous session's base-OT phase.  When the server
-runs extension OT its welcome answers with ``"base_ot": "cached"``
-(it kept the matching sender side — both parties skip the base phase
-and re-derive fresh pools under a session-unique PRG salt) or
-``"fresh"`` (run the base phase again).  Absence of ``"base_ot"`` in
+``"base_ot": "<session id>"`` advertises that this client still holds
+the receiver side of that earlier session's base-OT phase.  When the
+server runs extension OT its welcome answers with ``"base_ot":
+"cached"`` (its stored sender side came from the same session — both
+parties skip the base phase and re-derive fresh pools under a
+session-unique PRG salt) or ``"fresh"`` (run the base phase again).  Absence of ``"base_ot"`` in
 the welcome means the server predates the negotiation; the client
 then behaves exactly as before.  Unknown hello fields are ignored, so
 old and new peers interoperate in both directions.

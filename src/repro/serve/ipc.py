@@ -1,15 +1,17 @@
 """Parent <-> worker control-plane messaging with fd passing.
 
-The process-based serve pool (:mod:`repro.serve.server` /
-:mod:`repro.serve.worker`) needs two things a plain
+The serve pool (:mod:`repro.serve.server` parent,
+:mod:`repro.serve.worker` workers) needs two things a plain
 ``multiprocessing.Queue`` cannot provide:
 
 * **Socket handoff.**  The accept loop lives in the parent; the
-  session protocol runs in a worker process.  A (re)connected TCP
-  socket must therefore cross a process boundary *as a file
-  descriptor* (``SCM_RIGHTS`` via :func:`socket.send_fds`), not as
-  bytes — the worker then owns the live connection and the parent
-  closes its copy.
+  session protocol runs in a worker, normally another process.  A
+  (re)connected TCP socket must therefore cross a process boundary
+  *as a file descriptor* (``SCM_RIGHTS`` via
+  :func:`socket.send_fds`), not as bytes — the worker then owns the
+  live connection and the parent closes its copy.  (A worker started
+  as a thread receives its sockets the same way; descriptor passing
+  works within one process.)
 * **Ordered control + data on one wire.**  Session assignment, link
   handoff, completion records and the stop sentinel must arrive in
   send order so a worker never sees a link for a session it was never

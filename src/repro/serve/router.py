@@ -407,12 +407,19 @@ class SessionRouter:
             self._poll_task = loop.create_task(self._poll_loop())
             self._ready.set()
             loop.run_forever()
-            self._poll_task.cancel()
             for conn in list(self._conns):
                 if conn.transport is not None:
                     conn.transport.close()
             self._server.close()
             loop.run_until_complete(self._server.wait_closed())
+            # Cancel the poll loop and every in-flight ``_route`` and
+            # await them: a task still pending when the loop closes is
+            # destroyed with a warning and never runs its cleanup.
+            tasks = asyncio.all_tasks(loop)
+            for task in tasks:
+                task.cancel()
+            loop.run_until_complete(
+                asyncio.gather(*tasks, return_exceptions=True))
             loop.run_until_complete(loop.shutdown_asyncgens())
         finally:
             self._ready.set()

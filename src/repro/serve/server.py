@@ -2,13 +2,12 @@
 
 One :class:`GarbleServer` owns the garbler role for many concurrent
 evaluator sessions.  The paper's premise — a fixed public circuit
-garbled afresh per private input — makes this the natural scaling
-unit: the netlists and their compiled
-:class:`~repro.core.plan.CyclePlan` are built **once per worker
-process** at spawn and shared (read-only) by every session that worker
-runs, so N concurrent sessions pay ``workers`` compiles, not N.
+garbled afresh per private input — makes one garbler loop the serving
+unit, and there is exactly one: :func:`repro.serve.worker.worker_main`.
+This module is the *parent* of N such workers: it terminates hellos,
+admits sessions, hands each to an idle worker and books its outcome.
 
-Architecture (process pool, the default)::
+Architecture::
 
     AsyncEdge (1 loop thread) ── hello parsed off-loop, per-state
          │                       deadlines, structured rejects
@@ -16,21 +15,30 @@ Architecture (process pool, the default)::
          │                            │  (Full -> structured     │
          │                            │   "busy" reject)    idle worker?
          │                            │                          │
-         │          reconnect ──── fd passed (SCM_RIGHTS) ──> worker
-         │          stats probe ──> snapshot reply, close     processes
-         └── result probe / redial of finished session        (1 session
-                  └──> replay buffer (bounded, TTL'd)          at a time)
+         │          reconnect ──── fd passed (SCM_RIGHTS) ──> workers
+         │          stats probe ──> snapshot reply, close     (1 session
+         └── result probe / redial of finished session         at a time)
+                  └──> replay buffer (bounded, TTL'd)
 
-* **Worker pool** — ``workers`` forkserver processes, each of which
-  rebuilds and pre-warms one compiled plan per served program at
-  spawn (:mod:`repro.serve.worker`).  Sessions are handed to workers
-  over a per-worker control channel (:mod:`repro.serve.ipc`); every
-  (re)connected socket crosses to the owning worker as a file
-  descriptor via ``socket.send_fds``, so checkpoint/resume routing
-  keeps working across the process boundary.  Garbling therefore runs
-  on ``min(workers, cores)`` cores instead of serializing on one GIL.
-  ``pool="thread"`` retains the in-process pool (used automatically
-  when the programs are not picklable, e.g. callable bit sources).
+* **One worker, two ways to start it** — every worker runs
+  ``worker_main`` at the far end of an AF_UNIX control channel
+  (:mod:`repro.serve.ipc`) and speaks one message protocol:
+  ``run``/``link``/``handoff``/``handoff-release``/``stop`` down,
+  ``ready``/``done``/``failed``/``handed-off`` up; every (re)connected
+  socket crosses as a file descriptor via ``socket.send_fds``.
+  ``pool="process"`` starts it in a forkserver process (garbling runs
+  on ``min(workers, cores)`` cores; each worker rebuilds and pre-warms
+  its own compiled plans and owns its own material caches).
+  ``pool="thread"`` starts the *same function* in a
+  ``threading.Thread`` of this process, handing it by reference what a
+  process would get by pickling or build itself — the programs, the
+  counter block and its lock, ``obs``, and one server-wide material
+  cache per program.  The thread kind is not a second implementation:
+  it exists because unpicklable programs (callable bit sources) and an
+  un-spawnable ``__main__`` are supported inputs only threads can run
+  (``pool="auto"`` picks it for exactly those).  Past
+  :meth:`GarbleServer._resolve_pool` the kind is consulted only where
+  a worker is spawned or joined.
 * **Admission control** — the accept queue is a bounded
   ``queue.Queue``; when it is full a new hello is answered with an
   immediate structured ``{"status": "busy", ...}`` welcome and the
@@ -39,22 +47,23 @@ Architecture (process pool, the default)::
   is bumped only once the welcome has actually reached the client; a
   client that vanishes mid-handshake has its queue entry cancelled so
   no worker burns a resume window on a linkless session.
-* **Session lifecycle** — each admitted session runs the existing
-  :class:`~repro.net.session.ResumableSession` state machine around a
-  :class:`~repro.core.protocol.GarblerParty`; its ``connect`` callable
-  pops from the session's link queue, which (re)connects feed.  A
-  dropped evaluator redials the same server, names its session id in
-  the hello, and resumes against the checkpoints the worker holds.
-  Session state transitions and the ``completed``/``failed`` counters
-  move together under the parent's lock, so a finished-counter
+* **Session lifecycle** — the worker runs each admitted session as a
+  :class:`~repro.net.session.ResumableSession` around a garbler party.
+  A dropped evaluator redials the same server, names its session id in
+  the hello, and the parent passes the fresh socket to the owning
+  worker, which resumes against the checkpoints it holds.  Every
+  terminal outcome — done, failed, handed off, worker died — is booked
+  by :meth:`GarbleServer._book`: state flip, terminal counter, ring
+  record and drain accounting move together, so a finished-counter
   observation implies the finished state is visible.
-* **Stats** — counters live in a shared-memory block
-  (``multiprocessing.Array``) written by both the parent (admission,
-  rejects, probes) and the workers (the ``active`` gauge); per-session
-  records are shipped back over the control channel into the parent's
-  ring and the obs layer (``serve.*`` counters, ``serve-session``
-  trace events), and served over the wire to any ``op: "stats"``
-  hello.
+* **Stats** — counters live in one flat block written by the parent
+  (admission, rejects, probes, outcomes) and the workers (the
+  ``active`` gauge, material counters): a shared-memory
+  ``multiprocessing.Array`` for processes, a list for threads.
+  Per-session records come back in the outcome message into the
+  parent's ring and the obs layer (``serve.*`` counters,
+  ``serve-session`` trace events), and are served over the wire to any
+  ``op: "stats"`` hello.
 * **Drain** — :meth:`GarbleServer.shutdown` (wired to SIGTERM/SIGINT
   by the CLI) drains the edge (stops accepting; every connection that
   had not been admitted yet — including one still mid-hello — gets a
@@ -87,45 +96,23 @@ from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from ..circuit.netlist import Netlist
-from ..core.plan import warm_plan
 from ..gc.channel import ChannelClosed, ChannelTimeout, FrameCorruption
 from ..gc.ot import BaseOTCache
 from ..net.links import Link, LinkClosed, LinkTimeout, PrefacedLink
-from ..net.session import (
-    ResumableSession,
-    SessionHandoff,
-    SessionResult,
-    net_digest,
-)
+from ..net.session import SessionResult, net_digest
 from ..net.tcp import TcpLink, connect_with_backoff
 from ..obs import NULL_OBS
 from .config import ServeConfig
 from .edge import AsyncEdge
 from .fleet import aggregate_shard_stats, rendezvous_select
-from .handshake import (
-    HELLO,
-    MAX_HELLO_BYTES,
-    WELCOME,
-    recv_control,
-    send_control,
-)
+from .handshake import HELLO, WELCOME, recv_control, send_control
 from .ipc import IpcClosed, MsgChannel
 from .replay import DENIED, HIT, ReplayBuffer
-from .worker import (
-    STAT_FIELDS,
-    build_material_caches,
-    exportable_ot_base,
-    handoff_bundle,
-    make_adopted_party,
-    make_garbler_party,
-    replay_payload,
-    worker_main,
-)
+from .worker import STAT_FIELDS, build_material_caches, worker_main
 
 BitSource = Union[Sequence[int], Callable[[int], Sequence[int]]]
 
 _SENTINEL = object()
-_SEALED = object()
 
 #: set_forkserver_preload must happen before the forkserver boots;
 #: guard so repeated server construction doesn't re-set it.
@@ -236,19 +223,16 @@ def registry_keyed_program(
 class ServeStats:
     """Serve counters plus a ring of per-session records.
 
-    The counters live in a flat block — a plain list under a
-    ``threading.Lock`` for the thread pool, a shared-memory
-    ``multiprocessing.Array`` (with its cross-process lock) for the
-    process pool, where the workers write the ``active`` gauge
-    directly.  Field layout is :data:`~repro.serve.worker.STAT_FIELDS`;
-    each field also reads as a plain attribute (``stats.completed``).
+    The counters live in one flat ``block`` guarded by ``lock``, both
+    shared with the workers (which write the ``active`` gauge and the
+    material counters directly): a shared-memory
+    ``multiprocessing.Array`` with its cross-process lock, or a list
+    with a ``threading.Lock``.  Field layout is
+    :data:`~repro.serve.worker.STAT_FIELDS`; each field also reads as
+    a plain attribute (``stats.completed``).
     """
 
-    def __init__(self, keep_sessions: int = 64, block=None,
-                 lock=None) -> None:
-        if block is None:
-            block = [0] * len(STAT_FIELDS)
-            lock = threading.Lock()
+    def __init__(self, block, lock, keep_sessions: int = 64) -> None:
         self._block = block
         self._block_lock = lock
         self._ring_lock = threading.Lock()
@@ -292,22 +276,31 @@ for _i, _name in enumerate(STAT_FIELDS):
     setattr(ServeStats, _name, _stat_property(_i))
 del _i, _name
 
+#: Terminal session states and the counter each one moves.
+_TERMINAL = {"done": "completed", "failed": "failed",
+             "handed-off": "handed_off"}
+
+#: Per-session record of a session whose worker never reported one.
+_UNREPORTED = {"wall_ms": -1, "garbled_nonxor": -1, "tables_sent": -1,
+               "reconnects": -1, "epoch": -1}
+
 
 @dataclass
 class _ServeSession:
-    """Server-side record of one evaluator session."""
+    """Parent-side record of one evaluator session.  The session
+    itself — party, checkpoints, link mailbox — lives in its worker."""
 
     id: str
     program: str
     prog: ServeProgram
-    #: queued -> active -> done | failed; ``cancelled`` is the
-    #: admission-unwind terminal (welcome never reached the client).
+    #: queued -> active -> done | failed | handed-off; ``cancelled`` is
+    #: the admission-unwind terminal (welcome never reached the client).
     state: str = "queued"
     result: Optional[SessionResult] = None
     error: Optional[BaseException] = None
     wall_seconds: float = 0.0
-    #: Process pool: index of the worker running this session (None
-    #: until dispatched; links arriving earlier wait in ``_pending``).
+    #: Index of the worker running this session (None until
+    #: dispatched; links arriving earlier wait in ``_pending``).
     owner: Optional[int] = None
     #: Client identity from the hello (material epoch audit trail and
     #: base-OT cache key); None for anonymous sessions.
@@ -325,51 +318,15 @@ class _ServeSession:
     #: Where a handed-off session went — redials of this session are
     #: answered with a ``moved`` welcome naming this (host, port).
     peer: Optional[tuple] = None
-    #: Thread pool: set to interrupt the session at its next
-    #: checkpoint boundary for drain-time handoff (the process pool
-    #: signals its worker over the control channel instead).
-    handoff: threading.Event = field(default_factory=threading.Event)
     _pending: List[tuple] = field(default_factory=list)
-    _links: "queue.Queue" = field(default_factory=queue.Queue)
     _lock: threading.Lock = field(default_factory=threading.Lock)
     _sealed: bool = False
 
-    def push_link(self, link: Link) -> bool:
-        """Feed a (re)connect to the session's worker; False once the
-        session has finished (the caller closes the link)."""
-        with self._lock:
-            if self._sealed:
-                return False
-            self._links.put(link)
-            return True
-
-    def pop_link(self, timeout: Optional[float]) -> Link:
-        try:
-            item = self._links.get(timeout=timeout)
-        except queue.Empty:
-            raise LinkTimeout(
-                f"session {self.id!r}: evaluator did not (re)connect "
-                f"within {timeout}s"
-            ) from None
-        if item is _SEALED:
-            self._links.put(item)  # keep failing fast for later pops
-            raise LinkClosed(f"session {self.id!r} is sealed")
-        return item
-
     def seal(self) -> None:
-        """Close pending/queued links and wake a blocked ``pop_link``
-        so a cancelled session never costs a full resume window."""
+        """Refuse further links and close the undelivered ones."""
         with self._lock:
             self._sealed = True
             pending, self._pending = self._pending, []
-            while True:
-                try:
-                    item = self._links.get_nowait()
-                except queue.Empty:
-                    break
-                if item is not _SEALED:
-                    item.close()
-            self._links.put(_SEALED)
         for link, _preface in pending:
             link.close()
 
@@ -382,75 +339,28 @@ class GarbleServer:
     until :meth:`request_shutdown`, e.g. from a signal handler) or
     drive clients directly in tests and call :meth:`shutdown`.
 
-    ``pool`` selects the worker pool: ``"process"`` (one OS process
-    per worker — true multi-core garbling), ``"thread"`` (the
-    in-process pool), or ``"auto"`` (default: processes when the
-    programs can cross a process boundary, threads otherwise).
+    Tuning knobs are one frozen :class:`ServeConfig` (echoed verbatim
+    in every ``op: "stats"`` reply); keyword ``overrides`` name its
+    fields and fold into it, so ``GarbleServer(programs, workers=2)``
+    and ``GarbleServer(programs, config=ServeConfig(workers=2))`` are
+    the same server.  ``pool`` selects how workers are started:
+    ``"process"`` (one OS process each — true multi-core garbling),
+    ``"thread"`` (the same worker in threads of this process), or
+    ``"auto"`` (default: processes when the programs can cross a
+    process boundary, threads otherwise).
     """
 
     def __init__(
         self,
         programs: Dict[str, ServeProgram],
-        host: str = "127.0.0.1",
-        port: int = 0,
-        workers: int = 4,
-        queue_depth: int = 8,
-        checkpoint_every: int = 4,
-        timeout: Optional[float] = 30.0,
-        resume_window: Optional[float] = None,
-        max_attempts: int = 6,
-        handshake_timeout: float = 5.0,
-        hello_timeout: Optional[float] = None,
-        idle_timeout: Optional[float] = 60.0,
-        replay_ttl: float = 120.0,
-        replay_capacity: int = 256,
-        max_connections: int = 10_000,
-        max_hello_bytes: int = MAX_HELLO_BYTES,
-        ot: str = "simplest",
-        ot_group: str = "modp512",
-        engine: str = "compiled",
-        heartbeat: Optional[float] = None,
-        max_sessions: Optional[int] = None,
-        pool: str = "auto",
-        precompute: bool = True,
-        material_depth: int = 2,
-        fleet: bool = False,
         config: Optional[ServeConfig] = None,
         obs=NULL_OBS,
+        **overrides,
     ) -> None:
         if config is None:
-            # Loose kwargs remain supported; they fold into the one
-            # frozen config object that describes this server (and is
-            # echoed verbatim in every ``op: "stats"`` reply).
-            config = ServeConfig(
-                host=host,
-                port=port,
-                workers=workers,
-                queue_depth=queue_depth,
-                checkpoint_every=checkpoint_every,
-                timeout=timeout,
-                resume_window=resume_window,
-                max_attempts=max_attempts,
-                #: ``hello_timeout`` is the historical name of the knob.
-                handshake_timeout=(
-                    hello_timeout if hello_timeout is not None
-                    else handshake_timeout
-                ),
-                idle_timeout=idle_timeout,
-                replay_ttl=replay_ttl,
-                replay_capacity=replay_capacity,
-                max_connections=max_connections,
-                max_hello_bytes=max_hello_bytes,
-                ot=ot,
-                ot_group=ot_group,
-                engine=engine,
-                heartbeat=heartbeat,
-                max_sessions=max_sessions,
-                pool=pool,
-                precompute=precompute,
-                material_depth=material_depth,
-                fleet=fleet,
-            )
+            config = ServeConfig(**overrides)
+        elif overrides:
+            config = config.replace(**overrides)
         self.config = config
         if config.workers < 1:
             raise ValueError("workers must be >= 1")
@@ -459,36 +369,9 @@ class GarbleServer:
         self.programs = dict(programs)
         if not self.programs:
             raise ValueError("a server needs at least one program")
-        self.workers = config.workers
-        self.checkpoint_every = config.checkpoint_every
-        self.timeout = config.timeout
-        #: How long a worker waits for a dropped evaluator to redial
-        #: before burning one of its reconnect attempts.
-        self.resume_window = (
-            config.timeout if config.resume_window is None
-            else config.resume_window
-        )
-        self.max_attempts = config.max_attempts
-        self.handshake_timeout = config.handshake_timeout
-        self.hello_timeout = self.handshake_timeout
-        self.idle_timeout = config.idle_timeout
-        self.replay_ttl = config.replay_ttl
-        self.max_connections = config.max_connections
         self._replay = ReplayBuffer(
             ttl=config.replay_ttl, capacity=config.replay_capacity
         )
-        self.ot = config.ot
-        self.ot_group = config.ot_group
-        self.engine = config.engine
-        self.heartbeat = config.heartbeat
-        self.max_sessions = config.max_sessions
-        #: Offline/online split: pre-garble ``material_depth`` delta
-        #: epochs per program before serving, so admitted sessions
-        #: replay cached material and the online path is evaluate+OT.
-        self.precompute = config.precompute
-        self.material_depth = config.material_depth
-        #: Fleet mode: honor ``op: "drain"`` / ``op: "adopt"`` hellos.
-        self.fleet = config.fleet
         #: Affinity keys: the router routes a program to shards by this
         #: digest, and a draining shard picks each session's adoption
         #: peer by the same rendezvous hash over the same key.
@@ -497,56 +380,55 @@ class GarbleServer:
             for name, prog in self.programs.items()
         }
         self._handoff_peers: List[tuple] = []
-        #: Sender-side base-OT material per client identity (survives
-        #: worker churn — the parent owns it, workers get it in the
-        #: ``run`` message and return fresh exports with ``done``).
+        #: Sender-side base-OT material per client identity, stored as
+        #: ``(session id of the fresh base phase, base)`` so a hello
+        #: can prove its receiver side came from that very phase.
+        #: Survives worker churn — the parent owns it, workers get it
+        #: in the ``run`` message and return fresh exports with ``done``.
         self._client_bases = BaseOTCache()
         self.obs = obs
         self.pool = self._resolve_pool(config.pool)
+        # What a worker is handed at spawn: processes share a
+        # shared-memory counter block and each build their own
+        # material caches; threads share a list and one server-wide
+        # cache per program (so the single-use epoch audit covers the
+        # whole server).
         if self.pool == "process":
             self._ctx = _forkserver_context()
-            self._stats_block = self._ctx.Array("l", len(STAT_FIELDS))
-            self.stats = ServeStats(
-                block=self._stats_block,
-                lock=self._stats_block.get_lock(),
-            )
-            self._procs: List[Optional[object]] = [None] * self.workers
-            self._chans: List[Optional[MsgChannel]] = [None] * self.workers
-            #: Workers that completed their pre-warm at least once; a
-            #: worker dying *before* ready means spawning is broken in
-            #: this environment, and respawning would loop forever.
-            self._worker_ready: List[bool] = [False] * self.workers
-            #: Tokens of workers ready for a session (fed by "ready"
-            #: and session-finished messages).
-            self._idle: "queue.Queue" = queue.Queue()
+            block = self._ctx.Array("l", len(STAT_FIELDS))
+            self._counters = (block, block.get_lock())
+            self._materials = None
         else:
-            self.stats = ServeStats()
-            # One compile for all sessions: warm the thread-safe plan
-            # cache now so no session thread pays netlist compilation.
-            if self.engine == "compiled":
-                for prog in self.programs.values():
-                    warm_plan(prog.net)
-            # Offline phase (thread pool): pre-garble material in the
-            # parent; process-pool workers do the same at spawn.
+            self._counters = ([0] * len(STAT_FIELDS), threading.Lock())
             self._materials = build_material_caches(
                 self.programs, self._worker_config()
             )
-            for cache in self._materials.values():
-                self.stats.bump("material_epochs", cache.prewarm())
+        self.stats = ServeStats(*self._counters)
+        workers = config.workers
+        #: Worker handles (``Process`` or ``Thread``) and the parent
+        #: end of each one's control channel.
+        self._procs: List[Optional[object]] = [None] * workers
+        self._chans: List[Optional[MsgChannel]] = [None] * workers
+        #: Workers that completed their pre-warm at least once; a
+        #: worker dying *before* ready means spawning is broken in
+        #: this environment, and respawning would loop forever.
+        self._worker_ready: List[bool] = [False] * workers
+        #: Tokens of workers ready for a session (fed by "ready"
+        #: and session-finished messages).
+        self._idle: "queue.Queue" = queue.Queue()
         self._edge = AsyncEdge(
             self._edge_handshake,
             host=config.host,
             port=config.port,
-            handshake_timeout=self.handshake_timeout,
+            handshake_timeout=config.handshake_timeout,
             idle_timeout=config.idle_timeout,
             max_connections=config.max_connections,
             max_hello_bytes=config.max_hello_bytes,
             heartbeat=config.heartbeat,
-            counter=self._edge_counter,
+            counter=self._count,
         )
         self.host, self.port = self._edge.host, self._edge.port
         self._queue: "queue.Queue" = queue.Queue(maxsize=config.queue_depth)
-        self.queue_depth = config.queue_depth
         self._sessions: Dict[str, _ServeSession] = {}
         self._lock = threading.Lock()
         self._busy_streak = 0
@@ -595,23 +477,13 @@ class GarbleServer:
             return self
         self._started = True
         self._edge.start()
-        if self.pool == "process":
-            for i in range(self.workers):
-                self._spawn_worker(i)
-            dispatch = threading.Thread(
-                target=self._dispatch_loop, name="serve-dispatch",
-                daemon=True,
-            )
-            dispatch.start()
-            self._threads.append(dispatch)
-        else:
-            for i in range(self.workers):
-                t = threading.Thread(
-                    target=self._worker_loop, args=(i,),
-                    name=f"serve-worker-{i}", daemon=True,
-                )
-                t.start()
-                self._threads.append(t)
+        for i in range(self.config.workers):
+            self._spawn_worker(i)
+        dispatch = threading.Thread(
+            target=self._dispatch_loop, name="serve-dispatch", daemon=True,
+        )
+        dispatch.start()
+        self._threads.append(dispatch)
         return self
 
     def request_shutdown(self) -> None:
@@ -670,30 +542,26 @@ class GarbleServer:
                     if remaining <= 0:
                         break
                     q.all_tasks_done.wait(remaining)
+        if self._started:
+            # Unblock the dispatcher whichever queue it waits on.
+            self._idle.put(_SENTINEL)
+            self._queue.put(_SENTINEL)
+        chans = [chan for chan in self._chans if chan is not None]
+        procs = [proc for proc in self._procs if proc is not None]
+        for chan in chans:
+            try:
+                chan.send({"type": "stop"})
+            except IpcClosed:
+                pass
+        for proc in procs:
+            proc.join(timeout=10.0)
+        for chan in chans:
+            chan.close()
         if self.pool == "process":
-            if self._started:
-                # Unblock the dispatcher whichever queue it waits on.
-                self._idle.put(_SENTINEL)
-                self._queue.put(_SENTINEL)
-            for chan in self._chans:
-                if chan is not None:
-                    try:
-                        chan.send({"type": "stop"})
-                    except IpcClosed:
-                        pass
-            for proc in self._procs:
-                if proc is not None:
-                    proc.join(timeout=10.0)
-            for chan in self._chans:
-                if chan is not None:
-                    chan.close()
-            for proc in self._procs:
-                if proc is not None and proc.is_alive():
+            for proc in procs:
+                if proc.is_alive():
                     proc.terminate()
                     proc.join(timeout=2.0)
-        else:
-            for _ in range(self.workers):
-                self._queue.put(_SENTINEL)
         for t in self._threads:
             t.join(timeout=10.0)
         self._edge.stop()
@@ -717,21 +585,22 @@ class GarbleServer:
         return snap
 
     def stats_snapshot(self) -> dict:
+        config = self.config
         snap = self.stats.snapshot()
         snap.update(
             queued=self._queue.qsize(),
-            queue_depth=self.queue_depth,
-            workers=self.workers,
+            queue_depth=config.queue_depth,
+            workers=config.workers,
             pool=self.pool,
             draining=self._draining,
             programs=sorted(self.programs),
-            handshake_timeout=self.handshake_timeout,
-            idle_timeout=self.idle_timeout,
-            replay_ttl=self.replay_ttl,
+            handshake_timeout=config.handshake_timeout,
+            idle_timeout=config.idle_timeout,
+            replay_ttl=config.replay_ttl,
             replay_buffered=len(self._replay),
-            max_connections=self.max_connections,
-            fleet=self.fleet,
-            config=self.config.to_dict(),
+            max_connections=config.max_connections,
+            fleet=config.fleet,
+            config=config.to_dict(),
             program_digests=dict(self.program_digests),
         )
         return snap
@@ -758,8 +627,10 @@ class GarbleServer:
 
     # -- accept path ---------------------------------------------------------
 
-    def _edge_counter(self, name: str, n: int = 1) -> None:
-        """Counter hook handed to the edge (runs on the loop thread)."""
+    def _count(self, name: str, n: int = 1) -> None:
+        """Move one ``STAT_FIELDS`` counter and its ``serve.*`` obs
+        twin together (also the edge's counter hook, where it runs on
+        the loop thread)."""
         self.stats.bump(name, n)
         if self.obs.enabled:
             self.obs.inc(f"serve.{name}", n)
@@ -772,19 +643,34 @@ class GarbleServer:
         client that stops reading before its welcome turns into
         ``LinkClosed`` on the send, which the admission path already
         unwinds, instead of a stuck handshake thread."""
-        link.settimeout(self.handshake_timeout)
+        link.settimeout(self.config.handshake_timeout)
         try:
             self._complete_handshake(link, hello, leftover)
         except (ChannelClosed, ChannelTimeout, FrameCorruption,
                 LinkClosed, LinkTimeout, OSError):
             link.close()
 
-    def _reject(self, link: Link, welcome: dict, counter: str) -> None:
-        self.stats.bump(counter)
-        if self.obs.enabled:
-            self.obs.inc(f"serve.{counter}")
+    def _answer(self, link: Link, welcome: dict) -> None:
+        """One-shot reply: the welcome is the whole conversation."""
         send_control(link, WELCOME, welcome)
         link.close()
+
+    def _reject(self, link: Link, welcome: dict, counter: str) -> None:
+        self._count(counter)
+        self._answer(link, welcome)
+
+    def _reject_error(self, link: Link, reason: str, **extra) -> None:
+        self._reject(link, {"status": "error", "reason": reason, **extra},
+                     "rejected_error")
+
+    def _reject_busy(self, link: Link, status: str, reason: str,
+                     **extra) -> None:
+        self._reject(
+            link,
+            {"status": status, "reason": reason,
+             "retry_after_s": self._retry_after(grew=True), **extra},
+            "rejected_busy",
+        )
 
     def _retry_after(self, grew: bool) -> float:
         """Backoff guidance for busy/draining rejects: doubles with
@@ -800,7 +686,7 @@ class GarbleServer:
         edge (tests drive this directly); the edge path parses the
         hello on the loop and enters at :meth:`_complete_handshake`."""
         tag, hello, leftover = recv_control(
-            link, timeout=self.handshake_timeout
+            link, timeout=self.config.handshake_timeout
         )
         if tag != HELLO or not isinstance(hello, dict):
             raise FrameCorruption(f"expected {HELLO!r}, got {tag!r}")
@@ -810,256 +696,224 @@ class GarbleServer:
                             leftover: bytes) -> None:
         op = hello.get("op", "session")
         if op == "stats":
-            self.stats.bump("stats_probes")
-            send_control(
-                link, WELCOME,
-                {"status": "stats", "stats": self.stats_snapshot()},
-            )
-            link.close()
+            self._count("stats_probes")
+            self._answer(link, {"status": "stats",
+                                "stats": self.stats_snapshot()})
             return
         if op == "fleet-stats":
-            self.stats.bump("stats_probes")
-            send_control(
-                link, WELCOME,
-                {"status": "fleet-stats", **self.fleet_stats_snapshot()},
-            )
-            link.close()
+            self._count("stats_probes")
+            self._answer(link, {"status": "fleet-stats",
+                                **self.fleet_stats_snapshot()})
             return
-        if op in ("drain", "adopt") and not self.fleet:
-            self._reject(
-                link,
-                {"status": "error",
-                 "reason": f"op {op!r} needs fleet mode (start the "
-                           "server with fleet=True / --fleet)"},
-                "rejected_error",
-            )
+        if op in ("drain", "adopt") and not self.config.fleet:
+            self._reject_error(
+                link, f"op {op!r} needs fleet mode (start the server "
+                      "with fleet=True / --fleet)")
             return
         if op == "drain":
-            peers = hello.get("peers") or []
             try:
-                handoffs = self.drain_handoff(
-                    [(str(h), int(p)) for h, p in peers]
-                )
+                handoffs = self.drain_handoff(hello.get("peers") or [])
             except (TypeError, ValueError):
-                self._reject(
-                    link,
-                    {"status": "error",
-                     "reason": "drain peers must be [host, port] pairs"},
-                    "rejected_error",
-                )
+                self._reject_error(
+                    link, "drain peers must be [host, port] pairs")
                 return
-            send_control(
-                link, WELCOME,
-                {"status": "ok", "draining": True, "handoffs": handoffs},
-            )
-            link.close()
-            return
-        if op == "adopt":
-            self._handle_adopt(link, hello, leftover)
+            self._answer(link, {"status": "ok", "draining": True,
+                                "handoffs": handoffs})
             return
         sid = hello.get("session")
         name = hello.get("program")
         if not isinstance(sid, str) or not sid:
-            self._reject(
-                link,
-                {"status": "error", "reason": "hello carries no session id"},
-                "rejected_error",
-            )
+            self._reject_error(link, "hello carries no session id")
+            return
+        if op == "adopt":
+            self._handle_adopt(link, hello, leftover, sid, name)
             return
         if op == "result":
             self._answer_result_probe(link, hello, sid)
             return
 
-        # Snapshot session + drain state under the lock: a worker
-        # transitions sessions to done/failed under this same lock, so
-        # the routing decision below never reads a torn state (the
-        # old unlocked read could welcome a redial into a session that
-        # sealed a microsecond later).
+        # Snapshot the session under the lock: `_book` transitions
+        # sessions to done/failed under this same lock, so the routing
+        # decision below never reads a torn state (an unlocked read
+        # could welcome a redial into a session that sealed a
+        # microsecond later).
         with self._lock:
             sess = self._sessions.get(sid)
-            draining = self._draining
             if sess is not None:
                 sess_program, sess_state = sess.program, sess.state
                 sess_peer = sess.peer
         if sess is None:
-            # -- admission control for a brand-new session ----------------
-            if draining:
-                self._reject(
-                    link,
-                    {"status": "draining", "reason": "server is draining",
-                     "retry_after_s": self._retry_after(grew=True)},
-                    "rejected_busy",
-                )
+            sess = self._new_session(link, hello, sid, name)
+            if sess is None:
                 return
-            prog = self.programs.get(name)
-            if prog is None:
-                self._reject(
-                    link,
-                    {"status": "error",
-                     "reason": f"unknown program {name!r}",
-                     "programs": sorted(self.programs)},
-                    "rejected_error",
-                )
-                return
-            sess = _ServeSession(id=sid, program=name, prog=prog)
-            client = hello.get("client")
-            if isinstance(client, str) and client:
-                sess.client = client
-            gkey = hello.get("garbler_key")
-            if gkey is not None:
-                table = prog.alice_by_key
-                if not isinstance(gkey, str) or table is None \
-                        or gkey not in table:
-                    known = sorted(table) if table else []
-                    self._reject(
-                        link,
-                        {"status": "error",
-                         "reason": f"unknown garbler key {gkey!r} for "
-                                   f"program {name!r}",
-                         "garbler_keys": known},
-                        "rejected_error",
-                    )
-                    return
-                sess.garbler_key = gkey
-            # Base-OT reuse negotiation: a returning client that
-            # advertises cached receiver material ("base_ot" in the
-            # hello) gets "cached" back iff the server still holds the
-            # matching sender side; otherwise "fresh" tells it to run
-            # the base phase again.  Decided here, snapshotted on the
-            # session, so the welcome and the worker dispatch agree
-            # even if the cache churns in between.
-            base_mode = None
-            if self.ot == "extension":
-                if sess.client is not None and hello.get("base_ot"):
-                    sess.ot_base = self._client_bases.get(sess.client)
-                base_mode = "cached" if sess.ot_base is not None else "fresh"
-            with self._lock:
-                try:
-                    self._queue.put_nowait(sess)
-                except queue.Full:
-                    admitted = False
-                else:
-                    admitted = True
-                    self._sessions[sid] = sess
-            if not admitted:
-                self._reject(
-                    link,
-                    {"status": "busy",
-                     "reason": "accept queue is full",
-                     "active": self.stats.active,
-                     "queued": self._queue.qsize(),
-                     "queue_depth": self.queue_depth,
-                     "retry_after_s": self._retry_after(grew=True)},
-                    "rejected_busy",
-                )
-                return
-            with self._lock:
-                self._busy_streak = 0
-            welcome = {
-                "status": "ok",
-                "session": sid,
-                "program": name,
-                "cycles": prog.cycles,
-                "checkpoint_every": self.checkpoint_every,
-                "resumed": False,
-            }
-            if sess.garbler_key is not None:
-                welcome["garbler_key"] = sess.garbler_key
-            if base_mode is not None:
-                welcome["base_ot"] = base_mode
-            # Welcome before counting the admission: if the client
-            # vanished between hello and welcome, unwind the queue
-            # entry (the seal fails any worker that raced onto it
-            # immediately) instead of leaving a linkless session to
-            # burn a worker for a full resume window.
-            try:
-                send_control(link, WELCOME, welcome)
-            except (ChannelClosed, LinkClosed, OSError):
-                with self._lock:
-                    sess.state = "cancelled"
-                    self._sessions.pop(sid, None)
-                sess.seal()
-                link.close()
-                return
-            self.stats.bump("accepted")
-            if self.obs.enabled:
-                self.obs.inc("serve.accepted")
         else:
             # -- reconnect routing (on the locked snapshot) ----------------
             if sess_program != name:
-                self._reject(
-                    link,
-                    {"status": "error",
-                     "reason": f"session {sid!r} is bound to program "
-                               f"{sess_program!r}"},
-                    "rejected_error",
-                )
+                self._reject_error(
+                    link, f"session {sid!r} is bound to program "
+                          f"{sess_program!r}")
                 return
             if sess_state == "handed-off" and sess_peer is not None:
                 # Drain-time handoff: the session now lives on a peer
                 # shard.  Tell the evaluator where so it can redial
                 # there and resume — this is what makes handoff work
                 # even without a router in front.
-                send_control(
-                    link, WELCOME,
-                    {"status": "moved", "session": sid,
-                     "program": sess_program,
-                     "peer": [sess_peer[0], sess_peer[1]]},
-                )
-                link.close()
+                self._answer(link, {"status": "moved", "session": sid,
+                                    "program": sess_program,
+                                    "peer": list(sess_peer)})
                 return
-            if sess_state in ("done", "failed", "cancelled"):
+            if sess_state in _TERMINAL:
                 # A redial of a finished session is the replay path:
                 # the client most likely died after the final frame
                 # and wants its result back, not a re-run.
-                status, entry = self._replay.fetch(sid, hello.get("client"))
-                if status == HIT:
-                    self.stats.bump("replay_hits")
-                    if self.obs.enabled:
-                        self.obs.inc("serve.replay_hits")
-                    welcome = {"status": "result", "session": sid,
-                               "program": sess_program}
-                    welcome.update(entry.payload)
-                    send_control(link, WELCOME, welcome)
-                    link.close()
-                    return
-                self.stats.bump("replay_misses")
-                if self.obs.enabled:
-                    self.obs.inc("serve.replay_misses")
-                if status == DENIED:
-                    self._reject(
-                        link,
-                        {"status": "error",
-                         "reason": f"session {sid!r} already finished; "
-                                   "result replay denied: evaluator "
-                                   "identity does not match"},
-                        "rejected_error",
-                    )
-                    return
-                self._reject(
-                    link,
-                    {"status": "unknown-session",
-                     "reason": f"session {sid!r} already finished "
-                               f"({sess_state}); no replayable result"},
-                    "rejected_error",
-                )
+                if not self._answer_replay(link, hello, sid,
+                                           program=sess_program):
+                    self._reject_error(
+                        link, f"session {sid!r} already finished "
+                              f"({sess_state}); no replayable result",
+                        status="unknown-session")
                 return
-            welcome = {
-                "status": "ok",
-                "session": sid,
-                "program": name,
-                "cycles": sess.prog.cycles,
-                "checkpoint_every": self.checkpoint_every,
-                "resumed": True,
-            }
             if self.obs.enabled:
                 self.obs.inc("serve.reconnects")
             # Welcome first, then feed the link: the worker writes to
             # the socket the moment it sees the link, and the welcome
             # must be the first thing the client reads.
-            send_control(link, WELCOME, welcome)
+            send_control(link, WELCOME, {
+                "status": "ok",
+                "session": sid,
+                "program": name,
+                "cycles": sess.prog.cycles,
+                "checkpoint_every": self.config.checkpoint_every,
+                "resumed": True,
+            })
         if not self._deliver_link(sess, link, leftover):
             link.close()  # finished between the snapshot and the push
+
+    def _new_session(self, link: Link, hello: dict, sid: str,
+                     name) -> Optional[_ServeSession]:
+        """Admission control for a brand-new session: the admitted,
+        welcomed and counted session, or None once rejected."""
+        prog = self._admissible_program(link, name)
+        if prog is None:
+            return None
+        sess = _ServeSession(id=sid, program=name, prog=prog)
+        client = hello.get("client")
+        if isinstance(client, str) and client:
+            sess.client = client
+        welcome = {
+            "status": "ok",
+            "session": sid,
+            "program": name,
+            "cycles": prog.cycles,
+            "checkpoint_every": self.config.checkpoint_every,
+            "resumed": False,
+        }
+        gkey = hello.get("garbler_key")
+        if gkey is not None:
+            table = prog.alice_by_key or {}
+            if not isinstance(gkey, str) or gkey not in table:
+                self._reject_error(
+                    link, f"unknown garbler key {gkey!r} for program "
+                          f"{name!r}", garbler_keys=sorted(table))
+                return None
+            sess.garbler_key = welcome["garbler_key"] = gkey
+        if self.config.ot == "extension":
+            # Base-OT reuse negotiation: a returning client advertises
+            # the session id whose fresh base phase produced the
+            # receiver material it holds ("base_ot" in the hello) and
+            # gets "cached" back iff the sender side stored here came
+            # from that same phase; anything else — nothing stored, or
+            # a base from a session this client ran against another
+            # shard or endpoint in between — answers "fresh" and both
+            # sides run the base phase again.  Decided here,
+            # snapshotted on the session, so the welcome and the
+            # worker dispatch agree even if the cache churns.
+            stored = self._client_bases.get(sess.client)
+            if stored is not None and stored[0] == hello.get("base_ot"):
+                sess.ot_base = stored[1]
+            welcome["base_ot"] = (
+                "cached" if sess.ot_base is not None else "fresh")
+        return sess if self._admit(sess, link, welcome, "accepted") else None
+
+    def _admissible_program(self, link: Link,
+                            name) -> Optional[ServeProgram]:
+        """The served program a new or adopted session names, or None
+        after the structured reject (draining, unknown program)."""
+        with self._lock:
+            draining = self._draining
+        if draining:
+            self._reject_busy(link, "draining", "server is draining")
+            return None
+        prog = self.programs.get(name)
+        if prog is None:
+            self._reject_error(link, f"unknown program {name!r}",
+                               programs=sorted(self.programs))
+        return prog
+
+    def _admit(self, sess: _ServeSession, link: Link, welcome: dict,
+               counter: str) -> bool:
+        """Queue a new or adopted session and welcome its sender;
+        False once rejected (queue full) or unwound (sender gone)."""
+        with self._lock:
+            try:
+                self._queue.put_nowait(sess)
+            except queue.Full:
+                admitted = False
+            else:
+                admitted = True
+                self._sessions[sess.id] = sess
+                self._busy_streak = 0
+        if not admitted:
+            self._reject_busy(
+                link, "busy", "accept queue is full",
+                active=self.stats.active, queued=self._queue.qsize(),
+                queue_depth=self.config.queue_depth)
+            return False
+        # Welcome before counting the admission: if the sender
+        # vanished between hello and welcome, unwind the queue entry
+        # instead of leaving a linkless session to burn a worker for a
+        # full resume window.
+        try:
+            send_control(link, WELCOME, welcome)
+        except (ChannelClosed, LinkClosed, OSError):
+            self._unwind(sess)
+            link.close()
+            return False
+        self._count(counter)
+        return True
+
+    def _unwind(self, sess: _ServeSession) -> None:
+        """Cancel an admission whose welcome never arrived: the
+        dispatcher skips a cancelled queue entry, and the id leaves
+        the registry so the same client can dial it again.  A session
+        a worker already took stays registered — sealed, it fails
+        there for want of a link and is booked like any other."""
+        with self._lock:
+            if sess.state == "queued":
+                sess.state = "cancelled"
+                self._sessions.pop(sess.id, None)
+        sess.seal()
+
+    def _answer_replay(self, link: Link, hello: dict, sid: str,
+                       program: Optional[str] = None) -> bool:
+        """Answer from the replay buffer — the parked result, or a
+        structured denial when the evaluator identity does not match.
+        False (nothing sent) when no result is parked."""
+        status, entry = self._replay.fetch(sid, hello.get("client"))
+        if status == HIT:
+            self._count("replay_hits")
+            welcome = {"status": "result", "session": sid, **entry.payload}
+            if program is not None:
+                welcome["program"] = program
+            self._answer(link, welcome)
+            return True
+        self._count("replay_misses")
+        if status == DENIED:
+            self._reject_error(
+                link, f"session {sid!r} already finished; result replay "
+                      "denied: evaluator identity does not match")
+            return True
+        return False
 
     def _answer_result_probe(self, link: Link, hello: dict,
                              sid: str) -> None:
@@ -1067,72 +921,29 @@ class GarbleServer:
         the session.  Answers ``result`` (the parked payload),
         ``pending`` (session still running — retry), or a structured
         ``unknown-session`` reject."""
-        status, entry = self._replay.fetch(sid, hello.get("client"))
-        if status == HIT:
-            self.stats.bump("replay_hits")
-            if self.obs.enabled:
-                self.obs.inc("serve.replay_hits")
-            welcome = {"status": "result", "session": sid}
-            welcome.update(entry.payload)
-            send_control(link, WELCOME, welcome)
-            link.close()
-            return
-        self.stats.bump("replay_misses")
-        if self.obs.enabled:
-            self.obs.inc("serve.replay_misses")
-        if status == DENIED:
-            self._reject(
-                link,
-                {"status": "error",
-                 "reason": f"result replay for session {sid!r} denied: "
-                           "evaluator identity does not match"},
-                "rejected_error",
-            )
+        if self._answer_replay(link, hello, sid):
             return
         with self._lock:
             sess = self._sessions.get(sid)
             state = None if sess is None else sess.state
             peer = None if sess is None else sess.peer
         if state == "handed-off" and peer is not None:
-            send_control(
-                link, WELCOME,
-                {"status": "moved", "session": sid,
-                 "peer": [peer[0], peer[1]]},
-            )
-            link.close()
-            return
-        if state in ("queued", "active"):
-            send_control(
-                link, WELCOME,
-                {"status": "pending", "session": sid, "state": state,
-                 "retry_after_s": self._retry_after(grew=False)},
-            )
-            link.close()
-            return
-        self._reject(
-            link,
-            {"status": "unknown-session",
-             "reason": f"no replayable result for session {sid!r}"
-                       + (f" (finished: {state})" if state else "")},
-            "rejected_error",
-        )
-
-    def _park_replay(self, sess: _ServeSession,
-                     payload: Optional[dict]) -> None:
-        """Park a finished session's decoded result for redial
-        recovery.  ``payload`` is None when the session died before
-        the garbler ever decoded outputs — nothing to replay."""
-        if payload is None or not self._replay.enabled:
-            return
-        self._replay.park(sess.id, sess.client, payload)
+            self._answer(link, {"status": "moved", "session": sid,
+                                "peer": list(peer)})
+        elif state in ("queued", "active"):
+            self._answer(link, {
+                "status": "pending", "session": sid, "state": state,
+                "retry_after_s": self._retry_after(grew=False)})
+        else:
+            self._reject_error(
+                link, f"no replayable result for session {sid!r}"
+                      + (f" (finished: {state})" if state else ""),
+                status="unknown-session")
 
     def _deliver_link(self, sess: _ServeSession, link: Link,
                       leftover: bytes) -> bool:
-        """Hand a (re)connected link to whatever runs the session:
-        the session's in-process queue (thread pool) or the owning
-        worker process via fd passing.  False if the session sealed."""
-        if self.pool != "process":
-            return sess.push_link(PrefacedLink(link, leftover))
+        """Hand a (re)connected link to the worker that owns the
+        session via fd passing.  False if the session sealed."""
         with sess._lock:
             if sess._sealed:
                 return False
@@ -1178,12 +989,13 @@ class GarbleServer:
         but the edge keeps accepting connections so reconnects, result
         probes and ``moved`` redirects still flow (a hard edge drain
         would strand the evaluators we are about to redirect).  Every
-        active session is signalled to stop at its next checkpoint
-        boundary; each interrupted session's bundle is shipped to the
-        peer that the rendezvous hash owns for its program digest —
-        the same hash the router uses, so routing and handoff agree.
-        Returns the number of sessions signalled (sessions that finish
-        before their next boundary simply complete here).
+        active session's worker is signalled to stop at its next
+        checkpoint boundary; each interrupted session's bundle is
+        shipped to the peer that the rendezvous hash owns for its
+        program digest — the same hash the router uses, so routing and
+        handoff agree.  Returns the number of sessions signalled
+        (sessions that finish before their next boundary simply
+        complete here).
         """
         cleaned = []
         for h, p in peers:
@@ -1201,22 +1013,19 @@ class GarbleServer:
             return 0
         signalled = 0
         for sess in active:
-            if self.pool == "process":
-                owner = sess.owner
-                chan = self._chans[owner] if owner is not None else None
-                if chan is None:
-                    continue
-                try:
-                    chan.send({"type": "handoff", "session": sess.id})
-                except IpcClosed:
-                    continue
-            else:
-                sess.handoff.set()
+            owner = sess.owner
+            chan = self._chans[owner] if owner is not None else None
+            if chan is None:
+                continue
+            try:
+                chan.send({"type": "handoff", "session": sess.id})
+            except IpcClosed:
+                continue
             signalled += 1
         return signalled
 
-    def _handle_adopt(self, link: Link, hello: dict,
-                      leftover: bytes) -> None:
+    def _handle_adopt(self, link: Link, hello: dict, leftover: bytes,
+                      sid: str, name) -> None:
         """``op: "adopt"``: a draining peer hands over a mid-session
         checkpoint bundle.
 
@@ -1229,87 +1038,39 @@ class GarbleServer:
         the evaluator — whose instant redial must never beat the
         bundle here.
         """
-        sid = hello.get("session")
-        name = hello.get("program")
-        if not isinstance(sid, str) or not sid:
-            self._reject(
-                link,
-                {"status": "error",
-                 "reason": "adopt hello carries no session id"},
-                "rejected_error",
-            )
-            return
-        prog = self.programs.get(name)
+        prog = self._admissible_program(link, name)
         if prog is None:
-            self._reject(
-                link,
-                {"status": "error",
-                 "reason": f"unknown program {name!r}",
-                 "programs": sorted(self.programs)},
-                "rejected_error",
-            )
             return
         if hello.get("digest") != self.program_digests[name]:
-            self._reject(
-                link,
-                {"status": "error",
-                 "reason": f"program {name!r} digest mismatch (fleet "
-                           "shards must serve identical netlists)"},
-                "rejected_error",
-            )
+            self._reject_error(
+                link, f"program {name!r} digest mismatch (fleet shards "
+                      "must serve identical netlists)")
             return
         with self._lock:
             known = sid in self._sessions
-            draining = self._draining
-        if draining:
-            self._reject(
-                link,
-                {"status": "draining", "reason": "server is draining",
-                 "retry_after_s": self._retry_after(grew=True)},
-                "rejected_busy",
-            )
-            return
         if known:
-            self._reject(
-                link,
-                {"status": "error",
-                 "reason": f"session {sid!r} already exists here"},
-                "rejected_error",
-            )
+            self._reject_error(link, f"session {sid!r} already exists here")
             return
         send_control(link, WELCOME, {"status": "adopt-send",
                                      "session": sid})
         chan = PrefacedLink(link, leftover) if leftover else link
         tag, blob, _rest = recv_control(
-            chan, timeout=max(self.handshake_timeout, 10.0)
+            chan, timeout=max(self.config.handshake_timeout, 10.0)
         )
         if tag != "serve-bundle" or not isinstance(blob, (bytes, bytearray)):
-            self._reject(
-                link,
-                {"status": "error",
-                 "reason": f"expected a serve-bundle frame, got {tag!r}"},
-                "rejected_error",
-            )
+            self._reject_error(
+                link, f"expected a serve-bundle frame, got {tag!r}")
             return
         try:
             bundle = pickle.loads(bytes(blob))
         except Exception:
-            self._reject(
-                link,
-                {"status": "error",
-                 "reason": "adoption bundle did not unpickle"},
-                "rejected_error",
-            )
+            self._reject_error(link, "adoption bundle did not unpickle")
             return
         if (not isinstance(bundle, dict)
                 or bundle.get("session") != sid
                 or bundle.get("program") != name):
-            self._reject(
-                link,
-                {"status": "error",
-                 "reason": "adoption bundle does not match its hello"},
-                "rejected_error",
-            )
+            self._reject_error(
+                link, "adoption bundle does not match its hello")
             return
         sess = _ServeSession(id=sid, program=name, prog=prog)
         client = bundle.get("client")
@@ -1322,43 +1083,12 @@ class GarbleServer:
         if base is not None:
             sess.ot_base = tuple(base)
         sess.bundle = bundle
-        with self._lock:
-            try:
-                self._queue.put_nowait(sess)
-            except queue.Full:
-                admitted = False
-            else:
-                admitted = True
-                self._sessions[sid] = sess
-        if not admitted:
-            self._reject(
-                link,
-                {"status": "busy",
-                 "reason": "accept queue is full",
-                 "retry_after_s": self._retry_after(grew=True)},
-                "rejected_busy",
-            )
-            return
-        with self._lock:
-            self._busy_streak = 0
-        try:
-            send_control(link, WELCOME, {"status": "ok", "adopted": True,
-                                         "session": sid})
-        except (ChannelClosed, LinkClosed, OSError):
-            # The peer vanished before the confirm; it will book the
-            # handoff as failed and never release the evaluator toward
-            # us, so unwind the admission (mirrors the welcome unwind
-            # on the ordinary accept path).
-            with self._lock:
-                sess.state = "cancelled"
-                self._sessions.pop(sid, None)
-            sess.seal()
+        # A confirm that never arrives unwinds the admission like any
+        # failed welcome: the peer books the handoff as failed and
+        # never releases the evaluator toward us.
+        if self._admit(sess, link, {"status": "ok", "adopted": True,
+                                    "session": sid}, "adopted"):
             link.close()
-            return
-        self.stats.bump("adopted")
-        if self.obs.enabled:
-            self.obs.inc("serve.adopted")
-        link.close()
 
     def _adopt_on_peer(self, host: str, port: int, bundle: dict) -> bool:
         """Dialer side of the adoption exchange (see
@@ -1369,6 +1099,7 @@ class GarbleServer:
         except Exception:
             return False
         link = None
+        timeout = self.config.handshake_timeout
         try:
             link = connect_with_backoff(host, port, attempts=3)
             send_control(link, HELLO, {
@@ -1379,16 +1110,14 @@ class GarbleServer:
                 "client": bundle.get("client"),
                 "size": len(blob),
             })
-            tag, welcome, leftover = recv_control(
-                link, timeout=self.handshake_timeout
-            )
+            tag, welcome, leftover = recv_control(link, timeout=timeout)
             if (tag != WELCOME or not isinstance(welcome, dict)
                     or welcome.get("status") != "adopt-send"):
                 return False
             chan = PrefacedLink(link, leftover) if leftover else link
             send_control(chan, "serve-bundle", blob)
             tag, welcome, _rest = recv_control(
-                chan, timeout=max(self.handshake_timeout, 10.0)
+                chan, timeout=max(timeout, 10.0)
             )
             return (tag == WELCOME and isinstance(welcome, dict)
                     and welcome.get("status") == "ok"
@@ -1400,86 +1129,44 @@ class GarbleServer:
             if link is not None:
                 link.close()
 
-    def _finish_handoff(self, index: int, msg: dict) -> None:
-        """Apply a worker's handed-off outcome (process pool).
-
-        Picks the adoption peer by the same rendezvous hash the router
-        routes with, ships the bundle, flips the session state, *then*
-        releases the worker — which holds the evaluator's link open
-        until release, so the evaluator's redial can only observe the
-        session after the peer has it (or after it is failed).
-        """
-        sid = msg["session"]
-        bundle = msg.get("bundle")
-        record = dict(msg.get("record") or {})
-        with self._lock:
-            sess = self._sessions.get(sid)
-            peers = list(self._handoff_peers)
-        ok, peer = False, None
-        if bundle is not None and peers:
-            peer = rendezvous_select(bundle["digest"], peers)
-            if peer is not None:
-                ok = self._adopt_on_peer(peer[0], peer[1], bundle)
-        with self._lock:
-            if sess is not None:
-                if ok:
-                    sess.state = "handed-off"
-                    sess.peer = peer
-                else:
-                    sess.state = "failed"
-                    sess.error = ChannelClosed(
-                        "drain handoff failed: no peer adopted the "
-                        "session"
-                    )
-                sess.wall_seconds = msg.get("wall", 0.0)
-        self.stats.bump("handed_off" if ok else "failed")
-        if not ok:
-            record["state"] = "failed"
-        chan = self._chans[index]
-        try:
-            if chan is not None:
-                chan.send({"type": "handoff-release", "session": sid,
-                           "ok": ok})
-        except IpcClosed:
-            pass
-        if sess is not None:
-            sess.seal()
-        self.stats.record_session(record)
-        if self.obs.enabled:
-            self.obs.inc("serve.handed_off" if ok else "serve.failed")
-            self.obs.event("serve-session", **record)
-        self._queue.task_done()
-
-    # -- process pool --------------------------------------------------------
+    # -- worker pool ---------------------------------------------------------
 
     def _worker_config(self) -> dict:
-        return {
-            "checkpoint_every": self.checkpoint_every,
-            "timeout": self.timeout,
-            "resume_window": self.resume_window,
-            "max_attempts": self.max_attempts,
-            "ot": self.ot,
-            "ot_group": self.ot_group,
-            "engine": self.engine,
-            "heartbeat": self.heartbeat,
-            "precompute": self.precompute,
-            "material_depth": self.material_depth,
-        }
+        """The slice of the config a worker needs, as the plain dict
+        that rides its spawn arguments."""
+        config = {key: getattr(self.config, key) for key in (
+            "checkpoint_every", "timeout", "resume_window", "max_attempts",
+            "ot", "ot_group", "engine", "heartbeat", "precompute",
+            "material_depth",
+        )}
+        if config["resume_window"] is None:
+            # How long a worker waits for a dropped evaluator to redial
+            # before burning one of its reconnect attempts.
+            config["resume_window"] = self.config.timeout
+        return config
 
     def _spawn_worker(self, index: int) -> None:
+        """Start ``worker_main`` at the far end of a fresh control
+        channel — the one place (with the join in :meth:`shutdown`)
+        where the two pool kinds differ."""
         parent_sock, child_sock = socket_mod.socketpair(
             socket_mod.AF_UNIX, socket_mod.SOCK_STREAM
         )
         chan = MsgChannel(parent_sock)
-        proc = self._ctx.Process(
-            target=worker_main,
-            args=(index, child_sock, self._stats_block, self.programs,
-                  self._worker_config()),
-            name=f"serve-worker-{index}",
-            daemon=True,
-        )
-        proc.start()
-        child_sock.close()  # the worker holds the only live copy now
+        args = (index, child_sock, self._counters, self.programs,
+                self._worker_config())
+        name = f"serve-worker-{index}"
+        if self.pool == "process":
+            proc = self._ctx.Process(target=worker_main, args=args,
+                                     name=name, daemon=True)
+            proc.start()
+            child_sock.close()  # the worker holds the only live copy now
+        else:
+            proc = threading.Thread(
+                target=worker_main, args=args, name=name, daemon=True,
+                kwargs={"obs": self.obs, "materials": self._materials},
+            )
+            proc.start()
         self._procs[index] = proc
         self._chans[index] = chan
         reader = threading.Thread(
@@ -1495,6 +1182,8 @@ class GarbleServer:
             try:
                 msg, fds = chan.recv()
             except IpcClosed:
+                # A replaced worker's channel has no other owner.
+                chan.close()
                 self._on_worker_exit(index)
                 return
             for fd in fds:  # pragma: no cover - workers never send fds
@@ -1503,93 +1192,129 @@ class GarbleServer:
             if mtype == "ready":
                 self._worker_ready[index] = True
                 self._idle.put(index)
-            elif mtype in ("done", "failed"):
-                self._finish_session(msg)
-                self._idle.put(index)
-            elif mtype == "handed-off":
-                self._finish_handoff(index, msg)
+            elif mtype in ("done", "failed", "handed-off"):
+                # Dispatched sessions never leave the registry.
+                with self._lock:
+                    sess = self._sessions[msg["session"]]
+                if mtype == "handed-off":
+                    self._finish_handoff(index, sess, msg)
+                else:
+                    self._finish_session(sess, msg)
                 self._idle.put(index)
 
-    def _finish_session(self, msg: dict) -> None:
-        """Apply a worker's session outcome: state transition and the
-        terminal counter move together under the parent lock."""
-        sid = msg["session"]
-        ok = msg["type"] == "done"
-        record = msg.get("record") or {}
+    def _book(self, sess: _ServeSession, state: str,
+              record: Optional[dict] = None, *, error=None, result=None,
+              wall: float = 0.0, replay: Optional[dict] = None,
+              peer: Optional[tuple] = None, flipped=None) -> None:
+        """The one place a dispatched session reaches a terminal state.
+
+        The state flip and the terminal counter move together; a
+        session already terminal is left alone (a worker's death can be
+        seen by both its reader and the dispatcher).  ``flipped`` runs
+        once the new state is visible and before the outcome is
+        counted toward the drain, which is when a handoff may release
+        its evaluator."""
         with self._lock:
-            sess = self._sessions.get(sid)
-            if sess is not None:
-                # Park before the state flips: a redial that observes
-                # the finished state must find the entry already there.
-                self._park_replay(sess, msg.get("replay"))
-                sess.state = "done" if ok else "failed"
-                sess.result = msg.get("result")
-                sess.wall_seconds = msg.get("wall", 0.0)
-                if msg.get("error"):
-                    sess.error = RuntimeError(msg["error"])
-        self.stats.bump("completed" if ok else "failed")
-        if sess is not None:
-            sess.seal()
-            # A worker that ran a fresh base-OT phase exports the
-            # sender side so this client's next session can reuse it.
-            export = msg.get("ot_base_export")
-            if ok and export is not None and sess.client is not None:
-                self._client_bases.put(sess.client, tuple(export))
+            if sess.state in _TERMINAL:
+                return
+            # Park before the state flips: a redial that observes the
+            # finished state must find the entry already there.  The
+            # payload is None when the session died before the garbler
+            # ever decoded outputs — nothing to replay.
+            if replay is not None and self._replay.enabled:
+                self._replay.park(sess.id, sess.client, replay)
+            sess.state = state
+            sess.result, sess.error, sess.peer = result, error, peer
+            sess.wall_seconds = wall
+        self._count(_TERMINAL[state])
+        if flipped is not None:
+            flipped()
+        sess.seal()
+        record = dict(record or _UNREPORTED, session=sess.id,
+                      program=sess.program, state=state)
         self.stats.record_session(record)
         if self.obs.enabled:
-            if ok:
-                self.obs.inc("serve.completed")
-                gates = record.get("garbled_nonxor", 0)
-                if gates > 0:
-                    self.obs.inc("serve.gates", gates)
-            else:
-                self.obs.inc("serve.failed")
+            if state == "done" and record.get("garbled_nonxor", 0) > 0:
+                self.obs.inc("serve.gates", record["garbled_nonxor"])
             self.obs.event("serve-session", **record)
         self._queue.task_done()
-        if self.max_sessions is not None:
-            if self.stats.done_snapshot() >= self.max_sessions:
-                self.request_shutdown()
+        limit = self.config.max_sessions
+        if limit is not None and self.stats.done_snapshot() >= limit:
+            self.request_shutdown()
+
+    def _finish_session(self, sess: _ServeSession, msg: dict) -> None:
+        """Apply a worker's ``done``/``failed`` outcome."""
+        ok = msg["type"] == "done"
+        # A worker that ran a fresh base-OT phase exports the sender
+        # side so this client's next session can reuse it.
+        export = msg.get("ot_base_export")
+        if ok and export is not None:
+            self._client_bases.put(sess.client, (sess.id, tuple(export)))
+        self._book(
+            sess, "done" if ok else "failed", msg.get("record"),
+            error=RuntimeError(msg["error"]) if msg.get("error") else None,
+            result=msg.get("result"), wall=msg.get("wall", 0.0),
+            replay=msg.get("replay"),
+        )
+
+    def _finish_handoff(self, index: int, sess: _ServeSession,
+                        msg: dict) -> None:
+        """Apply a worker's ``handed-off`` outcome.
+
+        Picks the adoption peer by the same rendezvous hash the router
+        routes with, ships the bundle, flips the session state, *then*
+        releases the worker — which holds the evaluator's link open
+        until release, so the evaluator's redial can only observe the
+        session after the peer has it (or after it is failed).
+        """
+        bundle = msg.get("bundle")
+        with self._lock:
+            peers = list(self._handoff_peers)
+        ok, peer = False, None
+        if bundle is not None and peers:
+            peer = rendezvous_select(bundle["digest"], peers)
+            if peer is not None:
+                ok = self._adopt_on_peer(peer[0], peer[1], bundle)
+
+        def release() -> None:
+            chan = self._chans[index]
+            try:
+                if chan is not None:
+                    chan.send({"type": "handoff-release",
+                               "session": sess.id, "ok": ok})
+            except IpcClosed:
+                pass
+
+        self._book(
+            sess, "handed-off" if ok else "failed", msg.get("record"),
+            error=None if ok else ChannelClosed(
+                "drain handoff failed: no peer adopted the session"),
+            wall=msg.get("wall", 0.0), peer=peer if ok else None,
+            flipped=release,
+        )
 
     def _on_worker_exit(self, index: int) -> None:
-        """A worker's channel hit EOF.  During drain that is the
-        normal exit; otherwise the process died and its in-flight
-        session (if any) must be failed and the worker replaced."""
+        """A worker's channel hit EOF.  After ``stop`` that is the
+        normal exit; otherwise the worker died, its in-flight session
+        (if any) is failed, and — unless the server is on its way
+        out — the worker is replaced."""
         with self._lock:
-            if self._draining or self._stopped:
-                return
-            owned = [
-                s for s in self._sessions.values()
-                if s.owner == index and s.state == "active"
-            ]
-            for sess in owned:
-                sess.state = "failed"
-                sess.error = ChannelClosed("worker process died")
+            live = not (self._draining or self._stopped)
+            owned = [s for s in self._sessions.values()
+                     if s.owner == index and s.state == "active"]
+        if live and self._worker_ready[index]:
+            # Replace before booking: the death may be the
+            # ``max_sessions``-th outcome, and the shutdown it requests
+            # must find the replacement in place to stop and join it.
+            self._worker_ready[index] = False
+            try:
+                self._spawn_worker(index)
+            except Exception:  # pragma: no cover - spawn failure at exit
+                pass
         for sess in owned:
-            sess.seal()
-            self.stats.bump("failed")
             self.stats.bump("active", -1)  # the dead worker cannot
-            record = {
-                "session": sess.id,
-                "program": sess.program,
-                "state": "failed",
-                "wall_ms": -1,
-                "garbled_nonxor": -1,
-                "tables_sent": -1,
-                "reconnects": -1,
-                "epoch": -1,
-            }
-            self.stats.record_session(record)
-            if self.obs.enabled:
-                self.obs.inc("serve.failed")
-                self.obs.event("serve-session", **record)
-            self._queue.task_done()
-        if not self._worker_ready[index]:
-            return  # bootstrap is broken here; don't respawn-loop
-        self._worker_ready[index] = False
-        try:
-            self._spawn_worker(index)
-        except Exception:  # pragma: no cover - spawn failure at exit
-            pass
+            self._book(sess, "failed",
+                       error=ChannelClosed("worker died mid-session"))
 
     def _dispatch_loop(self) -> None:
         """Marry idle workers to admitted sessions, preserving the
@@ -1607,10 +1332,8 @@ class GarbleServer:
                     self._queue.task_done()
                     return
                 with self._lock:
-                    if cand.state == "cancelled":
-                        cancelled = True
-                    else:
-                        cancelled = False
+                    cancelled = cand.state == "cancelled"
+                    if not cancelled:
                         cand.state = "active"
                 if cancelled:
                     self._queue.task_done()
@@ -1632,188 +1355,13 @@ class GarbleServer:
             except IpcClosed:
                 # Worker died between going idle and the handoff; fail
                 # the session (the evaluator redials into an error).
-                with self._lock:
-                    sess.state = "failed"
-                    sess.error = ChannelClosed("worker process died")
                 for link, _preface in pending:
                     link.close()
-                sess.seal()
-                self.stats.bump("failed")
-                self._queue.task_done()
+                self._book(sess, "failed",
+                           error=ChannelClosed("worker died at dispatch"))
                 continue
             for link, leftover in pending:
                 self._send_link(tok, sess.id, link, leftover)
-
-    # -- thread pool ---------------------------------------------------------
-
-    def _worker_loop(self, index: int) -> None:
-        self.obs.set_thread_label(f"serve-worker-{index}")
-        while True:
-            sess = self._queue.get()
-            if sess is _SENTINEL:
-                self._queue.task_done()
-                return
-            with self._lock:
-                cancelled = sess.state == "cancelled"
-            if cancelled:
-                self._queue.task_done()
-                continue
-            try:
-                self._run_session(sess)
-            finally:
-                self._queue.task_done()
-            if self.max_sessions is not None:
-                # One locked read: two separate attribute loads could
-                # straddle a concurrent bump and miss the threshold.
-                if self.stats.done_snapshot() >= self.max_sessions:
-                    self.request_shutdown()
-
-    def _run_session(self, sess: _ServeSession) -> None:
-        prog = sess.prog
-        with self._lock:
-            sess.state = "active"
-        self.stats.bump("active")
-        t0 = perf_counter()
-        run_msg = {"session": sess.id, "program": sess.program,
-                   "client": sess.client, "ot_base": sess.ot_base,
-                   "garbler_key": sess.garbler_key,
-                   "bundle": sess.bundle}
-        config = self._worker_config()
-        if sess.bundle is not None:
-            party = make_adopted_party(prog, config, run_msg, obs=self.obs)
-            material_hit = None
-        else:
-            party, material_hit = make_garbler_party(
-                sess.program, prog, config, run_msg, self._materials,
-                obs=self.obs,
-            )
-        if material_hit is not None:
-            self.stats.bump(
-                "material_hits" if material_hit else "material_misses"
-            )
-            if not material_hit:
-                self.stats.bump("material_epochs")
-        # Handoff is limited to material-backed sessions: a fresh
-        # party's free-XOR delta and memoized labels are bound to
-        # in-process state no peer can reconstruct.
-        can_handoff = getattr(party, "material", None) is not None
-        session = ResumableSession(
-            party,
-            connect=lambda: sess.pop_link(self.resume_window),
-            checkpoint_every=self.checkpoint_every,
-            timeout=self.timeout,
-            max_attempts=self.max_attempts,
-            heartbeat_interval=self.heartbeat,
-            interrupt=sess.handoff.is_set if can_handoff else None,
-            checkpoints=(sess.bundle or {}).get("checkpoints"),
-            obs=self.obs,
-        )
-        reraise: Optional[BaseException] = None
-        handoff: Optional[SessionHandoff] = None
-        try:
-            result = session.run()
-        except SessionHandoff as exc:
-            # Drain-time handoff (thread pool): ship the bundle to the
-            # rendezvous-chosen peer, flip the state, and only then
-            # close the session's transport — the evaluator stays
-            # blocked on the open link until the peer has the session,
-            # so its redial can never observe a half-moved state.
-            handoff = exc
-            bundle = handoff_bundle(party, run_msg, exc.checkpoints,
-                                    exc.cycle)
-            with self._lock:
-                peers = list(self._handoff_peers)
-            ok, peer = False, None
-            if bundle is not None and peers:
-                peer = rendezvous_select(bundle["digest"], peers)
-                if peer is not None:
-                    ok = self._adopt_on_peer(peer[0], peer[1], bundle)
-            with self._lock:
-                if ok:
-                    sess.state = "handed-off"
-                    sess.peer = peer
-                else:
-                    sess.state = "failed"
-                    sess.error = ChannelClosed(
-                        "drain handoff failed: no peer adopted the "
-                        "session"
-                    )
-            self.stats.bump("handed_off" if ok else "failed")
-            if self.obs.enabled:
-                self.obs.inc("serve.handed_off" if ok else "serve.failed")
-            session.close()
-        except Exception as exc:
-            with self._lock:
-                # A session that failed *after* the garbler decoded
-                # outputs (Bob died between result and goodbye) still
-                # parks its result — that is the replay buffer's whole
-                # reason to exist.
-                self._park_replay(sess, replay_payload(None, party))
-                sess.state = "failed"
-                sess.error = exc
-            self.stats.bump("failed")
-            if self.obs.enabled:
-                self.obs.inc("serve.failed")
-        except BaseException as exc:
-            # KeyboardInterrupt / SystemExit: record the failure but
-            # re-raise so interpreter shutdown reaches the worker loop
-            # instead of being booked as an ordinary failed session.
-            with self._lock:
-                sess.state = "failed"
-                sess.error = exc
-            self.stats.bump("failed")
-            if self.obs.enabled:
-                self.obs.inc("serve.failed")
-            reraise = exc
-        else:
-            with self._lock:
-                self._park_replay(sess, replay_payload(result, party))
-                sess.state = "done"
-                sess.result = result
-            self.stats.bump("completed")
-            if self.obs.enabled:
-                self.obs.inc("serve.completed")
-                self.obs.inc("serve.gates", result.stats.garbled_nonxor)
-            export = exportable_ot_base(party, config, run_msg)
-            if export is not None and sess.client is not None:
-                self._client_bases.put(sess.client, export)
-        finally:
-            sess.wall_seconds = perf_counter() - t0
-            self.stats.bump("active", -1)
-            sess.seal()
-            record = {
-                "session": sess.id,
-                "program": sess.program,
-                "state": sess.state,
-                "wall_ms": int(sess.wall_seconds * 1000),
-                "garbled_nonxor": (
-                    sess.result.stats.garbled_nonxor if sess.result else -1
-                ),
-                "tables_sent": (
-                    sess.result.tables_sent
-                    if sess.result and sess.result.tables_sent is not None
-                    else -1
-                ),
-                "reconnects": sess.result.reconnects if sess.result else -1,
-                "epoch": (
-                    sess.result.material_epoch
-                    if sess.result and sess.result.material_epoch is not None
-                    else -1
-                ),
-            }
-            self.stats.record_session(record)
-            if self.obs.enabled:
-                self.obs.event("serve-session", **record)
-            # Offline phase between sessions: top the pool back up only
-            # after the outcome is booked, never on the client's path —
-            # and not at all when draining (a handoff means this shard
-            # is on its way out; don't garble material nobody will use).
-            if handoff is None:
-                cache = self._materials.get(sess.program)
-                if cache is not None:
-                    self.stats.bump("material_epochs", cache.refill())
-        if reraise is not None:
-            raise reraise
 
 
 def make_server(

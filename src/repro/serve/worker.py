@@ -1,40 +1,51 @@
-"""Serve worker process: one core, one pre-warmed plan per program.
+"""The serve worker: one garbler loop, one pre-warmed plan per program.
 
-``worker_main`` is the target of every process the
-:class:`~repro.serve.server.GarbleServer` pool spawns (forkserver
-context, so this module is importable and preloadable).  At spawn the
-worker rebuilds each served program's compiled
-:class:`~repro.core.plan.CyclePlan` — including the generated sweep —
-in its *own* interpreter, so the first admitted session pays no
-compile and the parent's plan cache is never shared across the process
-boundary.
+``worker_main`` is the only place a served session runs.  The
+:class:`~repro.serve.server.GarbleServer` parent starts it N times,
+each at the far end of its own AF_UNIX control channel
+(:class:`~repro.serve.ipc.MsgChannel`), in one of two ways that differ
+in nothing but the spawn:
 
-Control flow mirrors the thread pool, split across the process
-boundary:
+* ``pool="process"`` — a forkserver process (so this module is
+  importable and preloadable).  The worker rebuilds each served
+  program's compiled :class:`~repro.core.plan.CyclePlan` — including
+  the generated sweep — in its *own* interpreter and owns its own
+  material caches; the parent's plan cache is never shared across the
+  process boundary.
+* ``pool="thread"`` — a ``threading.Thread`` of the parent process,
+  for programs that cannot be pickled and a ``__main__`` that cannot
+  be re-imported.  It is handed by reference what a thread cannot get
+  from pickling or from its process: the programs, the counter
+  block with its lock, ``obs``, and the parent-built material caches
+  (one per program for the whole server, so the single-use epoch
+  audit stays server-wide).  ``send_fds`` and ``TcpLink.from_fd`` work
+  in-process, so sockets still arrive as descriptors.
 
-* a **reader thread** drains the parent's control channel
-  (:class:`~repro.serve.ipc.MsgChannel`): ``run`` registers a session
-  and enqueues it for the main loop, ``link`` adopts a passed-in
-  socket fd (a fresh connect or a resume redial) and feeds it to the
-  owning session's link queue, ``stop`` ends the worker after the
-  current session;
+Control flow, identical for both:
+
+* a **reader thread** drains the control channel: ``run`` registers a
+  session and enqueues it for the main loop, ``link`` adopts a
+  passed-in socket fd (a fresh connect or a resume redial) and feeds
+  it to the owning session's link mailbox, ``handoff`` /
+  ``handoff-release`` drive drain-time handoff, ``stop`` ends the
+  worker after the current session;
 * the **main loop** runs one
   :class:`~repro.net.session.ResumableSession` at a time around a
-  :class:`~repro.core.protocol.GarblerParty`, exactly as the thread
-  pool's ``_run_session`` does, and ships the outcome (record plus the
-  pickled :class:`~repro.net.session.SessionResult`) back to the
-  parent, which owns all session bookkeeping.
+  garbler party and ships the outcome (record plus the pickled
+  :class:`~repro.net.session.SessionResult`) back to the parent,
+  which owns all session bookkeeping.
 
-Only the ``active`` gauge lives in the shared-memory counter block —
-the one number admission control needs *while* a session runs.
-Terminal counters (``completed``/``failed``) are bumped by the parent
-when it processes the outcome message, keeping counter and session
-state transitions atomic under the parent's lock (a client that has
-observed ``completed == n`` must see those n sessions as finished).
+Only the ``active`` gauge and the material counters are written here,
+straight into the shared counter block — the numbers admission control
+and pre-warm waits need *while* a worker runs.  Terminal counters
+(``completed``/``failed``) are bumped by the parent when it books the
+outcome message, keeping counter and session state transitions atomic
+under the parent's lock (a client that has observed ``completed == n``
+must see those n sessions as finished).
 
-``SIGINT`` is ignored: a Ctrl-C against the CLI hits the whole
-process group, and shutdown must flow through the parent's drain so
-in-flight sessions finish.
+A worker process ignores ``SIGINT``: a Ctrl-C against the CLI hits the
+whole process group, and shutdown must flow through the parent's drain
+so in-flight sessions finish.
 """
 
 from __future__ import annotations
@@ -94,8 +105,8 @@ _SEALED = object()
 
 
 class _WorkerSession:
-    """Worker-side link mailbox for one session (mirrors the parent's
-    ``_ServeSession`` push/pop/seal semantics)."""
+    """Link mailbox for one session: (re)connects are pushed by the
+    reader thread and popped by the session's ``connect`` callable."""
 
     __slots__ = ("id", "_links", "_lock", "_sealed", "handoff", "released")
 
@@ -147,22 +158,20 @@ class _WorkerSession:
             self._links.put(_SEALED)
 
 
-def _bump_active(stats_block, n: int) -> None:
-    with stats_block.get_lock():
-        stats_block[_IDX_ACTIVE] += n
-
-
-def _bump(stats_block, idx: int, n: int = 1) -> None:
+def _bump(stats: tuple, idx: int, n: int = 1) -> None:
+    """Move one counter of the shared ``(block, lock)`` pair."""
+    block, lock = stats
     if n:
-        with stats_block.get_lock():
-            stats_block[idx] += n
+        with lock:
+            block[idx] += n
 
 
 def build_material_caches(programs: dict, config: dict) -> dict:
-    """Offline phase: one :class:`MaterialCache` per served program,
-    pre-garbled ``material_depth`` epochs deep.  Shared by the process
-    worker (per-worker caches) and the thread pool (one shared cache,
-    the class is thread-safe).  Returns ``{}`` when precompute is off.
+    """One (still empty) :class:`MaterialCache` per served program,
+    ``material_depth`` epochs deep; workers fill it before signalling
+    ready.  Built by each worker process for itself, and once by the
+    parent for all of its worker threads (the class is thread-safe).
+    Returns ``{}`` when precompute is off.
     """
     if not config.get("precompute"):
         return {}
@@ -401,7 +410,7 @@ def exportable_ot_base(party, config: dict, run_msg: dict):
 
 def _ship_handoff(chan: MsgChannel, sess: _WorkerSession, session,
                   party, run_msg: dict, handoff: SessionHandoff,
-                  wall: float, stats_block) -> None:
+                  wall: float, stats: tuple) -> None:
     """Ship the handoff bundle to the parent and hold the evaluator's
     link open until the parent confirms the peer adopted it.
 
@@ -435,17 +444,16 @@ def _ship_handoff(chan: MsgChannel, sess: _WorkerSession, session,
         pass  # parent gone; close out locally
     session.close()
     sess.seal()
-    _bump_active(stats_block, -1)
+    _bump(stats, _IDX_ACTIVE, -1)
 
 
 def _run_one(chan: MsgChannel, sess: _WorkerSession, run_msg: dict,
-             programs: dict, config: dict, stats_block,
-             materials: dict) -> None:
-    """One session end-to-end; mirrors the thread pool's
-    ``_run_session`` including its exception semantics: ``Exception``
-    fails the session, ``KeyboardInterrupt``/``SystemExit`` fail it
-    *and* propagate so interpreter shutdown is never swallowed."""
-    _bump_active(stats_block, 1)
+             programs: dict, config: dict, stats: tuple,
+             materials: dict, obs) -> None:
+    """One session end-to-end.  ``Exception`` fails the session;
+    ``KeyboardInterrupt``/``SystemExit`` fail it *and* propagate so
+    interpreter shutdown is never swallowed."""
+    _bump(stats, _IDX_ACTIVE, 1)
     t0 = perf_counter()
     name = run_msg["program"]
     result = None
@@ -455,19 +463,20 @@ def _run_one(chan: MsgChannel, sess: _WorkerSession, run_msg: dict,
     adopt = run_msg.get("bundle")
     if adopt is not None:
         party, material_hit = make_adopted_party(
-            programs[name], config, run_msg
+            programs[name], config, run_msg, obs=obs
         ), None
     else:
         party, material_hit = make_garbler_party(
-            name, programs[name], config, run_msg, materials
+            name, programs[name], config, run_msg, materials, obs=obs
         )
     if material_hit is not None:
-        _bump(stats_block, _IDX_HITS if material_hit else _IDX_MISSES)
+        _bump(stats, _IDX_HITS if material_hit else _IDX_MISSES)
         if not material_hit:
-            _bump(stats_block, _IDX_EPOCHS)
+            _bump(stats, _IDX_EPOCHS)
     # Only material-backed sessions can hand off (a fresh party's
-    # labels are bound to in-process state); leave the interrupt
-    # unarmed otherwise and the session finishes here during drain.
+    # free-XOR delta and memoized labels are bound to in-process state
+    # no peer can reconstruct); leave the interrupt unarmed otherwise
+    # and the session finishes here during drain.
     can_handoff = getattr(party, "material", None) is not None
     session = ResumableSession(
         party,
@@ -478,7 +487,7 @@ def _run_one(chan: MsgChannel, sess: _WorkerSession, run_msg: dict,
         heartbeat_interval=config["heartbeat"],
         interrupt=sess.handoff.is_set if can_handoff else None,
         checkpoints=adopt["checkpoints"] if adopt is not None else None,
-        obs=NULL_OBS,
+        obs=obs,
     )
     try:
         result = session.run()
@@ -492,11 +501,13 @@ def _run_one(chan: MsgChannel, sess: _WorkerSession, run_msg: dict,
     finally:
         wall = perf_counter() - t0
         if handoff is not None:
+            # A handoff means this shard is on its way out: no refill,
+            # nobody will use the material.
             _ship_handoff(chan, sess, session, party, run_msg, handoff,
-                          wall, stats_block)
+                          wall, stats)
             return
         sess.seal()
-        _bump_active(stats_block, -1)
+        _bump(stats, _IDX_ACTIVE, -1)
         state = "done" if error is None else "failed"
         record = {
             "session": sess.id,
@@ -522,6 +533,9 @@ def _run_one(chan: MsgChannel, sess: _WorkerSession, run_msg: dict,
                "wall": wall}
         if result is not None:
             msg["result"] = result
+        # A session that failed *after* the garbler decoded outputs
+        # (Bob died between result and goodbye) still ships a replay
+        # payload — that is the replay buffer's whole reason to exist.
         replay = replay_payload(result, party)
         if replay is not None:
             msg["replay"] = replay
@@ -540,28 +554,41 @@ def _run_one(chan: MsgChannel, sess: _WorkerSession, run_msg: dict,
     # reporting path the client is waiting on.
     cache = materials.get(name)
     if cache is not None:
-        _bump(stats_block, _IDX_EPOCHS, cache.refill())
+        _bump(stats, _IDX_EPOCHS, cache.refill())
     if reraise is not None:
         raise reraise
 
 
-def worker_main(index: int, sock: socket.socket, stats_block,
-                programs: dict, config: dict) -> None:
-    """Entry point of one pool process (must be module-level so the
-    forkserver can pickle the target by reference)."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
+def worker_main(index: int, sock: socket.socket, stats: tuple,
+                programs: dict, config: dict, obs=NULL_OBS,
+                materials: Optional[dict] = None) -> None:
+    """Entry point of one pool worker (module-level so the forkserver
+    can pickle the target by reference).
+
+    ``stats`` is the shared counter ``(block, lock)`` pair.  The
+    positional arguments are everything a worker *process* gets (all
+    of it pickles); a worker *thread* is additionally handed what it
+    cannot rebuild for itself: the server's ``obs`` and the
+    server-wide ``materials`` caches (a process builds private ones).
+    """
+    if threading.current_thread() is threading.main_thread():
+        # Only a process entry owns its signal disposition.
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+    obs.set_thread_label(f"serve-worker-{index}")
     chan = MsgChannel(sock)
     # Pre-warm: one compiled plan (and generated sweep) per served
-    # program, in this process's own cache.
+    # program, in this process's plan cache (thread-safe, so N worker
+    # threads still pay one compile).
     if config["engine"] == "compiled":
         for prog in programs.values():
             warm_plan(prog.net)
     # Offline phase: pre-garble material_depth delta epochs per program
     # before signalling ready, so the first admitted session is already
     # pure replay.
-    materials = build_material_caches(programs, config)
+    if materials is None:
+        materials = build_material_caches(programs, config)
     for cache in materials.values():
-        _bump(stats_block, _IDX_EPOCHS, cache.prewarm())
+        _bump(stats, _IDX_EPOCHS, cache.prewarm())
     runq: "queue.Queue" = queue.Queue()
     sessions: dict = {}
     lock = threading.Lock()
@@ -583,8 +610,8 @@ def worker_main(index: int, sock: socket.socket, stats_block,
             with lock:
                 sess = sessions[sid]
             try:
-                _run_one(chan, sess, run_msg, programs, config,
-                         stats_block, materials)
+                _run_one(chan, sess, run_msg, programs, config, stats,
+                         materials, obs)
             finally:
                 with lock:
                     sessions.pop(sid, None)

@@ -89,8 +89,9 @@ class TestMaterialCacheRotation:
 
 
 class TestCachedVsFreshBitIdentity:
-    def test_material_session_matches_fresh_and_simulator(self):
-        kw = dict(value=SERVER_VALUE, workers=1, pool="thread", port=0)
+    @pytest.mark.parametrize("pool", ["thread", "process"])
+    def test_material_session_matches_fresh_and_simulator(self, pool):
+        kw = dict(value=SERVER_VALUE, workers=1, pool=pool, port=0)
         with make_server([CIRCUIT], precompute=True, **kw) as cached_srv:
             cached = run_registry_session(
                 cached_srv.host, cached_srv.port, CIRCUIT, CLIENT_VALUE,

@@ -184,10 +184,14 @@ class TestRouterFleet:
 
 
 class TestDrainHandoff:
-    def test_forced_drain_handoff_is_bit_identical(self):
+    @pytest.mark.parametrize("pool", ["thread", "process"])
+    def test_forced_drain_handoff_is_bit_identical(self, pool):
         """Drain the shard that owns an in-flight session mid-run: the
         session is checkpoint-transferred to the peer and finishes with
-        outputs and gate counts bit-identical to the local simulator."""
+        outputs and gate counts bit-identical to the local simulator —
+        however the shards start their workers."""
+        from repro.serve.config import ServeConfig
+
         entry = _registry()["sum32-seq"]
         net, cycles = entry.build()
         bob = entry.bob_source(7, cycles)
@@ -206,7 +210,8 @@ class TestDrainHandoff:
         )
 
         programs = {"sum32-seq": registry_program("sum32-seq", SERVER_VALUE)}
-        with LocalFleet(programs, shards=2) as fleet:
+        with LocalFleet(programs, shards=2,
+                        config=ServeConfig(pool=pool)) as fleet:
             box = {}
 
             def client_main():
@@ -248,6 +253,103 @@ class TestDrainHandoff:
             assert agg["adopted"] == 1
             assert agg["completed"] == 1
             assert agg["failed"] == 0
+
+
+class TestBaseOTAcrossShards:
+    def test_one_identity_on_two_shards_keeps_working(self):
+        """One client identity whose sessions reach two shards through
+        one router address: each shard's stored sender base and the
+        client's one receiver base come from different sessions, so
+        the shard must answer ``fresh`` — not ``cached`` against a
+        base the client no longer holds.  Order A, B, A."""
+        from repro.serve.client import forget_receiver_bases
+        from repro.serve.config import ServeConfig
+
+        # Eight cheap programs: which shard owns which depends on the
+        # ports the shards happened to bind.
+        names = [n for n in _registry() if not n.startswith("psi")]
+        programs = {n: registry_program(n, SERVER_VALUE) for n in names}
+        forget_receiver_bases()
+        config = ServeConfig(pool="thread", ot="extension", workers=1,
+                             precompute=False)
+        with LocalFleet(programs, shards=2, config=config) as fleet:
+            digests = fleet.servers[0].program_digests
+            owner = {n: rendezvous_select(digests[n], fleet.shard_addrs)
+                     for n in names}
+            a = names[0]
+            b = next((n for n in names if owner[n] != owner[a]), None)
+            if b is None:  # 2**-7: every digest hashed to one shard
+                pytest.skip("all programs landed on one shard")
+            client = ServeClient(fleet.host, fleet.port,
+                                 client_id="roamer", ot="extension")
+            for i, name in enumerate((a, b, a)):
+                entry = _registry()[name]
+                net, cycles = entry.build()
+                ref = api.run(
+                    net,
+                    {"alice": entry.alice_source(SERVER_VALUE, cycles),
+                     "bob": entry.bob_source(20 + i, cycles)},
+                    mode="local", cycles=cycles,
+                )
+                res = client.run(name, 20 + i, max_attempts=1)
+                assert list(res.outputs) == list(ref.outputs), name
+                assert res.stats.garbled_nonxor == ref.stats.garbled_nonxor
+            agg = fetch_fleet_stats(fleet.host, fleet.port)["aggregate"]
+            assert agg["failed"] == 0
+
+
+class TestRouterShutdown:
+    def test_shutdown_destroys_no_pending_task(self, caplog):
+        """The loop awaits its cancelled poll and route tasks before it
+        closes, so asyncio logs nothing (no ``Task was destroyed but it
+        is pending!``).  The one shard hangs up on the router's first
+        poll (so ``start`` returns at once) and then accepts without
+        ever answering: a poll round is in flight whenever the router
+        is asked to stop."""
+        import gc
+        import logging
+        import socket
+
+        from repro.net.tcp import TcpLink
+        from repro.serve import SessionRouter
+        from repro.serve.config import RouterConfig
+        from repro.serve.handshake import HELLO, send_control
+
+        mute = socket.socket()
+        mute.bind(("127.0.0.1", 0))
+        mute.listen(8)
+        held = []
+
+        def accept_loop():
+            try:
+                mute.accept()[0].close()
+                while True:
+                    held.append(mute.accept()[0])
+            except OSError:
+                pass  # listener closed: test over
+
+        threading.Thread(target=accept_loop, daemon=True).start()
+        try:
+            with caplog.at_level(logging.DEBUG, logger="asyncio"):
+                router = SessionRouter(RouterConfig(
+                    shards=(mute.getsockname(),), poll_interval=0.001,
+                )).start()
+                # ...and so is a ``_route`` task: a fleet-stats probe
+                # waiting on that same shard.
+                probe = TcpLink(socket.create_connection(
+                    (router.host, router.port)))
+                send_control(probe, HELLO, {"op": "fleet-stats"})
+                time.sleep(0.05)
+                router.shutdown()
+                probe.close()
+                gc.collect()
+        finally:
+            mute.close()
+            for conn in held:
+                conn.close()
+        assert [r.getMessage() for r in caplog.records
+                if r.name == "asyncio"
+                and r.levelno >= logging.WARNING] == []
 
 
 class TestShardReload:

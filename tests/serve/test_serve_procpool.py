@@ -1,5 +1,6 @@
-"""The process worker pool: pool resolution, cross-process resume via
-fd passing, shared-memory counters and the thread fallback.
+"""The worker pool: pool resolution, resume via fd passing under both
+spawn kinds, shared-memory counters, worker death and the thread
+fallback.
 
 Most serve tests already run against the process pool implicitly
 (``pool="auto"`` resolves to processes under pytest); this file pins
@@ -7,11 +8,14 @@ the process-specific guarantees explicitly.
 """
 
 import os
+import threading
+import time
 
 import pytest
 
 from repro.net.fault import FaultPlan, FaultRule, FaultyTransport
 from repro.serve import make_server, run_loadgen, run_registry_session
+from repro.serve.client import _hello_exchange
 from repro.serve.server import GarbleServer, ServeProgram, registry_program
 
 SERVER_VALUE = 4321
@@ -73,13 +77,15 @@ class TestProcessPoolSessions:
             assert all(p is not None and p.pid != os.getpid()
                        for p in srv._procs)
 
-    def test_resume_crosses_the_process_boundary(self):
+    @pytest.mark.parametrize("pool", ["thread", "process"])
+    def test_resume_crosses_the_worker_boundary(self, pool):
         """A redial's socket is fd-passed to the worker that owns the
-        session; the resumed run is bit-identical to a clean one."""
+        session — a process or a thread — and the resumed run is
+        bit-identical to a clean one."""
         with make_server(["sum32-seq"], value=SERVER_VALUE, workers=2,
-                         pool="process", checkpoint_every=4, timeout=5.0,
+                         pool=pool, checkpoint_every=4, timeout=5.0,
                          resume_window=5.0, port=0) as srv:
-            assert srv.pool == "process"
+            assert srv.pool == pool
             clean = run_registry_session(
                 srv.host, srv.port, "sum32-seq", CLIENT_VALUE,
                 session_id="pp-clean", max_attempts=1)
@@ -118,3 +124,42 @@ class TestProcessPoolSessions:
         assert all(p is not None for p in procs)
         srv.shutdown(drain=True)
         assert all(not p.is_alive() for p in procs)
+
+    def test_killed_worker_fails_its_session_and_trips_max_sessions(self):
+        """``kill -9`` the worker that owns the only session a
+        ``max_sessions=1`` server will ever see: the session is booked
+        failed, the outcome counts toward ``max_sessions`` (so
+        ``serve_forever`` returns instead of hanging), the worker is
+        replaced, and no child outlives the shutdown."""
+        srv = make_server(["sum32-seq"], value=1, workers=2, pool="process",
+                          max_sessions=1, timeout=30.0, port=0).start()
+        served = threading.Thread(target=srv.serve_forever, daemon=True)
+        served.start()
+        # A stalled client: welcomed, then silent — the session stays
+        # active on its worker, blocked on the evaluator's first frame.
+        _welcome, link = _hello_exchange(
+            srv.host, srv.port,
+            {"op": "session", "session": "doomed", "program": "sum32-seq"},
+            timeout=5.0)
+        try:
+            deadline = time.monotonic() + 10.0
+            while srv.stats.active != 1:
+                assert time.monotonic() < deadline, "session never started"
+                time.sleep(0.01)
+            owner = srv._sessions["doomed"].owner
+            victim = srv._procs[owner]
+            victim.kill()
+            served.join(timeout=30.0)
+            assert not served.is_alive(), "max_sessions never tripped"
+        finally:
+            link.close()
+            srv.shutdown(drain=False)
+        snap = srv.counters()
+        assert snap["accepted"] == 1
+        assert snap["accepted"] == snap["completed"] + snap["failed"]
+        assert snap["failed"] == 1 and snap["active"] == 0
+        # The replacement took the dead worker's slot and answered
+        # ``ready`` before being stopped with the rest.
+        assert srv._procs[owner] is not victim
+        assert srv._worker_ready[owner]
+        assert all(not p.is_alive() for p in [victim, *srv._procs])
