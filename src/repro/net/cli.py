@@ -31,6 +31,7 @@ from typing import Callable, Dict, Sequence, Tuple, Union
 
 from ..circuit.bits import int_to_bits
 from ..circuit.netlist import Netlist
+from .tcp import parse_hostport
 
 BitSource = Union[Sequence[int], Callable[[int], Sequence[int]]]
 
@@ -154,13 +155,6 @@ def circuit_names() -> Sequence[str]:
     return sorted(_registry())
 
 
-def _parse_hostport(text: str) -> Tuple[str, int]:
-    host, _, port = text.rpartition(":")
-    if not host:
-        raise ValueError(f"expected HOST:PORT, got {text!r}")
-    return host, int(port)
-
-
 def _emit(args, record: dict) -> None:
     if args.json:
         print(json.dumps(record, sort_keys=True))
@@ -233,13 +227,13 @@ def run_party(args) -> int:
             print("garbler needs --listen HOST:PORT")
             return 2
         inputs = {"alice": entry.alice_source(args.value, cycles)}
-        listen, connect = _parse_hostport(args.listen), None
+        listen, connect = parse_hostport(args.listen), None
     else:
         if not args.connect:
             print("evaluator needs --connect HOST:PORT")
             return 2
         inputs = {"bob": entry.bob_source(args.value, cycles)}
-        listen, connect = None, _parse_hostport(args.connect)
+        listen, connect = None, parse_hostport(args.connect)
 
     result = api.run(
         net,

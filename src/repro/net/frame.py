@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import Iterator, List, NamedTuple
+from typing import Iterator, List, NamedTuple, Optional
 
 from ..gc.channel import FrameCorruption
 
@@ -113,21 +113,25 @@ class FrameDecoder:
         self._buf = bytearray()
         self._dead = False
 
-    def feed(self, data: bytes) -> List[Frame]:
-        """Absorb ``data``; return every frame completed by it."""
+    def feed(self, data: bytes, limit: Optional[int] = None) -> List[Frame]:
+        """Absorb ``data``; return every frame completed by it — or, at
+        most ``limit`` of them, the bytes past those left buffered and
+        unexamined (a reader that wants one control frame must not
+        have its verdict depend on what else rode the same segment)."""
         if self._dead:
             raise FrameCorruption("decoder poisoned by earlier corruption")
         self._buf.extend(data)
         frames: List[Frame] = []
         try:
-            while True:
+            while len(frames) != limit:
                 frame = self._next_frame()
                 if frame is None:
-                    return frames
+                    break
                 frames.append(frame)
         except FrameCorruption:
             self._dead = True
             raise
+        return frames
 
     def _next_frame(self) -> "Frame | None":
         buf = self._buf

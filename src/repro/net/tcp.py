@@ -27,6 +27,14 @@ from .links import Link, LinkClosed, LinkTimeout
 _RECV_CHUNK = 1 << 16
 
 
+def parse_hostport(text: str) -> Tuple[str, int]:
+    """``"127.0.0.1:9200"`` -> ``("127.0.0.1", 9200)``."""
+    host, _, port = text.rpartition(":")
+    if not host:
+        raise ValueError(f"expected HOST:PORT, got {text!r}")
+    return host, int(port)
+
+
 class TcpLink(Link):
     """A connected TCP socket as a byte pipe."""
 

@@ -23,14 +23,8 @@ from __future__ import annotations
 import json
 import signal
 import sys
-from typing import Tuple
 
-
-def _parse_hostport(text: str) -> Tuple[str, int]:
-    host, _, port = text.rpartition(":")
-    if not host:
-        raise ValueError(f"expected HOST:PORT, got {text!r}")
-    return host, int(port)
+from ..net.tcp import parse_hostport
 
 
 def _emit(args, record: dict) -> None:
@@ -134,7 +128,7 @@ def run_router(args) -> int:
 def run_loadgen_cmd(args) -> int:
     from .loadgen import run_loadgen
 
-    host, port = _parse_hostport(args.connect)
+    host, port = parse_hostport(args.connect)
     circuit = args.circuit
     if getattr(args, "workload", None) and circuit == "sum32":
         # --workload picked, --circuit left at its default: run the
@@ -176,7 +170,7 @@ def run_loadgen_cmd(args) -> int:
 def run_chaos_cmd(args) -> int:
     from .chaos import run_chaos
 
-    host, port = _parse_hostport(args.connect)
+    host, port = parse_hostport(args.connect)
     report = run_chaos(
         host,
         port,

@@ -22,17 +22,10 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional, Tuple
 
+from ..net.tcp import parse_hostport  # re-exported: its public home
 from .handshake import MAX_HELLO_BYTES
 
 __all__ = ["ServeConfig", "RouterConfig", "parse_hostport"]
-
-
-def parse_hostport(text: str) -> Tuple[str, int]:
-    """``"127.0.0.1:9200"`` -> ``("127.0.0.1", 9200)``."""
-    host, _, port = text.rpartition(":")
-    if not host:
-        raise ValueError(f"expected HOST:PORT, got {text!r}")
-    return host, int(port)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,16 @@
-"""Asyncio front door for the garbling service.
+"""Asyncio front door: the one listener of the serve tier.
 
-The serve listener used to be a thread that blocked in ``accept()``
-and then blocked *again* reading the hello on the accept path — one
-slow-loris client (connect, then trickle the hello a byte at a time)
-stalled admission for everyone, and every idle connection held a
-thread.  :class:`AsyncEdge` replaces that with a single event loop in
-one daemon thread:
+In ARM2GC the function is a *public* input to one fixed garbled
+processor, so the whole public control surface of the service is one
+``serve-hello`` answered by one ``serve-welcome``.  :class:`AsyncEdge`
+is the only code in ``repro.serve`` that owns a listening socket, an
+event-loop thread, a :class:`~repro.serve.handshake.HelloParser`, the
+pre-hello deadlines and the pre-admission reject payloads.  It has two
+owners — :class:`~repro.serve.server.GarbleServer` (a shard) and
+:class:`~repro.serve.router.SessionRouter` — which is why a shard and
+a router are indistinguishable to a client until the hello is parsed.
+
+What the edge guarantees *before* a hello is parsed:
 
 * **Accept** is non-blocking; each connection gets an
   :class:`_EdgeConnection` protocol whose state machine is driven
@@ -17,27 +22,40 @@ one daemon thread:
   counters, never an exception anywhere near the accept path.
 * **Per-state deadlines** are ``loop.call_later`` timers: a connection
   that sends nothing is closed at ``idle_timeout``; once the first
-  hello byte arrives the clock tightens to ``handshake_timeout`` — the
-  slow-loris is rejected at the deadline no matter how diligently it
-  trickles.  Heartbeats, when enabled, are timer callbacks too.
+  hello byte arrives the clock tightens to ``handshake_timeout`` and is
+  *not* re-armed by later bytes — the slow-loris is rejected at the
+  deadline no matter how diligently it trickles.  Heartbeats, when
+  enabled, are timer callbacks too.
 * **Overload sheds idle before refusing new**: at ``max_connections``
   the oldest connection still in the no-bytes idle state is shed (a
   structured ``shed-idle`` reject) to make room; only when nobody is
   sheddable does the newcomer get an ``overloaded`` reject, carrying
   exponential-backoff guidance in ``retry_after_s``.
-* **Admission stays where it was**: a parsed hello is handed — with
-  the connected socket and any leftover bytes — to a small executor
-  running the server's synchronous handshake-completion logic, which
-  reuses the existing admission control and fd-passing path into the
-  process-worker pool untouched.
+* **Drain** answers every not-yet-admitted connection with a
+  structured ``draining`` reject, synchronously.
 
-The socket handoff is the one delicate step: the loop's transport owns
-a non-blocking socket, and ``dup()`` shares file-status flags.  The
-edge pauses reading, dups the fd, closes the transport (its copy), and
-builds a :class:`~repro.net.tcp.TcpLink` from the duplicate —
-``TcpLink.from_fd`` restores blocking mode, and because the loop never
-reads again and has nothing buffered to write, the worker sees a clean
-byte stream starting exactly at the leftover.
+The edge's job ends at a parsed hello, which it hands *on the loop
+thread* to its owner's single callback ``on_hello(conn, hello,
+leftover)``.  The owner then does one of two things with ``conn``:
+
+* :meth:`_EdgeConnection.detach` (the shard): the socket leaves the
+  loop.  The transport owns a non-blocking socket, and ``dup()``
+  shares file-status flags, so the edge pauses reading, dups the fd,
+  closes the transport (its copy), and builds a
+  :class:`~repro.net.tcp.TcpLink` from the duplicate —
+  ``TcpLink.from_fd`` restores blocking mode, and because the loop
+  never reads again and has nothing buffered to write, the handler
+  (run on a small executor, so a slow admission decision never blocks
+  the loop) sees a clean byte stream starting exactly at the leftover.
+  A detached connection leaves the connection table.
+* keep it on the loop (the router): install a protocol of its own with
+  ``conn.transport.set_protocol`` and forward that protocol's
+  ``connection_lost`` to ``conn``.  The connection keeps counting
+  against ``max_connections`` until it closes, and :meth:`AsyncEdge.
+  stop` closes it.
+
+Either way the owner answers through :meth:`_EdgeConnection.answer`,
+the one ``serve-welcome`` writer of the loop side.
 """
 
 from __future__ import annotations
@@ -51,19 +69,23 @@ from typing import Callable, Dict, Optional
 from ..net.codec import encode
 from ..net.frame import FRAME_DATA, FRAME_HEARTBEAT, encode_frame
 from ..net.tcp import TcpLink
-from .handshake import (
-    MAX_HELLO_BYTES,
-    WELCOME,
-    HandshakeReject,
-    HelloParser,
-)
+from .handshake import WELCOME, HandshakeReject, HelloParser
 
-#: Handler invoked (on an executor thread) for every parsed hello:
+#: The owner's callback, invoked on the loop thread for every parsed
+#: hello: ``on_hello(conn, hello_dict, leftover_bytes)``.
+OnHello = Callable[["_EdgeConnection", dict, bytes], None]
+
+#: What a detached connection is completed by, on an executor thread:
 #: ``handler(link, hello_dict, leftover_bytes)``.
 HelloHandler = Callable[[TcpLink, dict, bytes], None]
 
-#: Counter callback: ``counter(name)`` bumps a per-server stat.
+#: Counter callback: ``counter(name)`` bumps a per-owner stat.
 Counter = Callable[[str], None]
+
+#: Executor threads completing detached handshakes, and the listen
+#: backlog.  No caller ever set either, so they are not options.
+HANDSHAKE_WORKERS = 4
+BACKLOG = 512
 
 
 def _welcome_frame(payload: dict) -> bytes:
@@ -77,15 +99,15 @@ class _EdgeConnection(asyncio.Protocol):
     """Per-connection handshake state machine.
 
     States: ``idle`` (no bytes yet; sheddable; idle-timeout clock) →
-    ``hello`` (bytes arriving; handshake-timeout clock) → ``handoff``
-    (hello parsed; socket surrendered to the handler) or ``closed``
-    (rejected / lost).
+    ``hello`` (bytes arriving; handshake-timeout clock) → ``open``
+    (hello parsed; the owner's, no edge clock) → ``handoff`` (socket
+    detached to a handler) or ``closed`` (answered / rejected / lost).
     """
 
     def __init__(self, edge: "AsyncEdge") -> None:
         self._edge = edge
-        self._parser = HelloParser(max_bytes=edge.max_hello_bytes)
-        self._transport: Optional[asyncio.Transport] = None
+        self._parser = HelloParser(max_bytes=edge.config.max_hello_bytes)
+        self.transport: Optional[asyncio.Transport] = None
         self._timer: Optional[asyncio.TimerHandle] = None
         self._beat: Optional[asyncio.TimerHandle] = None
         self.state = "idle"
@@ -93,34 +115,32 @@ class _EdgeConnection(asyncio.Protocol):
     # -- lifecycle ----------------------------------------------------
 
     def connection_made(self, transport) -> None:
-        self._transport = transport
+        self.transport = transport
         edge = self._edge
         if edge.draining:
-            self._reject(
-                {"status": "draining", "reason": "server is draining",
-                 "retry_after_s": edge.retry_after()},
-                counter="rejected_busy",
-            )
+            self.reject_draining()
             return
-        if len(edge._conns) >= edge.max_connections:
+        if len(edge._conns) >= edge.config.max_connections:
             if not edge._shed_one():
-                self._reject(
+                self.answer(
                     {"status": "overloaded",
-                     "reason": f"{edge.max_connections} connections open "
-                               "and none sheddable",
+                     "reason": f"{edge.config.max_connections} connections "
+                               "open and none sheddable",
                      "retry_after_s": edge.retry_after(pressure=True)},
                     counter="rejected_overload",
                 )
                 return
         edge._conns[self] = None
         edge._idle[self] = None
-        self._arm(edge.idle_timeout, self._on_idle_deadline)
+        self._arm(edge.config.idle_timeout, self._on_idle_deadline)
         if edge.heartbeat is not None:
             self._beat = edge.loop.call_later(
                 edge.heartbeat, self._on_heartbeat
             )
 
     def connection_lost(self, exc) -> None:
+        """Also the hook a kept-on-the-loop owner protocol forwards
+        its own ``connection_lost`` to: frees the table slot."""
         if self.state == "hello":
             # The peer hung up mid-hello: a truncated handshake.
             self._edge.counter("handshake_rejects")
@@ -133,22 +153,25 @@ class _EdgeConnection(asyncio.Protocol):
         if self.state == "idle":
             self.state = "hello"
             edge._idle.pop(self, None)
-            self._arm(edge.handshake_timeout, self._on_handshake_deadline)
+            self._arm(edge.config.handshake_timeout,
+                      self._on_handshake_deadline)
         try:
             done = self._parser.feed(data)
         except HandshakeReject as exc:
             edge.counter("handshake_rejects")
-            self._reject(
+            self.answer(
                 {"status": "bad-hello", "error": exc.kind,
                  "reason": exc.reason,
                  "retry_after_s": edge.retry_after()},
-                counter=None,
             )
             return
         if done is None:
             return
-        hello, leftover = done
-        self._handoff(hello, leftover)
+        # Parsed: the edge's clocks stop, the table slot stays until
+        # the owner detaches the socket or the connection closes.
+        self.state = "open"
+        self._disarm()
+        edge.on_hello(self, *done)
 
     # -- deadlines ----------------------------------------------------
 
@@ -161,78 +184,80 @@ class _EdgeConnection(asyncio.Protocol):
 
     def _on_idle_deadline(self) -> None:
         self._edge.counter("idle_timeouts")
-        self._reject(
+        self.answer(
             {"status": "idle-timeout",
-             "reason": f"no hello within {self._edge.idle_timeout}s "
+             "reason": f"no hello within {self._edge.config.idle_timeout}s "
                        "of connecting"},
-            counter=None,
         )
 
     def _on_handshake_deadline(self) -> None:
         edge = self._edge
         edge.counter("handshake_timeouts")
         edge.counter("handshake_rejects")
-        self._reject(
+        self.answer(
             {"status": "handshake-timeout",
-             "reason": f"hello incomplete after {edge.handshake_timeout}s "
+             "reason": "hello incomplete after "
+                       f"{edge.config.handshake_timeout}s "
                        f"({self._parser.pending_bytes} bytes pending)",
              "retry_after_s": edge.retry_after()},
-            counter=None,
         )
 
     def _on_heartbeat(self) -> None:
-        if self.state not in ("idle", "hello") or self._transport is None:
+        if self.state not in ("idle", "hello"):
             return
-        self._transport.write(_HEARTBEAT_FRAME)
+        self.transport.write(_HEARTBEAT_FRAME)
         self._beat = self._edge.loop.call_later(
             self._edge.heartbeat, self._on_heartbeat
         )
 
     # -- transitions --------------------------------------------------
 
-    def _handoff(self, hello: dict, leftover: bytes) -> None:
-        edge = self._edge
-        transport = self._transport
+    def detach(self, handler: HelloHandler, hello: dict,
+               leftover: bytes) -> None:
+        """Surrender the socket: it leaves the loop and the table, and
+        ``handler(link, hello, leftover)`` completes the handshake on
+        the edge's executor (see the module docstring for why the
+        ``dup()`` dance is safe)."""
+        transport = self.transport
         self.state = "handoff"
         self._teardown()
-        if transport is None:
-            return
         try:
             transport.pause_reading()
-            sock = transport.get_extra_info("socket")
-            dup = sock.dup()
+            dup = transport.get_extra_info("socket").dup()
         except OSError:
             transport.close()
             return
         transport.close()
-        edge._submit(dup, hello, leftover)
+        self._edge._submit(handler, dup, hello, leftover)
 
     def shed(self) -> None:
         """Close this (idle) connection to make room for a newcomer."""
         self._edge.counter("idle_shed")
-        self._reject(
+        self.answer(
             {"status": "shed-idle",
              "reason": "connection shed under overload before sending "
                        "a hello",
              "retry_after_s": self._edge.retry_after(pressure=True)},
-            counter=None,
         )
 
     def reject_draining(self) -> None:
         """Drain fired before this connection was admitted."""
-        self._reject(
+        self.answer(
             {"status": "draining", "reason": "server is draining",
              "retry_after_s": self._edge.retry_after()},
             counter="rejected_busy",
         )
 
-    def _reject(self, payload: dict, counter: Optional[str]) -> None:
+    def answer(self, payload: dict, counter: Optional[str] = None) -> None:
+        """The loop side's one welcome writer: bump ``counter``, write
+        ``payload`` as the connection's ``serve-welcome``, close.  Every
+        pre-admission reject goes through here, and so does whatever an
+        owner that kept the connection on the loop has to say."""
         if counter is not None:
             self._edge.counter(counter)
-        transport = self._transport
-        self.state = "closed"
+        transport = self.transport
         self._teardown()
-        if transport is None or transport.is_closing():
+        if transport.is_closing():
             return
         try:
             transport.write(_welcome_frame(payload))
@@ -240,57 +265,46 @@ class _EdgeConnection(asyncio.Protocol):
             pass
         transport.close()
 
-    def _teardown(self) -> None:
+    def _disarm(self) -> None:
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
         if self._beat is not None:
             self._beat.cancel()
             self._beat = None
+
+    def _teardown(self) -> None:
+        self._disarm()
         self._edge._conns.pop(self, None)
         self._edge._idle.pop(self, None)
-        if self.state not in ("handoff",):
+        if self.state != "handoff":
             self.state = "closed"
 
 
 class AsyncEdge:
-    """Single-threaded asyncio listener feeding a handshake handler.
+    """Single-threaded asyncio listener feeding its owner parsed hellos.
 
-    The listening socket is bound in the constructor (so ``host`` /
+    ``config`` is the owner's :class:`~repro.serve.config.ServeConfig`
+    or :class:`~repro.serve.config.RouterConfig` — the edge reads the
+    listener fields the two share (``host``, ``port``,
+    ``handshake_timeout``, ``idle_timeout``, ``max_connections``,
+    ``max_hello_bytes``) plus ``heartbeat`` where there is one.  The
+    listening socket is bound in the constructor (so ``host`` /
     ``port`` are known before :meth:`start`); the event loop runs in
-    one daemon thread and parsed hellos are completed on a small
-    dedicated executor so a slow admission decision never blocks the
-    loop.
+    one daemon thread, and an owner may run tasks of its own on
+    :attr:`loop` — :meth:`stop` cancels and awaits them.
     """
 
-    def __init__(
-        self,
-        handler: HelloHandler,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        *,
-        handshake_timeout: float = 5.0,
-        idle_timeout: Optional[float] = 60.0,
-        max_connections: int = 10_000,
-        max_hello_bytes: int = MAX_HELLO_BYTES,
-        heartbeat: Optional[float] = None,
-        counter: Optional[Counter] = None,
-        handshake_workers: int = 4,
-        backlog: int = 512,
-    ) -> None:
-        self.handler = handler
-        self.handshake_timeout = handshake_timeout
-        self.idle_timeout = idle_timeout
-        self.max_connections = max_connections
-        self.max_hello_bytes = max_hello_bytes
-        self.heartbeat = heartbeat
+    def __init__(self, config, on_hello: OnHello,
+                 counter: Optional[Counter] = None) -> None:
+        self.config = config
+        self.on_hello = on_hello
         self.counter = counter if counter is not None else (lambda name: None)
-        self._handshake_workers = handshake_workers
-        self._backlog = backlog
+        self.heartbeat: Optional[float] = getattr(config, "heartbeat", None)
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind((host, port))
-        sock.listen(backlog)
+        sock.bind((config.host, config.port))
+        sock.listen(BACKLOG)
         sock.setblocking(False)
         self._sock = sock
         self.host, self.port = sock.getsockname()[:2]
@@ -313,7 +327,7 @@ class AsyncEdge:
         if self._thread is not None:
             return
         self._executor = ThreadPoolExecutor(
-            max_workers=self._handshake_workers,
+            max_workers=HANDSHAKE_WORKERS,
             thread_name_prefix="serve-edge-hs",
         )
         self._thread = threading.Thread(
@@ -330,14 +344,25 @@ class AsyncEdge:
                 loop.create_server(
                     lambda: _EdgeConnection(self),
                     sock=self._sock,
-                    backlog=self._backlog,
+                    backlog=BACKLOG,
                 )
             )
             self._ready.set()
             loop.run_forever()
             self._drain_on_loop()
-            self._server.close()
+            # What the drain left is post-hello and owner-held.
+            for conn in list(self._conns):
+                conn.transport.close()
             loop.run_until_complete(self._server.wait_closed())
+            # Cancel every task an owner still has on the loop and
+            # await it: a task still pending when the loop closes is
+            # destroyed with a warning and never runs its cleanup.
+            tasks = asyncio.all_tasks(loop)
+            for task in tasks:
+                task.cancel()
+            if tasks:  # an empty gather looks up the *current* loop
+                loop.run_until_complete(
+                    asyncio.gather(*tasks, return_exceptions=True))
             loop.run_until_complete(loop.shutdown_asyncgens())
         finally:
             self._ready.set()  # unblock start() if create_server blew up
@@ -368,10 +393,12 @@ class AsyncEdge:
         if self._server is not None:
             self._server.close()
         for conn in list(self._conns):
-            conn.reject_draining()
+            if conn.state != "open":
+                conn.reject_draining()
 
     def stop(self) -> None:
-        """Drain, stop the loop, join the thread and the executor."""
+        """Drain, close what owners kept on the loop, cancel and await
+        their tasks, stop the loop, join the thread and the executor."""
         if self._stopped:
             return
         self._stopped = True
@@ -398,7 +425,7 @@ class AsyncEdge:
         """
         if pressure:
             self._pressure = min(self._pressure + 1, 7)
-        elif len(self._conns) < self.max_connections // 2:
+        elif len(self._conns) < self.config.max_connections // 2:
             self._pressure = 0
         return round(min(5.0, 0.1 * (2 ** self._pressure)), 3)
 
@@ -410,16 +437,19 @@ class AsyncEdge:
 
     # -- handoff ------------------------------------------------------
 
-    def _submit(self, sock: socket.socket, hello: dict, leftover: bytes) -> None:
+    def _submit(self, handler: HelloHandler, sock: socket.socket,
+                hello: dict, leftover: bytes) -> None:
         try:
-            self._executor.submit(self._run_handler, sock, hello, leftover)
+            self._executor.submit(
+                self._run_handler, handler, sock, hello, leftover)
         except RuntimeError:
             sock.close()  # drain raced the handoff; the client redials
 
-    def _run_handler(self, sock: socket.socket, hello: dict, leftover: bytes) -> None:
+    def _run_handler(self, handler: HelloHandler, sock: socket.socket,
+                     hello: dict, leftover: bytes) -> None:
         link = TcpLink.from_fd(sock.detach())
         try:
-            self.handler(link, hello, leftover)
+            handler(link, hello, leftover)
         except Exception:
             # Hostile or unlucky input must never take down the edge;
             # the admission path already answered (or the peer is

@@ -147,12 +147,18 @@ class HelloParser:
                 f"hello exceeds {self._max_bytes} bytes "
                 f"({self._seen} received)",
             )
-        try:
-            frames = self._decoder.feed(data)
-        except FrameCorruption as exc:
-            self._dead = True
-            raise HandshakeReject("garbage", str(exc)) from exc
-        for i, frame in enumerate(frames):
+        # One frame at a time: the verdict on the hello must not
+        # depend on what else rode the same TCP segment, so bytes past
+        # it stay in the decoder, unexamined, and leave as the leftover.
+        while True:
+            try:
+                frames = self._decoder.feed(data, limit=1)
+            except FrameCorruption as exc:
+                self._dead = True
+                raise HandshakeReject("garbage", str(exc)) from exc
+            if not frames:
+                return None
+            frame, data = frames[0], b""
             if frame.ftype == FRAME_ABORT:
                 self._dead = True
                 raise HandshakeReject(
@@ -181,12 +187,7 @@ class HelloParser:
                     f"hello payload is {type(payload).__name__}, "
                     "expected a record",
                 )
-            leftover = b"".join(
-                encode_frame(f.ftype, f.seq, f.tag, f.payload)
-                for f in frames[i + 1:]
-            ) + self._decoder.buffered
-            return payload, leftover
-        return None
+            return payload, self._decoder.buffered
 
 
 def send_control(link: Link, tag: str, payload: Any) -> None:

@@ -1,13 +1,16 @@
 """Digest-affinity session router for a sharded serve fleet.
 
 :class:`SessionRouter` is a lightweight asyncio tier that fronts N
-independent :class:`~repro.serve.server.GarbleServer` shards.  It
-terminates the ``serve-hello`` (reusing the edge's incremental
-:class:`~repro.serve.handshake.HelloParser` and reject vocabulary),
-decides where the session lives, and from then on is a dumb byte
-splice — all protocol traffic flows through untouched, so the
-cryptographic transcript between evaluator and garbler is exactly what
-it would be point-to-point.
+independent :class:`~repro.serve.server.GarbleServer` shards.  It is
+the second owner of the serve tier's one front door,
+:class:`~repro.serve.edge.AsyncEdge`: the edge listens, parses the
+``serve-hello`` under its per-state deadlines, sheds idle connections
+and writes every pre-admission reject, exactly as it does for a shard.
+The router starts at the parsed hello: it keeps the connection on the
+edge's loop, decides where the session lives, and from then on is a
+dumb byte splice — all protocol traffic flows through untouched, so
+the cryptographic transcript between evaluator and garbler is exactly
+what it would be point-to-point.
 
 Routing policy:
 
@@ -22,12 +25,13 @@ Routing policy:
   to pick adoption peers, so router routing and drain-time handoff
   agree without coordination; and because HRW moves only the keys a
   leaving shard owned, shard churn re-routes the minimum.
-* **Health / backpressure** — a background task polls every shard's
-  ``op: "stats"`` on ``poll_interval``; ``dead_after`` consecutive
-  failures mark a shard dead (routed around until it answers again),
-  and a draining shard stops receiving fresh sessions immediately.
-  With no live shard the router answers the fleet-level structured
-  ``busy`` reject with ``retry_after_s`` backoff guidance.
+* **Health / backpressure** — a background task (on the edge's loop)
+  polls every shard's ``op: "stats"`` on ``poll_interval``;
+  ``dead_after`` consecutive failures mark a shard dead (routed around
+  until it answers again), and a draining shard stops receiving fresh
+  sessions immediately.  With no live shard the router answers the
+  fleet-level structured ``busy`` reject with the edge's
+  ``retry_after_s`` backoff guidance.
 * **Fleet ops** — ``op: "fleet-stats"`` probes every shard live and
   answers the aggregated fleet view; ``op: "drain"`` tells one shard
   (named in the hello) to drain, handing it the rest of the live fleet
@@ -41,7 +45,6 @@ shard) or the shard's ``moved`` redirect.
 from __future__ import annotations
 
 import asyncio
-import socket
 import threading
 from time import monotonic
 from typing import Dict, List, Optional, Tuple
@@ -51,22 +54,28 @@ from ..net.codec import decode, encode
 from ..net.frame import FRAME_DATA, FrameDecoder, encode_frame
 from ..obs import NULL_OBS
 from .config import RouterConfig
+from .edge import AsyncEdge
 from .fleet import aggregate_shard_stats, rendezvous_select
-from .handshake import HELLO, WELCOME, HandshakeReject, HelloParser
+from .handshake import HELLO, WELCOME
 
-#: Router-side counters (reported by ``op: "stats"``).
+#: Router-side counters (reported by ``op: "stats"``).  The second
+#: block is the edge's vocabulary: the names it bumps before a hello
+#: is parsed, the same ones a shard reports.
 ROUTER_COUNTERS = (
     "routed_sessions",
     "routed_results",
     "rejected_busy",
     "rejected_error",
-    "handshake_rejects",
     "stats_probes",
     "fleet_probes",
     "drains",
     "shard_reloads",
     "poll_errors",
-    "moved_pins",
+    "handshake_rejects",
+    "handshake_timeouts",
+    "idle_timeouts",
+    "idle_shed",
+    "rejected_overload",
 )
 
 
@@ -108,8 +117,7 @@ class _Splice(asyncio.Protocol):
     """Upstream half of a proxied session: bytes from the shard go to
     the client, with write-pressure propagated both ways."""
 
-    def __init__(self, router: "SessionRouter") -> None:
-        self.router = router
+    def __init__(self) -> None:
         self.transport = None
         self.peer = None  # the client-side transport
 
@@ -140,204 +148,129 @@ class _Splice(asyncio.Protocol):
 
 
 class _ClientConn(asyncio.Protocol):
-    """One downstream connection: hello parsing, then either a local
-    control answer or a splice to the routed shard."""
+    """Post-hello half of one downstream connection: a local control
+    answer or a splice to the routed shard.
 
-    def __init__(self, router: "SessionRouter") -> None:
+    The edge parsed the hello; ``conn`` is its connection, which still
+    holds the table slot and the one welcome writer
+    (:meth:`~repro.serve.edge._EdgeConnection.answer`).  This protocol
+    replaces the edge's on the transport (``set_protocol``), so a
+    spliced chunk goes transport -> :meth:`data_received` ->
+    ``upstream.write`` with no edge call in between."""
+
+    def __init__(self, router: "SessionRouter", conn, hello: dict,
+                 leftover: bytes) -> None:
         self.router = router
-        self._parser = HelloParser(max_bytes=router.config.max_hello_bytes)
-        self.transport = None
-        self._timer: Optional[asyncio.TimerHandle] = None
-        self._upstream: Optional[_Splice] = None
-        self._task: Optional[asyncio.Task] = None
-        self.state = "hello"
+        self.conn = conn
+        self.transport = conn.transport
+        self._upstream: Optional[asyncio.Transport] = None
+        # Nothing is read between the hello and the splice: what the
+        # client sends meanwhile waits in the kernel.
+        self.transport.pause_reading()
+        self.transport.set_protocol(self)
+        self._task = asyncio.get_running_loop().create_task(
+            self._route(hello, leftover)
+        )
 
     # -- lifecycle ----------------------------------------------------
 
-    def connection_made(self, transport) -> None:
-        self.transport = transport
-        router = self.router
-        if len(router._conns) >= router.config.max_connections:
-            self._reject({"status": "overloaded",
-                          "reason": "router connection table is full",
-                          "retry_after_s": router._retry_after(True)},
-                         counter="rejected_busy")
-            return
-        router._conns[self] = None
-        self._arm(router.config.idle_timeout)
-
     def connection_lost(self, exc) -> None:
-        self._cancel_timer()
-        self.router._conns.pop(self, None)
-        if self._task is not None:
-            self._task.cancel()
-        if self._upstream is not None:
-            up = self._upstream.transport
-            if up is not None and not up.is_closing():
-                up.close()
+        self.conn.connection_lost(exc)  # frees the edge's table slot
+        self._task.cancel()
+        up = self._upstream
+        if up is not None and not up.is_closing():
+            up.close()
 
     def data_received(self, data: bytes) -> None:
-        if self.state == "splice":
-            up = self._upstream.transport if self._upstream else None
-            if up is not None and not up.is_closing():
-                up.write(data)
-            return
-        if self.state != "hello":
-            return
-        self._arm(self.router.config.handshake_timeout)
-        try:
-            done = self._parser.feed(data)
-        except HandshakeReject as exc:
-            self.router.bump("handshake_rejects")
-            self._reject({"status": "bad-hello", "error": exc.kind,
-                          "reason": exc.reason}, counter=None)
-            return
-        if done is None:
-            return
-        hello, leftover = done
-        self.state = "routing"
-        self._cancel_timer()
-        self._task = self.router.loop.create_task(
-            self._route(hello, leftover)
-        )
+        up = self._upstream
+        if up is not None and not up.is_closing():
+            up.write(data)
 
     # -- write-pressure from the client side --------------------------
 
     def pause_writing(self) -> None:
-        if self._upstream is not None and self._upstream.transport:
+        if self._upstream is not None:
             try:
-                self._upstream.transport.pause_reading()
+                self._upstream.pause_reading()
             except RuntimeError:
                 pass
 
     def resume_writing(self) -> None:
-        if self._upstream is not None and self._upstream.transport:
+        if self._upstream is not None:
             try:
-                self._upstream.transport.resume_reading()
+                self._upstream.resume_reading()
             except RuntimeError:
                 pass
-
-    # -- deadlines ----------------------------------------------------
-
-    def _arm(self, timeout: Optional[float]) -> None:
-        self._cancel_timer()
-        if timeout is not None and timeout > 0:
-            self._timer = self.router.loop.call_later(
-                timeout, self._on_deadline
-            )
-
-    def _cancel_timer(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-
-    def _on_deadline(self) -> None:
-        self.router.bump("handshake_rejects")
-        self._reject({"status": "handshake-timeout",
-                      "reason": "hello incomplete at the deadline"},
-                     counter=None)
-
-    # -- replies ------------------------------------------------------
-
-    def _reject(self, payload: dict, counter: Optional[str]) -> None:
-        if counter is not None:
-            self.router.bump(counter)
-        self.state = "closed"
-        self._cancel_timer()
-        t = self.transport
-        if t is not None and not t.is_closing():
-            try:
-                t.write(_frame(WELCOME, payload))
-            except OSError:
-                pass
-            t.close()
-
-    def _answer(self, payload: dict) -> None:
-        self.state = "closed"
-        t = self.transport
-        if t is not None and not t.is_closing():
-            try:
-                t.write(_frame(WELCOME, payload))
-            except OSError:
-                pass
-            t.close()
 
     # -- routing ------------------------------------------------------
 
     async def _route(self, hello: dict, leftover: bytes) -> None:
         router = self.router
+        answer = self.conn.answer
         try:
             op = hello.get("op", "session")
             if op == "stats":
                 router.bump("stats_probes")
-                self._answer({"status": "stats",
-                              "stats": router.stats_snapshot()})
+                answer({"status": "stats", "stats": router.stats_snapshot()})
                 return
             if op == "fleet-stats":
                 router.bump("fleet_probes")
-                self._answer({"status": "fleet-stats",
-                              **(await router.fleet_stats())})
+                answer({"status": "fleet-stats",
+                        **(await router.fleet_stats())})
                 return
             if op == "drain":
                 router.bump("drains")
-                self._answer(await router.start_drain(hello))
+                answer(await router.start_drain(hello))
                 return
             if op == "reload-shards":
-                self._answer(await router.reload_shards(hello))
+                answer(await router.reload_shards(hello))
                 return
             sid = hello.get("session")
             if not isinstance(sid, str) or not sid:
-                self._reject({"status": "error",
-                              "reason": "hello carries no session id"},
-                             counter="rejected_error")
+                answer({"status": "error",
+                        "reason": "hello carries no session id"},
+                       counter="rejected_error")
                 return
             shard = router.route(sid, hello)
             if shard is None:
-                self._reject(
-                    {"status": "busy",
-                     "reason": "no live shard can take this session",
-                     "retry_after_s": router._retry_after(True)},
-                    counter="rejected_busy",
-                )
+                self._busy("no live shard can take this session")
                 return
             try:
                 await self._splice_to(shard, hello, leftover)
             except (OSError, asyncio.TimeoutError):
                 router.unpin(sid, shard.addr)
-                self._reject(
-                    {"status": "busy",
-                     "reason": f"shard {shard.id} is unreachable",
-                     "retry_after_s": router._retry_after(True)},
-                    counter="rejected_busy",
-                )
+                self._busy(f"shard {shard.id} is unreachable")
                 return
-            router._streak = 0
             router.bump("routed_results" if op == "result"
                         else "routed_sessions")
         except asyncio.CancelledError:
             raise
         except Exception:
-            self._reject({"status": "error",
-                          "reason": "router internal error"},
-                         counter="rejected_error")
+            answer({"status": "error", "reason": "router internal error"},
+                   counter="rejected_error")
+
+    def _busy(self, reason: str) -> None:
+        """The fleet-level structured ``busy`` reject."""
+        self.conn.answer(
+            {"status": "busy", "reason": reason,
+             "retry_after_s": self.router._edge.retry_after(pressure=True)},
+            counter="rejected_busy",
+        )
 
     async def _splice_to(self, shard: _ShardState, hello: dict,
                          leftover: bytes) -> None:
-        router = self.router
-        self.transport.pause_reading()
-        upstream = _Splice(router)
+        upstream = _Splice()
         await asyncio.wait_for(
-            router.loop.create_connection(
+            asyncio.get_running_loop().create_connection(
                 lambda: upstream, shard.addr[0], shard.addr[1]
             ),
-            timeout=router.config.connect_timeout,
+            timeout=self.router.config.connect_timeout,
         )
         upstream.peer = self.transport
-        self._upstream = upstream
+        self._upstream = upstream.transport
         # Replay the hello verbatim (the shard re-terminates it) plus
         # any bytes of the next frame the parser already consumed.
-        upstream.transport.write(_frame(HELLO, hello) + leftover)
-        self.state = "splice"
+        self._upstream.write(_frame(HELLO, hello) + leftover)
         try:
             self.transport.resume_reading()
         except RuntimeError:
@@ -352,7 +285,6 @@ class SessionRouter:
             raise ValueError("a router needs at least one shard")
         self.config = config
         self.obs = obs
-        self.loop: Optional[asyncio.AbstractEventLoop] = None
         self.shards: List[_ShardState] = [
             _ShardState((str(h), int(p))) for h, p in config.shards
         ]
@@ -362,81 +294,40 @@ class SessionRouter:
         self._pins: Dict[str, Tuple[str, int]] = {}
         self._counters = {name: 0 for name in ROUTER_COUNTERS}
         self._counter_lock = threading.Lock()
-        self._conns: Dict[_ClientConn, None] = {}
-        self._streak = 0
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind((config.host, config.port))
-        sock.listen(512)
-        sock.setblocking(False)
-        self._sock = sock
-        self.host, self.port = sock.getsockname()[:2]
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._thread: Optional[threading.Thread] = None
-        self._ready = threading.Event()
+        # The front door: everything up to a parsed hello is the
+        # edge's, counted into this router's table.
+        self._edge = AsyncEdge(config, self._on_hello, counter=self.bump)
+        self.host, self.port = self._edge.host, self._edge.port
         self._stop_requested = threading.Event()
-        self._stopped = False
-        self._poll_task: Optional[asyncio.Task] = None
+        self._poll = None  # the poll loop's future, once started
 
     # -- lifecycle ----------------------------------------------------
 
     def start(self) -> "SessionRouter":
-        if self._thread is not None:
+        if self._poll is not None:
             return self
-        self._thread = threading.Thread(
-            target=self._run_loop, name="serve-router", daemon=True
-        )
-        self._thread.start()
-        self._ready.wait()
+        self._edge.start()
+        loop = self._edge.loop
+        # One blocking poll round before announcing readiness:
+        # routing prefers the program digest, and the digest map
+        # comes from shard stats — without this, the first
+        # sessions race the first poll and fall back to routing
+        # by program name, which may hash to a different shard.
+        asyncio.run_coroutine_threadsafe(self._poll_round(), loop).result()
+        # Held so the task is referenced; the edge cancels and awaits
+        # it, with every in-flight ``_route``, when it stops.
+        self._poll = asyncio.run_coroutine_threadsafe(self._poll_loop(), loop)
         return self
 
-    def _run_loop(self) -> None:
-        loop = asyncio.new_event_loop()
-        self.loop = loop
-        try:
-            self._server = loop.run_until_complete(
-                loop.create_server(lambda: _ClientConn(self),
-                                   sock=self._sock)
-            )
-            # One blocking poll round before announcing readiness:
-            # routing prefers the program digest, and the digest map
-            # comes from shard stats — without this, the first
-            # sessions race the first poll and fall back to routing
-            # by program name, which may hash to a different shard.
-            loop.run_until_complete(self._poll_round())
-            self._poll_task = loop.create_task(self._poll_loop())
-            self._ready.set()
-            loop.run_forever()
-            for conn in list(self._conns):
-                if conn.transport is not None:
-                    conn.transport.close()
-            self._server.close()
-            loop.run_until_complete(self._server.wait_closed())
-            # Cancel the poll loop and every in-flight ``_route`` and
-            # await them: a task still pending when the loop closes is
-            # destroyed with a warning and never runs its cleanup.
-            tasks = asyncio.all_tasks(loop)
-            for task in tasks:
-                task.cancel()
-            loop.run_until_complete(
-                asyncio.gather(*tasks, return_exceptions=True))
-            loop.run_until_complete(loop.shutdown_asyncgens())
-        finally:
-            self._ready.set()
-            loop.close()
+    def _on_hello(self, conn, hello: dict, leftover: bytes) -> None:
+        """Edge callback (loop thread): the connection stays on the
+        loop, under a protocol that routes and then splices it."""
+        _ClientConn(self, conn, hello, leftover)
 
     def shutdown(self) -> None:
-        if self._stopped:
-            return
-        self._stopped = True
+        """Idempotent, as :meth:`AsyncEdge.stop` is."""
         self._stop_requested.set()
-        loop = self.loop
-        if loop is not None and loop.is_running():
-            loop.call_soon_threadsafe(loop.stop)
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
-        else:
-            self._sock.close()
+        self._edge.stop()
 
     def request_shutdown(self) -> None:
         """Signal-handler-safe: ask :meth:`serve_forever` to return."""
@@ -457,14 +348,12 @@ class SessionRouter:
 
     def bump(self, name: str, n: int = 1) -> None:
         with self._counter_lock:
-            self._counters[name] += n
+            # ``get``: also the edge's counter hook, run inside loop
+            # callbacks, where a name outside ROUTER_COUNTERS must
+            # count rather than raise.
+            self._counters[name] = self._counters.get(name, 0) + n
         if self.obs.enabled:
             self.obs.inc(f"router.{name}", n)
-
-    def _retry_after(self, pressure: bool) -> float:
-        if pressure:
-            self._streak = min(self._streak + 1, 7)
-        return round(min(5.0, 0.1 * (2 ** self._streak)), 3)
 
     def stats_snapshot(self) -> dict:
         with self._counter_lock:
@@ -472,7 +361,7 @@ class SessionRouter:
         snap.update(
             shards=[s.describe() for s in self.shards],
             pinned_sessions=len(self._pins),
-            open_connections=len(self._conns),
+            open_connections=self._edge.connection_counts()["open"],
             config=self.config.to_dict(),
         )
         return snap

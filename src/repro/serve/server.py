@@ -416,17 +416,7 @@ class GarbleServer:
         #: Tokens of workers ready for a session (fed by "ready"
         #: and session-finished messages).
         self._idle: "queue.Queue" = queue.Queue()
-        self._edge = AsyncEdge(
-            self._edge_handshake,
-            host=config.host,
-            port=config.port,
-            handshake_timeout=config.handshake_timeout,
-            idle_timeout=config.idle_timeout,
-            max_connections=config.max_connections,
-            max_hello_bytes=config.max_hello_bytes,
-            heartbeat=config.heartbeat,
-            counter=self._count,
-        )
+        self._edge = AsyncEdge(config, self._on_hello, counter=self._count)
         self.host, self.port = self._edge.host, self._edge.port
         self._queue: "queue.Queue" = queue.Queue(maxsize=config.queue_depth)
         self._sessions: Dict[str, _ServeSession] = {}
@@ -635,9 +625,15 @@ class GarbleServer:
         if self.obs.enabled:
             self.obs.inc(f"serve.{name}", n)
 
+    def _on_hello(self, conn, hello: dict, leftover: bytes) -> None:
+        """Edge callback (loop thread).  Admission blocks — on the
+        accept queue, on the welcome send — so the socket leaves the
+        loop and :meth:`_edge_handshake` runs on the edge's executor."""
+        conn.detach(self._edge_handshake, hello, leftover)
+
     def _edge_handshake(self, link: TcpLink, hello: dict,
                         leftover: bytes) -> None:
-        """Edge handler: a fully parsed hello arriving off the loop.
+        """Detach handler: a fully parsed hello arriving off the loop.
 
         The welcome-ack deadline is a socket-level send timeout — a
         client that stops reading before its welcome turns into

@@ -9,12 +9,19 @@ truncated hellos, oversized hellos, wrong tags, undecodable payloads
 and aborts — plus the timer-driven ones (slow-loris handshake
 deadline, idle timeout, idle shedding under overload) and the
 drain-vs-handshake race.
+
+The edge is the front door of a shard *and* of the fleet router, so
+the over-the-wire classes run against both (the ``endpoint`` fixture)
+and read their counters from each endpoint's ``op: "stats"`` reply.
 """
 
 import threading
 import time
+from contextlib import contextmanager
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from repro.net.codec import encode
 from repro.net.frame import (
@@ -25,12 +32,21 @@ from repro.net.frame import (
 )
 from repro.net.links import LinkClosed, LinkTimeout
 from repro.net.tcp import connect_with_backoff
-from repro.serve import make_server, run_loadgen
+from repro.serve import (
+    LocalFleet,
+    RouterConfig,
+    ServeConfig,
+    fetch_stats,
+    make_server,
+    registry_program,
+    run_loadgen,
+)
 from repro.serve.handshake import (
     HELLO,
     WELCOME,
     HandshakeReject,
     HelloParser,
+    ServeError,
     recv_control,
 )
 
@@ -58,6 +74,64 @@ def _read_welcome(link, timeout=5.0) -> dict:
     assert tag == WELCOME
     assert isinstance(payload, dict)
     return payload
+
+
+class _Endpoint:
+    """A front door as a client sees it: an address and the counters
+    of its ``op: "stats"`` reply."""
+
+    def __init__(self, kind: str, host: str, port: int) -> None:
+        self.kind, self.host, self.port = kind, host, port
+
+    def counter(self, name: str) -> int:
+        try:
+            return fetch_stats(self.host, self.port)[name]
+        except ServeError:
+            return -1  # the probe itself was refused under overload
+
+    def admitted(self) -> int:
+        return self.counter(
+            "accepted" if self.kind == "shard" else "routed_sessions")
+
+
+@pytest.fixture(params=("shard", "router"))
+def endpoint(request):
+    """``endpoint(value=..., workers=..., **edge_knobs)``: a started
+    sum32 shard, or a router over one cheap thread-pool shard with the
+    edge knobs on the router's own config."""
+
+    @contextmanager
+    def start(value=1, workers=4, **edge_knobs):
+        if request.param == "shard":
+            with make_server(["sum32"], value=value, port=0,
+                             workers=workers, **edge_knobs) as srv:
+                yield _Endpoint("shard", srv.host, srv.port)
+        else:
+            with LocalFleet(
+                {"sum32": registry_program("sum32", value)}, shards=1,
+                config=ServeConfig(pool="thread", precompute=False,
+                                   workers=workers),
+                router_config=RouterConfig(**edge_knobs),
+            ) as fleet:
+                yield _Endpoint("router", fleet.host, fleet.port)
+
+    return start
+
+
+def _flip(frame: bytes, at: int, to: int) -> bytes:
+    at %= len(frame)
+    return frame[:at] + bytes([to]) + frame[at + 1:]
+
+
+#: Hello-shaped inputs one byte away from valid (bad length prefix,
+#: type, tag, payload or CRC), with a tail — plain random bytes almost
+#: never get past the length prefix.
+_almost_hellos = st.builds(
+    lambda sid, at, to, tail: _flip(
+        _hello_frame({"op": "session", "session": sid}), at, to) + tail,
+    st.text(max_size=12), st.integers(0, 255), st.integers(0, 255),
+    st.binary(max_size=64),
+)
 
 
 class TestHelloParser:
@@ -134,14 +208,65 @@ class TestHelloParser:
         got, leftover = parser.feed(_hello_frame(hello))
         assert got == hello and leftover == b""
 
+    # Fixed seed, small budgets: tier-1 wall time must not grow.
+
+    @seed(20260928)
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(blob=st.one_of(_almost_hellos, st.binary(max_size=256)),
+           cuts=st.lists(st.integers(0, 320), max_size=6),
+           max_bytes=st.integers(16, 256))
+    def test_any_bytes_any_chunking_is_a_structured_outcome(
+            self, blob, cuts, max_bytes):
+        """Arbitrary bytes under arbitrary chunking yield ``None``, a
+        ``(dict, bytes)`` pair or :class:`HandshakeReject` — never any
+        other exception — and never buffer past ``max_bytes``."""
+        parser = HelloParser(max_bytes=max_bytes)
+        edges = sorted({0, len(blob), *(c for c in cuts if c < len(blob))})
+        for lo, hi in zip(edges, edges[1:]):
+            try:
+                done = parser.feed(blob[lo:hi])
+            except HandshakeReject:
+                break
+            finally:
+                assert parser.pending_bytes <= max_bytes
+            if done is not None:
+                hello, leftover = done
+                assert isinstance(hello, dict)
+                assert isinstance(leftover, bytes)
+                break
+
+    @seed(20260928)
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(hello=st.dictionaries(st.text(max_size=8),
+                                 st.one_of(st.integers(0, 2**32),
+                                           st.text(max_size=8)),
+                                 max_size=4),
+           heartbeats=st.integers(0, 2),
+           trailing=st.binary(max_size=48))
+    def test_split_point_never_changes_the_parse(self, hello, heartbeats,
+                                                 trailing):
+        """A valid hello frame followed by arbitrary trailing bytes
+        parses to the same ``(hello, leftover)`` wherever TCP cuts the
+        stream: the hello itself, then every byte after it, unread."""
+        hb = encode_frame(FRAME_HEARTBEAT, 0, "hb", b"")
+        blob = hb * heartbeats + _hello_frame(hello) + trailing
+        for cut in range(len(blob) + 1):
+            parser = HelloParser()
+            done, unfed = parser.feed(blob[:cut]), blob[cut:]
+            if done is None:
+                done, unfed = parser.feed(unfed), b""
+            got, leftover = done
+            assert got == hello
+            assert leftover + unfed == trailing
+
 
 class TestEdgeRejects:
     """Over-the-wire: each failure class yields a structured reject
     and bumps ``handshake_rejects``."""
 
-    def test_garbage_hello_gets_bad_hello_welcome(self):
-        with make_server(["sum32"], value=1, port=0) as srv:
-            link = _dial(srv)
+    def test_garbage_hello_gets_bad_hello_welcome(self, endpoint):
+        with endpoint() as ep:
+            link = _dial(ep)
             try:
                 link.send_bytes(b"\xff" * 16)
                 w = _read_welcome(link)
@@ -150,14 +275,13 @@ class TestEdgeRejects:
             assert w["status"] == "bad-hello"
             assert w["error"] == "garbage"
             assert "retry_after_s" in w
-            _await(lambda: srv.stats.handshake_rejects >= 1,
+            _await(lambda: ep.counter("handshake_rejects") >= 1,
                    what="handshake_rejects counter")
-            assert srv.stats.accepted == 0
+            assert ep.admitted() == 0
 
-    def test_oversized_hello_gets_bad_hello_welcome(self):
-        with make_server(["sum32"], value=1, port=0,
-                         max_hello_bytes=512) as srv:
-            link = _dial(srv)
+    def test_oversized_hello_gets_bad_hello_welcome(self, endpoint):
+        with endpoint(max_hello_bytes=512) as ep:
+            link = _dial(ep)
             try:
                 link.send_bytes(_hello_frame(
                     {"op": "session", "session": "z" * 2048,
@@ -167,53 +291,53 @@ class TestEdgeRejects:
                 link.close()
             assert w["status"] == "bad-hello"
             assert w["error"] == "oversized"
-            _await(lambda: srv.stats.handshake_rejects >= 1,
+            _await(lambda: ep.counter("handshake_rejects") >= 1,
                    what="handshake_rejects counter")
 
-    def test_truncated_hello_counts_as_reject(self):
+    def test_truncated_hello_counts_as_reject(self, endpoint):
         """Disconnecting mid-hello is a truncated handshake — counted,
         not raised."""
-        with make_server(["sum32"], value=1, port=0) as srv:
-            link = _dial(srv)
+        with endpoint() as ep:
+            link = _dial(ep)
             frame = _hello_frame(
                 {"op": "session", "session": "cut", "program": "sum32"})
             link.send_bytes(frame[: len(frame) // 2])
             time.sleep(0.1)  # let the edge enter the hello state
             link.close()
-            _await(lambda: srv.stats.handshake_rejects >= 1,
+            _await(lambda: ep.counter("handshake_rejects") >= 1,
                    what="handshake_rejects counter")
-            assert srv.stats.accepted == 0
+            assert ep.admitted() == 0
 
-    def test_rejects_never_wedge_the_edge(self):
+    def test_rejects_never_wedge_the_edge(self, endpoint):
         """A burst of malformed hellos leaves the server fully able to
         admit real sessions."""
-        with make_server(["sum32"], value=SERVER_VALUE, port=0) as srv:
+        with endpoint(value=SERVER_VALUE) as ep:
             for payload in (b"\xff" * 8,
                             encode_frame(FRAME_DATA, 1, "nope", b""),
                             encode_frame(FRAME_ABORT, 0, "abort", b"")):
-                link = _dial(srv)
+                link = _dial(ep)
                 try:
                     link.send_bytes(payload)
                     _read_welcome(link)
                 finally:
                     link.close()
-            report = run_loadgen(srv.host, srv.port, "sum32", clients=2,
+            report = run_loadgen(ep.host, ep.port, "sum32", clients=2,
                                  server_value=SERVER_VALUE, max_attempts=1)
             assert report.ok == 2
             assert report.failed == 0 and report.busy == 0
-            assert srv.stats.handshake_rejects >= 3
+            assert ep.counter("handshake_rejects") >= 3
 
 
 class TestSlowLoris:
-    def test_slow_loris_rejected_while_loadgen_completes(self):
+    def test_slow_loris_rejected_while_loadgen_completes(self, endpoint):
         """A client trickling its hello one byte at a time is rejected
         at the handshake deadline; concurrent well-behaved sessions
         are entirely unaffected."""
-        with make_server(["sum32"], value=SERVER_VALUE, workers=2,
-                         handshake_timeout=1.0, port=0) as srv:
+        with endpoint(value=SERVER_VALUE, workers=2,
+                      handshake_timeout=1.0) as ep:
             frame = _hello_frame(
                 {"op": "session", "session": "loris", "program": "sum32"})
-            link = _dial(srv)
+            link = _dial(ep)
             stop = threading.Event()
 
             def trickle():
@@ -232,7 +356,7 @@ class TestSlowLoris:
             try:
                 # The loadgen runs *while* the loris trickles.
                 report = run_loadgen(
-                    srv.host, srv.port, "sum32", clients=3,
+                    ep.host, ep.port, "sum32", clients=3,
                     server_value=SERVER_VALUE, max_attempts=1)
                 assert report.ok == 3
                 assert report.busy == 0 and report.failed == 0
@@ -245,15 +369,14 @@ class TestSlowLoris:
                 link.close()
             assert w["status"] == "handshake-timeout"
             assert elapsed < 8.0  # deadline fired, not the full trickle
-            assert srv.stats.handshake_timeouts >= 1
-            assert srv.stats.handshake_rejects >= 1
+            assert ep.counter("handshake_timeouts") >= 1
+            assert ep.counter("handshake_rejects") >= 1
 
 
 class TestTimersAndOverload:
-    def test_idle_connection_closed_at_idle_timeout(self):
-        with make_server(["sum32"], value=1, port=0,
-                         idle_timeout=0.3) as srv:
-            link = _dial(srv)
+    def test_idle_connection_closed_at_idle_timeout(self, endpoint):
+        with endpoint(idle_timeout=0.3) as ep:
+            link = _dial(ep)
             try:
                 t0 = time.monotonic()
                 w = _read_welcome(link, timeout=5.0)
@@ -262,50 +385,51 @@ class TestTimersAndOverload:
                 link.close()
             assert w["status"] == "idle-timeout"
             assert elapsed < 4.0
-            _await(lambda: srv.stats.idle_timeouts >= 1,
+            _await(lambda: ep.counter("idle_timeouts") >= 1,
                    what="idle_timeouts counter")
 
-    def test_overload_sheds_oldest_idle_first(self):
+    def test_overload_sheds_oldest_idle_first(self, endpoint):
         """At ``max_connections`` the oldest idle connection is shed
         (structured ``shed-idle``) to make room for the newcomer."""
-        with make_server(["sum32"], value=1, port=0, max_connections=2,
-                         idle_timeout=30.0) as srv:
-            a, b = _dial(srv), _dial(srv)
+        with endpoint(max_connections=2, idle_timeout=30.0) as ep:
+            a, b = _dial(ep), _dial(ep)
             time.sleep(0.1)  # both registered as idle, a oldest
-            c = _dial(srv)
+            c = _dial(ep)
             try:
                 w = _read_welcome(a, timeout=5.0)
                 assert w["status"] == "shed-idle"
                 assert w["retry_after_s"] > 0
-                _await(lambda: srv.stats.idle_shed >= 1,
+                # (The stats probe makes its own room the same way.)
+                _await(lambda: ep.counter("idle_shed") >= 1,
                        what="idle_shed counter")
             finally:
                 for link in (a, b, c):
                     link.close()
 
-    def test_overload_rejects_when_nothing_sheddable(self):
+    def test_overload_rejects_when_nothing_sheddable(self, endpoint):
         """Connections mid-hello are not sheddable; with the table
         full of them a newcomer gets a structured ``overloaded``
         reject with backoff guidance."""
-        with make_server(["sum32"], value=1, port=0, max_connections=2,
-                         handshake_timeout=30.0, idle_timeout=30.0) as srv:
+        with endpoint(max_connections=2, handshake_timeout=30.0,
+                      idle_timeout=30.0) as ep:
             frame = _hello_frame(
                 {"op": "session", "session": "part", "program": "sum32"})
-            a, b = _dial(srv), _dial(srv)
+            a, b = _dial(ep), _dial(ep)
             # One byte each: idle -> hello, now unsheddable.
             a.send_bytes(frame[:1])
             b.send_bytes(frame[:1])
             time.sleep(0.2)
-            c = _dial(srv)
+            c = _dial(ep)
             try:
                 w = _read_welcome(c, timeout=5.0)
                 assert w["status"] == "overloaded"
                 assert w["retry_after_s"] > 0
-                _await(lambda: srv.stats.rejected_overload >= 1,
-                       what="rejected_overload counter")
             finally:
                 for link in (a, b, c):
                     link.close()
+            # Read once the table has room for the stats probe.
+            _await(lambda: ep.counter("rejected_overload") >= 1,
+                   what="rejected_overload counter")
 
 
 class TestDrainRace:

@@ -299,21 +299,13 @@ class TestBaseOTAcrossShards:
 
 
 class TestRouterShutdown:
-    def test_shutdown_destroys_no_pending_task(self, caplog):
-        """The loop awaits its cancelled poll and route tasks before it
-        closes, so asyncio logs nothing (no ``Task was destroyed but it
-        is pending!``).  The one shard hangs up on the router's first
+    @pytest.fixture
+    def mute_shard(self):
+        """The address of a shard that hangs up on the router's first
         poll (so ``start`` returns at once) and then accepts without
         ever answering: a poll round is in flight whenever the router
-        is asked to stop."""
-        import gc
-        import logging
+        is asked to stop, and a session routed there stays spliced."""
         import socket
-
-        from repro.net.tcp import TcpLink
-        from repro.serve import SessionRouter
-        from repro.serve.config import RouterConfig
-        from repro.serve.handshake import HELLO, send_control
 
         mute = socket.socket()
         mute.bind(("127.0.0.1", 0))
@@ -330,26 +322,100 @@ class TestRouterShutdown:
 
         threading.Thread(target=accept_loop, daemon=True).start()
         try:
-            with caplog.at_level(logging.DEBUG, logger="asyncio"):
-                router = SessionRouter(RouterConfig(
-                    shards=(mute.getsockname(),), poll_interval=0.001,
-                )).start()
-                # ...and so is a ``_route`` task: a fleet-stats probe
-                # waiting on that same shard.
-                probe = TcpLink(socket.create_connection(
-                    (router.host, router.port)))
-                send_control(probe, HELLO, {"op": "fleet-stats"})
-                time.sleep(0.05)
-                router.shutdown()
-                probe.close()
-                gc.collect()
+            yield mute.getsockname()
         finally:
             mute.close()
             for conn in held:
                 conn.close()
-        assert [r.getMessage() for r in caplog.records
-                if r.name == "asyncio"
-                and r.levelno >= logging.WARNING] == []
+
+    @staticmethod
+    def _asyncio_warnings(caplog):
+        import logging
+
+        return [r.getMessage() for r in caplog.records
+                if r.name == "asyncio" and r.levelno >= logging.WARNING]
+
+    def test_shutdown_destroys_no_pending_task(self, caplog, mute_shard):
+        """The loop awaits its cancelled poll and route tasks before it
+        closes, so asyncio logs nothing (no ``Task was destroyed but it
+        is pending!``)."""
+        import gc
+        import logging
+        import socket
+
+        from repro.net.tcp import TcpLink
+        from repro.serve import SessionRouter
+        from repro.serve.config import RouterConfig
+        from repro.serve.handshake import HELLO, send_control
+
+        with caplog.at_level(logging.DEBUG, logger="asyncio"):
+            router = SessionRouter(RouterConfig(
+                shards=(mute_shard,), poll_interval=0.001,
+            )).start()
+            # ...and so is a ``_route`` task: a fleet-stats probe
+            # waiting on that same shard.
+            probe = TcpLink(socket.create_connection(
+                (router.host, router.port)))
+            send_control(probe, HELLO, {"op": "fleet-stats"})
+            time.sleep(0.05)
+            router.shutdown()
+            probe.close()
+            gc.collect()
+        assert self._asyncio_warnings(caplog) == []
+
+    def test_spliced_sessions_hold_their_slots_until_shutdown(
+            self, caplog, mute_shard):
+        """A connection kept on the loop after its hello still counts
+        against ``max_connections``: two sessions held mid-splice make
+        a third dial get the structured ``overloaded`` reject.
+        ``shutdown`` closes them — both read EOF — and logs nothing."""
+        import gc
+        import logging
+
+        from repro.net.tcp import connect_with_backoff
+        from repro.serve import SessionRouter
+        from repro.serve.config import RouterConfig
+        from repro.serve.handshake import (
+            HELLO,
+            WELCOME,
+            recv_control,
+            send_control,
+        )
+
+        with caplog.at_level(logging.DEBUG, logger="asyncio"):
+            router = SessionRouter(RouterConfig(
+                shards=(mute_shard,), max_connections=2,
+            )).start()
+            spliced = []
+            try:
+                for sid in ("held-a", "held-b"):
+                    link = connect_with_backoff(router.host, router.port)
+                    spliced.append(link)
+                    send_control(link, HELLO, {
+                        "op": "session", "session": sid, "program": "sum32"})
+                _await(lambda: router.stats_snapshot()["routed_sessions"]
+                       == 2, what="both sessions to be spliced")
+                assert router.stats_snapshot()["open_connections"] == 2
+
+                third = connect_with_backoff(router.host, router.port)
+                try:
+                    tag, welcome, _ = recv_control(third, timeout=5.0)
+                finally:
+                    third.close()
+                assert tag == WELCOME
+                assert welcome["status"] == "overloaded"
+                assert welcome["retry_after_s"] > 0
+                assert router.stats_snapshot()["rejected_overload"] == 1
+
+                router.shutdown()
+                for link in spliced:
+                    assert link.recv_bytes(timeout=5.0) == b""
+            finally:
+                router.shutdown()
+                for link in spliced:
+                    link.close()
+            gc.collect()
+        assert self._asyncio_warnings(caplog) == []
 
 
 class TestShardReload:
