@@ -53,8 +53,8 @@ class IpcClosed(Exception):
 class MsgChannel:
     """One end of a duplex control channel carrying ``(msg, fds)``.
 
-    ``send`` is thread-safe (the parent's dispatcher and accept loop
-    both write to a worker's channel); ``recv`` is single-reader by
+    ``send`` is thread-safe (the parent's handshake and reader threads
+    all write to a worker's channel); ``recv`` is single-reader by
     design — each end runs exactly one reader thread.
     """
 

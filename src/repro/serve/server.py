@@ -11,13 +11,13 @@ Architecture::
 
     AsyncEdge (1 loop thread) ── hello parsed off-loop, per-state
          │                       deadlines, structured rejects
-         │          new session ──> bounded accept queue ── dispatcher
-         │                            │  (Full -> structured     │
-         │                            │   "busy" reject)    idle worker?
-         │                            │                          │
-         │          reconnect ──── fd passed (SCM_RIGHTS) ──> workers
-         │          stats probe ──> snapshot reply, close     (1 session
-         └── result probe / redial of finished session         at a time)
+         │   new session ──> reserve ──> answer ──> commit
+         │                  (no room:   (welcome;   idle worker? run + fd
+         │                   "busy")    fails ->    else wait in a deque
+         │                              release)    for the next free one
+         │   reconnect ───── fd passed (SCM_RIGHTS) ──────────> workers
+         │   stats probe ──> snapshot reply, close             (1 session
+         └── result probe / redial of finished session          at a time)
                   └──> replay buffer (bounded, TTL'd)
 
 * **One worker, two ways to start it** — every worker runs
@@ -39,14 +39,20 @@ Architecture::
   (``pool="auto"`` picks it for exactly those).  Past
   :meth:`GarbleServer._resolve_pool` the kind is consulted only where
   a worker is spawned or joined.
-* **Admission control** — the accept queue is a bounded
-  ``queue.Queue``; when it is full a new hello is answered with an
-  immediate structured ``{"status": "busy", ...}`` welcome and the
-  connection is closed.  Reconnects for live sessions bypass
-  admission (they hold a worker already).  The ``accepted`` counter
-  is bumped only once the welcome has actually reached the client; a
-  client that vanishes mid-handshake has its queue entry cancelled so
-  no worker burns a resume window on a linkless session.
+* **Admission control** — reserve, answer, commit
+  (:meth:`GarbleServer._admit`).  *Reserve*: under the server lock a
+  new session is registered iff the sessions no worker has been handed
+  yet are fewer than ``queue_depth`` plus the idle workers; otherwise
+  the hello gets an immediate structured ``{"status": "busy", ...}``
+  welcome and the connection is closed.  *Answer*: the welcome is
+  written; a client that vanished mid-handshake releases the
+  reservation, and nothing else ever knew of the session.  *Commit*:
+  only now is the session counted ``accepted`` and handed, link and
+  all, to an idle worker by the handshake thread — or left in a deque
+  for the next worker to report ``ready`` or an outcome
+  (:meth:`GarbleServer._pair`).  Reconnects for live sessions bypass
+  admission; every hello naming a session is answered from one table,
+  ``_ANSWERS``.
 * **Session lifecycle** — the worker runs each admitted session as a
   :class:`~repro.net.session.ResumableSession` around a garbler party.
   A dropped evaluator redials the same server, names its session id in
@@ -55,7 +61,8 @@ Architecture::
   terminal outcome — done, failed, handed off, worker died — is booked
   by :meth:`GarbleServer._book`: state flip, terminal counter, ring
   record and drain accounting move together, so a finished-counter
-  observation implies the finished state is visible.
+  observation implies the finished state is visible, and ``accepted
+  + adopted == completed + failed + handed_off + open``.
 * **Stats** — counters live in one flat block written by the parent
   (admission, rejects, probes, outcomes) and the workers (the
   ``active`` gauge, material counters): a shared-memory
@@ -67,10 +74,11 @@ Architecture::
 * **Drain** — :meth:`GarbleServer.shutdown` (wired to SIGTERM/SIGINT
   by the CLI) drains the edge (stops accepting; every connection that
   had not been admitted yet — including one still mid-hello — gets a
-  structured ``draining`` reject instead of a hang), waits out the
-  accept queue's task accounting (every admitted session gets exactly
-  one ``task_done``, whether it completed, failed, was cancelled, or
-  was discarded by a hard stop), then stops the workers.
+  structured ``draining`` reject instead of a hang), waits on a
+  condition variable for the open-session count — raised by a
+  reservation, lowered only by ``_book`` or the release — to reach
+  zero (a hard stop first books the sessions still waiting as
+  failed), then stops the workers.
 * **Result replay** — every finished session's decoded output is
   parked in a bounded TTL'd :class:`~repro.serve.replay.ReplayBuffer`
   keyed by session id + evaluator identity; a client that died after
@@ -87,12 +95,10 @@ from __future__ import annotations
 
 import os
 import pickle
-import queue
 import socket as socket_mod
 import threading
 from collections import deque
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from ..circuit.netlist import Netlist
@@ -108,11 +114,10 @@ from .fleet import aggregate_shard_stats, rendezvous_select
 from .handshake import HELLO, WELCOME, recv_control, send_control
 from .ipc import IpcClosed, MsgChannel
 from .replay import DENIED, HIT, ReplayBuffer
-from .worker import STAT_FIELDS, build_material_caches, worker_main
+from .worker import (STAT_FIELDS, build_material_caches, session_record,
+                     worker_main)
 
 BitSource = Union[Sequence[int], Callable[[int], Sequence[int]]]
-
-_SENTINEL = object()
 
 #: set_forkserver_preload must happen before the forkserver boots;
 #: guard so repeated server construction doesn't re-set it.
@@ -280,9 +285,18 @@ del _i, _name
 _TERMINAL = {"done": "completed", "failed": "failed",
              "handed-off": "handed_off"}
 
-#: Per-session record of a session whose worker never reported one.
-_UNREPORTED = {"wall_ms": -1, "garbled_nonxor": -1, "tables_sent": -1,
-               "reconnects": -1, "epoch": -1}
+#: The answer to a hello that names a session: one row per state this
+#: shard holds the session in (``None``: never admitted here), one
+#: column per hello kind — session (re)dial, ``op: "result"`` probe.
+#: ``result`` is ``unknown-session`` when nothing replayable is parked.
+_ANSWERS = {
+    None: ("admit", "result"),
+    "queued": ("resume", "pending"),
+    "active": ("resume", "pending"),
+    "done": ("result", "result"),
+    "failed": ("result", "result"),
+    "handed-off": ("moved", "moved"),
+}
 
 
 @dataclass
@@ -293,20 +307,18 @@ class _ServeSession:
     id: str
     program: str
     prog: ServeProgram
-    #: queued -> active -> done | failed | handed-off; ``cancelled`` is
-    #: the admission-unwind terminal (welcome never reached the client).
+    #: queued -> active -> done | failed | handed-off.
     state: str = "queued"
     result: Optional[SessionResult] = None
     error: Optional[BaseException] = None
-    wall_seconds: float = 0.0
-    #: Index of the worker running this session (None until
-    #: dispatched; links arriving earlier wait in ``_pending``).
+    #: Index of the worker running this session (None until one is
+    #: committed to it).
     owner: Optional[int] = None
     #: Client identity from the hello (material epoch audit trail and
     #: base-OT cache key); None for anonymous sessions.
     client: Optional[str] = None
     #: Sender-side base-OT material negotiated at welcome time (the
-    #: decision is snapshotted here so welcome and dispatch agree).
+    #: decision is snapshotted here so welcome and ``run`` agree).
     ot_base: Optional[tuple] = None
     #: Key into the program's ``alice_by_key`` table (per-session
     #: garbler inputs); None runs the program's fixed operand.
@@ -318,17 +330,10 @@ class _ServeSession:
     #: Where a handed-off session went — redials of this session are
     #: answered with a ``moved`` welcome naming this (host, port).
     peer: Optional[tuple] = None
-    _pending: List[tuple] = field(default_factory=list)
-    _lock: threading.Lock = field(default_factory=threading.Lock)
-    _sealed: bool = False
-
-    def seal(self) -> None:
-        """Refuse further links and close the undelivered ones."""
-        with self._lock:
-            self._sealed = True
-            pending, self._pending = self._pending, []
-        for link, _preface in pending:
-            link.close()
+    #: ``(link, leftover)`` pairs held while the session waits for a
+    #: worker (server lock); None once its worker has them — redials
+    #: then go straight there — and after the session ended.
+    links: Optional[List[tuple]] = field(default_factory=list)
 
 
 class GarbleServer:
@@ -413,14 +418,20 @@ class GarbleServer:
         #: worker dying *before* ready means spawning is broken in
         #: this environment, and respawning would loop forever.
         self._worker_ready: List[bool] = [False] * workers
-        #: Tokens of workers ready for a session (fed by "ready"
-        #: and session-finished messages).
-        self._idle: "queue.Queue" = queue.Queue()
         self._edge = AsyncEdge(config, self._on_hello, counter=self._count)
         self.host, self.port = self._edge.host, self._edge.port
-        self._queue: "queue.Queue" = queue.Queue(maxsize=config.queue_depth)
         self._sessions: Dict[str, _ServeSession] = {}
         self._lock = threading.Lock()
+        #: Admission state, all under ``_lock``.  ``_open``: sessions
+        #: reserved and not yet booked — the drain barrier, waited on
+        #: through ``_drained``.  ``_unplaced``: those of them no worker
+        #: has been handed yet (welcome in flight, or in ``_waiting``).
+        #: ``_waiting`` and ``_idle_workers`` are never both non-empty.
+        self._drained = threading.Condition(self._lock)
+        self._open = 0
+        self._unplaced = 0
+        self._waiting: "deque[_ServeSession]" = deque()
+        self._idle_workers: "deque[int]" = deque()
         self._busy_streak = 0
         self._draining = False
         self._stopped = False
@@ -469,11 +480,6 @@ class GarbleServer:
         self._edge.start()
         for i in range(self.config.workers):
             self._spawn_worker(i)
-        dispatch = threading.Thread(
-            target=self._dispatch_loop, name="serve-dispatch", daemon=True,
-        )
-        dispatch.start()
-        self._threads.append(dispatch)
         return self
 
     def request_shutdown(self) -> None:
@@ -490,9 +496,9 @@ class GarbleServer:
 
         ``drain=True`` (graceful, the SIGTERM path): stop accepting,
         let queued and active sessions run to completion, then stop
-        the workers.  ``drain=False``: additionally discard queued
-        sessions that no worker has picked up yet (their evaluators
-        see EOF and fail on their side); active sessions still finish.
+        the workers.  ``drain=False``: additionally fail the sessions
+        still waiting for a worker (booked like any other failure;
+        their evaluators see EOF); active sessions still finish.
         """
         with self._lock:
             if self._stopped:
@@ -503,39 +509,17 @@ class GarbleServer:
         # structured "draining" reject — no stalled-client hang.
         self._edge.begin_drain()
         if not drain:
-            while True:
-                try:
-                    sess = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                if sess is _SENTINEL:
-                    self._queue.task_done()
-                    continue
-                with self._lock:
-                    sess.state = "failed"
-                    sess.error = ChannelClosed("server shut down")
-                sess.seal()
-                self._queue.task_done()
-        # Wait for queued + active sessions to finish.  Task accounting
-        # (one task_done per admitted session, wherever it ends) has no
-        # gap between "popped from the queue" and "running", unlike
-        # qsize()+active checks.
-        q = self._queue
-        with q.all_tasks_done:
-            if timeout is None:
-                while q.unfinished_tasks:
-                    q.all_tasks_done.wait()
-            else:
-                endtime = perf_counter() + timeout
-                while q.unfinished_tasks:
-                    remaining = endtime - perf_counter()
-                    if remaining <= 0:
-                        break
-                    q.all_tasks_done.wait(remaining)
-        if self._started:
-            # Unblock the dispatcher whichever queue it waits on.
-            self._idle.put(_SENTINEL)
-            self._queue.put(_SENTINEL)
+            with self._lock:
+                discarded = list(self._waiting)
+                self._waiting.clear()
+                self._unplaced -= len(discarded)
+            for sess in discarded:
+                self._book(sess, "failed",
+                           error=ChannelClosed("server shut down"))
+        # One count from reservation to `_book` (or the release): no
+        # gap between "left the waiting line" and "running".
+        with self._drained:
+            self._drained.wait_for(lambda: not self._open, timeout)
         chans = [chan for chan in self._chans if chan is not None]
         procs = [proc for proc in self._procs if proc is not None]
         for chan in chans:
@@ -578,7 +562,7 @@ class GarbleServer:
         config = self.config
         snap = self.stats.snapshot()
         snap.update(
-            queued=self._queue.qsize(),
+            queued=self._unplaced,
             queue_depth=config.queue_depth,
             workers=config.workers,
             pool=self.pool,
@@ -627,7 +611,7 @@ class GarbleServer:
 
     def _on_hello(self, conn, hello: dict, leftover: bytes) -> None:
         """Edge callback (loop thread).  Admission blocks — on the
-        accept queue, on the welcome send — so the socket leaves the
+        server lock, on the welcome send — so the socket leaves the
         loop and :meth:`_edge_handshake` runs on the edge's executor."""
         conn.detach(self._edge_handshake, hello, leftover)
 
@@ -637,8 +621,8 @@ class GarbleServer:
 
         The welcome-ack deadline is a socket-level send timeout — a
         client that stops reading before its welcome turns into
-        ``LinkClosed`` on the send, which the admission path already
-        unwinds, instead of a stuck handshake thread."""
+        ``LinkClosed`` on the send, which releases the reservation,
+        instead of a stuck handshake thread."""
         link.settimeout(self.config.handshake_timeout)
         try:
             self._complete_handshake(link, hello, leftover)
@@ -651,22 +635,16 @@ class GarbleServer:
         send_control(link, WELCOME, welcome)
         link.close()
 
-    def _reject(self, link: Link, welcome: dict, counter: str) -> None:
-        self._count(counter)
-        self._answer(link, welcome)
-
     def _reject_error(self, link: Link, reason: str, **extra) -> None:
-        self._reject(link, {"status": "error", "reason": reason, **extra},
-                     "rejected_error")
+        self._count("rejected_error")
+        self._answer(link, {"status": "error", "reason": reason, **extra})
 
     def _reject_busy(self, link: Link, status: str, reason: str,
                      **extra) -> None:
-        self._reject(
-            link,
-            {"status": status, "reason": reason,
-             "retry_after_s": self._retry_after(grew=True), **extra},
-            "rejected_busy",
-        )
+        self._count("rejected_busy")
+        self._answer(link, {
+            "status": status, "reason": reason,
+            "retry_after_s": self._retry_after(grew=True), **extra})
 
     def _retry_after(self, grew: bool) -> float:
         """Backoff guidance for busy/draining rejects: doubles with
@@ -724,86 +702,59 @@ class GarbleServer:
         if op == "adopt":
             self._handle_adopt(link, hello, leftover, sid, name)
             return
-        if op == "result":
-            self._answer_result_probe(link, hello, sid)
-            return
-
         # Snapshot the session under the lock: `_book` transitions
         # sessions to done/failed under this same lock, so the routing
         # decision below never reads a torn state (an unlocked read
         # could welcome a redial into a session that sealed a
         # microsecond later).
+        probe = op == "result"
         with self._lock:
             sess = self._sessions.get(sid)
-            if sess is not None:
-                sess_program, sess_state = sess.program, sess.state
-                sess_peer = sess.peer
-        if sess is None:
-            sess = self._new_session(link, hello, sid, name)
-            if sess is None:
-                return
-        else:
-            # -- reconnect routing (on the locked snapshot) ----------------
-            if sess_program != name:
-                self._reject_error(
-                    link, f"session {sid!r} is bound to program "
-                          f"{sess_program!r}")
-                return
-            if sess_state == "handed-off" and sess_peer is not None:
-                # Drain-time handoff: the session now lives on a peer
-                # shard.  Tell the evaluator where so it can redial
-                # there and resume — this is what makes handoff work
-                # even without a router in front.
-                self._answer(link, {"status": "moved", "session": sid,
-                                    "program": sess_program,
-                                    "peer": list(sess_peer)})
-                return
-            if sess_state in _TERMINAL:
-                # A redial of a finished session is the replay path:
-                # the client most likely died after the final frame
-                # and wants its result back, not a re-run.
-                if not self._answer_replay(link, hello, sid,
-                                           program=sess_program):
-                    self._reject_error(
-                        link, f"session {sid!r} already finished "
-                              f"({sess_state}); no replayable result",
-                        status="unknown-session")
-                return
+            state, program, peer = (
+                (None, name, None) if sess is None
+                else (sess.state, sess.program, sess.peer))
+        if not probe and program != name:
+            self._reject_error(
+                link, f"session {sid!r} is bound to program {program!r}")
+            return
+        answer = _ANSWERS[state][probe]
+        if answer == "admit":
+            self._new_session(link, hello, leftover, sid, name)
+        elif answer == "resume":
             if self.obs.enabled:
                 self.obs.inc("serve.reconnects")
             # Welcome first, then feed the link: the worker writes to
             # the socket the moment it sees the link, and the welcome
             # must be the first thing the client reads.
-            send_control(link, WELCOME, {
-                "status": "ok",
-                "session": sid,
-                "program": name,
-                "cycles": sess.prog.cycles,
-                "checkpoint_every": self.config.checkpoint_every,
-                "resumed": True,
-            })
-        if not self._deliver_link(sess, link, leftover):
-            link.close()  # finished between the snapshot and the push
+            send_control(link, WELCOME, self._welcome(sess, resumed=True))
+            self._deliver_link(sess, link, leftover)
+        elif answer == "pending":
+            # Still running: the probe retries, it never (re)joins.
+            self._answer(link, {
+                "status": answer, "session": sid, "state": state,
+                "retry_after_s": self._retry_after(grew=False)})
+        elif answer == "moved":
+            # Drain-time handoff: the session now lives on a peer
+            # shard.  Tell the evaluator where so it can redial there
+            # and resume — this is what makes handoff work even
+            # without a router in front.
+            self._answer(link, {"status": answer, "session": sid,
+                                "program": program, "peer": list(peer)})
+        else:
+            self._answer_result(link, hello, sid, state, program)
 
-    def _new_session(self, link: Link, hello: dict, sid: str,
-                     name) -> Optional[_ServeSession]:
-        """Admission control for a brand-new session: the admitted,
-        welcomed and counted session, or None once rejected."""
-        prog = self._admissible_program(link, name)
+    def _new_session(self, link: Link, hello: dict, leftover: bytes,
+                     sid: str, name) -> None:
+        """A hello naming a session this shard has never seen: build
+        its welcome, then :meth:`_admit` it — link and all — or reject."""
+        prog = self._served_program(link, name)
         if prog is None:
-            return None
+            return
         sess = _ServeSession(id=sid, program=name, prog=prog)
         client = hello.get("client")
         if isinstance(client, str) and client:
             sess.client = client
-        welcome = {
-            "status": "ok",
-            "session": sid,
-            "program": name,
-            "cycles": prog.cycles,
-            "checkpoint_every": self.config.checkpoint_every,
-            "resumed": False,
-        }
+        welcome = self._welcome(sess, resumed=False)
         gkey = hello.get("garbler_key")
         if gkey is not None:
             table = prog.alice_by_key or {}
@@ -811,7 +762,7 @@ class GarbleServer:
                 self._reject_error(
                     link, f"unknown garbler key {gkey!r} for program "
                           f"{name!r}", garbler_keys=sorted(table))
-                return None
+                return
             sess.garbler_key = welcome["garbler_key"] = gkey
         if self.config.ot == "extension":
             # Base-OT reuse negotiation: a returning client advertises
@@ -823,23 +774,24 @@ class GarbleServer:
             # shard or endpoint in between — answers "fresh" and both
             # sides run the base phase again.  Decided here,
             # snapshotted on the session, so the welcome and the
-            # worker dispatch agree even if the cache churns.
+            # worker's ``run`` message agree even if the cache churns.
             stored = self._client_bases.get(sess.client)
             if stored is not None and stored[0] == hello.get("base_ot"):
                 sess.ot_base = stored[1]
             welcome["base_ot"] = (
                 "cached" if sess.ot_base is not None else "fresh")
-        return sess if self._admit(sess, link, welcome, "accepted") else None
+        if self._admit(sess, link, welcome, "accepted"):
+            self._deliver_link(sess, link, leftover)
 
-    def _admissible_program(self, link: Link,
-                            name) -> Optional[ServeProgram]:
+    def _welcome(self, sess: _ServeSession, resumed: bool) -> dict:
+        """The welcome that (re)joins an evaluator to ``sess``."""
+        return {"status": "ok", "session": sess.id, "program": sess.program,
+                "cycles": sess.prog.cycles, "resumed": resumed,
+                "checkpoint_every": self.config.checkpoint_every}
+
+    def _served_program(self, link: Link, name) -> Optional[ServeProgram]:
         """The served program a new or adopted session names, or None
-        after the structured reject (draining, unknown program)."""
-        with self._lock:
-            draining = self._draining
-        if draining:
-            self._reject_busy(link, "draining", "server is draining")
-            return None
+        after the structured reject."""
         prog = self.programs.get(name)
         if prog is None:
             self._reject_error(link, f"unknown program {name!r}",
@@ -848,109 +800,86 @@ class GarbleServer:
 
     def _admit(self, sess: _ServeSession, link: Link, welcome: dict,
                counter: str) -> bool:
-        """Queue a new or adopted session and welcome its sender;
-        False once rejected (queue full) or unwound (sender gone)."""
+        """Reserve -> answer -> commit for a new or adopted session;
+        False once rejected (draining, no room) or released (sender
+        gone)."""
         with self._lock:
-            try:
-                self._queue.put_nowait(sess)
-            except queue.Full:
-                admitted = False
-            else:
-                admitted = True
+            draining, queued = self._draining, self._unplaced
+            admitted = not draining and queued < (
+                self.config.queue_depth + len(self._idle_workers))
+            if admitted:
                 self._sessions[sess.id] = sess
+                self._unplaced += 1
+                self._open += 1
                 self._busy_streak = 0
+        if draining:
+            self._reject_busy(link, "draining", "server is draining")
+            return False
         if not admitted:
             self._reject_busy(
                 link, "busy", "accept queue is full",
-                active=self.stats.active, queued=self._queue.qsize(),
+                active=self.stats.active, queued=queued,
                 queue_depth=self.config.queue_depth)
             return False
-        # Welcome before counting the admission: if the sender
-        # vanished between hello and welcome, unwind the queue entry
-        # instead of leaving a linkless session to burn a worker for a
-        # full resume window.
+        # No worker can learn of the session before its welcome is
+        # written, so a sender that vanished in between costs this
+        # reservation and nothing else: no resume window waited out,
+        # no delta epoch spent, and the id is free to be dialled again.
         try:
             send_control(link, WELCOME, welcome)
         except (ChannelClosed, LinkClosed, OSError):
-            self._unwind(sess)
+            with self._drained:
+                self._sessions.pop(sess.id, None)
+                self._unplaced -= 1
+                self._open -= 1
+                self._drained.notify_all()
+                # A redial may have found the id in the meantime.
+                staged, sess.links = sess.links, None
             link.close()
+            for held, _leftover in staged:
+                held.close()
             return False
         self._count(counter)
+        self._pair(sess=sess)
         return True
 
-    def _unwind(self, sess: _ServeSession) -> None:
-        """Cancel an admission whose welcome never arrived: the
-        dispatcher skips a cancelled queue entry, and the id leaves
-        the registry so the same client can dial it again.  A session
-        a worker already took stays registered — sealed, it fails
-        there for want of a link and is booked like any other."""
-        with self._lock:
-            if sess.state == "queued":
-                sess.state = "cancelled"
-                self._sessions.pop(sess.id, None)
-        sess.seal()
-
-    def _answer_replay(self, link: Link, hello: dict, sid: str,
-                       program: Optional[str] = None) -> bool:
-        """Answer from the replay buffer — the parked result, or a
-        structured denial when the evaluator identity does not match.
-        False (nothing sent) when no result is parked."""
+    def _answer_result(self, link: Link, hello: dict, sid: str, state,
+                       program) -> None:
+        """Asking after a finished session is the replay path — the
+        client most likely died after the final frame and wants its
+        result back, not a re-run: the parked result, a structured
+        denial on an evaluator identity mismatch, or ``unknown-session``."""
         status, entry = self._replay.fetch(sid, hello.get("client"))
         if status == HIT:
             self._count("replay_hits")
-            welcome = {"status": "result", "session": sid, **entry.payload}
-            if program is not None:
-                welcome["program"] = program
-            self._answer(link, welcome)
-            return True
+            self._answer(link, {"status": "result", "session": sid,
+                                "program": program, **entry.payload})
+            return
         self._count("replay_misses")
         if status == DENIED:
             self._reject_error(
                 link, f"session {sid!r} already finished; result replay "
                       "denied: evaluator identity does not match")
-            return True
-        return False
-
-    def _answer_result_probe(self, link: Link, hello: dict,
-                             sid: str) -> None:
-        """``op: "result"``: fetch a parked result without (re)joining
-        the session.  Answers ``result`` (the parked payload),
-        ``pending`` (session still running — retry), or a structured
-        ``unknown-session`` reject."""
-        if self._answer_replay(link, hello, sid):
             return
-        with self._lock:
-            sess = self._sessions.get(sid)
-            state = None if sess is None else sess.state
-            peer = None if sess is None else sess.peer
-        if state == "handed-off" and peer is not None:
-            self._answer(link, {"status": "moved", "session": sid,
-                                "peer": list(peer)})
-        elif state in ("queued", "active"):
-            self._answer(link, {
-                "status": "pending", "session": sid, "state": state,
-                "retry_after_s": self._retry_after(grew=False)})
-        else:
-            self._reject_error(
-                link, f"no replayable result for session {sid!r}"
-                      + (f" (finished: {state})" if state else ""),
-                status="unknown-session")
+        finished = f"already finished ({state})" if state else "not known here"
+        self._reject_error(
+            link, f"session {sid!r} {finished}; no replayable result",
+            status="unknown-session")
 
     def _deliver_link(self, sess: _ServeSession, link: Link,
-                      leftover: bytes) -> bool:
-        """Hand a (re)connected link to the worker that owns the
-        session via fd passing.  False if the session sealed."""
-        with sess._lock:
-            if sess._sealed:
-                return False
-            if sess.owner is None:
-                # Not dispatched yet: the dispatcher flushes these to
-                # the worker right after the "run" message.
-                sess._pending.append((link, leftover))
-                return True
-            owner = sess.owner
-        self._send_link(owner, sess.id, link, leftover)
-        return True
+                      leftover: bytes) -> None:
+        """Route a (re)connected link to its session: held on the
+        session while it waits for a worker, fd-passed to the worker
+        once one has it, closed if the session ended meanwhile."""
+        with self._lock:
+            if sess.links is not None:
+                sess.links.append((link, leftover))
+                return
+            owner = sess.owner if sess.state == "active" else None
+        if owner is None:
+            link.close()
+        else:
+            self._send_link(owner, sess.id, link, leftover)
 
     def _send_link(self, owner: int, sid: str, link: Link,
                    leftover: bytes) -> None:
@@ -963,13 +892,11 @@ class GarbleServer:
         else:  # pragma: no cover - accept loop only produces TcpLinks
             link.close()
             return
-        chan = self._chans[owner]
         try:
-            if chan is not None:
-                chan.send(
-                    {"type": "link", "session": sid, "preface": leftover},
-                    fds=[fd],
-                )
+            self._chans[owner].send(
+                {"type": "link", "session": sid, "preface": leftover},
+                fds=[fd],
+            )
         except IpcClosed:
             pass  # worker died; _on_worker_exit fails the session
         finally:
@@ -1008,13 +935,10 @@ class GarbleServer:
         if not cleaned:
             return 0
         signalled = 0
-        for sess in active:
-            owner = sess.owner
-            chan = self._chans[owner] if owner is not None else None
-            if chan is None:
-                continue
+        for sess in active:  # active: a worker owns it (see _pair)
             try:
-                chan.send({"type": "handoff", "session": sess.id})
+                self._chans[sess.owner].send(
+                    {"type": "handoff", "session": sess.id})
             except IpcClosed:
                 continue
             signalled += 1
@@ -1034,7 +958,7 @@ class GarbleServer:
         the evaluator — whose instant redial must never beat the
         bundle here.
         """
-        prog = self._admissible_program(link, name)
+        prog = self._served_program(link, name)
         if prog is None:
             return
         if hello.get("digest") != self.program_digests[name]:
@@ -1079,8 +1003,8 @@ class GarbleServer:
         if base is not None:
             sess.ot_base = tuple(base)
         sess.bundle = bundle
-        # A confirm that never arrives unwinds the admission like any
-        # failed welcome: the peer books the handoff as failed and
+        # A confirm that never arrives releases the reservation like
+        # any failed welcome: the peer books the handoff as failed and
         # never releases the evaluator toward us.
         if self._admit(sess, link, {"status": "ok", "adopted": True,
                                     "session": sid}, "adopted"):
@@ -1187,29 +1111,69 @@ class GarbleServer:
             mtype = msg.get("type")
             if mtype == "ready":
                 self._worker_ready[index] = True
-                self._idle.put(index)
+                self._pair(index=index)
             elif mtype in ("done", "failed", "handed-off"):
-                # Dispatched sessions never leave the registry.
+                # A session a worker was handed never leaves the registry.
                 with self._lock:
                     sess = self._sessions[msg["session"]]
                 if mtype == "handed-off":
                     self._finish_handoff(index, sess, msg)
                 else:
                     self._finish_session(sess, msg)
-                self._idle.put(index)
+                self._pair(index=index)
+
+    def _pair(self, sess: Optional[_ServeSession] = None,
+              index: Optional[int] = None) -> None:
+        """The commit point: a welcomed session (from its handshake
+        thread) or a free worker (from its reader thread) joins its
+        line and the heads of the two lines pair off — under one lock,
+        so a session never waits while a worker idles."""
+        with self._lock:
+            if sess is not None:
+                self._waiting.append(sess)
+            else:
+                self._idle_workers.append(index)
+            if not (self._waiting and self._idle_workers):
+                return
+            sess = self._waiting.popleft()
+            index = self._idle_workers.popleft()
+            self._unplaced -= 1
+            sess.state, sess.owner = "active", index
+        try:
+            self._chans[index].send({"type": "run", "session": sess.id,
+                                     "program": sess.program,
+                                     "client": sess.client,
+                                     "ot_base": sess.ot_base,
+                                     "garbler_key": sess.garbler_key,
+                                     "bundle": sess.bundle})
+        except IpcClosed:
+            # Worker died between going idle and the handoff; fail
+            # the session (the evaluator redials into an error).
+            self._book(sess, "failed",
+                       error=ChannelClosed("worker died at dispatch"))
+            return
+        # Redials go straight to the worker from here on; the links
+        # the session collected while it waited follow its ``run``.
+        with self._lock:
+            links, sess.links = sess.links or (), None
+        for link, leftover in links:
+            self._send_link(index, sess.id, link, leftover)
 
     def _book(self, sess: _ServeSession, state: str,
               record: Optional[dict] = None, *, error=None, result=None,
-              wall: float = 0.0, replay: Optional[dict] = None,
-              peer: Optional[tuple] = None, flipped=None) -> None:
-        """The one place a dispatched session reaches a terminal state.
+              replay: Optional[dict] = None, peer: Optional[tuple] = None,
+              flipped=None) -> None:
+        """The one place a reserved session reaches a terminal state,
+        so ``accepted + adopted == completed + failed + handed_off +
+        open`` always holds (``open`` is ``_open``; zero after any
+        :meth:`shutdown`).
 
         The state flip and the terminal counter move together; a
         session already terminal is left alone (a worker's death can be
-        seen by both its reader and the dispatcher).  ``flipped`` runs
-        once the new state is visible and before the outcome is
-        counted toward the drain, which is when a handoff may release
-        its evaluator."""
+        seen by both its reader and a thread sending to it).
+        ``flipped`` runs once the new state is visible and before the
+        outcome is counted toward the drain, which is when a handoff
+        may release its evaluator."""
         with self._lock:
             if sess.state in _TERMINAL:
                 return
@@ -1221,19 +1185,22 @@ class GarbleServer:
                 self._replay.park(sess.id, sess.client, replay)
             sess.state = state
             sess.result, sess.error, sess.peer = result, error, peer
-            sess.wall_seconds = wall
+            links, sess.links = sess.links or (), None  # seal
         self._count(_TERMINAL[state])
         if flipped is not None:
             flipped()
-        sess.seal()
-        record = dict(record or _UNREPORTED, session=sess.id,
-                      program=sess.program, state=state)
+        for link, _leftover in links:
+            link.close()
+        record = dict(record or session_record(sess.id, sess.program, state),
+                      state=state)
         self.stats.record_session(record)
         if self.obs.enabled:
             if state == "done" and record.get("garbled_nonxor", 0) > 0:
                 self.obs.inc("serve.gates", record["garbled_nonxor"])
             self.obs.event("serve-session", **record)
-        self._queue.task_done()
+        with self._drained:
+            self._open -= 1
+            self._drained.notify_all()
         limit = self.config.max_sessions
         if limit is not None and self.stats.done_snapshot() >= limit:
             self.request_shutdown()
@@ -1249,8 +1216,7 @@ class GarbleServer:
         self._book(
             sess, "done" if ok else "failed", msg.get("record"),
             error=RuntimeError(msg["error"]) if msg.get("error") else None,
-            result=msg.get("result"), wall=msg.get("wall", 0.0),
-            replay=msg.get("replay"),
+            result=msg.get("result"), replay=msg.get("replay"),
         )
 
     def _finish_handoff(self, index: int, sess: _ServeSession,
@@ -1273,11 +1239,9 @@ class GarbleServer:
                 ok = self._adopt_on_peer(peer[0], peer[1], bundle)
 
         def release() -> None:
-            chan = self._chans[index]
             try:
-                if chan is not None:
-                    chan.send({"type": "handoff-release",
-                               "session": sess.id, "ok": ok})
+                self._chans[index].send({"type": "handoff-release",
+                                         "session": sess.id, "ok": ok})
             except IpcClosed:
                 pass
 
@@ -1285,8 +1249,7 @@ class GarbleServer:
             sess, "handed-off" if ok else "failed", msg.get("record"),
             error=None if ok else ChannelClosed(
                 "drain handoff failed: no peer adopted the session"),
-            wall=msg.get("wall", 0.0), peer=peer if ok else None,
-            flipped=release,
+            peer=peer if ok else None, flipped=release,
         )
 
     def _on_worker_exit(self, index: int) -> None:
@@ -1298,6 +1261,8 @@ class GarbleServer:
             live = not (self._draining or self._stopped)
             owned = [s for s in self._sessions.values()
                      if s.owner == index and s.state == "active"]
+            if index in self._idle_workers:
+                self._idle_workers.remove(index)
         if live and self._worker_ready[index]:
             # Replace before booking: the death may be the
             # ``max_sessions``-th outcome, and the shutdown it requests
@@ -1311,53 +1276,6 @@ class GarbleServer:
             self.stats.bump("active", -1)  # the dead worker cannot
             self._book(sess, "failed",
                        error=ChannelClosed("worker died mid-session"))
-
-    def _dispatch_loop(self) -> None:
-        """Marry idle workers to admitted sessions, preserving the
-        accept queue's admission semantics: a session leaves the queue
-        only when a worker is ready to run it."""
-        self.obs.set_thread_label("serve-dispatch")
-        while True:
-            tok = self._idle.get()
-            if tok is _SENTINEL:
-                return
-            sess = None
-            while sess is None:
-                cand = self._queue.get()
-                if cand is _SENTINEL:
-                    self._queue.task_done()
-                    return
-                with self._lock:
-                    cancelled = cand.state == "cancelled"
-                    if not cancelled:
-                        cand.state = "active"
-                if cancelled:
-                    self._queue.task_done()
-                    continue  # same worker token, next session
-                sess = cand
-            with sess._lock:
-                sess.owner = tok
-                pending, sess._pending = sess._pending, []
-            chan = self._chans[tok]
-            try:
-                if chan is None:
-                    raise IpcClosed("worker is gone")
-                chan.send({"type": "run", "session": sess.id,
-                           "program": sess.program,
-                           "client": sess.client,
-                           "ot_base": sess.ot_base,
-                           "garbler_key": sess.garbler_key,
-                           "bundle": sess.bundle})
-            except IpcClosed:
-                # Worker died between going idle and the handoff; fail
-                # the session (the evaluator redials into an error).
-                for link, _preface in pending:
-                    link.close()
-                self._book(sess, "failed",
-                           error=ChannelClosed("worker died at dispatch"))
-                continue
-            for link, leftover in pending:
-                self._send_link(tok, sess.id, link, leftover)
 
 
 def make_server(

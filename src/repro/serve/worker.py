@@ -68,7 +68,7 @@ from ..net.tcp import TcpLink
 from ..obs import NULL_OBS
 from .ipc import IpcClosed, MsgChannel
 
-__all__ = ["STAT_FIELDS", "worker_main"]
+__all__ = ["STAT_FIELDS", "session_record", "worker_main"]
 
 #: Layout of the shared-memory counter block (one ``long`` per field).
 #: Defined here — not in ``server`` — so the worker never imports the
@@ -154,7 +154,7 @@ class _WorkerSession:
                 if item is not _SEALED:
                     item.close()
             # Wake (and permanently fail) any pop_link in flight so a
-            # cancelled session never burns a full resume window.
+            # sealed session never burns a full resume window.
             self._links.put(_SEALED)
 
 
@@ -164,6 +164,30 @@ def _bump(stats: tuple, idx: int, n: int = 1) -> None:
     if n:
         with lock:
             block[idx] += n
+
+
+def session_record(sid: str, program: str, state: str, wall=None,
+                   result=None, reconnects: int = -1, epoch=None,
+                   **extra) -> dict:
+    """The per-session record behind the stats ring and the
+    ``serve-session`` event; ``-1`` marks what this outcome never
+    measured (all of it, for a session whose worker never reported)."""
+    if result is not None:
+        reconnects, epoch = result.reconnects, result.material_epoch
+    tables = None if result is None else result.tables_sent
+    return {
+        "session": sid,
+        "program": program,
+        "state": state,
+        "wall_ms": -1 if wall is None else int(wall * 1000),
+        "garbled_nonxor": (
+            -1 if result is None else result.stats.garbled_nonxor
+        ),
+        "tables_sent": -1 if tables is None else tables,
+        "reconnects": reconnects,
+        "epoch": -1 if epoch is None else epoch,
+        **extra,
+    }
 
 
 def build_material_caches(programs: dict, config: dict) -> dict:
@@ -269,31 +293,11 @@ def make_garbler_party(name: str, prog, config: dict, run_msg: dict,
     fresh garbling, else whether the pool had an epoch ready.
     """
     sid = run_msg["session"]
-    client = run_msg.get("client")
     ot_factory = _sender_ot_factory(config, sid, run_msg.get("ot_base"))
     gkey = run_msg.get("garbler_key")
-    if gkey is not None:
-        # Per-session garbler inputs: the hello picked its operand out
-        # of the program's keyed table.  Keyed sessions garble fresh —
-        # recorded material transcripts bind the default operand, so
-        # replaying one here would leak (and compute) the wrong input.
-        party = GarblerParty(
-            prog.net,
-            prog.cycles,
-            _expand_bits(prog.net, "alice", prog.alice_by_key[gkey],
-                         prog.alice_init, prog.cycles),
-            public=prog.public,
-            public_init=prog.public_init,
-            ot_group=config["ot_group"],
-            ot=config["ot"],
-            obs=obs,
-            engine=config["engine"],
-            ot_factory=ot_factory,
-        )
-        return party, None
     cache = materials.get(name)
-    if cache is not None:
-        material, hit = cache.acquire(client)
+    if gkey is None and cache is not None:
+        material, hit = cache.acquire(run_msg.get("client"))
         party = MaterialGarblerParty(
             material,
             ot_group=config["ot_group"],
@@ -302,10 +306,15 @@ def make_garbler_party(name: str, prog, config: dict, run_msg: dict,
             obs=obs,
         )
         return party, hit
+    # Per-session garbler inputs: the hello picked its operand out of
+    # the program's keyed table.  Keyed sessions garble fresh —
+    # recorded material transcripts bind the default operand, so
+    # replaying one here would leak (and compute) the wrong input.
+    alice = prog.alice if gkey is None else prog.alice_by_key[gkey]
     party = GarblerParty(
         prog.net,
         prog.cycles,
-        _expand_bits(prog.net, "alice", prog.alice, prog.alice_init,
+        _expand_bits(prog.net, "alice", alice, prog.alice_init,
                      prog.cycles),
         public=prog.public,
         public_init=prog.public_init,
@@ -422,20 +431,11 @@ def _ship_handoff(chan: MsgChannel, sess: _WorkerSession, session,
     """
     bundle = handoff_bundle(party, run_msg, handoff.checkpoints,
                             handoff.cycle)
-    record = {
-        "session": sess.id,
-        "program": run_msg["program"],
-        "state": "handed-off",
-        "wall_ms": int(wall * 1000),
-        "garbled_nonxor": -1,
-        "tables_sent": -1,
-        "reconnects": session.reconnects,
-        "epoch": (
-            party.material_epoch
-            if getattr(party, "material_epoch", None) is not None else -1
-        ),
-        "cycle": handoff.cycle,
-    }
+    record = session_record(
+        sess.id, run_msg["program"], "handed-off", wall,
+        reconnects=session.reconnects,
+        epoch=getattr(party, "material_epoch", None), cycle=handoff.cycle,
+    )
     try:
         chan.send({"type": "handed-off", "session": sess.id,
                    "record": record, "wall": wall, "bundle": bundle})
@@ -509,26 +509,7 @@ def _run_one(chan: MsgChannel, sess: _WorkerSession, run_msg: dict,
         sess.seal()
         _bump(stats, _IDX_ACTIVE, -1)
         state = "done" if error is None else "failed"
-        record = {
-            "session": sess.id,
-            "program": name,
-            "state": state,
-            "wall_ms": int(wall * 1000),
-            "garbled_nonxor": (
-                result.stats.garbled_nonxor if result is not None else -1
-            ),
-            "tables_sent": (
-                result.tables_sent
-                if result is not None and result.tables_sent is not None
-                else -1
-            ),
-            "reconnects": result.reconnects if result is not None else -1,
-            "epoch": (
-                result.material_epoch
-                if result is not None and result.material_epoch is not None
-                else -1
-            ),
-        }
+        record = session_record(sess.id, name, state, wall, result)
         msg = {"type": state, "session": sess.id, "record": record,
                "wall": wall}
         if result is not None:

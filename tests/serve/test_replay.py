@@ -22,7 +22,10 @@ from repro.serve import (
     registry_keyed_program,
     run_registry_session,
 )
+from repro.net.tcp import connect_with_backoff
+from repro.serve.handshake import HELLO, recv_control, send_control
 from repro.serve.replay import DENIED, HIT, MISS, ReplayBuffer
+from repro.serve.server import _ServeSession
 
 SERVER_VALUE = 4242
 
@@ -229,6 +232,90 @@ class TestRedialRecovery:
                 assert exc.value.welcome["status"] == "pending"
             finally:
                 link.close()
+
+
+class TestAnswerTable:
+    """Every hello that names a session is answered from one table in
+    ``server.py``: the state this shard holds the session in x the
+    hello kind (a session (re)dial, an ``op: "result"`` probe).  The
+    states are planted in the registry rather than reached by running
+    sessions, so each cell is one hello exchange."""
+
+    PARKED = {"outputs": [1, 0], "value": 1, "garbled_nonxor": 31,
+              "tables_sent": 31}
+
+    @pytest.fixture(scope="class")
+    def srv(self):
+        with make_server(["sum32"], value=SERVER_VALUE, workers=1,
+                         pool="thread", precompute=False, timeout=0.5,
+                         resume_window=0.2, max_attempts=1, port=0) as srv:
+            yield srv
+
+    @staticmethod
+    def _ask(srv, hello: dict) -> dict:
+        link = connect_with_backoff(srv.host, srv.port, attempts=2)
+        try:
+            send_control(link, HELLO, hello)
+            _tag, welcome, _leftover = recv_control(link, timeout=5.0)
+        finally:
+            link.close()
+        return welcome
+
+    @pytest.mark.parametrize("probe", (False, True),
+                             ids=("redial", "probe"))
+    @pytest.mark.parametrize("case,state,parked,redial,probed", [
+        ("unknown", None, False, "ok", "unknown-session"),
+        ("queued", "queued", False, "ok", "pending"),
+        ("active", "active", False, "ok", "pending"),
+        ("done", "done", True, "result", "result"),
+        ("failed-parked", "failed", True, "result", "result"),
+        ("failed-bare", "failed", False, "unknown-session",
+         "unknown-session"),
+        ("handed-off", "handed-off", False, "moved", "moved"),
+    ])
+    def test_state_by_hello_kind(self, srv, case, state, parked, redial,
+                                 probed, probe):
+        sid = f"{case}-{'probe' if probe else 'redial'}"
+        sess = None
+        if state is not None:
+            waiting = state == "queued"
+            sess = srv._sessions[sid] = _ServeSession(
+                id=sid, program="sum32", prog=srv.programs["sum32"],
+                state=state, client="alice",
+                owner=None if waiting else 0,
+                links=[] if waiting else None,
+                peer=("127.0.0.1", 9) if state == "handed-off" else None)
+        if parked:
+            srv._replay.park(sid, "alice", self.PARKED)
+        hello = ({"op": "result", "session": sid, "client": "alice"}
+                 if probe else
+                 {"op": "session", "session": sid, "program": "sum32",
+                  "client": "alice"})
+        expected = probed if probe else redial
+        accepted = srv.stats.accepted
+
+        w = self._ask(srv, hello)
+        assert w["status"] == expected, w
+        if expected == "ok":
+            # A known id resumes; an unknown one is a fresh admission.
+            assert w["resumed"] is (state is not None)
+        if expected == "result":
+            assert w["outputs"] == self.PARKED["outputs"]
+        if expected == "moved":
+            assert w["peer"] == ["127.0.0.1", 9]
+        fresh = state is None and not probe  # counted after the welcome
+        _await(lambda: srv.stats.accepted == accepted + fresh,
+               what="admission count")
+        if state is not None and not probe:
+            other = self._ask(srv, dict(hello, program="compare32"))
+            assert other["status"] == "error" and "bound to" in other["reason"]
+        if parked:
+            # Identity mismatch is a denial, whichever way it is asked.
+            denied = self._ask(srv, dict(hello, client="eve"))
+            assert denied["status"] == "error"
+            assert "identity" in denied["reason"]
+        for link, _leftover in (sess and sess.links) or ():
+            link.close()  # the redial the planted session still holds
 
 
 class TestKeyedGarblerInputs:

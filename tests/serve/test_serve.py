@@ -197,6 +197,43 @@ class TestLifecycle:
             assert isinstance(results[i], SessionResult), results[i]
             assert results[i].value == (SERVER_VALUE + 100 + i) & 0xFFFFFFFF
 
+    def test_hard_stop_books_what_it_discards(self):
+        """shutdown(drain=False) fails the sessions still waiting for
+        a worker through the same booking as any other outcome: they
+        are counted, they leave a ring record, and their evaluators
+        see EOF instead of a hang."""
+        srv = make_server(["sum32"], value=SERVER_VALUE, workers=1,
+                          queue_depth=4, timeout=0.5, resume_window=0.2,
+                          max_attempts=1, port=0).start()
+        links = {}
+        try:
+            # Hello-only sessions never speak the protocol: the first
+            # holds the only worker, the other two wait behind it.
+            for sid in ("hard-0", "hard-1", "hard-2"):
+                w, links[sid] = _hello_exchange(
+                    srv.host, srv.port,
+                    {"op": "session", "session": sid, "program": "sum32"},
+                    timeout=2.0)
+                assert w["status"] == "ok"
+                if sid == "hard-0":
+                    _await(lambda: srv.stats.active == 1,
+                           what="worker pickup")
+            assert srv.stats_snapshot()["queued"] == 2
+            srv.shutdown(drain=False)
+            for sid in ("hard-1", "hard-2"):
+                assert links[sid].recv_bytes(timeout=2.0) == b""
+        finally:
+            for link in links.values():
+                link.close()
+            srv.shutdown()
+        c = srv.counters()
+        assert c["accepted"] == 3 and c["active"] == 0
+        assert (c["accepted"] + c["adopted"]
+                == c["completed"] + c["failed"] + c["handed_off"])
+        states = {r["session"]: r["state"]
+                  for r in srv.stats.snapshot()["sessions"]}
+        assert states["hard-1"] == states["hard-2"] == "failed"
+
     def test_max_sessions_requests_shutdown(self):
         """serve_forever exits on its own after max_sessions — the CI
         smoke job's termination mechanism."""

@@ -54,10 +54,14 @@ def _hello_bytes(sid: str, program: str) -> bytes:
 
 class _VanishingLink(Link):
     """Delivers a hello, then dies on the server's welcome write —
-    the client that disconnects between hello and welcome."""
+    the client that disconnects between hello and welcome.  With a
+    ``delay`` the write blocks that long before it fails, as a real
+    socket's send timeout does: long enough for anything that learnt
+    of the session before its welcome to act on it."""
 
-    def __init__(self, hello: bytes) -> None:
+    def __init__(self, hello: bytes, delay: float = 0.0) -> None:
         self._chunks = [hello]
+        self._delay = delay
         self.closed = False
 
     def recv_bytes(self, timeout=None) -> bytes:
@@ -66,6 +70,7 @@ class _VanishingLink(Link):
         return b""
 
     def send_bytes(self, data: bytes) -> None:
+        time.sleep(self._delay)
         raise LinkClosed("client vanished before the welcome")
 
     def close(self) -> None:
@@ -73,15 +78,17 @@ class _VanishingLink(Link):
 
 
 class TestVanishDuringHandshake:
-    def test_failed_welcome_unwinds_admission(self):
+    @pytest.mark.parametrize("delay", (0.0, 0.05))
+    def test_failed_welcome_unwinds_admission(self, delay):
         """A client that vanishes between hello and welcome must not
         leave an admitted session behind: no accepted count, no
-        session registry entry, and — the expensive failure mode — no
-        worker stalled on a linkless session for a resume window."""
+        session registry entry, no delta epoch spent on it, and — the
+        expensive failure mode — no worker stalled on a linkless
+        session for a resume window."""
         with make_server(["sum32"], value=SERVER_VALUE, workers=1,
                          queue_depth=4, timeout=30.0, resume_window=30.0,
                          port=0) as srv:
-            link = _VanishingLink(_hello_bytes("vanish-0", "sum32"))
+            link = _VanishingLink(_hello_bytes("vanish-0", "sum32"), delay)
             srv._handle_connection(link)
 
             assert srv.stats.accepted == 0
@@ -102,6 +109,8 @@ class TestVanishDuringHandshake:
             _await(lambda: srv.stats.completed == 1,
                    what="session bookkeeping")
             assert srv.stats.accepted == 1
+            assert srv.stats.failed == 0
+            assert srv.stats.material_hits + srv.stats.material_misses == 1
 
     def test_cancelled_session_id_is_reusable(self):
         """The unwind removes the id from the registry, so the same
