@@ -146,8 +146,9 @@ class CyclePlan:
     variant bakes in the final-cycle fanouts (dead-store elimination)
     while sharing the other four columns with the normal variant.
 
-    ``sweep_fn`` is the generated specialized sweep (built lazily by
-    the first engine over this plan; see :func:`_compile_sweep`).
+    ``sweep_fn`` is the generated public sweep, one leaf function (or
+    ``None``) per entry of ``pairs``, built lazily by the first engine
+    over this plan; see :func:`_compile_sweep`.
     """
 
     __slots__ = (
@@ -246,7 +247,7 @@ def warm_plan(net: Netlist) -> CyclePlan:
     runs the plan and so rides the warm cache — so the first admitted
     session pays neither compile."""
     plan = compile_plan(net)
-    if plan.sweep_fn is None and net.n_gates <= _CODEGEN_GATE_LIMIT:
+    if plan.sweep_fn is None:
         with _PLAN_LOCK:
             if plan.sweep_fn is None:
                 _compile_sweep(plan)
@@ -289,79 +290,69 @@ _CODEGEN_GATE_LIMIT = 50_000
 _OR_CHAIN_LIMIT = 256
 
 
-def _compile_sweep(plan: CyclePlan):
-    """Generate the specialized per-cycle sweep for a plan.
+def _compile_sweep(plan: CyclePlan) -> None:
+    """Generate the specialized public sweep, one function per segment.
 
-    One straight-line function, one block per plan segment: load the
-    segment's external operands into locals, OR them together — the
-    sign bit survives the OR, so the test ``... >= 0`` holds iff every
-    operand is public — and if so run the whole segment as plain bit
-    arithmetic on locals (every gate is Category i; the generic loop
-    would conclude the same thing one gate at a time).  Any secret
-    operand sends the *whole segment* through ``generic`` (the
-    interpreted row loop), keeping semantics reference-identical.
+    ``_seg<k>(S) -> bool`` loads the segment's external operands into
+    locals and ORs them together — the sign bit survives the OR, so a
+    negative result means some operand is secret.  Then it returns
+    ``False`` and the caller sends the *whole segment* through the
+    interpreted row loop, keeping semantics reference-identical.
+    Otherwise it runs the segment as plain bit arithmetic on locals
+    (every gate is Category i; the generic loop would conclude the same
+    thing one gate at a time) and returns ``True``.
+
+    Generated code is **leaf** code: it calls nothing.  These frames
+    hold a local per wire (13 KB over the ARM netlist's segments), and
+    on CPython 3.11 a callee of a frame that ends near a 16 KB
+    data-stack chunk boundary maps and unmaps a fresh chunk on every
+    call (DESIGN.md §11), so fallback and port handlers are called by
+    :meth:`CompiledSkipGateEngine.step`, never from here.
 
     Public computation never touches fanout, records or the backend,
-    so the generated body is valid for normal and final cycles alike;
-    the ``pairs`` argument only feeds the generic fallback (whose rows
-    carry the variant's fanouts).
+    so one generated body serves normal and final cycles alike.
+    ``plan.sweep_fn[k]`` is ``None`` for an empty segment, and for
+    every segment of a netlist above ``_CODEGEN_GATE_LIMIT``.
     """
-    src: List[str] = [
-        "def _sweep(S, pairs, handlers, generic):",
-        "    nsec = 0",
-        "    ndead = 0",
-    ]
+    src: List[str] = []
     A = src.append
-    for k, (rows, pp) in enumerate(plan.pairs):
-        if rows:
-            seg_outs = {r[3] for r in rows}
-            loads: List[int] = []
-            seen = set()
-            for tt, a, b, o, f in rows:
-                for w in (a, b):
-                    if w not in seg_outs and w not in seen:
-                        seen.add(w)
-                        loads.append(w)
-            names = {w: f"a{k}_{w}" for w in loads}
-            for i in range(0, len(loads), 8):
-                A("    " + "; ".join(
-                    f"{names[w]} = S[{w}]" for w in loads[i:i + 8]
-                ))
-            if len(loads) <= _OR_CHAIN_LIMIT:
-                test = " | ".join(names[w] for w in loads)
-                A(f"    if {test} >= 0:" if loads else "    if 1:")
-            else:
-                # One flat OR chain parses as a left-deep BinOp tree;
-                # past ~1k terms CPython's compiler recursion gives out
-                # (seen first on the 16x32 hash-PSI netlist, one
-                # segment reading 3168 wires).  Accumulate in bounded
-                # chunks instead — same sign-bit test, depth O(chunk).
-                A(f"    m{k} = " + " | ".join(
-                    names[w] for w in loads[:_OR_CHAIN_LIMIT]
-                ))
-                for i in range(_OR_CHAIN_LIMIT, len(loads),
-                               _OR_CHAIN_LIMIT):
-                    A(f"    m{k} |= " + " | ".join(
-                        names[w] for w in loads[i:i + _OR_CHAIN_LIMIT]
-                    ))
-                A(f"    if m{k} >= 0:")
-            for tt, a, b, o, f in rows:
-                na = names.get(a, f"t{k}_{a}")
-                nb = names.get(b, f"t{k}_{b}")
-                expr = _TT_EXPR[tt](na, nb)
-                A(f"        S[{o}] = t{k}_{o} = {expr}")
-            A("    else:")
-            A(f"        _r = generic(pairs[{k}][0])")
-            A("        nsec += _r[0]; ndead += _r[1]")
-        if pp is not None:
-            A(f"    handlers[{pp.index}]()")
-    A("    return nsec, ndead")
+    codegen = plan.n_static_gates <= _CODEGEN_GATE_LIMIT
+    for k, (rows, _) in enumerate(plan.pairs):
+        if not (codegen and rows):
+            continue
+        A(f"def _seg{k}(S):")
+        seg_outs = set(rows.out)
+        names: Dict[int, str] = {}  # external operand -> local, load order
+        for tt, a, b, o, f in rows:
+            for w in (a, b):
+                if w not in seg_outs:
+                    names.setdefault(w, f"a{w}")
+        loads = list(names)
+        for i in range(0, len(loads), 8):
+            A("    " + "; ".join(
+                f"{names[w]} = S[{w}]" for w in loads[i:i + 8]
+            ))
+        # One flat OR chain parses as a left-deep BinOp tree; past ~1k
+        # terms CPython's compiler recursion gives out (seen first on
+        # the 16x32 hash-PSI netlist, one segment reading 3168 wires).
+        # Accumulate in bounded chunks instead — same sign-bit test,
+        # depth O(chunk).
+        for i in range(0, len(loads), _OR_CHAIN_LIMIT):
+            A(f"    m {'|=' if i else '='} " + " | ".join(
+                names[w] for w in loads[i:i + _OR_CHAIN_LIMIT]
+            ))
+        if loads:
+            A("    if m < 0: return False")
+        for tt, a, b, o, f in rows:
+            na = names.get(a, f"t{a}")
+            nb = names.get(b, f"t{b}")
+            A(f"    S[{o}] = t{o} = {_TT_EXPR[tt](na, nb)}")
+        A("    return True")
     source = "\n".join(src)
     ns: dict = {}
     exec(compile(source, f"<cycle-plan {plan.net.name}>", "exec"), ns)
     plan.sweep_source = source
-    plan.sweep_fn = ns["_sweep"]
-    return plan.sweep_fn
+    plan.sweep_fn = [ns.get(f"_seg{k}") for k in range(len(plan.pairs))]
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +471,7 @@ class CompiledSkipGateEngine(SkipGateEngine):
 
     def __init__(self, net, backend=None, public_init=(), obs=None) -> None:
         super().__init__(net, backend, public_init=public_init, obs=obs)
-        self.plan = compile_plan(net)
+        self.plan = warm_plan(net)
         #: Per-cycle side table of secret (label, flip, origin) tuples;
         #: state[w] < 0 encodes index ``-state[w] - 1`` into it.  The
         #: list object is stable for the engine's lifetime (cleared in
@@ -506,11 +497,6 @@ class CompiledSkipGateEngine(SkipGateEngine):
         self._handlers: List[Callable[[], None]] = []
         for pp in self.plan.port_plans:
             self._handlers.append(self._make_handler(pp))
-        if (self.plan.sweep_fn is None
-                and net.n_gates <= _CODEGEN_GATE_LIMIT):
-            with _PLAN_LOCK:
-                if self.plan.sweep_fn is None:
-                    _compile_sweep(self.plan)
         self._sweep = self.plan.sweep_fn
         self._shim_ctx = MacroContext(_ShimEngine(self))
 
@@ -908,31 +894,29 @@ class CompiledSkipGateEngine(SkipGateEngine):
 
         backend.begin_cycle(self.cycle)
 
-        # The batched sweep: the generated specialized function when
-        # available, else tight loops over the preallocated row arrays
-        # interleaved with the port handlers.  (Profiling keeps the
-        # interpreted loop so per-port macro time can be attributed.)
+        # The batched sweep: per segment, the generated leaf function
+        # when there is one and every operand is public, else the
+        # interpreted loop over the preallocated row arrays; then the
+        # segment's port handler.  This loop makes every call, so the
+        # big generated frames never have a callee.
         pairs = self.plan.pairs_final if final else self.plan.pairs
         handlers = self._handlers
-        if self._sweep is not None and not profiling:
-            n_sec, n_dead = self._sweep(
-                state, pairs, handlers, self._generic_segment
-            )
-        else:
-            generic = self._generic_segment
-            n_sec = 0
-            n_dead = 0
-            for rows, pp in pairs:
+        generic = self._generic_segment
+        n_sec = 0
+        n_dead = 0
+        for seg, (rows, pp) in zip(self._sweep, pairs):
+            if seg is None or not seg(state):
                 ns, nd = generic(rows)
                 n_sec += ns
                 n_dead += nd
-                if pp is not None:
-                    if profiling:
-                        t0 = perf_counter()
-                        handlers[pp.index]()
-                        self._macro_seconds += perf_counter() - t0
-                    else:
-                        handlers[pp.index]()
+            if pp is None:
+                continue
+            if profiling:
+                t0 = perf_counter()
+                handlers[pp.index]()
+                self._macro_seconds += perf_counter() - t0
+            else:
+                handlers[pp.index]()
         cs.cat_i += self.plan.n_static_gates - n_sec - n_dead
         cs.dead_skipped += n_dead
 

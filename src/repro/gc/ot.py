@@ -7,8 +7,16 @@ chosen message; Alice learns nothing about the choice.
 
 Two parameter sets are provided:
 
-* ``modp2048`` — the RFC 3526 group 14 prime, a realistic setting;
-* ``modp512``  — a small prime for fast unit tests (not secure).
+* ``modp2048`` — the RFC 3526 group 14 safe prime, a realistic setting;
+* ``modp512``  — a 508-bit *composite* test modulus (not secure), the
+  default everywhere because it keeps test and benchmark runs short.
+
+Both parties draw 256-bit exponents (DESIGN.md §8 has the argument).
+The sender pays one modular exponentiation per transfer:
+``k1 = (B/A)^a = B^a * (A^a)^-1`` and ``(A^a)^-1`` is fixed for the
+sender's lifetime.  The receiver pays none: ``g^b`` and ``A^b`` have
+fixed bases, so a 4-bit windowed table per base turns each into 64
+modular multiplications.
 
 The transfer of Bob's GC input labels (Algorithms 1-2 lines 3-4) runs
 one OT per input bit.  Group elements cross the channel as
@@ -24,6 +32,7 @@ a replay re-runs exactly the transfers the peer also rolled back.
 
 from __future__ import annotations
 
+import functools
 import secrets
 import threading
 from typing import Any, Dict, Optional, Tuple
@@ -44,10 +53,10 @@ _MODP2048 = int(
     16,
 )
 
-# A fixed 512-bit odd modulus for fast unit tests.  The DH-OT algebra
-# is functionally correct over any group where the elements involved
-# are invertible; this parameter set is for speed only and offers no
-# security guarantees (use "modp2048" for those).
+# A fixed 508-bit odd *composite* modulus for fast tests and benchmarks.
+# The DH-OT algebra is functionally correct over any modulus where the
+# elements involved are invertible; this parameter set is for speed only
+# and offers no security guarantees (use "modp2048" for those).
 _MODP512 = int(
     "F518AA8781A8DF278ABA4E7D64B7CB9D49462353E5C3A8A5C8E6F0C8E6C1E1C9"
     "5C4E9F7C9F8F1E2D3C4B5A69788796A5B4C3D2E1F0F1E2D3C4B5A69788796A3",
@@ -60,15 +69,64 @@ GROUPS = {
 }
 
 
+#: Both parties' private exponents are drawn from ``[1, 2**EXP_BITS)``.
+EXP_BITS = 256
+
+_WINDOW_BITS = 4
+
+#: One row per exponent window, one power of the base per window digit.
+_Table = Tuple[Tuple[int, ...], ...]
+
+
+def _draw_exponent() -> int:
+    return secrets.randbelow((1 << EXP_BITS) - 1) + 1
+
+
+def _fixed_base_table(base: int, p: int) -> _Table:
+    """``table[i][d] = base ** (d << (_WINDOW_BITS * i)) % p`` for every
+    window ``i`` of an ``EXP_BITS``-bit exponent (~1k mulmods)."""
+    table = []
+    for _ in range(EXP_BITS // _WINDOW_BITS):
+        row = [1, base]
+        for _ in range((1 << _WINDOW_BITS) - 2):
+            row.append(row[-1] * base % p)
+        table.append(tuple(row))
+        base = row[-1] * base % p
+    return tuple(table)
+
+
+def _fixed_pow(table: _Table, e: int, p: int) -> int:
+    """``base ** e % p`` for ``0 <= e < 2**EXP_BITS`` from ``base``'s
+    table: one mulmod per window, no squarings."""
+    acc = 1
+    mask = (1 << _WINDOW_BITS) - 1
+    for row in table:
+        acc = acc * row[e & mask] % p
+        e >>= _WINDOW_BITS
+    return acc
+
+
+@functools.lru_cache(maxsize=None)
+def _generator_table(group: str) -> _Table:
+    """The generator's table: built once per group per process."""
+    p, g = GROUPS[group]
+    return _fixed_base_table(g, p)
+
+
+def _pad(key: bytes, index: int) -> int:
+    return int.from_bytes(
+        kdf_bytes(key, b"ot-msg%d" % index, LABEL_BYTES), "little"
+    )
+
+
 def _encrypt(key: bytes, message: int, index: int) -> bytes:
-    pad = kdf_bytes(key, b"ot-msg%d" % index, LABEL_BYTES)
-    m = message.to_bytes(LABEL_BYTES, "little")
-    return bytes(x ^ y for x, y in zip(m, pad))
+    return (message ^ _pad(key, index)).to_bytes(LABEL_BYTES, "little")
 
 
 def _decrypt(key: bytes, blob: bytes, index: int) -> int:
-    pad = kdf_bytes(key, b"ot-msg%d" % index, LABEL_BYTES)
-    return int.from_bytes(bytes(x ^ y for x, y in zip(blob, pad)), "little")
+    if len(blob) != LABEL_BYTES:
+        raise ValueError("OT sender sent a malformed ciphertext")
+    return int.from_bytes(blob, "little") ^ _pad(key, index)
 
 
 class BaseOTCache:
@@ -119,11 +177,17 @@ class OTSender:
         self.p, self.g = GROUPS[group]
         self.group_bytes = (self.p.bit_length() + 7) // 8
         self.chan = chan
-        self._a = secrets.randbelow(self.p - 2) + 1
-        self._big_a = pow(self.g, self._a, self.p)
-        self._big_a_inv = pow(self._big_a, -1, self.p)
+        self._set_key(_draw_exponent())
         self._setup_sent = False
         self.count = 0
+
+    def _set_key(self, a: int) -> None:
+        """Install private key ``a`` with everything derived from it:
+        ``A = g^a`` and ``(A^a)^-1``, the factor that turns ``k0 = B^a``
+        into ``k1 = (B/A)^a``."""
+        self._a = a
+        self._big_a = pow(self.g, a, self.p)
+        self._k1_factor = pow(pow(self._big_a, a, self.p), -1, self.p)
 
     def _ensure_setup(self) -> None:
         if not self._setup_sent:
@@ -139,12 +203,10 @@ class OTSender:
         if not 1 < big_b < self.p:
             raise ValueError("OT receiver sent an invalid group element")
         group_bytes = self.group_bytes
-        k0 = pow(big_b, self._a, self.p).to_bytes(group_bytes, "little")
-        k1 = pow(big_b * self._big_a_inv % self.p, self._a, self.p).to_bytes(
-            group_bytes, "little"
-        )
-        e0 = _encrypt(k0, m0, self.count)
-        e1 = _encrypt(k1, m1, self.count)
+        k0 = pow(big_b, self._a, self.p)
+        k1 = k0 * self._k1_factor % self.p
+        e0 = _encrypt(k0.to_bytes(group_bytes, "little"), m0, self.count)
+        e1 = _encrypt(k1.to_bytes(group_bytes, "little"), m1, self.count)
         self.chan.send("ot-e", (e0, e1))
         self.count += 1
 
@@ -164,9 +226,7 @@ class OTSender:
         self.count = snap["count"]
         a = snap.get("a")
         if a is not None and a != self._a:
-            self._a = a
-            self._big_a = pow(self.g, a, self.p)
-            self._big_a_inv = pow(self._big_a, -1, self.p)
+            self._set_key(a)
 
     def rebind(self, chan: Endpoint) -> None:
         """Point at a fresh transport after a reconnect."""
@@ -180,7 +240,10 @@ class OTReceiver:
         self.p, self.g = GROUPS[group]
         self.group_bytes = (self.p.bit_length() + 7) // 8
         self.chan = chan
+        self._g_table = _generator_table(group)
         self._big_a = None
+        #: Fixed-base table of the sender's ``A`` (follows ``_big_a``).
+        self._a_table: Optional[_Table] = None
         self.count = 0
 
     def _ensure_setup(self) -> None:
@@ -188,17 +251,21 @@ class OTReceiver:
             self._big_a = int.from_bytes(self.chan.recv("ot-setup"), "little")
             if not 1 < self._big_a < self.p:
                 raise ValueError("OT sender sent an invalid group element")
+        if self._a_table is None:
+            self._a_table = _fixed_base_table(self._big_a, self.p)
 
     def receive(self, choice: int) -> int:
         """Receive the message selected by ``choice`` (0 or 1)."""
         self._ensure_setup()
-        b = secrets.randbelow(self.p - 2) + 1
-        big_b = pow(self.g, b, self.p)
+        b = _draw_exponent()
+        big_b = _fixed_pow(self._g_table, b, self.p)
         if choice:
             big_b = big_b * self._big_a % self.p
         group_bytes = self.group_bytes
         self.chan.send("ot-b", big_b.to_bytes(group_bytes, "little"))
-        key = pow(self._big_a, b, self.p).to_bytes(group_bytes, "little")
+        key = _fixed_pow(self._a_table, b, self.p).to_bytes(
+            group_bytes, "little"
+        )
         e0, e1 = self.chan.recv("ot-e")
         return _decrypt(key, e1 if choice else e0, self.count_and_bump())
 
@@ -213,7 +280,9 @@ class OTReceiver:
         return {"big_a": self._big_a, "count": self.count}
 
     def restore(self, snap: dict) -> None:
-        self._big_a = snap["big_a"]
+        if snap["big_a"] != self._big_a:
+            self._big_a = snap["big_a"]
+            self._a_table = None
         self.count = snap["count"]
 
     def rebind(self, chan: Endpoint) -> None:

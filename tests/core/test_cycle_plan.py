@@ -10,6 +10,8 @@ protocol, and checkpoint/resume through injected transport faults.
 
 from __future__ import annotations
 
+import dis
+
 import pytest
 
 from repro import bench_circuits as BC
@@ -17,7 +19,8 @@ from repro.arm import GarbledMachine
 from repro.circuit.bits import int_to_bits, pack_words
 from repro.circuit.netlist import PUBLIC
 from repro.core import CountingBackend, SkipGateEngine, make_engine
-from repro.core.plan import CompiledSkipGateEngine, compile_plan
+from repro.core.plan import CompiledSkipGateEngine, compile_plan, warm_plan
+from repro.obs import Obs
 
 # (name, builder) — one entry per bench_circuits module family.
 CIRCUITS = [
@@ -92,12 +95,15 @@ class TestBenchCircuitDifferential:
             make_engine(net, engine="turbo")
 
 
+def _small_machine():
+    return GarbledMachine(LDR_PROG, alice_words=1, bob_words=1,
+                          output_words=2, data_words=8, imem_words=16)
+
+
 class TestArmDifferential:
     def test_machine_run_bit_identical(self):
-        m_ref = GarbledMachine(LDR_PROG, alice_words=1, bob_words=1,
-                               output_words=2, data_words=8, imem_words=16)
-        m_cmp = GarbledMachine(LDR_PROG, alice_words=1, bob_words=1,
-                               output_words=2, data_words=8, imem_words=16)
+        m_ref = _small_machine()
+        m_cmp = _small_machine()
         ref = m_ref.run(alice=[5], bob=[9], cycles=40, engine="reference")
         cmp_ = m_cmp.run(alice=[5], bob=[9], cycles=40, engine="compiled")
         assert ref.output_words == cmp_.output_words
@@ -106,10 +112,69 @@ class TestArmDifferential:
         assert ref.stats == cmp_.stats
 
 
+class TestGeneratedSweep:
+    """The generated code's shape, and the one loop that drives it."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: _small_machine().net,
+        lambda: BC.aes128_sequential()[0],
+    ], ids=["arm", "aes-128"])
+    def test_one_leaf_function_per_nonempty_segment(self, build):
+        plan = warm_plan(build())
+        assert len(plan.sweep_fn) == len(plan.pairs)
+        for seg, (rows, _) in zip(plan.sweep_fn, plan.pairs):
+            assert (seg is None) == (len(rows) == 0)
+            if seg is None:
+                continue
+            # A leaf: no global or attribute name to call through, and
+            # no call instruction.  A callee of one of these wide
+            # frames is what thrashed CPython's data-stack chunks.
+            assert seg.__code__.co_names == ()
+            assert not [
+                i for i in dis.get_instructions(seg)
+                if i.opname.startswith("CALL")
+            ]
+
+    def test_netlist_over_the_codegen_limit_is_all_interpreted(
+            self, monkeypatch):
+        from repro.core import plan as plan_mod
+
+        monkeypatch.setattr(plan_mod, "_CODEGEN_GATE_LIMIT", 0)
+        net, cycles = BC.sum_sequential(8)
+        plan = warm_plan(net)
+        assert plan.sweep_fn == [None] * len(plan.pairs)
+        ref, cmp_ = _engines(net)
+        _run(ref, net, cycles)
+        _run(cmp_, net, cycles)
+        assert ref.output_states() == cmp_.output_states()
+        assert ref.stats == cmp_.stats
+
+    def test_profiled_run_goes_through_the_same_loop(self):
+        plain = _small_machine().run(alice=[5], bob=[9], cycles=40)
+        profiled = _small_machine().run(
+            alice=[5], bob=[9], cycles=40, obs=Obs()
+        )
+        assert profiled.outputs == plain.outputs
+        assert profiled.stats == plain.stats
+        assert profiled.timing["step"] > profiled.timing["macro"] > 0
+        assert not plain.timing
+
+    def test_caller_depth_does_not_change_the_run(self):
+        def at_depth(depth):
+            if depth:
+                return at_depth(depth - 1)
+            return _small_machine().run(alice=[5], bob=[9], cycles=40)
+
+        base = at_depth(0)
+        for depth in (3, 40):
+            res = at_depth(depth)
+            assert res.outputs == base.outputs
+            assert res.stats == base.stats
+
+
 class TestSnapshotRestore:
     def _machine_engine(self, cls, backend=None):
-        m = GarbledMachine(LDR_PROG, alice_words=1, bob_words=1,
-                           output_words=2, data_words=8, imem_words=16)
+        m = _small_machine()
         imem = m.program + [0] * (m.config.imem_words - len(m.program))
         return cls(m.net, backend or CountingBackend(),
                    public_init=pack_words(imem, 32))
