@@ -5,9 +5,10 @@ mixed workload (one loadgen wave per registry program, run
 concurrently) against a 2-shard fleet behind one
 :class:`~repro.serve.router.SessionRouter` must reach at least the
 sessions/sec of the *same* workload against a single shard with the
-same per-shard worker count — even though every fleet byte crosses an
-extra proxy hop.  Digest-affinity routing spreads the programs across
-the shards, so the fleet brings twice the workers to the same load.
+same per-shard worker count — each fleet session pays one extra hello
+(the router's ``moved`` redirect) and then runs point-to-point against
+its shard.  Digest-affinity routing spreads the programs across the
+shards, so the fleet brings twice the workers to the same load.
 
 The workload uses several distinct programs because affinity pins each
 program's digest to one shard: a single-program load exercises only

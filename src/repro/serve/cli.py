@@ -286,15 +286,16 @@ def add_router_parser(sub) -> None:
         "router",
         help="digest-affinity session router fronting serve shards",
         description="Front N `repro serve --fleet` shards with one "
-        "listener: hellos are terminated here, sessions are routed by "
-        "program-digest rendezvous hashing (with session affinity for "
-        "redials), unhealthy shards are routed around, and op:drain "
-        "hands a shard's live sessions to its peers mid-session.",
+        "listener: hellos are terminated here, sessions are redirected "
+        "(`moved`) to a shard by program-digest rendezvous hashing (with "
+        "session affinity), unhealthy shards are routed around, and "
+        "op:drain hands a shard's live sessions to its peers mid-session.",
     )
     p.add_argument("--listen", default="127.0.0.1:9300", metavar="HOST:PORT")
     p.add_argument("--shard", action="append", required=True,
                    metavar="HOST:PORT", dest="shard",
-                   help="a fleet shard's serve address (repeatable)")
+                   help="a fleet shard's serve address, as clients "
+                        "dial it (repeatable)")
     p.add_argument("--poll-interval", type=float, default=1.0,
                    metavar="SECONDS",
                    help="health/backpressure stats poll cadence "

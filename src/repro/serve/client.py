@@ -46,7 +46,7 @@ from ..circuit.netlist import Netlist
 from ..core.protocol import EvaluatorParty, _expand_bits
 from ..gc.channel import ChannelStats
 from ..gc.ot_extension import OTExtensionReceiver, session_salt
-from ..net.links import Link, PrefacedLink
+from ..net.links import Link, LinkTimeout, PrefacedLink
 from ..net.session import ResumableSession, SessionResult
 from ..net.tcp import connect_with_backoff
 from ..obs import NULL_OBS
@@ -130,6 +130,11 @@ def _hello_exchange(
     return welcome, PrefacedLink(link, leftover)
 
 
+#: Dial attempts against a peer named by a ``moved`` redirect: the front
+#: that named it is up, so fail fast and ask it again (:class:`ServerBusy`).
+REDIRECT_DIAL_ATTEMPTS = 3
+
+
 def _exchange_follow_moved(
     target: dict,
     hello: dict,
@@ -139,15 +144,26 @@ def _exchange_follow_moved(
     """Dial ``target`` (a mutable ``{"host", "port"}`` dict), following
     ``moved`` redirects.
 
-    A ``moved`` welcome is how a draining shard redirects to the peer
-    that adopted the session (drain-time handoff); the target is
-    rewritten in place so every subsequent redial of this session goes
-    straight to the adopting shard.
+    A ``moved`` welcome is how a router names the shard that owns the
+    session, and how a draining shard names the peer that adopted it;
+    the target is rewritten in place so every subsequent redial of
+    this session goes straight to that shard.  A redirect to a peer
+    that cannot be dialled raises :class:`ServerBusy`: redial the
+    front, whose health polling routes around a dead shard.
     """
-    for _hop in range(max_hops):
-        welcome, link = _hello_exchange(
-            target["host"], target["port"], hello, timeout=timeout
-        )
+    for hop in range(max_hops):
+        host, port = target["host"], target["port"]
+        budget = {"dial_attempts": REDIRECT_DIAL_ATTEMPTS} if hop else {}
+        try:
+            welcome, link = _hello_exchange(
+                host, port, hello, timeout=timeout, **budget)
+        except LinkTimeout as exc:  # only the dial raises this
+            if not hop:
+                raise
+            raise ServerBusy(
+                f"redirected to unreachable {host}:{port}: {exc}",
+                welcome={"status": "busy", "peer": [host, port]},
+            ) from exc
         if welcome.get("status") != "moved":
             return welcome, link
         link.close()

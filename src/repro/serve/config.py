@@ -128,10 +128,10 @@ class RouterConfig:
     #: Consecutive failed polls before a shard is considered dead and
     #: taken out of the rendezvous ring.
     dead_after: int = 3
-    #: Dial deadline for shard connections (proxy and polls).
+    #: Dial deadline for shard connections (polls and control ops).
     connect_timeout: float = 5.0
-    #: Bounded session-id -> shard stickiness table (reconnects of a
-    #: live session must land on the shard that holds its worker).
+    #: Bounded session-id -> shard stickiness table (a result probe,
+    #: or a client redialling the front, must find the session's shard).
     route_table_size: int = 10_000
 
     @classmethod

@@ -36,7 +36,7 @@ What the edge guarantees *before* a hello is parsed:
 
 The edge's job ends at a parsed hello, which it hands *on the loop
 thread* to its owner's single callback ``on_hello(conn, hello,
-leftover)``.  The owner then does one of two things with ``conn``:
+leftover)``.  The owner then owes ``conn`` exactly one of two things:
 
 * :meth:`_EdgeConnection.detach` (the shard): the socket leaves the
   loop.  The transport owns a non-blocking socket, and ``dup()``
@@ -48,14 +48,20 @@ leftover)``.  The owner then does one of two things with ``conn``:
   (run on a small executor, so a slow admission decision never blocks
   the loop) sees a clean byte stream starting exactly at the leftover.
   A detached connection leaves the connection table.
-* keep it on the loop (the router): install a protocol of its own with
-  ``conn.transport.set_protocol`` and forward that protocol's
-  ``connection_lost`` to ``conn``.  The connection keeps counting
-  against ``max_connections`` until it closes, and :meth:`AsyncEdge.
-  stop` closes it.
+* :meth:`_EdgeConnection.answer` (the router): the loop side's one
+  ``serve-welcome`` writer — write the welcome, close.  The owner may
+  answer *later*, from a task of its own on :attr:`AsyncEdge.loop`
+  (``fleet-stats`` probes the shards first).  Until then the
+  connection sits in state ``open``: bytes are ignored, it counts
+  against ``max_connections``, a peer that hangs up frees the slot
+  (``answer`` tolerates the closed transport), and :meth:`AsyncEdge.
+  stop` closes it and cancels the task.
 
-Either way the owner answers through :meth:`_EdgeConnection.answer`,
-the one ``serve-welcome`` writer of the loop side.
+Accepted sockets inherit ``TCP_NODELAY`` from the listening socket: a
+heartbeat then a welcome is write-write, and the second small segment
+would wait ~40 ms for a delayed ACK.  asyncio sets the option itself
+only when ``sock.proto == IPPROTO_TCP``; ``socket(AF_INET,
+SOCK_STREAM)`` and everything it accepts has ``proto == 0``.
 """
 
 from __future__ import annotations
@@ -139,8 +145,6 @@ class _EdgeConnection(asyncio.Protocol):
             )
 
     def connection_lost(self, exc) -> None:
-        """Also the hook a kept-on-the-loop owner protocol forwards
-        its own ``connection_lost`` to: frees the table slot."""
         if self.state == "hello":
             # The peer hung up mid-hello: a truncated handshake.
             self._edge.counter("handshake_rejects")
@@ -251,8 +255,8 @@ class _EdgeConnection(asyncio.Protocol):
     def answer(self, payload: dict, counter: Optional[str] = None) -> None:
         """The loop side's one welcome writer: bump ``counter``, write
         ``payload`` as the connection's ``serve-welcome``, close.  Every
-        pre-admission reject goes through here, and so does whatever an
-        owner that kept the connection on the loop has to say."""
+        pre-admission reject goes through here, and so does an owner
+        that answers — now or later — instead of detaching."""
         if counter is not None:
             self._edge.counter(counter)
         transport = self.transport
@@ -303,6 +307,7 @@ class AsyncEdge:
         self.heartbeat: Optional[float] = getattr(config, "heartbeat", None)
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         sock.bind((config.host, config.port))
         sock.listen(BACKLOG)
         sock.setblocking(False)
@@ -350,7 +355,7 @@ class AsyncEdge:
             self._ready.set()
             loop.run_forever()
             self._drain_on_loop()
-            # What the drain left is post-hello and owner-held.
+            # What the drain left is post-hello and owes an answer.
             for conn in list(self._conns):
                 conn.transport.close()
             loop.run_until_complete(self._server.wait_closed())
@@ -397,7 +402,7 @@ class AsyncEdge:
                 conn.reject_draining()
 
     def stop(self) -> None:
-        """Drain, close what owners kept on the loop, cancel and await
+        """Drain, close what owners have yet to answer, cancel and await
         their tasks, stop the loop, join the thread and the executor."""
         if self._stopped:
             return

@@ -6,17 +6,23 @@ the second owner of the serve tier's one front door,
 :class:`~repro.serve.edge.AsyncEdge`: the edge listens, parses the
 ``serve-hello`` under its per-state deadlines, sheds idle connections
 and writes every pre-admission reject, exactly as it does for a shard.
-The router starts at the parsed hello: it keeps the connection on the
-edge's loop, decides where the session lives, and from then on is a
-dumb byte splice — all protocol traffic flows through untouched, so
-the cryptographic transcript between evaluator and garbler is exactly
-what it would be point-to-point.
+The router starts at the parsed hello and makes the one decision a
+fleet needs — *which shard holds this program's material, base-OT
+state and checkpoints* — then answers ``{"status": "moved", "peer":
+[host, port]}`` and steps aside.  The client follows the redirect
+(the same one a draining shard sends on handoff), re-sends its hello
+to the shard and rewrites its dial target, so the session, every
+redial of it and every garbled table travel point-to-point: no
+protocol byte ever crosses the router.  The shard addresses the router
+is given are therefore the addresses clients dial, and must be
+reachable from them.
 
 Routing policy:
 
 * **Session affinity** — a hello naming a known session id routes to
-  the shard already pinned for it (a bounded FIFO table), so redials
-  and result probes find their worker.
+  the shard already pinned for it (a bounded FIFO table), so a result
+  probe — which names no program — and a client that redials the front
+  find their worker.
 * **Digest affinity** — a fresh session routes by rendezvous (HRW)
   hashing over the live, non-draining shard set, keyed by the
   *program digest* learned from shard stats polls (falling back to the
@@ -37,9 +43,11 @@ Routing policy:
   (named in the hello) to drain, handing it the rest of the live fleet
   as adoption peers, and relays the shard's answer.
 
-The router holds no session state beyond the pin table: kill it and
-restart it, and reconnects re-pin via rendezvous (same digest, same
-shard) or the shard's ``moved`` redirect.
+The router holds no session state beyond the pin table: kill it
+mid-session and nothing in flight notices (redials go straight to the
+shard); restart it, and a client dialling the front re-pins via
+rendezvous (same digest, same shard) or follows the shard's own
+``moved`` redirect.
 """
 
 from __future__ import annotations
@@ -113,170 +121,6 @@ class _ShardState:
         }
 
 
-class _Splice(asyncio.Protocol):
-    """Upstream half of a proxied session: bytes from the shard go to
-    the client, with write-pressure propagated both ways."""
-
-    def __init__(self) -> None:
-        self.transport = None
-        self.peer = None  # the client-side transport
-
-    def connection_made(self, transport) -> None:
-        self.transport = transport
-
-    def data_received(self, data: bytes) -> None:
-        if self.peer is not None and not self.peer.is_closing():
-            self.peer.write(data)
-
-    def pause_writing(self) -> None:
-        if self.peer is not None:
-            try:
-                self.peer.pause_reading()
-            except RuntimeError:
-                pass
-
-    def resume_writing(self) -> None:
-        if self.peer is not None:
-            try:
-                self.peer.resume_reading()
-            except RuntimeError:
-                pass
-
-    def connection_lost(self, exc) -> None:
-        if self.peer is not None and not self.peer.is_closing():
-            self.peer.close()
-
-
-class _ClientConn(asyncio.Protocol):
-    """Post-hello half of one downstream connection: a local control
-    answer or a splice to the routed shard.
-
-    The edge parsed the hello; ``conn`` is its connection, which still
-    holds the table slot and the one welcome writer
-    (:meth:`~repro.serve.edge._EdgeConnection.answer`).  This protocol
-    replaces the edge's on the transport (``set_protocol``), so a
-    spliced chunk goes transport -> :meth:`data_received` ->
-    ``upstream.write`` with no edge call in between."""
-
-    def __init__(self, router: "SessionRouter", conn, hello: dict,
-                 leftover: bytes) -> None:
-        self.router = router
-        self.conn = conn
-        self.transport = conn.transport
-        self._upstream: Optional[asyncio.Transport] = None
-        # Nothing is read between the hello and the splice: what the
-        # client sends meanwhile waits in the kernel.
-        self.transport.pause_reading()
-        self.transport.set_protocol(self)
-        self._task = asyncio.get_running_loop().create_task(
-            self._route(hello, leftover)
-        )
-
-    # -- lifecycle ----------------------------------------------------
-
-    def connection_lost(self, exc) -> None:
-        self.conn.connection_lost(exc)  # frees the edge's table slot
-        self._task.cancel()
-        up = self._upstream
-        if up is not None and not up.is_closing():
-            up.close()
-
-    def data_received(self, data: bytes) -> None:
-        up = self._upstream
-        if up is not None and not up.is_closing():
-            up.write(data)
-
-    # -- write-pressure from the client side --------------------------
-
-    def pause_writing(self) -> None:
-        if self._upstream is not None:
-            try:
-                self._upstream.pause_reading()
-            except RuntimeError:
-                pass
-
-    def resume_writing(self) -> None:
-        if self._upstream is not None:
-            try:
-                self._upstream.resume_reading()
-            except RuntimeError:
-                pass
-
-    # -- routing ------------------------------------------------------
-
-    async def _route(self, hello: dict, leftover: bytes) -> None:
-        router = self.router
-        answer = self.conn.answer
-        try:
-            op = hello.get("op", "session")
-            if op == "stats":
-                router.bump("stats_probes")
-                answer({"status": "stats", "stats": router.stats_snapshot()})
-                return
-            if op == "fleet-stats":
-                router.bump("fleet_probes")
-                answer({"status": "fleet-stats",
-                        **(await router.fleet_stats())})
-                return
-            if op == "drain":
-                router.bump("drains")
-                answer(await router.start_drain(hello))
-                return
-            if op == "reload-shards":
-                answer(await router.reload_shards(hello))
-                return
-            sid = hello.get("session")
-            if not isinstance(sid, str) or not sid:
-                answer({"status": "error",
-                        "reason": "hello carries no session id"},
-                       counter="rejected_error")
-                return
-            shard = router.route(sid, hello)
-            if shard is None:
-                self._busy("no live shard can take this session")
-                return
-            try:
-                await self._splice_to(shard, hello, leftover)
-            except (OSError, asyncio.TimeoutError):
-                router.unpin(sid, shard.addr)
-                self._busy(f"shard {shard.id} is unreachable")
-                return
-            router.bump("routed_results" if op == "result"
-                        else "routed_sessions")
-        except asyncio.CancelledError:
-            raise
-        except Exception:
-            answer({"status": "error", "reason": "router internal error"},
-                   counter="rejected_error")
-
-    def _busy(self, reason: str) -> None:
-        """The fleet-level structured ``busy`` reject."""
-        self.conn.answer(
-            {"status": "busy", "reason": reason,
-             "retry_after_s": self.router._edge.retry_after(pressure=True)},
-            counter="rejected_busy",
-        )
-
-    async def _splice_to(self, shard: _ShardState, hello: dict,
-                         leftover: bytes) -> None:
-        upstream = _Splice()
-        await asyncio.wait_for(
-            asyncio.get_running_loop().create_connection(
-                lambda: upstream, shard.addr[0], shard.addr[1]
-            ),
-            timeout=self.router.config.connect_timeout,
-        )
-        upstream.peer = self.transport
-        self._upstream = upstream.transport
-        # Replay the hello verbatim (the shard re-terminates it) plus
-        # any bytes of the next frame the parser already consumed.
-        self._upstream.write(_frame(HELLO, hello) + leftover)
-        try:
-            self.transport.resume_reading()
-        except RuntimeError:
-            pass
-
-
 class SessionRouter:
     """Asyncio router fronting a fleet of garbling shards."""
 
@@ -300,6 +144,7 @@ class SessionRouter:
         self.host, self.port = self._edge.host, self._edge.port
         self._stop_requested = threading.Event()
         self._poll = None  # the poll loop's future, once started
+        self._routing: set = set()  # in-flight ``_route`` tasks
 
     # -- lifecycle ----------------------------------------------------
 
@@ -320,9 +165,59 @@ class SessionRouter:
         return self
 
     def _on_hello(self, conn, hello: dict, leftover: bytes) -> None:
-        """Edge callback (loop thread): the connection stays on the
-        loop, under a protocol that routes and then splices it."""
-        _ClientConn(self, conn, hello, leftover)
+        """Edge callback (loop thread): answer later, from a task.
+        ``leftover`` is ignored — a client sends nothing before its
+        welcome, and re-sends its hello to the shard after ``moved``."""
+        task = asyncio.get_running_loop().create_task(
+            self._route(conn, hello))
+        # The loop holds its tasks only weakly.
+        self._routing.add(task)
+        task.add_done_callback(self._routing.discard)
+
+    async def _route(self, conn, hello: dict) -> None:
+        """Answer one hello: a control op locally, a session or result
+        hello with the ``moved`` redirect to its shard."""
+        answer = conn.answer
+        try:
+            op = hello.get("op", "session")
+            if op == "stats":
+                self.bump("stats_probes")
+                answer({"status": "stats", "stats": self.stats_snapshot()})
+                return
+            if op == "fleet-stats":
+                self.bump("fleet_probes")
+                answer({"status": "fleet-stats",
+                        **(await self.fleet_stats())})
+                return
+            if op == "drain":
+                self.bump("drains")
+                answer(await self.start_drain(hello))
+                return
+            if op == "reload-shards":
+                answer(await self.reload_shards(hello))
+                return
+            sid = hello.get("session")
+            if not isinstance(sid, str) or not sid:
+                answer({"status": "error",
+                        "reason": "hello carries no session id"},
+                       counter="rejected_error")
+                return
+            shard = self.route(sid, hello)
+            if shard is None:
+                # The fleet-level structured ``busy`` reject.
+                answer(
+                    {"status": "busy",
+                     "reason": "no live shard can take this session",
+                     "retry_after_s": self._edge.retry_after(pressure=True)},
+                    counter="rejected_busy",
+                )
+                return
+            self.bump("routed_results" if op == "result"
+                      else "routed_sessions")
+            answer({"status": "moved", "peer": list(shard.addr)})
+        except Exception:
+            answer({"status": "error", "reason": "router internal error"},
+                   counter="rejected_error")
 
     def shutdown(self) -> None:
         """Idempotent, as :meth:`AsyncEdge.stop` is."""
@@ -413,10 +308,6 @@ class SessionRouter:
         pins[sid] = addr
         while len(pins) > self.config.route_table_size:
             pins.pop(next(iter(pins)))
-
-    def unpin(self, sid: str, addr: Tuple[str, int]) -> None:
-        if self._pins.get(sid) == addr:
-            self._pins.pop(sid, None)
 
     # -- shard control probes -----------------------------------------
 

@@ -80,8 +80,9 @@ class _Endpoint:
     """A front door as a client sees it: an address and the counters
     of its ``op: "stats"`` reply."""
 
-    def __init__(self, kind: str, host: str, port: int) -> None:
-        self.kind, self.host, self.port = kind, host, port
+    def __init__(self, kind: str, owner) -> None:
+        self.kind, self.host, self.port = kind, owner.host, owner.port
+        self.edge = owner._edge
 
     def counter(self, name: str) -> int:
         try:
@@ -105,7 +106,7 @@ def endpoint(request):
         if request.param == "shard":
             with make_server(["sum32"], value=value, port=0,
                              workers=workers, **edge_knobs) as srv:
-                yield _Endpoint("shard", srv.host, srv.port)
+                yield _Endpoint("shard", srv)
         else:
             with LocalFleet(
                 {"sum32": registry_program("sum32", value)}, shards=1,
@@ -113,7 +114,7 @@ def endpoint(request):
                                    workers=workers),
                 router_config=RouterConfig(**edge_knobs),
             ) as fleet:
-                yield _Endpoint("router", fleet.host, fleet.port)
+                yield _Endpoint("router", fleet.router)
 
     return start
 
@@ -430,6 +431,27 @@ class TestTimersAndOverload:
             # Read once the table has room for the stats probe.
             _await(lambda: ep.counter("rejected_overload") >= 1,
                    what="rejected_overload counter")
+
+
+class TestAcceptedSocket:
+    def test_accepted_socket_has_nodelay(self, endpoint):
+        """What the loop writes is small and back to back (heartbeat,
+        then welcome); with Nagle on, the second segment waits out the
+        peer's delayed ACK.  asyncio does not set the option for a
+        listener built with ``proto == 0``, so the edge does."""
+        import socket
+
+        with endpoint() as ep:
+            link = _dial(ep)
+            try:
+                _await(lambda: ep.edge.connection_counts()["open"] == 1,
+                       what="the connection to be accepted")
+                (conn,) = list(ep.edge._conns)
+                sock = conn.transport.get_extra_info("socket")
+                assert sock.getsockopt(socket.IPPROTO_TCP,
+                                       socket.TCP_NODELAY) != 0
+            finally:
+                link.close()
 
 
 class TestDrainRace:

@@ -31,6 +31,13 @@ def _await(predicate, timeout=10.0, what="condition"):
         time.sleep(0.02)
 
 
+def _asyncio_warnings(caplog):
+    import logging
+
+    return [r.getMessage() for r in caplog.records
+            if r.name == "asyncio" and r.levelno >= logging.WARNING]
+
+
 class TestRendezvous:
     """The pure HRW routing function: determinism and the minimal-
     disruption property that makes shard join/leave cheap."""
@@ -255,6 +262,132 @@ class TestDrainHandoff:
             assert agg["failed"] == 0
 
 
+class TestRedirect:
+    """The router answers ``moved`` and steps aside: the session, its
+    redials and its result probe all run against the shard."""
+
+    @pytest.fixture(scope="class")
+    def seq_fleet(self):
+        from repro.serve.config import ServeConfig
+
+        programs = {"sum32-seq": registry_program("sum32-seq", SERVER_VALUE)}
+        config = ServeConfig(pool="thread", checkpoint_every=4,
+                             timeout=5.0, resume_window=5.0)
+        with LocalFleet(programs, shards=2, config=config) as f:
+            yield f
+
+    @staticmethod
+    def _reference(value):
+        entry = _registry()["sum32-seq"]
+        net, cycles = entry.build()
+        return api.run(
+            net,
+            {"alice": entry.alice_source(SERVER_VALUE, cycles),
+             "bob": entry.bob_source(value, cycles)},
+            mode="local", cycles=cycles,
+        )
+
+    def test_router_holds_no_connection_of_a_running_session(
+            self, seq_fleet):
+        entry = _registry()["sum32-seq"]
+        net, cycles = entry.build()
+        bob = entry.bob_source(7, cycles)
+
+        def slow_bob(cycle):
+            time.sleep(0.03)  # ~1 s over 32 cycles
+            return bob(cycle) if callable(bob) else bob
+
+        front = ServeClient(seq_fleet.host, seq_fleet.port)
+        routed_before = front.stats()["routed_sessions"]
+        box = {}
+        t = threading.Thread(target=lambda: box.update(result=run_session(
+            seq_fleet.host, seq_fleet.port, "sum32-seq", net,
+            bob=slow_bob, cycles=cycles, max_attempts=1)))
+        t.start()
+        try:
+            _await(lambda: any(fetch_stats(*a)["active"] >= 1
+                               for a in seq_fleet.shard_addrs),
+                   what="session to start")
+            st = front.stats()
+            # The one open connection is this stats probe itself.
+            assert st["open_connections"] == 1
+            assert st["routed_sessions"] == routed_before + 1
+        finally:
+            t.join(timeout=60)
+        assert box["result"].value == self._reference(7).value
+
+    def test_mid_session_redial_goes_straight_to_the_shard(self, seq_fleet):
+        from repro.net.fault import FaultPlan, FaultRule, FaultyTransport
+
+        front = ServeClient(seq_fleet.host, seq_fleet.port)
+        routed = {}
+        injected = []
+
+        def wrap(attempt, link):
+            if attempt:
+                return link
+            # Past the router by now: what a redial adds is the delta.
+            routed["before"] = front.stats()["routed_sessions"]
+            faulty = FaultyTransport(
+                link, FaultPlan([FaultRule("disconnect", frame_index=30)]))
+            injected.append(faulty)
+            return faulty
+
+        res = run_registry_session(
+            seq_fleet.host, seq_fleet.port, "sum32-seq", 1234,
+            max_attempts=4, timeout=5.0, wrap=wrap)
+        ref = self._reference(1234)
+        assert [f.action for ft in injected for f in ft.injected] == [
+            "disconnect"]
+        assert res.reconnects >= 1
+        assert list(res.outputs) == list(ref.outputs)
+        assert res.stats.garbled_nonxor == ref.stats.garbled_nonxor
+        assert front.stats()["routed_sessions"] == routed["before"]
+
+    def test_result_probe_follows_pin_to_the_parked_result(self, seq_fleet):
+        front = ServeClient(seq_fleet.host, seq_fleet.port)
+        res = run_registry_session(
+            seq_fleet.host, seq_fleet.port, "sum32-seq", 99,
+            session_id="parked", max_attempts=1)
+        before = front.stats()
+        again = front.recover_result("parked")
+        after = front.stats()
+        assert again.replayed
+        assert list(again.outputs) == list(res.outputs)
+        assert after["routed_results"] == before["routed_results"] + 1
+        assert after["routed_sessions"] == before["routed_sessions"]
+
+    def test_unreachable_shard_is_a_structured_busy(self, caplog):
+        """The redirect names a peer nobody listens on: the client's
+        short redirected-hop dial budget turns that into ``ServerBusy``
+        (go back to the front), and the router never noticed."""
+        import logging
+        import socket
+
+        from repro.serve import ServerBusy, SessionRouter
+        from repro.serve.config import RouterConfig
+
+        closed = socket.socket()
+        closed.bind(("127.0.0.1", 0))
+        dead = closed.getsockname()
+        closed.close()
+        with caplog.at_level(logging.DEBUG, logger="asyncio"):
+            # Two failed polls (start + first loop round) < dead_after:
+            # the shard is still counted healthy and gets the session.
+            with SessionRouter(RouterConfig(
+                    shards=(dead,), poll_interval=60.0)) as router:
+                t0 = time.monotonic()
+                with pytest.raises(ServerBusy, match="unreachable") as info:
+                    run_registry_session(router.host, router.port,
+                                         "sum32", 5, max_attempts=1)
+                assert time.monotonic() - t0 < 3.0
+                assert info.value.welcome["peer"] == list(dead)
+                st = router.stats_snapshot()
+                assert st["routed_sessions"] == 1
+                assert st["rejected_busy"] == st["rejected_error"] == 0
+        assert _asyncio_warnings(caplog) == []
+
+
 class TestBaseOTAcrossShards:
     def test_one_identity_on_two_shards_keeps_working(self):
         """One client identity whose sessions reach two shards through
@@ -304,7 +437,7 @@ class TestRouterShutdown:
         """The address of a shard that hangs up on the router's first
         poll (so ``start`` returns at once) and then accepts without
         ever answering: a poll round is in flight whenever the router
-        is asked to stop, and a session routed there stays spliced."""
+        is asked to stop, and a ``fleet-stats`` probe waits on it."""
         import socket
 
         mute = socket.socket()
@@ -327,13 +460,6 @@ class TestRouterShutdown:
             mute.close()
             for conn in held:
                 conn.close()
-
-    @staticmethod
-    def _asyncio_warnings(caplog):
-        import logging
-
-        return [r.getMessage() for r in caplog.records
-                if r.name == "asyncio" and r.levelno >= logging.WARNING]
 
     def test_shutdown_destroys_no_pending_task(self, caplog, mute_shard):
         """The loop awaits its cancelled poll and route tasks before it
@@ -361,14 +487,15 @@ class TestRouterShutdown:
             router.shutdown()
             probe.close()
             gc.collect()
-        assert self._asyncio_warnings(caplog) == []
+        assert _asyncio_warnings(caplog) == []
 
-    def test_spliced_sessions_hold_their_slots_until_shutdown(
+    def test_held_control_ops_hold_their_slots_until_shutdown(
             self, caplog, mute_shard):
-        """A connection kept on the loop after its hello still counts
-        against ``max_connections``: two sessions held mid-splice make
-        a third dial get the structured ``overloaded`` reject.
-        ``shutdown`` closes them — both read EOF — and logs nothing."""
+        """A connection still owed its answer after its hello counts
+        against ``max_connections``: two ``fleet-stats`` probes parked
+        on a shard that never answers make a third dial get the
+        structured ``overloaded`` reject.  ``shutdown`` closes them —
+        both read EOF — and logs nothing."""
         import gc
         import logging
 
@@ -386,15 +513,14 @@ class TestRouterShutdown:
             router = SessionRouter(RouterConfig(
                 shards=(mute_shard,), max_connections=2,
             )).start()
-            spliced = []
+            held = []
             try:
-                for sid in ("held-a", "held-b"):
+                for _ in range(2):
                     link = connect_with_backoff(router.host, router.port)
-                    spliced.append(link)
-                    send_control(link, HELLO, {
-                        "op": "session", "session": sid, "program": "sum32"})
-                _await(lambda: router.stats_snapshot()["routed_sessions"]
-                       == 2, what="both sessions to be spliced")
+                    held.append(link)
+                    send_control(link, HELLO, {"op": "fleet-stats"})
+                _await(lambda: router.stats_snapshot()["fleet_probes"]
+                       == 2, what="both probes to be parked")
                 assert router.stats_snapshot()["open_connections"] == 2
 
                 third = connect_with_backoff(router.host, router.port)
@@ -408,14 +534,14 @@ class TestRouterShutdown:
                 assert router.stats_snapshot()["rejected_overload"] == 1
 
                 router.shutdown()
-                for link in spliced:
+                for link in held:
                     assert link.recv_bytes(timeout=5.0) == b""
             finally:
                 router.shutdown()
-                for link in spliced:
+                for link in held:
                     link.close()
             gc.collect()
-        assert self._asyncio_warnings(caplog) == []
+        assert _asyncio_warnings(caplog) == []
 
 
 class TestShardReload:
