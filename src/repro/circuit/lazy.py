@@ -36,6 +36,7 @@ from .netlist import Netlist
 _AND = G.GateType.AND
 _ANDNB = G.GateType.ANDNB
 _OR = G.GateType.OR
+_XOR = G.GateType.XOR
 
 
 def build_subnet(
@@ -208,49 +209,33 @@ class LazySelectorPort:
             values[w] = values[src]
 
     def engine_step(self, ctx) -> None:
-        eng = ctx._eng
-        state = eng.state
-        sel_states = [state[w] for w in self.sels]
+        sel_states = [ctx.get(w) for w in self.sels]
         if all(type(s) is int for s in sel_states):
+            # Public selects: the tree collapses onto the chosen entry.
             idx = 0
             for i, s in enumerate(sel_states):
                 idx |= (s & 1) << i
-            # Pass the selected entry through (crediting the output
-            # consumers first), then release every statically counted
-            # entry pin: deselected entries are recursively skipped
-            # and the selected entry's pass-chain collapses onto its
-            # consumers.
-            consumers = (
-                eng._final_consumers if eng.in_final_cycle
-                else eng._wire_consumers
-            )
-            rf = eng._rec_fanout
-            for w, src in zip(self.out, self.entries[idx]):
-                sv = state[src]
-                if type(sv) is not int and sv[2] >= 0:
-                    rf[sv[2]] += consumers[w]
-                state[w] = sv
-            reduce = eng._reduce
-            for entry in self.entries:
-                for src in entry:
-                    sv = state[src]
-                    if type(sv) is not int:
-                        reduce(sv[2])
-            return
-        # Secret select bits: expand the real AND-OR MUX tree.
-        level = [[ctx.get(w) for w in entry] for entry in self.entries]
-        for sel in sel_states:
-            nxt = []
-            for t in range(0, len(level), 2):
-                row = []
-                for bit in range(self.macro.width):
-                    x0, x1 = level[t][bit], level[t + 1][bit]
-                    take1 = ctx.gate(_AND, sel, x1)
-                    take0 = ctx.gate(_ANDNB, x0, sel)
-                    row.append(ctx.gate(_OR, take1, take0))
-                nxt.append(row)
-            level = nxt
-        for w, s in zip(self.out, level[0]):
+            chosen = [ctx.get(src) for src in self.entries[idx]]
+        else:
+            # Secret select bits: expand the real AND-OR MUX tree.
+            level = [[ctx.get(w) for w in entry] for entry in self.entries]
+            for sel in sel_states:
+                nxt = []
+                for t in range(0, len(level), 2):
+                    row = []
+                    for bit in range(self.macro.width):
+                        x0, x1 = level[t][bit], level[t + 1][bit]
+                        take1 = ctx.gate(_AND, sel, x1)
+                        take0 = ctx.gate(_ANDNB, x0, sel)
+                        row.append(ctx.gate(_OR, take1, take0))
+                    nxt.append(row)
+                level = nxt
+            chosen = level[0]
+        # Drive the outputs (crediting their consumers first), then
+        # release every statically counted input pin: deselected
+        # entries are recursively skipped and a passed-through entry's
+        # chain collapses onto its consumers.
+        for w, s in zip(self.out, chosen):
             ctx.drive(w, s)
         for s in sel_states:
             ctx.release(s)
@@ -339,39 +324,34 @@ class LazyShifterPort:
     def engine_step(self, ctx) -> None:
         amount_states = [ctx.get(w) for w in self.amount]
         value_states = [ctx.get(w) for w in self.value]
-        if all(type(s) is int for s in amount_states):
-            amount = self._amount_of(amount_states)  # type: ignore[arg-type]
-            # Pure rewiring: credit each output's consumers, then
-            # release the statically counted input pins (shifted-out
-            # bits net to a recursive skip; replicated sign bits net to
-            # multiple credits).
-            for i, w in enumerate(self.out):
-                src = self.macro.source_index(i, amount)
-                ctx.drive(w, 0 if src is None else value_states[src])
-            for s in value_states:
-                ctx.release(s)
-            return
-        # Secret amount: expand the barrel MUX stages.
-        from .gates import GateType
-
-        cur = list(value_states)
         width = self.macro.width
-        for stage, sel in enumerate(amount_states):
-            k = 1 << stage
-            shifted: List[object] = []
-            for i in range(width):
-                src = self.macro.source_index(i, k)
-                shifted.append(0 if src is None else cur[src])
-            nxt = []
-            for i in range(width):
-                x, y = cur[i], shifted[i]
-                if type(sel) is int:
-                    nxt.append(y if sel else x)
-                    continue
-                diff = ctx.gate(GateType.XOR, x, y)
-                gated = ctx.gate(GateType.AND, sel, diff)
-                nxt.append(ctx.gate(GateType.XOR, gated, x))
-            cur = nxt
+        if all(type(s) is int for s in amount_states):
+            # Pure rewiring (shifted-out bits net to a recursive skip;
+            # replicated sign bits net to multiple credits).
+            amount = self._amount_of(amount_states)  # type: ignore[arg-type]
+            srcs = [self.macro.source_index(i, amount) for i in range(width)]
+            cur = [0 if src is None else value_states[src] for src in srcs]
+        else:
+            # Secret amount: expand the barrel MUX stages.
+            cur = list(value_states)
+            for stage, sel in enumerate(amount_states):
+                k = 1 << stage
+                shifted: List[object] = []
+                for i in range(width):
+                    src = self.macro.source_index(i, k)
+                    shifted.append(0 if src is None else cur[src])
+                nxt = []
+                for i in range(width):
+                    x, y = cur[i], shifted[i]
+                    if type(sel) is int:
+                        nxt.append(y if sel else x)
+                        continue
+                    diff = ctx.gate(_XOR, x, y)
+                    gated = ctx.gate(_AND, sel, diff)
+                    nxt.append(ctx.gate(_XOR, gated, x))
+                cur = nxt
+        # Credit each output's consumers, then release the statically
+        # counted input pins.
         for w, s in zip(self.out, cur):
             ctx.drive(w, s)
         for s in amount_states:

@@ -289,40 +289,27 @@ class MemReadPort:
 
     # SkipGate engine
     def engine_step(self, ctx) -> None:
-        eng = ctx._eng
-        if self.final_only and not eng.in_final_cycle:
+        if self.final_only and not ctx.is_final:
             return
-        store = eng.macro_storage(self.macro)
-        state = eng.state
-        addr_states = [state[w] for w in self.addr]
+        store = ctx.storage(self.macro)
+        addr_states = [ctx.get(w) for w in self.addr]
         base, secret = _split_address(addr_states)
-        if not secret:
-            # Every MUX select is public: the tree collapses to wires.
-            word = store[base]
-            consumers = (
-                eng._final_consumers if eng.in_final_cycle
-                else eng._wire_consumers
-            )
-            rf = eng._rec_fanout
-            for w, s in zip(self.out, word):
-                if type(s) is not int and s[2] >= 0:
-                    rf[s[2]] += consumers[w]
-                state[w] = s
-        else:
-            # Oblivious access to the candidate subset (Section 4.4):
-            # a real MUX tree over the 2^s matching words.
-            level = [list(store[i]) for i in _candidate_indices(base, secret)]
-            width = self.macro.width
-            for _, sel in secret:
-                level = [
-                    [
-                        _mux(ctx, sel, level[t][bit], level[t + 1][bit])
-                        for bit in range(width)
-                    ]
-                    for t in range(0, len(level), 2)
+        # Every MUX select public: the tree collapses to wires and the
+        # stored word passes through.  Otherwise an oblivious access to
+        # the candidate subset (Section 4.4): a real MUX tree over the
+        # 2^s matching words.
+        level = [list(store[i]) for i in _candidate_indices(base, secret)]
+        width = self.macro.width
+        for _, sel in secret:
+            level = [
+                [
+                    _mux(ctx, sel, level[t][bit], level[t + 1][bit])
+                    for bit in range(width)
                 ]
-            for w, s in zip(self.out, level[0]):
-                ctx.drive(w, s)
+                for t in range(0, len(level), 2)
+            ]
+        for w, s in zip(self.out, level[0]):
+            ctx.drive(w, s)
         # Release the statically counted address pins.
         for s in addr_states:
             ctx.release(s)
@@ -368,24 +355,17 @@ class MemWritePort:
         addr_states = [ctx.get(w) for w in self.addr]
         data_states = [ctx.get(w) for w in self.data]
 
-        if ctx.is_final and not self.macro.keep_final_writes:
-            # Dead store: in the agreed last cycle nothing can read
-            # this memory again, so the write contributes nothing to
-            # the output (it is skipped like any dead gate).
+        if wen == 0 or (ctx.is_final and not self.macro.keep_final_writes):
+            # Write disabled publicly (like a MUX with public select 0,
+            # the data labels are never used), or a dead store: in the
+            # agreed last cycle nothing can read this memory again, so
+            # the write contributes nothing to the output (it is
+            # skipped like any dead gate).  Release every pin.
             for s in addr_states:
                 ctx.release(s)
             for s in data_states:
                 ctx.release(s)
             ctx.release(wen)
-            return
-
-        if wen == 0:
-            # Write disabled publicly: like a MUX with public select 0,
-            # the data labels are never used; release every pin.
-            for s in addr_states:
-                ctx.release(s)
-            for s in data_states:
-                ctx.release(s)
             return
 
         base, secret = _split_address(addr_states)

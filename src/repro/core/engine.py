@@ -64,13 +64,19 @@ _XNOR = G.GateType.XNOR
 
 
 class MacroContext:
-    """Facade through which memory macros talk to the engine.
+    """The only door through which macro ports reach an engine.
 
     Macros expand the minimal necessary sub-circuit per cycle (lazy
     MUX trees, decoders, conditional writes) by calling :meth:`gate`.
     Each call registers a *dynamic* gate record subject to the same
     category analysis, fanout bookkeeping and table filtering as static
     gates, so the macro's cost equals the gate-level circuit's cost.
+
+    Wire states cross this facade in the tuple dialect of the module
+    docstring whatever the engine stores: an engine with another wire
+    representation supplies a subclass overriding :meth:`get` and
+    :meth:`drive` (``repro.core.plan``), and every port's
+    ``engine_step`` runs unchanged against it.
     """
 
     __slots__ = ("_eng",)
@@ -78,17 +84,9 @@ class MacroContext:
     def __init__(self, engine: "SkipGateEngine") -> None:
         self._eng = engine
 
-    @property
-    def backend(self) -> Backend:
-        return self._eng.backend
-
     def get(self, wire: int) -> WireState:
         """Current state of a wire."""
         return self._eng.state[wire]
-
-    def set(self, wire: int, state: WireState) -> None:
-        """Drive a macro output wire."""
-        self._eng.state[wire] = state
 
     @property
     def is_final(self) -> bool:
@@ -428,10 +426,13 @@ class SkipGateEngine:
         ``final`` marks the last of the agreed ``cc`` cycles, enabling
         dead-store elimination for flip-flops and memories whose
         contents can no longer reach an output.
+
+        This is the one cycle skeleton both engines run.  What depends
+        on how wire states are stored lives in three whole-phase hooks
+        — :meth:`_seed`, :meth:`_sweep_cycle`, :meth:`_latch` — each
+        called once per cycle, never per wire or per gate.
         """
         self.in_final_cycle = final
-        net = self.net
-        state = self.state
         backend = self.backend
         cs = CycleStats(cycle=self.cycle)
         self._cs = cs
@@ -449,25 +450,94 @@ class SkipGateEngine:
         self._tables = []
         self._next_key = 0
 
+        n_public = len(self.net.inputs[PUBLIC])
+        if len(public_bits) != n_public:
+            raise ValueError(
+                f"expected {n_public} public input bits, "
+                f"got {len(public_bits)}"
+            )
+        self._seed(public_bits)
+        backend.begin_cycle(self.cycle)
+        self._sweep_cycle(final)
+
+        # Filter garbled tables whose fanout collapsed (Alg. 4 line 18).
+        kept: List[int] = []
+        dropped: List[int] = []
+        rf = self._rec_fanout
+        for key, rec in self._tables:
+            if rf[rec] > 0:
+                kept.append(key)
+            else:
+                dropped.append(key)
+        cs.tables_filtered = len(dropped)
+        cs.tables_sent = len(kept)
+        backend.end_cycle(kept, dropped)
+
+        # Commit deferred memory writes, then copy flip-flop labels.
+        for fn in self._deferred:
+            fn()
+        self._deferred.clear()
+        self._ff_state = self._latch()
+
+        if profiling:
+            step_seconds = perf_counter() - t_step0
+            obs = self.obs
+            obs.add_time("step", step_seconds)
+            obs.add_time(
+                self._garble_phase, self._garble_seconds, cs.cat_iv_garbled
+            )
+            obs.add_time("reduce", self._reduce_seconds, cs.reduction_calls)
+            if self._macro_seconds:
+                obs.add_time("macro", self._macro_seconds)
+            obs.event(
+                "cycle",
+                cycle=cs.cycle,
+                seconds=round(step_seconds, 6),
+                garble_seconds=round(self._garble_seconds, 6),
+                reduce_seconds=round(self._reduce_seconds, 6),
+                macro_seconds=round(self._macro_seconds, 6),
+                cat_i=cs.cat_i,
+                cat_ii=cs.cat_ii,
+                cat_iii=cs.cat_iii,
+                cat_iv_xor=cs.cat_iv_xor,
+                cat_iv_garbled=cs.cat_iv_garbled,
+                tables_filtered=cs.tables_filtered,
+                tables_sent=cs.tables_sent,
+                reduction_calls=cs.reduction_calls,
+                dynamic_gates=cs.dynamic_gates,
+                dead_skipped=cs.dead_skipped,
+            )
+
+        self.cycle += 1
+        self.stats.add_cycle(cs)
+        return cs
+
+    def _seed(self, public_bits: Sequence[int]) -> None:
+        """Cycle prologue: constants, input labels, flip-flop outputs.
+
+        The ``backend.secret_label`` call order is part of the protocol
+        (the crypto backends do channel I/O here): Alice's inputs, then
+        Bob's, in wire order.
+        """
+        net = self.net
+        state = self.state
+        secret_label = self.backend.secret_label
         state[0] = 0
         state[1] = 1
         for role in (ALICE, BOB):
             for i, w in enumerate(net.inputs[role]):
-                label = backend.secret_label(("in", role, self.cycle, i))
-                state[w] = (label, 0, -1)
-        pub_wires = net.inputs[PUBLIC]
-        if len(public_bits) != len(pub_wires):
-            raise ValueError(
-                f"expected {len(pub_wires)} public input bits, "
-                f"got {len(public_bits)}"
-            )
-        for w, bit in zip(pub_wires, public_bits):
+                state[w] = (secret_label(("in", role, self.cycle, i)), 0, -1)
+        for w, bit in zip(net.inputs[PUBLIC], public_bits):
             state[w] = bit & 1
         for ff, s in zip(net.dffs, self._ff_state):
             state[ff.q] = s
 
-        backend.begin_cycle(self.cycle)
-
+    def _sweep_cycle(self, final: bool) -> None:
+        """One topological pass over the schedule: gates and macro ports."""
+        net = self.net
+        state = self.state
+        cs = self._cs
+        profiling = self._profiling
         tts = net.gate_tt
         gas = net.gate_a
         gbs = net.gate_b
@@ -505,58 +575,11 @@ class SkipGateEngine:
             else:
                 ports[-entry - 1].engine_step(ctx)  # type: ignore[attr-defined]
 
-        # Filter garbled tables whose fanout collapsed (Alg. 4 line 18).
-        kept: List[int] = []
-        dropped: List[int] = []
-        rf = self._rec_fanout
-        for key, rec in self._tables:
-            if rf[rec] > 0:
-                kept.append(key)
-            else:
-                dropped.append(key)
-        cs.tables_filtered = len(dropped)
-        cs.tables_sent = len(kept)
-        backend.end_cycle(kept, dropped)
-
-        # Commit deferred memory writes, then copy flip-flop labels.
-        for fn in self._deferred:
-            fn()
-        self._deferred.clear()
+    def _latch(self) -> List[WireState]:
+        """Clock edge: the flip-flops' next contents, origins stripped."""
+        state = self.state
         strip = MacroContext.strip
-        self._ff_state = [strip(state[ff.d]) for ff in net.dffs]
-
-        if profiling:
-            step_seconds = perf_counter() - t_step0
-            obs = self.obs
-            obs.add_time("step", step_seconds)
-            obs.add_time(
-                self._garble_phase, self._garble_seconds, cs.cat_iv_garbled
-            )
-            obs.add_time("reduce", self._reduce_seconds, cs.reduction_calls)
-            if self._macro_seconds:
-                obs.add_time("macro", self._macro_seconds)
-            obs.event(
-                "cycle",
-                cycle=cs.cycle,
-                seconds=round(step_seconds, 6),
-                garble_seconds=round(self._garble_seconds, 6),
-                reduce_seconds=round(self._reduce_seconds, 6),
-                macro_seconds=round(self._macro_seconds, 6),
-                cat_i=cs.cat_i,
-                cat_ii=cs.cat_ii,
-                cat_iii=cs.cat_iii,
-                cat_iv_xor=cs.cat_iv_xor,
-                cat_iv_garbled=cs.cat_iv_garbled,
-                tables_filtered=cs.tables_filtered,
-                tables_sent=cs.tables_sent,
-                reduction_calls=cs.reduction_calls,
-                dynamic_gates=cs.dynamic_gates,
-                dead_skipped=cs.dead_skipped,
-            )
-
-        self.cycle += 1
-        self.stats.add_cycle(cs)
-        return cs
+        return [strip(state[ff.d]) for ff in self.net.dffs]
 
     def run(self, cycles: int, public_inputs: PublicInputs = None) -> RunStats:
         """Run ``cycles`` sequential cycles; returns aggregate stats."""
@@ -634,7 +657,11 @@ class SkipGateEngine:
         committed = {}
         for ffi, ff in enumerate(self.net.dffs):
             committed[ff.q] = self._ff_state[ffi]
-        return [committed.get(w, self.state[w]) for w in self.net.outputs]
+        get = self._ctx.get
+        return [
+            committed[w] if w in committed else get(w)
+            for w in self.net.outputs
+        ]
 
     def public_output_bits(self) -> List[Optional[int]]:
         """Output bits that ended up public (None where still secret)."""

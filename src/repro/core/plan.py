@@ -30,11 +30,17 @@ Three representation changes carry the speedup:
 * **Specialized public fast paths** for the macro ports (selector /
   unit / shifter / memory read / memory write), operating directly on
   the interned store.  Any case a fast path does not replicate exactly
-  falls back to the *original* ``port.engine_step`` running against a
-  shim that presents the reference engine's attribute surface over the
-  interned store, so secret-path behaviour (dynamic gate records,
-  reduction order, backend call order) is reference-identical by
-  construction.
+  falls back to the port's own ``engine_step``.  Ports see an engine
+  only through :class:`~repro.core.engine.MacroContext`, and each
+  engine supplies its own (here :class:`_InternedContext`, which
+  decodes and encodes wire states at the door), so the same port code
+  runs verbatim on both engines and secret-path behaviour (dynamic
+  gate records, reduction order, backend call order) is
+  reference-identical by construction.
+
+The cycle itself is :meth:`SkipGateEngine.step`, written once; this
+engine overrides only its three whole-phase hooks (``_seed``,
+``_sweep_cycle``, ``_latch``) for the interned representation.
 
 Statistics, backend call order, garbled-table keys and snapshots are
 bit-identical to the reference engine: snapshots are serialized in the
@@ -57,7 +63,6 @@ from ..circuit.lazy import LazySelectorPort, LazyShifterPort, LazyUnitPort
 from ..circuit.macros import MemReadPort, MemWritePort
 from ..circuit.netlist import ALICE, BOB, Netlist, PUBLIC
 from .engine import MacroContext, SkipGateEngine, WireState
-from .stats import CycleStats
 
 __all__ = [
     "CyclePlan", "GateRows", "compile_plan", "warm_plan",
@@ -356,100 +361,46 @@ def _compile_sweep(plan: CyclePlan) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Shim: reference attribute surface over the interned store
+# Macro context over the interned store
 # ---------------------------------------------------------------------------
 
 
-class _StateProxy:
-    """List-like view of the interned store in the tuple dialect.
+class _InternedContext(MacroContext):
+    """The compiled engine's :class:`MacroContext`.
 
-    ``__getitem__`` decodes (public int or secret tuple), matching
-    ``SkipGateEngine.state[w]``; ``__setitem__`` encodes and performs
-    the pending-pin pushes the compiled write sites owe.  Original
-    ``engine_step`` code runs unchanged against this view.
+    ``get`` decodes the interned store to the tuple dialect; ``drive``
+    encodes, and performs the pending-pin pushes the compiled write
+    sites owe.  Everything else (dynamic gates, reduction, storage,
+    deferred commits) is the reference code on the engine's shared
+    record arrays.  This is the correctness anchor of the compiled
+    engine: any port case the specialized handlers decline runs the
+    port's own ``engine_step`` verbatim against this context.
     """
 
-    __slots__ = ("_c",)
+    __slots__ = ()
 
-    def __init__(self, eng: "CompiledSkipGateEngine") -> None:
-        self._c = eng
+    def get(self, wire: int) -> WireState:
+        eng = self._eng
+        s = eng.state[wire]
+        return s if s >= 0 else eng._sec[-s - 1]
 
-    def __getitem__(self, w: int) -> WireState:
-        s = self._c.state[w]
-        return s if s >= 0 else self._c._sec[-s - 1]
-
-    def __setitem__(self, w: int, value: WireState) -> None:
-        eng = self._c
-        if type(value) is int:
-            eng.state[w] = value
+    def drive(self, wire: int, state: WireState) -> None:
+        eng = self._eng
+        if type(state) is int:
+            eng.state[wire] = state
             return
         sec = eng._sec
-        sec.append(value)
-        eng.state[w] = -len(sec)
-        if value[2] >= 0:
-            pm = eng._push_map[w]
+        sec.append(state)
+        eng.state[wire] = -len(sec)
+        if state[2] >= 0:
+            eng._rec_fanout[state[2]] += self.wire_fanout(wire)
+            pm = eng._push_map[wire]
             if pm is not None:
                 for lst, mult in pm:
                     if mult == 1:
-                        lst.append(value)
+                        lst.append(state)
                     else:
-                        lst.extend((value,) * mult)
-
-
-class _ShimEngine:
-    """What ``MacroContext`` and port code expect an engine to look like.
-
-    Forwards every attribute the macro layer touches to the compiled
-    engine, presenting ``state`` through :class:`_StateProxy`.  This is
-    the correctness anchor of the compiled engine: any port case the
-    specialized handlers decline runs the reference code verbatim here.
-    """
-
-    __slots__ = ("_c", "state")
-
-    def __init__(self, eng: "CompiledSkipGateEngine") -> None:
-        self._c = eng
-        self.state = _StateProxy(eng)
-
-    @property
-    def backend(self):
-        return self._c.backend
-
-    @property
-    def in_final_cycle(self):
-        return self._c.in_final_cycle
-
-    @property
-    def _cs(self):
-        return self._c._cs
-
-    @property
-    def _rec_fanout(self):
-        return self._c._rec_fanout
-
-    @property
-    def _wire_consumers(self):
-        return self._c._wire_consumers
-
-    @property
-    def _final_consumers(self):
-        return self._c._final_consumers
-
-    @property
-    def _deferred(self):
-        return self._c._deferred
-
-    def _reduce(self, origin: int) -> None:
-        self._c._reduce(origin)
-
-    def _process(self, tt, sa, sb, fanout):
-        return self._c._process(tt, sa, sb, fanout)
-
-    def _resolve_init(self, init):
-        return self._c._resolve_init(init)
-
-    def macro_storage(self, macro: object) -> object:
-        return self._c.macro_storage(macro)
+                        lst.extend((state,) * mult)
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +449,7 @@ class CompiledSkipGateEngine(SkipGateEngine):
         for pp in self.plan.port_plans:
             self._handlers.append(self._make_handler(pp))
         self._sweep = self.plan.sweep_fn
-        self._shim_ctx = MacroContext(_ShimEngine(self))
+        self._ctx = _InternedContext(self)
 
     # -- interned-store helpers ----------------------------------------------
 
@@ -506,9 +457,6 @@ class CompiledSkipGateEngine(SkipGateEngine):
         sec = self._sec
         sec.append(t)
         return -len(sec)
-
-    def _decode(self, s: int) -> WireState:
-        return s if s >= 0 else self._sec[-s - 1]
 
     def _process_interned(self, tt, sa, sb, fanout, o) -> None:
         """Decode, run the reference category dispatch, encode + push."""
@@ -573,10 +521,10 @@ class CompiledSkipGateEngine(SkipGateEngine):
         return fallback
 
     def _make_fallback(self, port) -> Callable[[], None]:
-        """The reference ``engine_step`` over the shim context."""
+        """The port's own ``engine_step`` over the interned context."""
 
         def fallback() -> None:
-            port.engine_step(self._shim_ctx)
+            port.engine_step(self._ctx)
 
         return fallback
 
@@ -843,47 +791,23 @@ class CompiledSkipGateEngine(SkipGateEngine):
 
         return handler
 
-    # -- the compiled cycle ---------------------------------------------------
+    # -- the compiled cycle: SkipGateEngine.step's three hooks ------------------
 
-    def step(self, public_bits: Sequence[int] = (), final: bool = False) -> CycleStats:
-        self.in_final_cycle = final
+    def _seed(self, public_bits: Sequence[int]) -> None:
+        # Same backend.secret_label call order as the reference engine
+        # (the protocol backends perform channel I/O here).
         net = self.net
         state = self.state
-        backend = self.backend
-        cs = CycleStats(cycle=self.cycle)
-        self._cs = cs
-        profiling = self._profiling
-        if profiling:
-            self._garble_seconds = 0.0
-            self._reduce_seconds = 0.0
-            self._macro_seconds = 0.0
-            t_step0 = perf_counter()
-
-        self._rec_fanout = []
-        self._rec_oa = []
-        self._rec_ob = []
-        self._tables = []
-        self._next_key = 0
         sec = self._sec
         sec.clear()
-
-        # Prologue: constants, input labels, flip-flop states.  The
-        # backend.secret_label call order matches the reference engine
-        # exactly (the protocol backends perform channel I/O here).
+        secret_label = self.backend.secret_label
         state[0] = 0
         state[1] = 1
         for role in (ALICE, BOB):
             for i, w in enumerate(net.inputs[role]):
-                label = backend.secret_label(("in", role, self.cycle, i))
-                sec.append((label, 0, -1))
+                sec.append((secret_label(("in", role, self.cycle, i)), 0, -1))
                 state[w] = -len(sec)
-        pub_wires = net.inputs[PUBLIC]
-        if len(public_bits) != len(pub_wires):
-            raise ValueError(
-                f"expected {len(pub_wires)} public input bits, "
-                f"got {len(public_bits)}"
-            )
-        for w, bit in zip(pub_wires, public_bits):
+        for w, bit in zip(net.inputs[PUBLIC], public_bits):
             state[w] = bit & 1
         for ff, s in zip(net.dffs, self._ff_state):
             if type(s) is int:
@@ -892,13 +816,14 @@ class CompiledSkipGateEngine(SkipGateEngine):
                 sec.append(s)
                 state[ff.q] = -len(sec)
 
-        backend.begin_cycle(self.cycle)
-
+    def _sweep_cycle(self, final: bool) -> None:
         # The batched sweep: per segment, the generated leaf function
         # when there is one and every operand is public, else the
         # interpreted loop over the preallocated row arrays; then the
         # segment's port handler.  This loop makes every call, so the
         # big generated frames never have a callee.
+        state = self.state
+        profiling = self._profiling
         pairs = self.plan.pairs_final if final else self.plan.pairs
         handlers = self._handlers
         generic = self._generic_segment
@@ -917,106 +842,42 @@ class CompiledSkipGateEngine(SkipGateEngine):
                 self._macro_seconds += perf_counter() - t0
             else:
                 handlers[pp.index]()
+        cs = self._cs
         cs.cat_i += self.plan.n_static_gates - n_sec - n_dead
         cs.dead_skipped += n_dead
 
-        # Filter garbled tables whose fanout collapsed (Alg. 4 line 18).
-        kept: List[int] = []
-        dropped: List[int] = []
-        rf = self._rec_fanout
-        for key, rec in self._tables:
-            if rf[rec] > 0:
-                kept.append(key)
-            else:
-                dropped.append(key)
-        cs.tables_filtered = len(dropped)
-        cs.tables_sent = len(kept)
-        backend.end_cycle(kept, dropped)
-
-        for fn in self._deferred:
-            fn()
-        self._deferred.clear()
+    def _latch(self) -> List[WireState]:
+        state = self.state
+        sec = self._sec
         new_ff: List[WireState] = []
-        for ff in net.dffs:
+        for ff in self.net.dffs:
             s = state[ff.d]
             if s >= 0:
                 new_ff.append(s)
             else:
                 t = sec[-s - 1]
                 new_ff.append(t if t[2] < 0 else (t[0], t[1], -1))
-        self._ff_state = new_ff
-
-        if profiling:
-            step_seconds = perf_counter() - t_step0
-            obs = self.obs
-            obs.add_time("step", step_seconds)
-            obs.add_time(
-                self._garble_phase, self._garble_seconds, cs.cat_iv_garbled
-            )
-            obs.add_time("reduce", self._reduce_seconds, cs.reduction_calls)
-            if self._macro_seconds:
-                obs.add_time("macro", self._macro_seconds)
-            obs.event(
-                "cycle",
-                cycle=cs.cycle,
-                seconds=round(step_seconds, 6),
-                garble_seconds=round(self._garble_seconds, 6),
-                reduce_seconds=round(self._reduce_seconds, 6),
-                macro_seconds=round(self._macro_seconds, 6),
-                cat_i=cs.cat_i,
-                cat_ii=cs.cat_ii,
-                cat_iii=cs.cat_iii,
-                cat_iv_xor=cs.cat_iv_xor,
-                cat_iv_garbled=cs.cat_iv_garbled,
-                tables_filtered=cs.tables_filtered,
-                tables_sent=cs.tables_sent,
-                reduction_calls=cs.reduction_calls,
-                dynamic_gates=cs.dynamic_gates,
-                dead_skipped=cs.dead_skipped,
-            )
-
-        self.cycle += 1
-        self.stats.add_cycle(cs)
-        return cs
+        return new_ff
 
     # -- checkpoint / resume (reference tuple dialect) ------------------------
 
     def snapshot(self) -> dict:
         snap = super().snapshot()
-        decode = self._decode
-        snap["state"] = [decode(s) for s in snap["state"]]
+        snap["state"] = list(map(self._ctx.get, range(len(self.state))))
         return snap
 
     def restore(self, snap: dict) -> None:
         # Handler closures captured the state/_sec list objects, so
         # restore mutates them in place rather than rebinding.
         state_obj = self.state
-        sec_obj = self._sec
         super().restore(snap)
-        sec_obj.clear()
-        self._sec = sec_obj
-        encoded = [
+        self._sec.clear()
+        state_obj[:] = [
             s if type(s) is int else self._encode_nopush(s) for s in self.state
         ]
-        state_obj[:] = encoded
         self.state = state_obj
         for lst in self._pending_lists:
             lst.clear()
-
-    # -- results ---------------------------------------------------------------
-
-    def output_states(self) -> List[WireState]:
-        committed = {}
-        for ffi, ff in enumerate(self.net.dffs):
-            committed[ff.q] = self._ff_state[ffi]
-        decode = self._decode
-        out = []
-        for w in self.net.outputs:
-            if w in committed:
-                out.append(committed[w])
-            else:
-                out.append(decode(self.state[w]))
-        return out
 
 
 def make_engine(

@@ -363,6 +363,38 @@ class _Party:
         raise NotImplementedError
 
 
+def decode_outputs(payload, out_states, delta: int) -> List[int]:
+    """Decode Bob's output payload against Alice's output wire states.
+
+    ``payload`` holds one ``("pub", bit)`` or ``("lbl", bytes, flip)``
+    item per output; ``out_states`` the matching public bit or
+    ``(zero_label, flip[, origin])`` secret state.  Any disagreement
+    between the parties' views is a protocol desync.
+    """
+    if len(payload) != len(out_states):
+        raise AssertionError("output arity desync between parties")
+    outputs: List[int] = []
+    for got, s in zip(payload, out_states):
+        if got[0] == "pub":
+            if type(s) is not int or s != got[1]:
+                raise AssertionError("public output desync between parties")
+            outputs.append(s)
+        else:
+            _, label_raw, bob_flip = got
+            bob_label = int.from_bytes(label_raw, "little")
+            zero, flip = s[0], s[1]
+            if bob_flip != flip:
+                raise AssertionError("flip-bit desync between parties")
+            if bob_label == zero:
+                raw = 0
+            elif bob_label == zero ^ delta:
+                raw = 1
+            else:
+                raise AssertionError("Bob returned an unknown output label")
+            outputs.append(raw ^ flip)
+    return outputs
+
+
 class GarblerParty(_Party):
     """Alice: garbles, decodes Bob's output labels, shares the result."""
 
@@ -382,30 +414,10 @@ class GarblerParty(_Party):
         """Receive Bob's output labels, decode, share the cleartext
         (Algorithm 1 lines 16-17) and wait for Bob's goodbye."""
         chan = self.chan
-        payload = chan.recv("outputs")
-        out_states = self.engine.output_states()
-        if len(payload) != len(out_states):
-            raise AssertionError("output arity desync between parties")
-        outputs: List[int] = []
-        delta = self.backend.delta
-        for got, s in zip(payload, out_states):
-            if got[0] == "pub":
-                if type(s) is not int or s != got[1]:
-                    raise AssertionError("public output desync between parties")
-                outputs.append(s)
-            else:
-                _, label_raw, bob_flip = got
-                bob_label = int.from_bytes(label_raw, "little")
-                zero, flip, _ = s
-                if bob_flip != flip:
-                    raise AssertionError("flip-bit desync between parties")
-                if bob_label == zero:
-                    raw = 0
-                elif bob_label == zero ^ delta:
-                    raw = 1
-                else:
-                    raise AssertionError("Bob returned an unknown output label")
-                outputs.append(raw ^ flip)
+        outputs = decode_outputs(
+            chan.recv("outputs"), self.engine.output_states(),
+            self.backend.delta,
+        )
         # Stash the decoded result before waiting for the goodbye: a
         # Bob that dies right here leaves the session failed, but the
         # output is already known — the serve layer parks it for

@@ -479,31 +479,13 @@ class MaterialGarblerParty:
     def finish(self) -> List[int]:
         """Decode Bob's output labels against the recorded states
         (mirrors :meth:`GarblerParty.finish`)."""
+        from ..core.protocol import decode_outputs
+
         chan = self.chan
         material = self.material
-        payload = chan.recv("outputs")
-        if len(payload) != len(material.output_states):
-            raise AssertionError("output arity desync between parties")
-        outputs: List[int] = []
-        delta = material.delta
-        for got, s in zip(payload, material.output_states):
-            if got[0] == "pub":
-                if type(s) is not int or s != got[1]:
-                    raise AssertionError("public output desync between parties")
-                outputs.append(s)
-            else:
-                _, label_raw, bob_flip = got
-                bob_label = int.from_bytes(label_raw, "little")
-                zero, flip = s
-                if bob_flip != flip:
-                    raise AssertionError("flip-bit desync between parties")
-                if bob_label == zero:
-                    raw = 0
-                elif bob_label == zero ^ delta:
-                    raw = 1
-                else:
-                    raise AssertionError("Bob returned an unknown output label")
-                outputs.append(raw ^ flip)
+        outputs = decode_outputs(
+            chan.recv("outputs"), material.output_states, material.delta
+        )
         # Same stash as GarblerParty.finish: the result survives a Bob
         # that dies between here and the goodbye, so the serve layer
         # can park it for redial replay.

@@ -281,6 +281,13 @@ for _i, _name in enumerate(STAT_FIELDS):
     setattr(ServeStats, _name, _stat_property(_i))
 del _i, _name
 
+#: Finished sessions the registry keeps.  Their only use is to answer
+#: a late redial "already finished" rather than re-run it; older ones
+#: are evicted first, and an evicted id is one this shard never saw.
+#: The default ``replay_capacity``: by then a session's parked result
+#: has normally gone the same way.
+FINISHED_SESSIONS_KEPT = 256
+
 #: Terminal session states and the counter each one moves.
 _TERMINAL = {"done": "completed", "failed": "failed",
              "handed-off": "handed_off"}
@@ -421,6 +428,8 @@ class GarbleServer:
         self._edge = AsyncEdge(config, self._on_hello, counter=self._count)
         self.host, self.port = self._edge.host, self._edge.port
         self._sessions: Dict[str, _ServeSession] = {}
+        #: Ids of the booked sessions still in ``_sessions``, oldest first.
+        self._finished: "deque[str]" = deque()
         self._lock = threading.Lock()
         #: Admission state, all under ``_lock``.  ``_open``: sessions
         #: reserved and not yet booked — the drain barrier, waited on
@@ -654,17 +663,6 @@ class GarbleServer:
                 self._busy_streak = min(self._busy_streak + 1, 8)
             streak = self._busy_streak
         return round(min(10.0, 0.1 * (2 ** max(streak - 1, 0))), 3)
-
-    def _handle_connection(self, link: Link) -> None:
-        """Blocking-read handshake for links that arrive outside the
-        edge (tests drive this directly); the edge path parses the
-        hello on the loop and enters at :meth:`_complete_handshake`."""
-        tag, hello, leftover = recv_control(
-            link, timeout=self.config.handshake_timeout
-        )
-        if tag != HELLO or not isinstance(hello, dict):
-            raise FrameCorruption(f"expected {HELLO!r}, got {tag!r}")
-        self._complete_handshake(link, hello, leftover)
 
     def _complete_handshake(self, link: Link, hello: dict,
                             leftover: bytes) -> None:
@@ -1139,13 +1137,16 @@ class GarbleServer:
             index = self._idle_workers.popleft()
             self._unplaced -= 1
             sess.state, sess.owner = "active", index
+            # The worker is the bundle's only reader: the registry
+            # must not pin a peer's whole GarbledMaterial.
+            bundle, sess.bundle = sess.bundle, None
         try:
             self._chans[index].send({"type": "run", "session": sess.id,
                                      "program": sess.program,
                                      "client": sess.client,
                                      "ot_base": sess.ot_base,
                                      "garbler_key": sess.garbler_key,
-                                     "bundle": sess.bundle})
+                                     "bundle": bundle})
         except IpcClosed:
             # Worker died between going idle and the handoff; fail
             # the session (the evaluator redials into an error).
@@ -1186,6 +1187,9 @@ class GarbleServer:
             sess.state = state
             sess.result, sess.error, sess.peer = result, error, peer
             links, sess.links = sess.links or (), None  # seal
+            self._finished.append(sess.id)
+            if len(self._finished) > FINISHED_SESSIONS_KEPT:
+                self._sessions.pop(self._finished.popleft(), None)
         self._count(_TERMINAL[state])
         if flipped is not None:
             flipped()

@@ -9,7 +9,7 @@ from repro.circuit import CircuitBuilder
 from repro.circuit import modules as M
 from repro.circuit.bits import bits_to_int, int_to_bits
 from repro.circuit.lazy import LazySelector, LazyShifter, LazyUnit
-from tests.helpers import run_local
+from tests.helpers import run_local, run_local_both
 
 M32 = 0xFFFFFFFF
 
@@ -44,7 +44,7 @@ class TestLazyUnit:
     def test_secret_path_matches_static(self, a, bv):
         lazy = _build_mult_lazy()
         static = _build_mult_static()
-        rl = run_local(
+        rl = run_local_both(
             lazy, 1, alice=int_to_bits(a, 32), bob=int_to_bits(bv, 32)
         )
         rs = run_local(
@@ -114,7 +114,7 @@ class TestLazySelector:
         lazy, gate = self._pair(public_sel=False)
         for sel in range(4):
             kw = dict(alice=[1] * 32, bob=[1] * 32 + int_to_bits(sel, 2))
-            rl = run_local(lazy, 1, **kw)
+            rl = run_local_both(lazy, 1, **kw)
             rg = run_local(gate, 1, **kw)
             assert rl.value == rg.value
             assert rl.stats.garbled_nonxor == rg.stats.garbled_nonxor
@@ -157,7 +157,7 @@ class TestLazyShifter:
             return b.build()
 
         kw = dict(alice=int_to_bits(v, 32), bob=int_to_bits(amt, 5))
-        rl = run_local(build(True), 1, **kw)
+        rl = run_local_both(build(True), 1, **kw)
         rs = run_local(build(False), 1, **kw)
         assert rl.value == rs.value == (v << amt) & M32
         assert rl.stats.garbled_nonxor == rs.stats.garbled_nonxor

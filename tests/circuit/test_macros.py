@@ -5,7 +5,7 @@ import pytest
 from repro.circuit import CircuitBuilder, InitSpec, PlainSimulator
 from repro.circuit.bits import bits_to_int, int_to_bits, pack_words
 from repro.circuit.macros import Ram, Rom, const_words, input_words, zero_words
-from tests.helpers import run_local
+from tests.helpers import run_local, run_local_both
 
 
 def test_rom_rejects_private_contents():
@@ -45,7 +45,7 @@ def test_rom_secret_address_read_of_constants_is_cheap():
     b.set_outputs(out)
     net = b.build()
     for a in range(4):
-        r = run_local(net, 1, bob=int_to_bits(a, 2))
+        r = run_local_both(net, 1, bob=int_to_bits(a, 2))
         assert r.value == [10, 20, 30, 40][a]
         assert r.stats.garbled_nonxor == 2
 
@@ -61,7 +61,7 @@ def test_rom_secret_address_read_of_xor_friendly_constants_is_free():
     b.set_outputs(rom.read(b, addr))
     net = b.build()
     for a in range(4):
-        r = run_local(net, 1, bob=int_to_bits(a, 2))
+        r = run_local_both(net, 1, bob=int_to_bits(a, 2))
         assert r.value == a
         assert r.stats.garbled_nonxor == 0
 
@@ -130,7 +130,7 @@ class TestRamSecretData:
         net = b.build()
         words = [7, 77, 177, 250]
         for a in range(4):
-            r = run_local(
+            r = run_local_both(
                 net,
                 1,
                 bob=int_to_bits(a, 2),
@@ -149,7 +149,7 @@ class TestRamSecretData:
         b.set_outputs(ram.read(b, [lo[0], hi[0]]))
         net = b.build()
         words = [7, 77, 177, 250]
-        r = run_local(
+        r = run_local_both(
             net,
             1,
             public=[1],
@@ -171,7 +171,7 @@ class TestRamSecretData:
         b.set_outputs(ram.read(b, raddr))
         net = b.build()
         words = [1, 2, 3, 4]
-        r = run_local(
+        r = run_local_both(
             net,
             2,
             public=int_to_bits(1, 2),
@@ -195,7 +195,7 @@ class TestRamSecretData:
         raddr = b.public_input(2)
         b.set_outputs(ram.read(b, raddr))
         net = b.build()
-        r = run_local(
+        r = run_local_both(
             net,
             2,
             public=int_to_bits(2, 2),

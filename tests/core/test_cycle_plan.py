@@ -10,7 +10,10 @@ protocol, and checkpoint/resume through injected transport faults.
 
 from __future__ import annotations
 
+import ast
+import collections
 import dis
+import pathlib
 
 import pytest
 
@@ -20,7 +23,7 @@ from repro.circuit.bits import int_to_bits, pack_words
 from repro.circuit.netlist import PUBLIC
 from repro.core import CountingBackend, SkipGateEngine, make_engine
 from repro.core.plan import CompiledSkipGateEngine, compile_plan, warm_plan
-from repro.obs import Obs
+from repro.obs import ListSink, Obs
 
 # (name, builder) — one entry per bench_circuits module family.
 CIRCUITS = [
@@ -47,6 +50,29 @@ loop:   ADD r1, r1, r2
         SUB r1, r1, #1
         STR r1, [r3, #0]
         B loop
+"""
+
+
+# Every ARM path a compiled fast path declines: a secret-address LDR
+# and STR (one secret address bit in the data bank), a secret-flag
+# conditional STR (secret write enable), secret operands in the adder.
+FALLBACK_PROG = """
+        MOV r0, #0x1000
+        LDR r1, [r0, #0]
+        MOV r0, #0x2000
+        LDR r2, [r0, #0]
+        MOV r3, #0x4000
+        STR r2, [r3, #4]
+        AND r4, r1, #4
+        ADD r4, r4, r3
+        LDR r5, [r4, #0]
+        STR r1, [r4, #0]
+        CMP r1, r2
+        MOV r6, #0x3000
+        STRNE r5, [r6, #0]
+        LDR r7, [r3, #4]
+        STR r7, [r6, #4]
+        HALT
 """
 
 
@@ -95,9 +121,16 @@ class TestBenchCircuitDifferential:
             make_engine(net, engine="turbo")
 
 
-def _small_machine():
-    return GarbledMachine(LDR_PROG, alice_words=1, bob_words=1,
+def _small_machine(prog=LDR_PROG):
+    return GarbledMachine(prog, alice_words=1, bob_words=1,
                           output_words=2, data_words=8, imem_words=16)
+
+
+def _machine_engine(cls, backend=None, prog=LDR_PROG):
+    m = _small_machine(prog)
+    imem = m.program + [0] * (m.config.imem_words - len(m.program))
+    return cls(m.net, backend or CountingBackend(),
+               public_init=pack_words(imem, 32))
 
 
 class TestArmDifferential:
@@ -110,6 +143,119 @@ class TestArmDifferential:
         assert ref.outputs == cmp_.outputs
         assert ref.value == cmp_.value
         assert ref.stats == cmp_.stats
+
+
+@pytest.fixture
+def fallbacks_taken(monkeypatch):
+    """Counts, per port class name, the compiled engine's trips through
+    the port's own ``engine_step`` (the path a fast path declined)."""
+    taken = collections.Counter()
+    make = CompiledSkipGateEngine._make_fallback
+
+    def counting(self, port):
+        inner = make(self, port)
+
+        def fallback():
+            taken[type(port).__name__] += 1
+            inner()
+
+        return fallback
+
+    monkeypatch.setattr(CompiledSkipGateEngine, "_make_fallback", counting)
+    return taken
+
+
+class TestFallbackDifferential:
+    """The ports' own ``engine_step`` over each engine's MacroContext."""
+
+    CYCLES = 16
+    PORT_KINDS = ("MemReadPort", "MemWritePort", "LazyUnitPort")
+
+    def test_every_cycle_bit_identical_and_fallbacks_taken(
+            self, fallbacks_taken):
+        ref = _machine_engine(SkipGateEngine, prog=FALLBACK_PROG)
+        cmp_ = _machine_engine(CompiledSkipGateEngine, prog=FALLBACK_PROG)
+        for i in range(self.CYCLES):
+            final = i == self.CYCLES - 1
+            assert ref.step(final=final) == cmp_.step(final=final), (
+                f"cycle {i} stats diverge")
+        assert ref.output_states() == cmp_.output_states()
+        assert ref.stats == cmp_.stats
+        assert ref.stats.garbled_nonxor > 0
+        # The case must keep covering what it claims to cover.
+        for kind in self.PORT_KINDS:
+            assert fallbacks_taken[kind] >= 1, (kind, fallbacks_taken)
+
+    @pytest.mark.parametrize("alice,bob", [(5, 9), (2, 9), (7, 7)])
+    def test_machine_matches_the_emulator_on_both_engines(
+            self, alice, bob, fallbacks_taken):
+        # run() checks the output memory against the reference emulator.
+        ref = _small_machine(FALLBACK_PROG).run(
+            alice=[alice], bob=[bob], engine="reference")
+        cmp_ = _small_machine(FALLBACK_PROG).run(
+            alice=[alice], bob=[bob], engine="compiled")
+        assert ref.cycles == cmp_.cycles == self.CYCLES
+        assert ref.outputs == cmp_.outputs
+        assert ref.stats == cmp_.stats
+        assert all(fallbacks_taken[kind] for kind in self.PORT_KINDS)
+
+    @pytest.mark.parametrize(
+        "snap_cls,resume_cls",
+        [(SkipGateEngine, CompiledSkipGateEngine),
+         (CompiledSkipGateEngine, SkipGateEngine)],
+        ids=["reference-compiled", "compiled-reference"],
+    )
+    def test_mid_run_cross_engine_restore(self, snap_cls, resume_cls):
+        # Snapshot after the secret-address LDR (cycle 9) has put
+        # secret words in registers and memory, before the secret STRs.
+        base = _machine_engine(SkipGateEngine, prog=FALLBACK_PROG)
+        _run(base, base.net, self.CYCLES)
+        backend = CountingBackend()
+        eng = _machine_engine(snap_cls, backend, FALLBACK_PROG)
+        for _ in range(10):
+            eng.step()
+        resumed = _machine_engine(resume_cls, backend, FALLBACK_PROG)
+        resumed.restore(eng.snapshot())
+        for i in range(10, self.CYCLES):
+            resumed.step(final=(i == self.CYCLES - 1))
+        assert resumed.output_states() == base.output_states()
+        assert resumed.stats == base.stats
+
+
+class TestOneDoorOneSkeleton:
+    """Structure guards: what this layer deleted must not grow back."""
+
+    def test_ports_reach_an_engine_only_through_macro_context(self):
+        import repro.circuit
+
+        root = pathlib.Path(repro.circuit.__file__).parent
+        modules = sorted(root.rglob("*.py"))
+        assert modules
+        for path in modules:
+            reaches = [
+                node.lineno for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Attribute) and node.attr == "_eng"
+            ]
+            assert not reaches, f"{path.name} reaches around MacroContext"
+
+    def test_no_shim_and_one_cycle_skeleton(self):
+        import importlib
+        import pkgutil
+
+        import repro.core
+        from repro.core import plan
+
+        assert not hasattr(plan, "_ShimEngine")
+        assert not hasattr(plan, "_StateProxy")
+        owners = []
+        for info in pkgutil.iter_modules(repro.core.__path__):
+            mod = importlib.import_module(f"repro.core.{info.name}")
+            owners += [
+                cls.__qualname__ for cls in vars(mod).values()
+                if isinstance(cls, type) and cls.__module__ == mod.__name__
+                and "step" in vars(cls)
+            ]
+        assert owners == ["SkipGateEngine"]
 
 
 class TestGeneratedSweep:
@@ -151,13 +297,28 @@ class TestGeneratedSweep:
 
     def test_profiled_run_goes_through_the_same_loop(self):
         plain = _small_machine().run(alice=[5], bob=[9], cycles=40)
-        profiled = _small_machine().run(
-            alice=[5], bob=[9], cycles=40, obs=Obs()
-        )
-        assert profiled.outputs == plain.outputs
-        assert profiled.stats == plain.stats
-        assert profiled.timing["step"] > profiled.timing["macro"] > 0
         assert not plain.timing
+        cycle_events = {}
+        for engine in ("compiled", "reference"):
+            sink = ListSink()
+            profiled = _small_machine().run(
+                alice=[5], bob=[9], cycles=40, obs=Obs(sink), engine=engine
+            )
+            assert profiled.outputs == plain.outputs
+            assert profiled.stats == plain.stats
+            assert profiled.timing["step"] > profiled.timing["macro"] > 0
+            assert profiled.timing["reduce"] > 0
+            cycle_events[engine] = [
+                e for e in sink.events if e["event"] == "cycle"
+            ]
+        # One skeleton emits them: same count, same keys, same counts.
+        timed = {"t", "seconds", "garble_seconds", "reduce_seconds",
+                 "macro_seconds"}
+        assert len(cycle_events["compiled"]) == 40
+        for a, b in zip(cycle_events["compiled"], cycle_events["reference"]):
+            assert set(a) == set(b)
+            assert ({k: a[k] for k in a if k not in timed}
+                    == {k: b[k] for k in b if k not in timed})
 
     def test_caller_depth_does_not_change_the_run(self):
         def at_depth(depth):
@@ -173,11 +334,7 @@ class TestGeneratedSweep:
 
 
 class TestSnapshotRestore:
-    def _machine_engine(self, cls, backend=None):
-        m = _small_machine()
-        imem = m.program + [0] * (m.config.imem_words - len(m.program))
-        return cls(m.net, backend or CountingBackend(),
-                   public_init=pack_words(imem, 32))
+    _machine_engine = staticmethod(_machine_engine)
 
     @pytest.mark.parametrize(
         "snap_cls,resume_cls",

@@ -161,3 +161,75 @@ class TestAgainstSimulator:
         net = bl.build()
         r = run_protocol(net, 1, alice=int_to_bits(a, 16), bob=int_to_bits(b, 16))
         assert r.value == (a * b) & 0xFFFF
+
+
+class _ScriptedChan:
+    """Delivers one ``outputs`` payload; records what the party sent."""
+
+    def __init__(self, payload):
+        self.payload = payload
+        self.sent = []
+
+    def recv(self, tag):
+        return self.payload if tag == "outputs" else None
+
+    def send(self, tag, value):
+        self.sent.append((tag, value))
+
+
+class TestOutputDecoding:
+    """Both garbler parties decode Bob's outputs with one function."""
+
+    DELTA = 0x8001
+    # One public 1, one secret wire (zero label 0x1234, flip 1).
+    STATES = [1, (0x1234, 1, 7)]
+
+    @staticmethod
+    def _lbl(label, flip):
+        return ("lbl", label.to_bytes(16, "little"), flip)
+
+    def _finish(self, kind, payload):
+        from types import SimpleNamespace
+
+        from repro.core.protocol import GarblerParty
+        from repro.gc.material import MaterialGarblerParty
+
+        chan = _ScriptedChan(payload)
+        if kind == "live":
+            party = object.__new__(GarblerParty)
+            party.engine = SimpleNamespace(output_states=lambda: self.STATES)
+            party.backend = SimpleNamespace(delta=self.DELTA)
+        else:
+            party = object.__new__(MaterialGarblerParty)
+            party.material = SimpleNamespace(
+                output_states=[s if type(s) is int else s[:2]
+                               for s in self.STATES],
+                delta=self.DELTA,
+            )
+        party.chan = chan
+        return party.finish(), party, chan
+
+    @pytest.mark.parametrize("kind", ["live", "material"])
+    def test_decodes_and_shares_the_result(self, kind):
+        payload = [("pub", 1), self._lbl(0x1234 ^ self.DELTA, 1)]
+        outputs, party, chan = self._finish(kind, payload)
+        assert outputs == party.last_outputs == [1, 0]  # raw 1 ^ flip 1
+        assert chan.sent == [("result", [1, 0])]
+
+    @pytest.mark.parametrize("payload,message", [
+        ([("pub", 1), ("lbl", b"\x99" * 16, 1)],
+         "Bob returned an unknown output label"),
+        ([("pub", 1), ("lbl", (0x1234).to_bytes(16, "little"), 0)],
+         "flip-bit desync between parties"),
+        ([("pub", 0), ("lbl", (0x1234).to_bytes(16, "little"), 1)],
+         "public output desync between parties"),
+        ([("pub", 1), ("pub", 0)],
+         "public output desync between parties"),
+        ([("pub", 1)], "output arity desync between parties"),
+    ], ids=["unknown-label", "flipped-flip", "wrong-public-bit",
+            "public-for-secret", "short-payload"])
+    def test_desyncs_read_the_same_from_both_parties(self, payload, message):
+        for kind in ("live", "material"):
+            with pytest.raises(AssertionError) as exc:
+                self._finish(kind, payload)
+            assert str(exc.value) == message, kind

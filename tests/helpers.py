@@ -3,7 +3,7 @@
 The legacy ``evaluate_with_stats`` / ``run_protocol`` entrypoints are
 gone; :func:`repro.api.run` with an ``inputs`` mapping is the one front
 door.  Tests, however, overwhelmingly want the old positional spelling
-(``net, cycles, alice=..., bob=...``), so these two wrappers keep the
+(``net, cycles, alice=..., bob=...``), so these wrappers keep the
 call sites short while routing every test through the public API.
 """
 
@@ -24,6 +24,18 @@ def run_local(net, cycles=1, **kwargs):
     plus plain-simulator outputs (the old ``evaluate_with_stats``)."""
     inputs = _split(kwargs)
     return api.run(net, inputs, mode="local", cycles=cycles, **kwargs)
+
+
+def run_local_both(net, cycles=1, **kwargs):
+    """:func:`run_local` on the reference and the compiled engine.
+    The two must agree on outputs and every statistic; used where a
+    macro port takes its secret path (the compiled engine then runs
+    the port's own ``engine_step`` through its MacroContext)."""
+    ref = run_local(net, cycles, engine="reference", **kwargs)
+    compiled = run_local(net, cycles, engine="compiled", **kwargs)
+    assert ref.outputs == compiled.outputs
+    assert ref.stats == compiled.stats
+    return compiled
 
 
 def run_protocol(net, cycles=1, **kwargs):

@@ -261,6 +261,13 @@ class TestDrainHandoff:
             assert agg["completed"] == 1
             assert agg["failed"] == 0
 
+            # The adopter's registry entry outlives the session; the
+            # handoff bundle (the peer's whole material) must not.
+            (adopter,) = [srv for srv in fleet.servers
+                          if (srv.host, srv.port) != tuple(owner["addr"])]
+            assert adopter._sessions["drain-handoff"].state == "done"
+            assert adopter._sessions["drain-handoff"].bundle is None
+
 
 class TestRedirect:
     """The router answers ``moved`` and steps aside: the session, its

@@ -130,6 +130,31 @@ class TestAdmissionControl:
                                      session_id="once", max_attempts=1,
                                      timeout=2.0)
 
+    def test_session_registry_keeps_only_recent_finished_sessions(
+            self, monkeypatch):
+        """Finished sessions leave the registry oldest first; the ones
+        still there answer a redial 'already finished' whatever the
+        replay settings, and booking stays balanced."""
+        from repro.serve import server
+
+        monkeypatch.setattr(server, "FINISHED_SESSIONS_KEPT", 4)
+        with make_server(["sum32"], value=1, port=0, pool="thread",
+                         replay_ttl=0) as srv:
+            for i in range(12):
+                run_registry_session(srv.host, srv.port, "sum32", i,
+                                     session_id=f"s{i}", max_attempts=1)
+            _await(lambda: srv.stats.completed == 12,
+                   what="server bookkeeping")
+            assert srv.stats.accepted == 12
+            assert sorted(srv._sessions) == ["s10", "s11", "s8", "s9"]
+            assert srv.session_result("s11") is not None
+            assert srv.session_result("s0") is None
+            with pytest.raises(ServeError, match="already finished"):
+                run_registry_session(srv.host, srv.port, "sum32", 2,
+                                     session_id="s11", max_attempts=1,
+                                     timeout=2.0)
+            assert srv.stats.accepted == 12
+
 
 class TestStats:
     def test_stats_probe_over_the_wire(self):

@@ -21,7 +21,6 @@ import pytest
 from repro.net.links import Link, LinkClosed, LinkTimeout, memory_link_pair
 from repro.serve import ServeError, make_server, run_registry_session
 from repro.serve.client import _hello_exchange
-from repro.serve.handshake import HELLO, send_control
 from repro.serve.worker import _WorkerSession
 
 SERVER_VALUE = 5555
@@ -35,38 +34,27 @@ def _await(predicate, timeout=5.0, what="condition"):
         time.sleep(0.01)
 
 
-def _hello_bytes(sid: str, program: str) -> bytes:
-    """The wire bytes of one hello control frame."""
-    left, right = memory_link_pair()
-    send_control(left, HELLO,
-                 {"op": "session", "session": sid, "program": program})
-    chunks = []
-    try:
-        while True:
-            chunk = right.recv_bytes(timeout=0.05)
-            if not chunk:
-                break
-            chunks.append(chunk)
-    except LinkTimeout:
-        pass
-    return b"".join(chunks)
+def _vanish(srv, sid: str, delay: float = 0.0) -> "_VanishingLink":
+    """Hand the server a parsed hello on a link that dies on the
+    welcome write, the way the edge hands it one off the loop."""
+    link = _VanishingLink(delay)
+    srv._complete_handshake(
+        link, {"op": "session", "session": sid, "program": "sum32"}, b"")
+    return link
 
 
 class _VanishingLink(Link):
-    """Delivers a hello, then dies on the server's welcome write —
-    the client that disconnects between hello and welcome.  With a
-    ``delay`` the write blocks that long before it fails, as a real
-    socket's send timeout does: long enough for anything that learnt
-    of the session before its welcome to act on it."""
+    """Dies on the server's welcome write — the client that
+    disconnects between hello and welcome.  With a ``delay`` the write
+    blocks that long before it fails, as a real socket's send timeout
+    does: long enough for anything that learnt of the session before
+    its welcome to act on it."""
 
-    def __init__(self, hello: bytes, delay: float = 0.0) -> None:
-        self._chunks = [hello]
+    def __init__(self, delay: float = 0.0) -> None:
         self._delay = delay
         self.closed = False
 
     def recv_bytes(self, timeout=None) -> bytes:
-        if self._chunks:
-            return self._chunks.pop(0)
         return b""
 
     def send_bytes(self, data: bytes) -> None:
@@ -88,8 +76,7 @@ class TestVanishDuringHandshake:
         with make_server(["sum32"], value=SERVER_VALUE, workers=1,
                          queue_depth=4, timeout=30.0, resume_window=30.0,
                          port=0) as srv:
-            link = _VanishingLink(_hello_bytes("vanish-0", "sum32"), delay)
-            srv._handle_connection(link)
+            link = _vanish(srv, "vanish-0", delay)
 
             assert srv.stats.accepted == 0
             assert srv.stats.completed == 0 and srv.stats.failed == 0
@@ -118,8 +105,7 @@ class TestVanishDuringHandshake:
         reject."""
         with make_server(["sum32"], value=SERVER_VALUE, workers=1,
                          port=0) as srv:
-            srv._handle_connection(
-                _VanishingLink(_hello_bytes("retry-me", "sum32")))
+            _vanish(srv, "retry-me")
             res = run_registry_session(
                 srv.host, srv.port, "sum32", 9,
                 session_id="retry-me", max_attempts=1, timeout=10.0)
