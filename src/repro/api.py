@@ -33,6 +33,10 @@ which carries the same ``outputs`` / ``value`` / ``stats`` names).
 :mod:`repro.core.plan`; ``engine="reference"`` runs the interpreted
 engine.  The two are bit-identical in outputs, statistics and
 snapshots; the reference engine exists for differential testing.
+``mode="local"`` runs the chosen engine directly; the two-party modes
+(``protocol``, ``party``, ``serve``) run it once per process, to record
+the program's residual trace (:mod:`repro.core.trace`), and every
+session then replays that trace against its own crypto backend.
 
 :func:`run` is the **operator** half of the API: it executes a
 computation (or starts the server that will).  :func:`connect` is the

@@ -1,10 +1,14 @@
 """The two-party SkipGate protocol (Algorithms 1 and 2, with crypto).
 
 This module runs the *real* protocol: Alice garbles with half-gates,
-Bob receives his input labels through oblivious transfer, garbled
-tables travel over a byte-counted channel, and the SkipGate engine on
-each side independently decides — from public information and label
-identity only — which gates to garble, compute locally, or skip.
+Bob receives his input labels through oblivious transfer, and garbled
+tables travel over a byte-counted channel.  Which gates are garbled,
+computed locally or skipped is decided — from public information and
+label identity only — by a SkipGate engine, but not here and not per
+session: each party fetches the program's *residual trace*
+(:mod:`repro.core.trace`: the engine's backend-call stream, recorded
+once per process for a given netlist, cycle count and public input)
+and replays it against its own crypto backend.
 
 The protocol logic lives in two *party* objects —
 :class:`GarblerParty` and :class:`EvaluatorParty` — that are agnostic
@@ -18,10 +22,10 @@ Bob evaluates cycle ``c`` — the pipelining of Section 3.2), and
 process over TCP with cycle-level checkpoint/resume.
 
 Parties expose three resume hooks: :meth:`attach` binds (or re-binds,
-after a reconnect) the transport, :meth:`snapshot` freezes engine +
-backend + OT progress at a cycle boundary, and :meth:`restore` rolls
-back to a snapshot so the replayed cycles regenerate fresh labels on
-both sides consistently.
+after a reconnect) the transport, :meth:`snapshot` freezes trace
+position + live labels + backend + OT progress at a cycle boundary,
+and :meth:`restore` rolls back to a snapshot so the replayed cycles
+regenerate fresh labels on both sides consistently.
 
 Wire formats are deterministic and fixed-width for label material
 (every label is exactly :data:`~repro.gc.hashing.LABEL_BYTES` bytes on
@@ -29,16 +33,18 @@ the wire) so communication totals cannot wobble with random label
 values; a cycle's surviving tables travel as one ``(keys, blob)``
 batch costing ``32`` bytes per table plus a few bytes of keys.
 
-Synchronization argument (why the two engines agree): every decision
-the engine takes depends only on (a) public inputs, which both have,
-and (b) raw-label identity plus flip bits, which evolve identically on
-both sides — Alice compares zero-labels, Bob compares held labels, and
-these coincide because labels are only ever created fresh (garbling,
-inputs) or combined structurally (XOR, wire/inverter passes).  Garbled
-tables are additionally tagged with their deterministic per-cycle gate
-key, so a table filtered by Alice (Algorithm 4 line 18) is simply
-absent from Bob's batch and he substitutes a flagged dummy label
-(Algorithm 5 line 18).
+Synchronization argument (why the two parties agree): every decision
+a SkipGate engine takes depends only on (a) public inputs, which both
+have, and (b) raw-label identity plus flip bits, which evolve
+identically on both sides — Alice compares zero-labels, Bob compares
+held labels, and these coincide because labels are only ever created
+fresh (garbling, inputs) or combined structurally (XOR, wire/inverter
+passes).  The trace is therefore the same whoever builds it, and holds
+label *ids*, never label bytes or delta.  Garbled tables are
+additionally tagged with their deterministic per-cycle gate key, so a
+table filtered by Alice (Algorithm 4 line 18) is simply absent from
+Bob's batch and he substitutes a flagged dummy label (Algorithm 5
+line 18).
 """
 
 from __future__ import annotations
@@ -63,10 +69,9 @@ from ..gc.ot import OTReceiver, OTSender
 from ..gc.ot_extension import OTExtensionReceiver, OTExtensionSender
 from ..obs import NULL_OBS, timing_summary
 from .backend import Backend
-from .engine import SkipGateEngine
-from .plan import make_engine
 from .results import BaseResult
 from .stats import RunStats
+from .trace import TraceReplayer, residual_trace
 
 BitSource = Union[Sequence[int], "callable"]
 
@@ -302,7 +307,9 @@ class _Party:
         self.obs = NULL_OBS if obs is None else obs
         self.chan: Optional[Endpoint] = None
         self.backend = None
-        self.engine: Optional[SkipGateEngine] = None
+        #: Not a sweeping engine: the replayer of the program's residual
+        #: trace (the name is what the session layers read).
+        self.engine: Optional[TraceReplayer] = None
 
     def _make_backend(self, chan: Endpoint):
         raise NotImplementedError
@@ -312,13 +319,11 @@ class _Party:
         self.chan = chan
         if self.backend is None:
             self.backend = self._make_backend(chan)
-            self.engine = make_engine(
-                self.net,
-                self.backend,
-                public_init=self._public_init,
-                obs=self.obs,
-                engine=self._engine_kind,
+            trace = residual_trace(
+                self.net, self.cycles, self._public, self._public_init,
+                self._engine_kind, self.obs,
             )
+            self.engine = TraceReplayer(trace, self.backend, self.obs)
         else:
             self.backend.rebind(chan)
 
@@ -327,21 +332,12 @@ class _Party:
         """Number of completed cycles."""
         return 0 if self.engine is None else self.engine.cycle
 
-    def _public_row(self, cycle: int) -> Sequence[int]:
-        p = self._public
-        return p(cycle) if callable(p) else p
-
-    def step_cycle(self) -> None:
-        """Run one protocol cycle (Algorithms 1-2 loop body)."""
-        engine = self.engine
-        i = engine.cycle
-        engine.step(self._public_row(i), final=(i == self.cycles - 1))
-
     def run_cycles(self, on_boundary=None) -> None:
-        """Run all remaining cycles; ``on_boundary(completed_cycles)``
-        fires after each one (the session checkpoints there)."""
+        """Run all remaining cycles (Algorithms 1-2 loop);
+        ``on_boundary(completed_cycles)`` fires after each one (the
+        session checkpoints there)."""
         while self.engine.cycle < self.cycles:
-            self.step_cycle()
+            self.engine.step()
             if on_boundary is not None:
                 on_boundary(self.engine.cycle)
 

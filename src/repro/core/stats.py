@@ -78,6 +78,15 @@ class RunStats:
         self.dynamic_gates += cs.dynamic_gates
         self.dead_skipped += cs.dead_skipped
 
+    def prefix(self, cycles: int) -> "RunStats":
+        """The aggregate of the first ``cycles`` cycles, as a new object."""
+        out = RunStats(
+            conventional_nonxor_per_cycle=self.conventional_nonxor_per_cycle
+        )
+        for cs in self.per_cycle[:cycles]:
+            out.add_cycle(cs)
+        return out
+
     # -- the paper's headline numbers ---------------------------------------
 
     @property

@@ -18,7 +18,9 @@ Three pieces implement the split:
   GarblerParty` against a recording channel and a recording OT,
   capturing the ordered per-cycle event stream into a
   :class:`GarbledMaterial` bundle keyed by (netlist digest, cycle
-  index, delta epoch).
+  index, delta epoch).  Like every party it replays the program's
+  residual trace (:mod:`repro.core.trace`), so an epoch costs the
+  garbling itself and no SkipGate sweep.
 * :class:`MaterialCache` is a bounded per-program pool of such
   bundles with explicit **delta-epoch rotation**: every bundle is
   garbled under a fresh delta and handed out exactly once.  Reusing a
@@ -67,7 +69,7 @@ class _Recorder:
     """Accumulates the garbler's ordered outbound events.
 
     Events before the first cycle (flip-flop / macro init labels,
-    resolved while the engine is constructed during ``attach``) land in
+    replayed from the trace's init bucket during ``attach``) land in
     the *init bucket*; after that, each ``tables`` send closes one
     cycle bucket.
     """
@@ -179,9 +181,10 @@ def build_material(
 ) -> GarbledMaterial:
     """Offline phase: garble every cycle of ``net`` under a fresh delta.
 
-    Runs the real garbler (same engine, same backend, same category
-    decisions) against recording stand-ins, so the captured transcript
-    is byte-for-byte what an online session must send.  ``alice`` /
+    Runs the real garbler (same residual trace, same backend, hence
+    the same category decisions) against recording stand-ins, so the
+    captured transcript is byte-for-byte what an online session must
+    send.  ``alice`` /
     ``alice_init`` are the garbler's operand sources exactly as a
     :class:`~repro.serve.server.ServeProgram` holds them.
     """

@@ -179,15 +179,14 @@ def _proc_client_main(i: int, barrier, outq, host: str, port: int,
     """
     out = SessionOutcome(session=session, value=value)
     try:
-        from ..core.plan import warm_plan
+        from ..core.trace import residual_trace
         from ..net.cli import _registry
 
-        net, _cycles = _registry()[circuit].build()
-        if spec["engine"] == "compiled":
-            # Thread clients share one process-wide plan cache, so all
-            # but the first session ride a warm plan; give each client
-            # process the same footing before the measured window.
-            warm_plan(net)
+        net, cycles = _registry()[circuit].build()
+        # Thread clients share one process-wide trace cache, so all
+        # but the first session replay a warm trace; give each client
+        # process the same footing before the measured window.
+        residual_trace(net, cycles, engine=spec["engine"])
         client = _make_client(host, port, i, spec)
         warmed = True
         try:

@@ -27,8 +27,8 @@ Architecture::
   ``ready``/``done``/``failed``/``handed-off`` up; every (re)connected
   socket crosses as a file descriptor via ``socket.send_fds``.
   ``pool="process"`` starts it in a forkserver process (garbling runs
-  on ``min(workers, cores)`` cores; each worker rebuilds and pre-warms
-  its own compiled plans and owns its own material caches).
+  on ``min(workers, cores)`` cores; each worker records its own
+  residual traces and owns its own material caches).
   ``pool="thread"`` starts the *same function* in a
   ``threading.Thread`` of this process, handing it by reference what a
   process would get by pickling or build itself — the programs, the

@@ -1,4 +1,4 @@
-"""The serve worker: one garbler loop, one pre-warmed plan per program.
+"""The serve worker: one garbler loop, one pre-built trace per program.
 
 ``worker_main`` is the only place a served session runs.  The
 :class:`~repro.serve.server.GarbleServer` parent starts it N times,
@@ -7,11 +7,11 @@ each at the far end of its own AF_UNIX control channel
 in nothing but the spawn:
 
 * ``pool="process"`` — a forkserver process (so this module is
-  importable and preloadable).  The worker rebuilds each served
-  program's compiled :class:`~repro.core.plan.CyclePlan` — including
-  the generated sweep — in its *own* interpreter and owns its own
-  material caches; the parent's plan cache is never shared across the
-  process boundary.
+  importable and preloadable).  The worker records each served
+  program's residual trace (:mod:`repro.core.trace`; the build
+  compiles the :class:`~repro.core.plan.CyclePlan` on the way) in its
+  *own* interpreter and owns its own material caches; the parent's
+  caches are never shared across the process boundary.
 * ``pool="thread"`` — a ``threading.Thread`` of the parent process,
   for programs that cannot be pickled and a ``__main__`` that cannot
   be re-imported.  It is handed by reference what a thread cannot get
@@ -58,8 +58,8 @@ from time import perf_counter
 from typing import Optional
 
 from ..circuit.bits import bits_to_int
-from ..core.plan import warm_plan
 from ..core.protocol import GarblerParty, _expand_bits
+from ..core.trace import residual_trace
 from ..gc.material import MaterialCache, MaterialGarblerParty
 from ..gc.ot_extension import OTExtensionSender, session_salt
 from ..net.links import Link, LinkClosed, LinkTimeout, PrefacedLink
@@ -557,12 +557,15 @@ def worker_main(index: int, sock: socket.socket, stats: tuple,
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     obs.set_thread_label(f"serve-worker-{index}")
     chan = MsgChannel(sock)
-    # Pre-warm: one compiled plan (and generated sweep) per served
-    # program, in this process's plan cache (thread-safe, so N worker
-    # threads still pay one compile).
-    if config["engine"] == "compiled":
-        for prog in programs.values():
-            warm_plan(prog.net)
+    # Pre-warm: one residual trace per served program, in this
+    # process's cache (thread-safe, so N worker threads still pay one
+    # sweep).  Building it is all the warm-up there is: the builder
+    # compiles the plan and the generated sweep on the way, and no
+    # session sweeps afterwards.  Without it a ``precompute=False``
+    # server's first session would pay the build.
+    for prog in programs.values():
+        residual_trace(prog.net, prog.cycles, prog.public,
+                       prog.public_init, config["engine"])
     # Offline phase: pre-garble material_depth delta epochs per program
     # before signalling ready, so the first admitted session is already
     # pure replay.

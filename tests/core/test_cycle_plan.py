@@ -247,15 +247,25 @@ class TestOneDoorOneSkeleton:
 
         assert not hasattr(plan, "_ShimEngine")
         assert not hasattr(plan, "_StateProxy")
-        owners = []
+        steppers, dispatchers = [], []
         for info in pkgutil.iter_modules(repro.core.__path__):
             mod = importlib.import_module(f"repro.core.{info.name}")
-            owners += [
-                cls.__qualname__ for cls in vars(mod).values()
-                if isinstance(cls, type) and cls.__module__ == mod.__name__
-                and "step" in vars(cls)
-            ]
-        assert owners == ["SkipGateEngine"]
+            for cls in vars(mod).values():
+                if not (isinstance(cls, type) and cls.__module__ == mod.__name__):
+                    continue
+                if "step" in vars(cls):
+                    steppers.append(cls.__qualname__)
+                if "_process" in vars(cls):
+                    dispatchers.append(cls.__qualname__)
+        # One class decides categories and one sweeps a netlist.  The
+        # other ``step`` replays a recorded trace: no netlist, no
+        # category (tests/core/test_trace.py pins what it may name).
+        assert dispatchers == ["SkipGateEngine"]
+        assert sorted(steppers) == ["SkipGateEngine", "TraceReplayer"]
+        from repro.core.trace import TraceReplayer
+
+        assert not issubclass(TraceReplayer, SkipGateEngine)
+        assert not hasattr(TraceReplayer, "_sweep_cycle")
 
 
 class TestGeneratedSweep:

@@ -1,0 +1,410 @@
+"""The residual trace: differential net and structural guards.
+
+The contract of :mod:`repro.core.trace` is that replaying a recorded
+trace against a real crypto backend is indistinguishable, on the wire
+and in every statistic, from driving that backend with a sweeping
+SkipGate engine (what ``_Party`` did before the trace existed).  The
+differential here pins that on every registry circuit and ARM program;
+the guards pin what the trace may hold and who may decide categories.
+"""
+
+from __future__ import annotations
+
+import ast
+import pathlib
+import random
+import sys
+import threading
+
+import pytest
+
+from repro import api
+from repro.circuit.bits import pack_words
+from repro.core import make_engine
+from repro.core import trace as T
+from repro.core.protocol import make_parties
+from repro.gc import ot as ot_mod
+from repro.gc.channel import channel_pair
+from repro.net import codec
+from repro.net.cli import _registry
+from repro.programs import REGISTRY
+
+from tests.core.test_cycle_plan import FALLBACK_PROG, LDR_PROG, _small_machine
+from tests.integration.test_programs import build_machine
+
+#: Figure 6's secret-PC program (benchmarks/bench_ablation_secret_pc.py).
+BRANCHY = """
+    MOV r0, #0x1000
+    LDR r1, [r0, #0]
+    MOV r0, #0x2000
+    LDR r2, [r0, #0]
+    CMP r1, r2
+    BGE else
+    ADD r3, r1, r2
+    B join
+else:
+    SUB r3, r1, r2
+join:
+    MOV r0, #0x3000
+    STR r3, [r0, #0]
+    HALT
+"""
+
+#: ARM programs cheap enough to run whole; the rest of the registry runs
+#: its first ``ARM_CYCLE_CAP`` cycles (a truncated run is still a run:
+#: the last of them is the pre-announced final cycle).
+ARM_WHOLE = {"sum32", "sum1024", "compare32", "hamming32", "hamming160", "mult32"}
+ARM_CYCLE_CAP = 120
+#: Above this many gates the reference builder (~25 us a gate) is not
+#: re-run: only the larger sizes of the PSI families are, and their
+#: smaller sizes are below it.
+REFERENCE_GATE_LIMIT = 10_000
+
+
+def _machine_case(machine, alice, bob, cycles=None):
+    cfg = machine.config
+    if cycles is None:
+        cycles = max(machine.required_cycles(alice, bob)[0],
+                     machine.required_cycles(bob, alice)[0])
+    imem = machine.program + [0] * (cfg.imem_words - len(machine.program))
+    return machine.net, cycles, {
+        "alice_init": pack_words(alice + [0] * (cfg.alice_words - len(alice)), 32),
+        "bob_init": pack_words(bob + [0] * (cfg.bob_words - len(bob)), 32),
+        "public_init": pack_words(imem, 32),
+    }
+
+
+def _registry_case(name):
+    entry = _registry()[name]
+    net, cycles = entry.build()
+    return net, cycles, {"alice": entry.alice_source(1234, cycles),
+                         "bob": entry.bob_source(4321, cycles)}
+
+
+def _program_case(name):
+    prog = REGISTRY[name]
+    machine = build_machine(prog)
+    alice, bob = prog.gen_inputs(random.Random(5))
+    whole = name in ARM_WHOLE
+    cycles = machine.required_cycles(alice, bob)[0] if whole else ARM_CYCLE_CAP
+    return _machine_case(machine, alice, bob, cycles)
+
+
+CASES = (
+    [(n, lambda n=n: _registry_case(n)) for n in _registry()]
+    + [(f"arm-{n}", lambda n=n: _program_case(n)) for n in REGISTRY]
+    + [("arm-fallback",
+        lambda: _machine_case(_small_machine(FALLBACK_PROG), [5], [9])),
+       ("arm-secret-pc",
+        lambda: _machine_case(_small_machine(BRANCHY), [30], [12]))]
+)
+
+
+class _Run:
+    """What one two-party run left behind, per role."""
+
+    def __init__(self):
+        self.sent = {"garbler": [], "evaluator": []}
+        self.outputs = {}
+        self.stats = {}
+        self.tables_sent = None
+
+
+class _PlainOT:
+    """Both ends of a stand-in for the input-label OT: deterministic and
+    free of public-key work, so the broad differential costs only the
+    garbling.  (Real extension OT runs in the rollback cases below and
+    everywhere else in the suite.)"""
+
+    def __init__(self, chan):
+        self.chan = chan
+        self.count = 0
+
+    def send(self, m0, m1):
+        self.chan.send("ot", (m0, m1))
+        self.count += 1
+
+    def receive(self, choice):
+        self.count += 1
+        return self.chan.recv("ot")[choice]
+
+    def rebind(self, chan):
+        self.chan = chan
+
+
+def _row(public, cycle):
+    return public(cycle) if callable(public) else public
+
+
+def _drive_sweep(party, chan, inputs, rollback):
+    """The parent commit's ``_Party``: a sweeping engine over the real
+    backend, stepped cycle by cycle."""
+    party.chan = chan
+    party.backend = party._make_backend(chan)
+    eng = party.engine = make_engine(
+        party.net, party.backend, public_init=inputs.get("public_init", ()))
+    snap = None
+    public = inputs.get("public", ())
+    while eng.cycle < party.cycles:
+        i = eng.cycle
+        eng.step(_row(public, i), final=(i == party.cycles - 1))
+        if rollback and eng.cycle == rollback[0] and snap is None:
+            snap = (eng.snapshot(), party.backend.snapshot())
+        if rollback and eng.cycle == rollback[1]:
+            eng.restore(snap[0])
+            party.backend.restore(snap[1])
+            rollback = None
+
+
+def _drive_replay(party, chan, inputs, rollback):
+    """This commit's ``_Party``: attach builds or fetches the trace."""
+    party.attach(chan)
+    snap = None
+
+    def boundary(done):
+        nonlocal snap, rollback
+        if rollback and done == rollback[0] and snap is None:
+            snap = party.snapshot()
+        if rollback and done == rollback[1]:
+            party.restore(snap)
+            rollback = None
+
+    party.run_cycles(on_boundary=boundary)
+
+
+def _two_party_run(monkeypatch, net, cycles, inputs, drive, *, rollback=None,
+                   real_ot=False):
+    run = _Run()
+    ends = dict(zip(("garbler", "evaluator"), channel_pair(timeout=60.0)))
+    parties = dict(zip(("garbler", "evaluator"), make_parties(
+        net, cycles, ot="extension", seed=7, **inputs)))
+    if real_ot:
+        # The base-OT exponents are the one draw `seed` does not reach.
+        rngs = {"garbler": random.Random(1), "evaluator": random.Random(2)}
+        monkeypatch.setattr(
+            ot_mod, "_draw_exponent",
+            lambda: rngs[threading.current_thread().name].getrandbits(256) | 1)
+    else:
+        for party in parties.values():
+            party._ot_factory = _PlainOT
+    errors = []
+
+    def tap(role):
+        end, log = ends[role], run.sent[role]
+        send = end.send
+
+        def tapped(tag, payload):
+            log.append((tag, codec.encode(payload)))
+            send(tag, payload)
+
+        end.send = tapped
+
+    def main(role):
+        try:
+            party = parties[role]
+            drive(party, ends[role], inputs, rollback)
+            run.outputs[role] = party.finish()
+            run.stats[role] = party.engine.stats
+        except BaseException as exc:  # noqa: BLE001 - surface in the test
+            errors.append(exc)
+            ends[role].abort()
+
+    threads = []
+    for role in ends:
+        tap(role)
+        threads.append(threading.Thread(target=main, args=(role,), name=role))
+        threads[-1].start()
+    for t in threads:
+        t.join(120.0)
+    if errors:
+        raise errors[0]
+    assert not any(t.is_alive() for t in threads)
+    run.tables_sent = parties["garbler"].backend.tables_sent
+    return run
+
+
+def _assert_same_run(swept, replayed):
+    for role in ("garbler", "evaluator"):
+        assert len(swept.sent[role]) == len(replayed.sent[role]), role
+        for i, (a, b) in enumerate(zip(swept.sent[role], replayed.sent[role])):
+            assert a == b, f"{role} frame {i} ({a[0]!r} vs {b[0]!r}) differs"
+        assert swept.outputs[role] == replayed.outputs[role]
+        assert swept.stats[role] == replayed.stats[role]
+        assert swept.stats[role].per_cycle == replayed.stats[role].per_cycle
+    assert swept.tables_sent == replayed.tables_sent
+    assert swept.outputs["garbler"] == swept.outputs["evaluator"]
+
+
+class TestDifferential:
+    @pytest.mark.parametrize("name,build", CASES, ids=[n for n, _ in CASES])
+    def test_replay_is_the_sweeping_engine_on_the_wire(
+            self, monkeypatch, name, build):
+        net, cycles, inputs = build()
+        swept = _two_party_run(monkeypatch, net, cycles, inputs, _drive_sweep)
+        replayed = _two_party_run(monkeypatch, net, cycles, inputs, _drive_replay)
+        _assert_same_run(swept, replayed)
+        # Both builders record the same trace, column for column.
+        public = (inputs.get("public", ()), inputs.get("public_init", ()))
+        compiled = T.residual_trace(net, cycles, *public, "compiled")
+        assert compiled.stats == swept.stats["garbler"]
+        if net.n_gates <= REFERENCE_GATE_LIMIT:
+            reference = T.residual_trace(net, cycles, *public, "reference")
+            assert compiled is not reference
+            assert vars(compiled) == vars(reference)
+
+    @pytest.mark.parametrize("name", ["sum32-seq", "mult8-seq", "arm-fallback"])
+    def test_rollback_and_replay_like_a_resumed_session(self, monkeypatch, name):
+        net, cycles, inputs = dict(CASES)[name]()
+        rollback = (cycles // 4, cycles // 2)
+        swept = _two_party_run(monkeypatch, net, cycles, inputs, _drive_sweep,
+                               rollback=rollback, real_ot=True)
+        replayed = _two_party_run(monkeypatch, net, cycles, inputs, _drive_replay,
+                                  rollback=rollback, real_ot=True)
+        _assert_same_run(swept, replayed)
+        straight = _two_party_run(monkeypatch, net, cycles, inputs, _drive_replay)
+        assert replayed.outputs == straight.outputs
+        assert replayed.stats == straight.stats
+        redone = rollback[1] - rollback[0]
+        assert (len(replayed.sent["garbler"])
+                > len(straight.sent["garbler"]) + redone - 1)
+
+
+class TestNoSecrets:
+    def test_columns_are_typed_arrays_that_cannot_hold_a_label(self):
+        net, cycles, _ = _registry_case("hamming32-seq")
+        trace = T.residual_trace(net, cycles)
+        label = 1 << 127
+        for name in ("op", "x", "a", "b", "dst", "bounds"):
+            column = getattr(trace, name)
+            assert type(column).__name__ == "array", name
+            with pytest.raises(OverflowError):
+                column.__class__(column.typecode, [label])
+        for kept, dropped in trace.ends:
+            assert kept.typecode == dropped.typecode == "l"
+        # Whatever else it holds is small public ints and key tuples.
+        flat = [v for key in trace.keys for v in key]
+        flat += [v for s in trace.outputs for v in ((s,) if type(s) is int else s)]
+        assert all(type(v) is str or v.bit_length() < 32 for v in flat)
+
+    def test_building_takes_public_arguments_only(self):
+        import inspect
+
+        names = set(inspect.signature(T.residual_trace).parameters)
+        assert names == {"net", "cycles", "public", "public_init", "engine", "obs"}
+
+    def test_one_trace_serves_sessions_with_different_inputs_and_deltas(self):
+        net, cycles, _ = _registry_case("mult8-seq")
+        entry = _registry()["mult8-seq"]
+        builds = T.BUILDS
+        deltas = set()
+        for a, b in ((3, 5), (200, 77)):
+            inputs = {"alice": entry.alice_source(a, cycles),
+                      "bob": entry.bob_source(b, cycles)}
+            local = api.run(net, inputs, mode="local", cycles=cycles)
+            garbler, evaluator = make_parties(net, cycles, ot="extension", **inputs)
+            g_end, e_end = channel_pair(timeout=30.0)
+            box = {}
+
+            def bob(party=evaluator, end=e_end):
+                party.attach(end)
+                party.run_cycles()
+                box["out"] = party.finish()
+
+            thread = threading.Thread(target=bob)
+            thread.start()
+            garbler.attach(g_end)
+            garbler.run_cycles()
+            out = garbler.finish()
+            thread.join(30.0)
+            assert not thread.is_alive()
+            assert out == box["out"] == list(local.outputs)
+            assert garbler.engine.stats == local.stats
+            assert garbler.engine.trace is evaluator.engine.trace
+            deltas.add(garbler.backend.delta)
+        assert len(deltas) == 2
+        assert T.BUILDS - builds <= 1
+
+
+class TestSharedAndBounded:
+    def test_eight_threads_replay_one_trace(self):
+        net, cycles, inputs = _registry_case("hamming32-seq")
+        expected = list(api.run(net, inputs, mode="local", cycles=cycles).outputs)
+        T._TRACES.pop(net, None)
+        builds = T.BUILDS
+        results, errors = [], []
+
+        def session(i):
+            try:
+                res = api.run(net, inputs, mode="protocol", cycles=cycles,
+                              ot="extension", seed=100 + i, timeout=60.0)
+                results.append(list(res.outputs))
+            except BaseException as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        threads = [threading.Thread(target=session, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # make a lost update likely, if one can happen
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not any(t.is_alive() for t in threads)
+        assert results == [expected] * 8
+        assert T.BUILDS - builds == 1
+
+    def test_cache_is_bounded_per_netlist(self):
+        net, cycles, inputs = _machine_case(_small_machine(FALLBACK_PROG), [5], [9])
+        first = None
+        for extra in range(T.TRACES_PER_NETLIST + 3):
+            public_init = list(inputs["public_init"])
+            public_init[-1 - extra] ^= 1  # a different (unreached) imem bit
+            trace = T.residual_trace(net, cycles, (), public_init)
+            first = first or trace
+            assert len(T._TRACES[net]) <= T.TRACES_PER_NETLIST
+        assert first not in T._TRACES[net].values()
+        # An evicted program still runs: it is simply rebuilt.
+        res = api.run(net, inputs, mode="protocol", cycles=cycles, ot="extension")
+        local = api.run(net, inputs, mode="local", cycles=cycles)
+        assert list(res.outputs) == list(local.outputs)
+
+    def test_label_table_does_not_grow_with_the_run(self):
+        machine = _small_machine(LDR_PROG)  # an endless loop on secrets
+        net, _, inputs = _machine_case(machine, [5], [9], cycles=1)
+        short = T.residual_trace(net, 40, (), inputs["public_init"])
+        long = T.residual_trace(net, 80, (), inputs["public_init"])
+        assert long.n_labels > short.n_labels
+        assert long.n_slots == short.n_slots
+        assert len(long.op) > len(short.op)
+
+    def test_hamming160_table_is_far_below_its_label_count(self):
+        net, cycles, inputs = _program_case("hamming160")
+        trace = T.residual_trace(net, cycles, (), inputs["public_init"])
+        assert trace.n_labels == 2316
+        assert trace.stats.tables_sent == 315
+        assert trace.n_slots < trace.n_labels // 4
+
+
+class TestTraceDecidesNothing:
+    def test_trace_module_imports_no_gate_algebra_and_names_no_decision(self):
+        tree = ast.parse(pathlib.Path(T.__file__).read_text())
+        imported = [
+            (node.module or "") + "." + alias.name
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        ] + [
+            alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+            for alias in node.names
+        ]
+        assert not [m for m in imported if "gates" in m], imported
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        assert not names & {"restrict", "_reduce", "_new_record", "_process"}
+
+    def test_session_path_has_no_second_way_to_run_cycles(self):
+        from repro.core import protocol
+
+        source = pathlib.Path(protocol.__file__).read_text()
+        assert "make_engine(" not in source

@@ -217,3 +217,34 @@ class TestEngineIntegration:
         assert threads == {"alice", "bob"}
         # Half-gate garbling + evaluation + OT all hash labels.
         assert obs.counters()["hash.calls"] > 0
+
+    def test_trace_build_is_timed_once_cold_and_never_warm(self):
+        from repro import bench_circuits as BC
+        from repro.circuit.bits import int_to_bits
+        from tests.helpers import run_protocol
+
+        net, cycles = BC.sum_sequential(8)
+        inputs = dict(alice=lambda c: int_to_bits(5, 8)[c:c + 1],
+                      bob=lambda c: int_to_bits(9, 8)[c:c + 1])
+        cold = Obs(sink=ListSink())
+        result = run_protocol(net, cycles, obs=cold, **inputs)
+        assert result.value == 14
+        # Whichever party reached attach first built it; the other hit.
+        assert cold.phase_totals()["trace.build"].calls == 1
+        builds = [e for e in cold.sink.events if e["event"] == "trace.build"]
+        assert len(builds) == 1
+        assert builds[0]["ops"] > 0 and builds[0]["labels"] >= builds[0]["slots"] > 0
+        # Replayed cycles still report: one event per cycle per party,
+        # with the recorded category counts and no sweep-only phases.
+        cycle_events = [e for e in cold.sink.events if e["event"] == "cycle"]
+        assert len(cycle_events) == 2 * cycles
+        assert sum(e["tables_sent"] for e in cycle_events
+                   if e["thread"] == "alice") == result.stats.tables_sent
+        assert all(e["reduce_seconds"] == e["macro_seconds"] == 0.0
+                   for e in cycle_events)
+        assert "reduce" not in result.timing and "macro" not in result.timing
+
+        warm = Obs(sink=ListSink())
+        run_protocol(net, cycles, obs=warm, **inputs)
+        assert "trace.build" not in warm.phase_totals()
+        assert not [e for e in warm.sink.events if e["event"] == "trace.build"]

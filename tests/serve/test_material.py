@@ -236,3 +236,24 @@ class TestIdentitiesNeverShareADelta:
         for epoch, identity in cache.assignments.items():
             by_identity.setdefault(identity, set()).add(epoch)
         assert not (by_identity["alpha"] & by_identity["beta"])
+
+
+class TestTraceWarmBeforeReady:
+    def test_first_inline_session_builds_no_trace(self):
+        """With ``precompute=False`` nothing pre-garbles, so nothing
+        would fetch the program's residual trace before the first
+        session does: the workers build it before ``ready``."""
+        from repro.core import trace
+        from repro.net.cli import _registry
+
+        net, cycles = _registry()[SEQ_CIRCUIT].build()
+        trace.residual_trace(net, cycles)  # the client's own side
+        with make_server([SEQ_CIRCUIT], value=SERVER_VALUE, workers=2,
+                         pool="thread", precompute=False, port=0) as srv:
+            built = trace.BUILDS
+            res = run_registry_session(
+                srv.host, srv.port, SEQ_CIRCUIT, CLIENT_VALUE, net=net)
+            assert trace.BUILDS == built
+        ref = _local_reference(SEQ_CIRCUIT, SERVER_VALUE, CLIENT_VALUE)
+        assert res.value == ref.value
+        assert res.stats == ref.stats
