@@ -19,7 +19,10 @@ Backends are engine-agnostic: the interpreted reference engine and
 the compiled cycle-plan engine (:mod:`repro.core.plan`) issue exactly
 the same ``secret_label`` / ``xor`` / ``garble`` / ``begin_cycle`` /
 ``end_cycle`` sequence, so any backend works under either without
-change — the differential tests pin this call-order equivalence.
+change — the differential tests pin this call-order equivalence.  A
+replay of that sequence (:mod:`repro.core.trace`) knows what comes
+next, so it hands over runs: ``secret_labels`` and ``garble_many``,
+which default to loops over the one-call methods.
 
 Free-XOR is modelled exactly: a wire label is the XOR of the base
 labels on its structural path, so two wires carry identical labels if
@@ -30,7 +33,7 @@ and only if the real protocol would produce bit-identical key material
 from __future__ import annotations
 
 import random
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Sequence
 
 
 class Backend:
@@ -58,6 +61,22 @@ class Backend:
         to match garbled tables between the parties.
         """
         raise NotImplementedError
+
+    def secret_labels(self, keys: Sequence[Hashable]) -> List[int]:
+        """:meth:`secret_label` over a run of keys, in order (a replay
+        knows the whole run up front)."""
+        return [self.secret_label(key) for key in keys]
+
+    def garble_many(self, tts: Sequence[int], keys: Sequence[int],
+                    srcs_a: Sequence[int], srcs_b: Sequence[int],
+                    dsts: Sequence[int], labels: List[int]) -> None:
+        """:meth:`garble` over a run of gates, in order, on a label
+        table: row ``i`` reads ``labels[srcs_a[i]]``/``labels[srcs_b[i]]``
+        and writes its output to ``labels[dsts[i]]``, where later rows
+        may read it."""
+        garble = self.garble
+        for tt, key, ia, ib, d in zip(tts, keys, srcs_a, srcs_b, dsts):
+            labels[d] = garble(tt, labels[ia], labels[ib], key)
 
     def begin_cycle(self, cycle: int) -> None:
         """Hook called before each sequential cycle."""

@@ -8,7 +8,12 @@ label identity only — by a SkipGate engine, but not here and not per
 session: each party fetches the program's *residual trace*
 (:mod:`repro.core.trace`: the engine's backend-call stream, recorded
 once per process for a given netlist, cycle count and public input)
-and replays it against its own crypto backend.
+and replays it against its own crypto backend.  The replay hands the
+backend *runs*, not rows: a run of garbles is one call of the half-gate
+run kernel (:func:`~repro.gc.garble.garble_run` /
+:func:`~repro.gc.garble.evaluate_run`), and a stretch of Bob's input
+labels is one pipelined OT receive, whose choice messages go out a
+pool window ahead of Alice's replies instead of one round trip per bit.
 
 The protocol logic lives in two *party* objects —
 :class:`GarblerParty` and :class:`EvaluatorParty` — that are agnostic
@@ -52,6 +57,8 @@ from __future__ import annotations
 import random
 import threading
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 from ..circuit.bits import bits_to_int
@@ -59,8 +66,8 @@ from ..circuit.netlist import Netlist
 from ..gc.channel import Endpoint, channel_pair
 from ..gc.garble import (
     GarbledTable,
-    evaluate_gate,
-    garble_gate,
+    evaluate_run,
+    garble_run,
     random_delta,
     random_label,
 )
@@ -103,7 +110,8 @@ class GarblerBackend(Backend):
             self._ot = OTExtensionSender(chan, group=ot_group, rng=rng)
         else:
             self._ot = OTSender(chan, group=ot_group)
-        self._pending: Dict[int, GarbledTable] = {}
+        #: Gate key -> 32-byte table, for the cycle being garbled.
+        self._pending: Dict[int, bytes] = {}
         self._gid = 0
         self.tables_sent = 0
 
@@ -128,10 +136,14 @@ class GarblerBackend(Backend):
         return la ^ lb
 
     def garble(self, tt: int, la: int, lb: int, key: int) -> int:
-        out0, table = garble_gate(tt, la, lb, self.delta, self._gid)
-        self._gid += 1
-        self._pending[key] = table
-        return out0
+        labels = [la, lb, 0]
+        self.garble_many((tt,), (key,), (0,), (1,), (2,), labels)
+        return labels[2]
+
+    def garble_many(self, tts, keys, srcs_a, srcs_b, dsts, labels) -> None:
+        tables = garble_run(labels, tts, srcs_a, srcs_b, dsts, self.delta, self._gid)
+        self._gid += len(tables)
+        self._pending.update(zip(keys, tables))
 
     def begin_cycle(self, cycle: int) -> None:
         self._pending = {}
@@ -140,13 +152,9 @@ class GarblerBackend(Backend):
         # One batch per cycle: the kept keys (small deterministic ints
         # both parties could derive) plus one fixed-width blob of
         # 2 x 16-byte ciphertexts per surviving table.
-        blob_parts = []
-        for k in kept_keys:
-            t = self._pending[k]
-            blob_parts.append(t.tg.to_bytes(LABEL_BYTES, "little"))
-            blob_parts.append(t.te.to_bytes(LABEL_BYTES, "little"))
         self.tables_sent += len(kept_keys)
-        self.chan.send("tables", (list(kept_keys), b"".join(blob_parts)))
+        blob = b"".join(map(self._pending.__getitem__, kept_keys))
+        self.chan.send("tables", (list(kept_keys), blob))
 
     # -- resume hooks --------------------------------------------------------
 
@@ -194,58 +202,67 @@ class EvaluatorBackend(Backend):
             self._ot = OTExtensionReceiver(chan, group=ot_group, rng=rng)
         else:
             self._ot = OTReceiver(chan, group=ot_group)
-        self._tables: Dict[int, GarbledTable] = {}
+        self._blob = b""
+        self._offsets: Dict[int, int] = {}
         self._gid = 0
         #: Labels invented for filtered gates (Algorithm 5 line 18);
         #: kept to assert none ever reaches a live output.
         self.invalid_labels: set = set()
 
     def secret_label(self, key: Hashable) -> int:
-        label = self._memo.get(key)
-        if label is not None:
-            return label
-        owner = key[1]
-        if owner == "alice":
-            label = int.from_bytes(self.chan.recv("alice-label"), "little")
-        elif owner == "bob":
-            label = self._ot.receive(self._bob_bits[key])
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"unknown label owner in key {key!r}")
-        self._memo[key] = label
-        return label
+        return self.secret_labels((key,))[0]
+
+    def secret_labels(self, keys) -> List[int]:
+        # Each stretch of Bob's keys is one pipelined OT run: his choice
+        # messages go out a window at a time, ahead of Alice's replies.
+        memo, chan = self._memo, self.chan
+        fresh = dict.fromkeys(k for k in keys if k not in memo)
+        for owner, run in groupby(fresh, key=itemgetter(1)):
+            run = list(run)
+            if owner == "bob":
+                choices = [self._bob_bits[k] for k in run]
+                memo.update(zip(run, self._ot.receive_many(choices)))
+            elif owner == "alice":
+                for k in run:
+                    memo[k] = int.from_bytes(chan.recv("alice-label"), "little")
+            else:  # pragma: no cover - defensive
+                raise ValueError(f"unknown label owner in key {run[0]!r}")
+        return [memo[k] for k in keys]
 
     def xor(self, la: int, lb: int) -> int:
         return la ^ lb
 
     def garble(self, tt: int, la: int, lb: int, key: int) -> int:
-        gid = self._gid
-        self._gid += 1
-        table = self._tables.get(key)
-        if table is None:
-            # Alice filtered this table: its fanout will reach zero.
-            # Track the secret with a flagged unique label.
-            dummy = random_label(self._rng)
-            self.invalid_labels.add(dummy)
-            return dummy
-        return evaluate_gate(tt, la, lb, table, gid)
+        labels = [la, lb, 0]
+        self.garble_many((tt,), (key,), (0,), (1,), (2,), labels)
+        return labels[2]
+
+    def garble_many(self, tts, keys, srcs_a, srcs_b, dsts, labels) -> None:
+        offsets = map(self._offsets.get, keys)
+        evaluate_run(labels, self._blob, offsets, srcs_a, srcs_b, dsts,
+                     self._gid, self._dummy_label)
+        self._gid += len(keys)
+
+    def _dummy_label(self) -> int:
+        # Alice filtered this table: its fanout will reach zero.  Track
+        # the secret with a flagged unique label.
+        dummy = random_label(self._rng)
+        self.invalid_labels.add(dummy)
+        return dummy
 
     def begin_cycle(self, cycle: int) -> None:
         keys, blob = self.chan.recv("tables")
-        if len(blob) != 2 * LABEL_BYTES * len(keys):
+        if len(blob) != GarbledTable.SIZE_BYTES * len(keys):
             from ..gc.channel import FrameCorruption
 
             raise FrameCorruption(
                 f"table batch blob of {len(blob)} bytes does not match "
                 f"{len(keys)} keys"
             )
-        self._tables = {}
-        for i, k in enumerate(keys):
-            off = 2 * LABEL_BYTES * i
-            tg = int.from_bytes(blob[off : off + LABEL_BYTES], "little")
-            te = int.from_bytes(
-                blob[off + LABEL_BYTES : off + 2 * LABEL_BYTES], "little"
-            )
-            self._tables[k] = GarbledTable(tg, te)
+        # The tables stay in the received blob: a gate key maps to its
+        # table's byte offset.
+        self._blob = blob
+        self._offsets = dict(zip(keys, range(0, len(blob), GarbledTable.SIZE_BYTES)))
 
     # -- resume hooks --------------------------------------------------------
 
@@ -257,7 +274,8 @@ class EvaluatorBackend(Backend):
         return {
             "memo": dict(self._memo),
             "gid": self._gid,
-            "tables": dict(self._tables),
+            # Never mutated, only replaced at each begin_cycle.
+            "tables": (self._blob, self._offsets),
             "invalid": set(self.invalid_labels),
             "ot": self._ot.snapshot(),
         }
@@ -265,7 +283,7 @@ class EvaluatorBackend(Backend):
     def restore(self, snap: dict) -> None:
         self._memo = dict(snap["memo"])
         self._gid = snap["gid"]
-        self._tables = dict(snap["tables"])
+        self._blob, self._offsets = snap["tables"]
         self.invalid_labels = set(snap["invalid"])
         self._ot.restore(snap["ot"])
 

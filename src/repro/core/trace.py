@@ -25,6 +25,7 @@ from __future__ import annotations
 import threading
 import weakref
 from array import array
+from bisect import bisect_left
 from collections import OrderedDict
 from time import perf_counter
 from typing import Hashable, List, Sequence
@@ -54,11 +55,14 @@ class ResidualTrace:
     ``bounds[c + 1]`` cycle ``c``, which closes with ``end_cycle(*ends[c])``;
     ``keys`` are the public ``secret_label`` key tuples, ``outputs`` the
     final output states (a public bit or ``(slot, flip)``), ``stats``
-    the builder's RunStats."""
+    the builder's RunStats.  ``runs`` holds the first row of every run
+    (a stretch of one kind of call inside one bucket; garbles of any
+    truth table are one kind), then ``len(op)``: the replay unit."""
 
     def __init__(self) -> None:
         self.op = array("B")
-        self.x, self.a, self.b, self.dst, self.bounds = (array("l") for _ in range(5))
+        self.x, self.a, self.b, self.dst, self.bounds, self.runs = (
+            array("l") for _ in range(6))
         self.keys, self.ends, self.outputs = [], [], []
         self.stats = RunStats()
         self.n_labels = self.n_slots = 0
@@ -139,6 +143,17 @@ def _assign_slots(t: ResidualTrace) -> None:
     t.outputs[:] = [s if type(s) is int else (slot[s[0]], s[1]) for s in t.outputs]
 
 
+def _mark_runs(t: ResidualTrace) -> None:
+    """Fill ``t.runs``; a BEGIN row is a run of its own."""
+    cuts, kind = set(t.bounds), -1
+    for i, o in enumerate(t.op):
+        o = min(o, GARBLE)
+        if o != kind or o == BEGIN or i in cuts:
+            t.runs.append(i)
+        kind = o
+    t.runs.append(len(t.op))
+
+
 #: netlist -> LRU of its traces (weak-keyed, like the plan cache), and
 #: the one lock for cache and build: concurrent Alice/Bob threads over
 #: one program build its trace once (the second waits, then hits).
@@ -172,7 +187,13 @@ def residual_trace(
             s if type(s) is int else (recorder.ids[s[0]], s[1])
             for s in eng.output_states()
         ]
+        # The engine's macro context and handler closures point back at
+        # it: empty it so it and the recorder (its label -> id map is the
+        # size of the run) are freed on return, not by a later cyclic
+        # collection.
+        vars(eng).clear()
         _assign_slots(trace)
+        _mark_runs(trace)
         lru[cache_key] = trace
         if len(lru) > TRACES_PER_NETLIST:
             lru.popitem(last=False)
@@ -196,7 +217,8 @@ class TraceReplayer:
         self.trace, self.backend, self.obs, self.cycle = trace, backend, obs, 0
         self._labels: List[int] = [0] * trace.n_slots
         self._garble_seconds = 0.0
-        self._garble = self._timed_garble if obs.enabled else backend.garble
+        self._garble_many = (
+            self._timed_garble_many if obs.enabled else backend.garble_many)
         self._run(0, trace.bounds[0])
 
     @property
@@ -204,26 +226,37 @@ class TraceReplayer:
         """The recorded stats of the cycles replayed so far."""
         return self.trace.stats.prefix(self.cycle)
 
-    def _timed_garble(self, tt: int, la: int, lb: int, key: int) -> int:
+    def _timed_garble_many(self, *run) -> None:
         t0 = perf_counter()
-        label = self.backend.garble(tt, la, lb, key)
+        self.backend.garble_many(*run)
         self._garble_seconds += perf_counter() - t0
-        return label
 
     def _run(self, lo: int, hi: int) -> None:
+        """Replay rows ``lo:hi`` a run at a time: a stretch of garbles is
+        one ``garble_many``, a stretch of input labels one
+        ``secret_labels``."""
         t, backend, lab = self.trace, self.backend, self._labels
-        xor, garble, keys = backend.xor, self._garble, t.keys
-        for o, x, ia, ib, d in zip(
-            t.op[lo:hi], t.x[lo:hi], t.a[lo:hi], t.b[lo:hi], t.dst[lo:hi]
-        ):
+        op, x, a, b, dst, runs = t.op, t.x, t.a, t.b, t.dst, t.runs
+        xor, keys = backend.xor, t.keys
+        r = bisect_left(runs, lo)
+        while lo < hi:
+            r += 1
+            end = runs[r]
+            o = op[lo]
             if o == XOR:
-                lab[d] = xor(lab[ia], lab[ib])
+                for ia, ib, d in zip(a[lo:end], b[lo:end], dst[lo:end]):
+                    lab[d] = xor(lab[ia], lab[ib])
             elif o >= GARBLE:
-                lab[d] = garble(o - GARBLE, lab[ia], lab[ib], x)
+                tts = [c - GARBLE for c in op[lo:end]]
+                self._garble_many(
+                    tts, x[lo:end], a[lo:end], b[lo:end], dst[lo:end], lab)
             elif o == SECRET:
-                lab[d] = backend.secret_label(keys[x])
+                labels = backend.secret_labels([keys[i] for i in x[lo:end]])
+                for d, label in zip(dst[lo:end], labels):
+                    lab[d] = label
             else:
-                backend.begin_cycle(x)
+                backend.begin_cycle(x[lo])
+            lo = end
 
     def step(self) -> CycleStats:
         """Replay one cycle: labels, ``begin_cycle``, xor/garble, ``end_cycle``."""

@@ -7,6 +7,13 @@ the evaluator half ``TE``); XOR gates are free.  This is the state of
 the art the paper's cost metric assumes (Section 2.3): one garbled
 non-XOR gate == one 2x16-byte garbled table on the wire.
 
+The half-gate algebra is written once, in the *run kernels*
+:func:`garble_run` and :func:`evaluate_run`: they take a run of gates
+that read and write slots of a live label table, in order, so a
+backend replaying a fixed gate stream pays one call per run instead of
+one per gate.  :func:`garble_gate`, :func:`evaluate_gate`,
+:func:`garble_and` and :func:`evaluate_and` are one-row wrappers.
+
 Conventions
 -----------
 * A wire's two labels are ``W0`` and ``W1 = W0 ^ R`` where ``R`` is the
@@ -14,16 +21,19 @@ Conventions
 * ``lsb(W)`` is the permute/point bit.
 * The per-gate tweaks are ``2*gid`` and ``2*gid + 1`` where ``gid`` is
   a globally unique gate index agreed by both parties.
+* A table is 32 bytes on the wire: ``TG`` then ``TE``, each 16 bytes
+  little-endian.
 """
 
 from __future__ import annotations
 
+import hashlib
 import secrets
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..circuit.gates import and_decomposition
-from .hashing import LABEL_MASK, hash_labels2, hash_labels4
+from .hashing import HASH_STATS, LABEL_BITS, LABEL_MASK
 
 
 def random_label(rng=None) -> int:
@@ -55,76 +65,126 @@ class GarbledTable:
     SIZE_BYTES = 32  #: wire size of one garbled table (2 x 16 bytes)
 
 
-def garble_and(a0: int, b0: int, delta: int, gid: int) -> Tuple[int, GarbledTable]:
-    """Garble ``out = AND(a, b)``; returns ``(out0, table)``.
+#: ``(ai, bi, oi)`` of :func:`and_decomposition` for every 4-bit truth
+#: table (``None``: not AND-like), looked up once per gate.
+_AND_DECOMPOSITION = tuple(and_decomposition(tt) for tt in range(16))
 
-    ``a0``/``b0`` are the zero labels of the inputs and ``delta`` the
-    global offset.  Implements the generator side of the half-gates
-    scheme: the first half handles ``a & p_b`` and the second half
-    ``a & (b ^ p_b)`` where ``p_b`` is b's permute bit.
+#: A hash point, the 24 bytes ``label || tweak`` that
+#: :func:`repro.gc.hashing.hash_label` hashes, is built as one int with
+#: the tweak above the label: ``_TWEAK`` is tweak 1 there and ``_GID``
+#: one gate (two tweaks).
+_TWEAK = 1 << LABEL_BITS
+_GID = 2 * _TWEAK
+
+
+def _check_and_like(tt: int) -> None:
+    if not 0 <= tt < 16 or _AND_DECOMPOSITION[tt] is None:
+        raise ValueError(f"gate type {tt:#06b} is not AND-like")
+
+
+def garble_run(labels: List[int], tts: Sequence[int], srcs_a: Sequence[int],
+               srcs_b: Sequence[int], dsts: Sequence[int], delta: int,
+               gid: int) -> List[bytes]:
+    """Garble a run of AND-like gates, in order, over a label table.
+
+    Row ``i`` reads the zero labels ``labels[srcs_a[i]]`` and
+    ``labels[srcs_b[i]]``, garbles truth table ``tts[i]`` as gate
+    ``gid + i`` and writes its output zero label to ``labels[dsts[i]]``
+    (a later row may read it).  Returns each row's 32-byte table.
+    Input inversions re-base the zero labels (``a0 ^ ai*delta`` is the
+    label of the value that makes the AND input false); the output
+    inversion re-bases the output zero label.  The generator half
+    handles ``a & p_b`` and the evaluator half ``a & (b ^ p_b)``, where
+    ``p_b`` is b's permute bit.  Tweaks stay below ``2**62``, so each
+    hash point is exactly ``hash_label``'s.
     """
-    j0 = 2 * gid
-    j1 = 2 * gid + 1
-    pa = a0 & 1
-    pb = b0 & 1
-    # The four distinct hash points of one half-gate pair, as one
-    # unrolled batch (the straight-line form re-hashed H(a0,j0) and
-    # H(b0,j1); the generic iterator batch paid per-pair overhead).
-    ha0, ha1, hb0, hb1 = hash_labels4(
-        a0, j0, a0 ^ delta, j0, b0, j1, b0 ^ delta, j1
-    )
-    # Generator half.
-    tg = ha0 ^ ha1
-    if pb:
-        tg ^= delta
-    wg0 = ha0
-    if pa:
-        wg0 ^= tg
-    # Evaluator half.
-    te = hb0 ^ hb1 ^ a0
-    we0 = hb0
-    if pb:
-        we0 ^= te ^ a0
-    out0 = (wg0 ^ we0) & LABEL_MASK
-    return out0, GarbledTable(tg & LABEL_MASK, te & LABEL_MASK)
+    sha256 = hashlib.sha256
+    from_bytes = int.from_bytes
+    decomposition = _AND_DECOMPOSITION
+    mask, tweak, step = LABEL_MASK, _TWEAK, _GID
+    j0 = gid * step
+    tables = []
+    append = tables.append
+    for tt, ia, ib, d in zip(tts, srcs_a, srcs_b, dsts):
+        ai, bi, oi = decomposition[tt]
+        a0 = labels[ia] ^ delta if ai else labels[ia]
+        b0 = labels[ib] ^ delta if bi else labels[ib]
+        a1, b1, j1 = a0 ^ delta, b0 ^ delta, j0 | tweak
+        ha0 = from_bytes(sha256((j0 | a0).to_bytes(24, "little")).digest(), "little")
+        ha1 = from_bytes(sha256((j0 | a1).to_bytes(24, "little")).digest(), "little")
+        hb0 = from_bytes(sha256((j1 | b0).to_bytes(24, "little")).digest(), "little")
+        hb1 = from_bytes(sha256((j1 | b1).to_bytes(24, "little")).digest(), "little")
+        # Digests stay 256-bit until the end: only their low halves
+        # reach the masked results.
+        tg = ha0 ^ ha1 ^ delta if b0 & 1 else ha0 ^ ha1
+        te = hb0 ^ hb1 ^ a0
+        out0 = (ha0 ^ tg if a0 & 1 else ha0) ^ (hb1 if b0 & 1 else hb0)
+        labels[d] = (out0 ^ delta if oi else out0) & mask
+        append(((te & mask) << 128 | tg & mask).to_bytes(32, "little"))
+        j0 += step
+    HASH_STATS.calls += 4 * len(tables)
+    return tables
+
+
+def evaluate_run(labels: List[int], blob: bytes, offsets: Sequence[Optional[int]],
+                 srcs_a: Sequence[int], srcs_b: Sequence[int], dsts: Sequence[int],
+                 gid: int, dummy: Optional[Callable[[], int]] = None) -> None:
+    """Evaluate a run of garbled gates, in order, over a label table.
+
+    Row ``i`` is gate ``gid + i``: it reads the held labels
+    ``labels[srcs_a[i]]``/``labels[srcs_b[i]]`` and the table at byte
+    ``offsets[i]`` of ``blob`` and writes the output label to
+    ``labels[dsts[i]]``.  An offset of ``None`` marks a table the
+    garbler filtered: that row's label is ``dummy()`` and costs no hash.
+    """
+    sha256 = hashlib.sha256
+    from_bytes = int.from_bytes
+    mask, tweak, step = LABEL_MASK, _TWEAK, _GID
+    j0 = gid * step
+    evaluated = 0
+    for off, ia, ib, d in zip(offsets, srcs_a, srcs_b, dsts):
+        if off is None:
+            labels[d] = dummy()
+        else:
+            a, b, j1 = labels[ia], labels[ib], j0 | tweak
+            w = from_bytes(sha256((j0 | a).to_bytes(24, "little")).digest(), "little")
+            w ^= from_bytes(sha256((j1 | b).to_bytes(24, "little")).digest(), "little")
+            if a & 1 or b & 1:
+                table = from_bytes(blob[off : off + 32], "little")
+                if a & 1:
+                    w ^= table
+                if b & 1:
+                    w ^= table >> 128 ^ a
+            labels[d] = w & mask
+            evaluated += 1
+        j0 += step
+    HASH_STATS.calls += 2 * evaluated
+
+
+def garble_gate(tt: int, a0: int, b0: int, delta: int,
+                gid: int) -> Tuple[int, GarbledTable]:
+    """Garble one AND-like gate type; returns ``(out0, table)``."""
+    _check_and_like(tt)
+    labels = [a0, b0, 0]
+    (table,) = garble_run(labels, (tt,), (0,), (1,), (2,), delta, gid)
+    both = int.from_bytes(table, "little")
+    return labels[2], GarbledTable(both & LABEL_MASK, both >> LABEL_BITS)
+
+
+def evaluate_gate(tt: int, a: int, b: int, table: GarbledTable, gid: int) -> int:
+    """Evaluate one AND-like garbled gate (labels are raw)."""
+    _check_and_like(tt)
+    return evaluate_and(a, b, table, gid)
+
+
+def garble_and(a0: int, b0: int, delta: int, gid: int) -> Tuple[int, GarbledTable]:
+    """Garble ``out = AND(a, b)``; returns ``(out0, table)``."""
+    return garble_gate(0b1000, a0, b0, delta, gid)
 
 
 def evaluate_and(a: int, b: int, table: GarbledTable, gid: int) -> int:
     """Evaluate a garbled AND gate on held labels ``a`` and ``b``."""
-    j0 = 2 * gid
-    ha, hb = hash_labels2(a, j0, b, j0 + 1)
-    w = ha ^ hb
-    if a & 1:
-        w ^= table.tg
-    if b & 1:
-        w ^= table.te ^ a
-    return w & LABEL_MASK
-
-
-def garble_gate(
-    tt: int, a0: int, b0: int, delta: int, gid: int
-) -> Tuple[int, GarbledTable]:
-    """Garble an arbitrary AND-like gate type.
-
-    Input inversions are absorbed by re-basing the zero labels
-    (``a0 ^ ai*delta`` is the label of the value that makes the AND
-    input 1 false); the output inversion re-bases the output zero
-    label.  The evaluator needs no adjustment — its labels are raw.
-    """
-    dec = and_decomposition(tt)
-    if dec is None:
-        raise ValueError(f"gate type {tt:#06b} is not AND-like")
-    ai, bi, oi = dec
-    eff_a0 = a0 ^ (delta if ai else 0)
-    eff_b0 = b0 ^ (delta if bi else 0)
-    out0, table = garble_and(eff_a0, eff_b0, delta, gid)
-    if oi:
-        out0 ^= delta
-    return out0 & LABEL_MASK, table
-
-
-def evaluate_gate(tt: int, a: int, b: int, table: GarbledTable, gid: int) -> int:
-    """Evaluate an arbitrary AND-like garbled gate (labels are raw)."""
-    if and_decomposition(tt) is None:
-        raise ValueError(f"gate type {tt:#06b} is not AND-like")
-    return evaluate_and(a, b, table, gid)
+    labels = [a, b, 0]
+    blob = (table.te << LABEL_BITS | table.tg).to_bytes(32, "little")
+    evaluate_run(labels, blob, (0,), (0,), (1,), (2,), gid)
+    return labels[2]

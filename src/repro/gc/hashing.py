@@ -45,84 +45,30 @@ def hash_label(label: int, tweak: int) -> int:
 
     ``tweak`` is the unique per-half-gate index that makes the hash
     usable across gates (the ``j``/``j'`` of the half-gate scheme).
+    The hashed point is the 24 bytes ``label || tweak`` (16 + 8,
+    little-endian); the half-gate run kernels in :mod:`repro.gc.garble`
+    build the same point inline.
     """
-    HASH_STATS.calls += 1
-    data = label.to_bytes(LABEL_BYTES, "little") + (tweak & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
-    return int.from_bytes(hashlib.sha256(data).digest()[:LABEL_BYTES], "little")
+    return hash_labels(((label, tweak),))[0]
 
 
 def hash_labels(pairs) -> list:
     """Batched ``H`` over ``(label, tweak)`` pairs.
 
     Produces exactly the same values as :func:`hash_label` on each
-    pair, but in one tight loop with the ``hashlib`` constructor and
-    conversion callables hoisted out, and a single counter update for
-    the whole batch.  The garbling kernel (:mod:`repro.gc.garble`)
-    issues its per-gate hashes through this so each garbled gate is
-    one ``hashlib`` call region instead of interleaved point calls.
+    pair, in one tight loop with the ``hashlib`` constructor and
+    conversion callables hoisted out and a single counter update for
+    the whole batch (the OT-extension pool hashes through this).
     """
     sha256 = hashlib.sha256
     from_bytes = int.from_bytes
-    nbytes = LABEL_BYTES
-    out = []
-    append = out.append
-    for label, tweak in pairs:
-        data = label.to_bytes(nbytes, "little") + (
-            tweak & 0xFFFFFFFFFFFFFFFF
-        ).to_bytes(8, "little")
-        append(from_bytes(sha256(data).digest()[:nbytes], "little"))
+    out = [
+        from_bytes(sha256(((tweak & 0xFFFFFFFFFFFFFFFF) << LABEL_BITS | label)
+                          .to_bytes(24, "little")).digest(), "little") & LABEL_MASK
+        for label, tweak in pairs
+    ]
     HASH_STATS.calls += len(out)
     return out
-
-
-def hash_labels2(l0: int, t0: int, l1: int, t1: int):
-    """Unrolled 2-point batch: ``(H(l0,t0), H(l1,t1))``.
-
-    The evaluator's per-gate hot path — two hash points per garbled
-    gate — called once per category-iv gate per cycle, so the generic
-    batch's iterator protocol and list building are worth shaving.
-    """
-    HASH_STATS.calls += 2
-    nbytes = LABEL_BYTES
-    sha256 = hashlib.sha256
-    from_bytes = int.from_bytes
-    return (
-        from_bytes(sha256(
-            l0.to_bytes(nbytes, "little")
-            + (t0 & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
-        ).digest()[:nbytes], "little"),
-        from_bytes(sha256(
-            l1.to_bytes(nbytes, "little")
-            + (t1 & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
-        ).digest()[:nbytes], "little"),
-    )
-
-
-def hash_labels4(l0: int, t0: int, l1: int, t1: int,
-                 l2: int, t2: int, l3: int, t3: int):
-    """Unrolled 4-point batch — the garbler's half-gate point set."""
-    HASH_STATS.calls += 4
-    nbytes = LABEL_BYTES
-    sha256 = hashlib.sha256
-    from_bytes = int.from_bytes
-    return (
-        from_bytes(sha256(
-            l0.to_bytes(nbytes, "little")
-            + (t0 & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
-        ).digest()[:nbytes], "little"),
-        from_bytes(sha256(
-            l1.to_bytes(nbytes, "little")
-            + (t1 & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
-        ).digest()[:nbytes], "little"),
-        from_bytes(sha256(
-            l2.to_bytes(nbytes, "little")
-            + (t2 & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
-        ).digest()[:nbytes], "little"),
-        from_bytes(sha256(
-            l3.to_bytes(nbytes, "little")
-            + (t3 & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
-        ).digest()[:nbytes], "little"),
-    )
 
 
 def kdf_bytes(secret: bytes, context: bytes, nbytes: int) -> bytes:

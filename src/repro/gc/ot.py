@@ -19,10 +19,12 @@ fixed bases, so a 4-bit windowed table per base turns each into 64
 modular multiplications.
 
 The transfer of Bob's GC input labels (Algorithms 1-2 lines 3-4) runs
-one OT per input bit.  Group elements cross the channel as
-**fixed-width** little-endian byte strings (the group size in bytes),
-so communication totals are deterministic and independent of the
-random element values.
+one OT per input bit; a receiver given a run of choices
+(``receive_many``) sends its choice messages a window ahead of the
+replies instead of waiting one round trip per bit.  Group elements
+cross the channel as **fixed-width** little-endian byte strings (the
+group size in bytes), so communication totals are deterministic and
+independent of the random element values.
 
 Both sides expose ``snapshot`` / ``restore`` / ``rebind``: the resume
 layer (:mod:`repro.net.session`) checkpoints OT progress at cycle
@@ -35,7 +37,7 @@ from __future__ import annotations
 import functools
 import secrets
 import threading
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .channel import Endpoint
 from .hashing import LABEL_BYTES, kdf_bytes
@@ -68,6 +70,10 @@ GROUPS = {
     "modp512": (_MODP512, 2),
 }
 
+
+#: Transfers a receiver runs ahead of the sender's replies, and the
+#: OT-extension pool size (:mod:`repro.gc.ot_extension`).
+POOL_SIZE = 256
 
 #: Both parties' private exponents are drawn from ``[1, 2**EXP_BITS)``.
 EXP_BITS = 256
@@ -111,6 +117,24 @@ def _generator_table(group: str) -> _Table:
     """The generator's table: built once per group per process."""
     p, g = GROUPS[group]
     return _fixed_base_table(g, p)
+
+
+def pipelined(choices: Sequence[int], window: int, send_choice, read_reply) -> list:
+    """Run a receiver's transfers a window at a time: ``send_choice``
+    for every choice of the window, then ``read_reply(choice, sent)``
+    (``sent``: what ``send_choice`` returned) for each, in order.
+
+    Both directions carry the same messages in the same order as one
+    transfer at a time; only their interleaving changes.  The window
+    bounds the sender's replies in flight (a few dozen bytes each), so
+    they always fit the socket buffers and a TCP pair cannot deadlock
+    with both ends blocked writing.
+    """
+    out: list = []
+    for lo in range(0, len(choices), window):
+        part = choices[lo : lo + window]
+        out += map(read_reply, part, [send_choice(c) for c in part])
+    return out
 
 
 def _pad(key: bytes, index: int) -> int:
@@ -256,6 +280,13 @@ class OTReceiver:
 
     def receive(self, choice: int) -> int:
         """Receive the message selected by ``choice`` (0 or 1)."""
+        return self.receive_many((choice,))[0]
+
+    def receive_many(self, choices: Sequence[int]) -> List[int]:
+        """:meth:`receive` for each choice, pipelined (:func:`pipelined`)."""
+        return pipelined(choices, POOL_SIZE, self._send_choice, self._read_reply)
+
+    def _send_choice(self, choice: int) -> Tuple[int, bytes]:
         self._ensure_setup()
         b = _draw_exponent()
         big_b = _fixed_pow(self._g_table, b, self.p)
@@ -263,16 +294,14 @@ class OTReceiver:
             big_b = big_b * self._big_a % self.p
         group_bytes = self.group_bytes
         self.chan.send("ot-b", big_b.to_bytes(group_bytes, "little"))
-        key = _fixed_pow(self._a_table, b, self.p).to_bytes(
-            group_bytes, "little"
-        )
-        e0, e1 = self.chan.recv("ot-e")
-        return _decrypt(key, e1 if choice else e0, self.count_and_bump())
-
-    def count_and_bump(self) -> int:
-        c = self.count
         self.count += 1
-        return c
+        key = _fixed_pow(self._a_table, b, self.p).to_bytes(group_bytes, "little")
+        return self.count - 1, key
+
+    def _read_reply(self, choice: int, sent: Tuple[int, bytes]) -> int:
+        index, key = sent
+        e0, e1 = self.chan.recv("ot-e")
+        return _decrypt(key, e1 if choice else e0, index)
 
     # -- resume hooks --------------------------------------------------------
 

@@ -31,11 +31,11 @@ drop-in for the protocol backends via ``ot="extension"``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .channel import Endpoint
 from .hashing import LABEL_BYTES, LABEL_MASK, hash_labels, kdf_bytes
-from .ot import OTReceiver, OTSender
+from .ot import POOL_SIZE, OTReceiver, OTSender, pipelined
 
 KAPPA = 128  #: security parameter / number of base OTs
 
@@ -113,7 +113,7 @@ class OTExtensionSender:
     """Sender side: extends base OTs into a pool of random OTs."""
 
     def __init__(
-        self, chan: Endpoint, pool_size: int = 256, group: str = "modp512",
+        self, chan: Endpoint, pool_size: int = POOL_SIZE, group: str = "modp512",
         rng=None, base: Optional[Tuple[int, List[int]]] = None,
         salt: bytes = b"iknp",
     ) -> None:
@@ -139,10 +139,10 @@ class OTExtensionSender:
         self.count = 0
 
     def _base_phase(self) -> None:
-        """Run the kappa base OTs (sender acts as base *receiver*)."""
-        self._seeds = [
-            self._base.receive((self._s >> i) & 1) for i in range(KAPPA)
-        ]
+        """Run the kappa base OTs (sender acts as base *receiver*), as
+        one pipelined run."""
+        choices = [(self._s >> i) & 1 for i in range(KAPPA)]
+        self._seeds = self._base.receive_many(choices)
 
     def export_base(self) -> Optional[Tuple[int, List[int]]]:
         """Base material for reuse, or ``None`` if no base phase ran."""
@@ -238,7 +238,7 @@ class OTExtensionReceiver:
     """Receiver side of the IKNP extension."""
 
     def __init__(
-        self, chan: Endpoint, pool_size: int = 256, group: str = "modp512",
+        self, chan: Endpoint, pool_size: int = POOL_SIZE, group: str = "modp512",
         rng=None, base: Optional[List[Tuple[int, int]]] = None,
         salt: bytes = b"iknp",
     ) -> None:
@@ -297,15 +297,27 @@ class OTExtensionReceiver:
 
     def receive(self, choice: int) -> int:
         """Receive the message selected by ``choice`` (0 or 1)."""
+        return self.receive_many((choice,))[0]
+
+    def receive_many(self, choices: Sequence[int]) -> List[int]:
+        """:meth:`receive` for each choice, pipelined a pool at a time
+        (:func:`repro.gc.ot.pipelined`)."""
+        return pipelined(choices, self.pool_size, self._send_choice, self._read_reply)
+
+    def _send_choice(self, choice: int) -> int:
+        # A refill (and the first one's base phase) happens here, between
+        # two choice messages, exactly as in a one-at-a-time run; the
+        # count advances with each choice so the pool tweaks stay aligned.
         if not self._pool:
             self._extend()
         c, xc = self._pool.pop()
-        d = (choice ^ c) & 1
-        self.chan.send("otx-d", d)
-        e0, e1 = self.chan.recv("otx-e")
-        e = int.from_bytes(e1 if choice else e0, "little")
+        self.chan.send("otx-d", (choice ^ c) & 1)
         self.count += 1
-        return (e ^ xc) & LABEL_MASK
+        return xc
+
+    def _read_reply(self, choice: int, xc: int) -> int:
+        e0, e1 = self.chan.recv("otx-e")
+        return (int.from_bytes(e1 if choice else e0, "little") ^ xc) & LABEL_MASK
 
     # -- resume hooks --------------------------------------------------------
 

@@ -11,10 +11,14 @@ the guards pin what the trace may hold and who may decide categories.
 from __future__ import annotations
 
 import ast
+import functools
+import gc
 import pathlib
 import random
 import sys
 import threading
+import weakref
+from bisect import bisect_right
 
 import pytest
 
@@ -22,9 +26,11 @@ from repro import api
 from repro.circuit.bits import pack_words
 from repro.core import make_engine
 from repro.core import trace as T
+from repro.core.backend import Backend
 from repro.core.protocol import make_parties
 from repro.gc import ot as ot_mod
 from repro.gc.channel import channel_pair
+from repro.gc.hashing import HASH_STATS
 from repro.net import codec
 from repro.net.cli import _registry
 from repro.programs import REGISTRY
@@ -74,7 +80,10 @@ def _machine_case(machine, alice, bob, cycles=None):
     }
 
 
+@functools.lru_cache(maxsize=None)
 def _registry_case(name):
+    # One netlist per circuit for the whole module, so later tests on a
+    # circuit replay the trace its differential already built.
     entry = _registry()[name]
     net, cycles = entry.build()
     return net, cycles, {"alice": entry.alice_source(1234, cycles),
@@ -108,6 +117,12 @@ class _Run:
         self.outputs = {}
         self.stats = {}
         self.tables_sent = None
+        #: Replays only: each party's final label table, and (when logged)
+        #: the labels its garble runs wrote, in order.
+        self.labels = {}
+        self.garbled = {}
+        self.invalid = None
+        self.hashes = None
 
 
 class _PlainOT:
@@ -127,6 +142,9 @@ class _PlainOT:
     def receive(self, choice):
         self.count += 1
         return self.chan.recv("ot")[choice]
+
+    def receive_many(self, choices):
+        return [self.receive(c) for c in choices]
 
     def rebind(self, chan):
         self.chan = chan
@@ -172,6 +190,31 @@ def _drive_replay(party, chan, inputs, rollback):
     party.run_cycles(on_boundary=boundary)
 
 
+def _replay_logging_garbles(per_row):
+    """A replay that logs the labels each garble run writes.  With
+    ``per_row`` the runs go through the base-class loop over ``garble``,
+    one row at a time: the path the run kernels replaced."""
+
+    def drive(party, chan, inputs, rollback):
+        assert rollback is None
+        party.attach(chan)
+        eng = party.engine
+        # The init bucket (replayed by attach) held no garble to divert.
+        assert max(eng.trace.op[: eng.trace.bounds[0]], default=0) < T.GARBLE
+        run = (functools.partial(Backend.garble_many, party.backend)
+               if per_row else eng._garble_many)
+        eng.garbled = []
+
+        def logged(tts, keys, srcs_a, srcs_b, dsts, labels):
+            run(tts, keys, srcs_a, srcs_b, dsts, labels)
+            eng.garbled += [labels[d] for d in dsts]
+
+        eng._garble_many = logged
+        party.run_cycles()
+
+    return drive
+
+
 def _two_party_run(monkeypatch, net, cycles, inputs, drive, *, rollback=None,
                    real_ot=False):
     run = _Run()
@@ -205,11 +248,14 @@ def _two_party_run(monkeypatch, net, cycles, inputs, drive, *, rollback=None,
             drive(party, ends[role], inputs, rollback)
             run.outputs[role] = party.finish()
             run.stats[role] = party.engine.stats
+            run.labels[role] = list(getattr(party.engine, "_labels", ()))
+            run.garbled[role] = getattr(party.engine, "garbled", None)
         except BaseException as exc:  # noqa: BLE001 - surface in the test
             errors.append(exc)
             ends[role].abort()
 
     threads = []
+    hashes0 = HASH_STATS.calls
     for role in ends:
         tap(role)
         threads.append(threading.Thread(target=main, args=(role,), name=role))
@@ -220,6 +266,8 @@ def _two_party_run(monkeypatch, net, cycles, inputs, drive, *, rollback=None,
         raise errors[0]
     assert not any(t.is_alive() for t in threads)
     run.tables_sent = parties["garbler"].backend.tables_sent
+    run.invalid = set(parties["evaluator"].backend.invalid_labels)
+    run.hashes = HASH_STATS.calls - hashes0
     return run
 
 
@@ -267,6 +315,98 @@ class TestDifferential:
         redone = rollback[1] - rollback[0]
         assert (len(replayed.sent["garbler"])
                 > len(straight.sent["garbler"]) + redone - 1)
+
+    @pytest.mark.parametrize("name", ["psi-hash8x16", "arm-hamming32"])
+    def test_pipelined_extension_ot_is_the_sweeping_engine_on_the_wire(
+            self, monkeypatch, name):
+        """Real IKNP extension OT: the sweeping engine asks for one input
+        label at a time (a round trip each), the replay hands each
+        stretch of Bob's labels to one pipelined ``receive_many``; each
+        direction still carries the same frames in the same order."""
+        net, cycles, inputs = dict(CASES)[name]()
+        swept = _two_party_run(monkeypatch, net, cycles, inputs, _drive_sweep,
+                               real_ot=True)
+        replayed = _two_party_run(monkeypatch, net, cycles, inputs, _drive_replay,
+                                  real_ot=True)
+        _assert_same_run(swept, replayed)
+
+
+def _kept_after_filtered_in_a_run(trace):
+    """Garble rows evaluated after a row whose table the garbler
+    filtered, in the same run (cycle ``c`` closes with ``ends[c]``)."""
+    count = 0
+    for lo, hi in zip(trace.runs, trace.runs[1:]):
+        if trace.op[lo] >= T.GARBLE:
+            dropped = set(trace.ends[bisect_right(trace.bounds, lo) - 1][1])
+            flags = [trace.x[i] in dropped for i in range(lo, hi)]
+            if True in flags:
+                count += flags[flags.index(True):].count(False)
+    return count
+
+
+class TestRunKernel:
+    """``garble_many`` on the crypto backends (one half-gate kernel call
+    per run) against the base-class loop over ``garble``."""
+
+    @pytest.mark.parametrize("name", list(_registry()) + ["arm-fallback"])
+    def test_garble_many_is_garble_row_by_row(self, monkeypatch, name):
+        net, cycles, inputs = dict(CASES)[name]()
+        # No forced thread switches: the process-wide hash counter then
+        # loses no update to the two parties' threads.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(60.0)
+        try:
+            rows, kernel = [
+                _two_party_run(monkeypatch, net, cycles, inputs,
+                               _replay_logging_garbles(per_row))
+                for per_row in (True, False)]
+        finally:
+            sys.setswitchinterval(interval)
+        _assert_same_run(rows, kernel)
+        assert rows.labels == kernel.labels
+        assert rows.garbled == kernel.garbled
+        assert rows.invalid == kernel.invalid
+        trace = T.residual_trace(net, cycles, inputs.get("public", ()),
+                                 inputs.get("public_init", ()))
+        garbles = sum(o >= T.GARBLE for o in trace.op)
+        filtered = sum(len(dropped) for _kept, dropped in trace.ends)
+        # 4 hashes per garbled table, 2 per evaluated one.
+        assert rows.hashes == kernel.hashes == 6 * garbles - 2 * filtered
+        assert len(kernel.invalid) == filtered
+        if name == "arm-fallback":
+            # The evaluator's dummy-label branch runs mid-run, so the
+            # rows after it must still get their own gate ids.
+            assert _kept_after_filtered_in_a_run(trace) > 0
+
+
+class TestBuildLeavesNoGarbage:
+    @pytest.mark.parametrize("engine", ["compiled", "reference"])
+    @pytest.mark.parametrize("name", ["mult8-seq", "arm-fallback"])
+    def test_builder_engine_and_recorder_die_with_the_build(
+            self, monkeypatch, engine, name):
+        """The builder engine's macro context and handler closures refer
+        back to it; the build must not leave that cycle (and the
+        recorder's run-sized label map) to the cyclic collector."""
+        net, cycles, inputs = dict(CASES)[name]()
+        refs = []
+        real = T.make_engine
+
+        def spy(net, backend, **kwargs):
+            eng = real(net, backend, **kwargs)
+            refs.extend((weakref.ref(eng), weakref.ref(backend)))
+            return eng
+
+        monkeypatch.setattr(T, "make_engine", spy)
+        T._TRACES.pop(net, None)
+        gc.collect()
+        gc.disable()
+        try:
+            T.residual_trace(net, cycles, inputs.get("public", ()),
+                             inputs.get("public_init", ()), engine)
+            assert len(refs) == 2
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
 
 
 class TestNoSecrets:

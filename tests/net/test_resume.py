@@ -15,7 +15,8 @@ from repro.core.protocol import (
 from tests.helpers import run_protocol
 from repro.gc.channel import ProtocolDesync
 from repro.net.fault import FaultPlan, FaultRule, FaultyTransport
-from repro.net.links import MemoryRendezvous
+from repro.net.frame import frame_tag
+from repro.net.links import Link, MemoryRendezvous
 from repro.net.session import ResumableSession, net_digest, run_resumable_pair
 
 X, Y = 1234, 4321
@@ -158,6 +159,68 @@ class TestMidRunRecovery:
                 max_attempts=2,
                 wrap=wrap,
             )
+
+
+class _CutBetweenHalves(Link):
+    """The evaluator's link, cut at its first read after its ``n``-th
+    ``otx-d`` frame: after a window's send half, before its receive half."""
+
+    def __init__(self, inner: Link, n: int) -> None:
+        self._inner, self._left, self.fired = inner, n, False
+
+    def send_bytes(self, data: bytes) -> None:
+        self._left -= frame_tag(data) == "otx-d"
+        self._inner.send_bytes(data)
+
+    def recv_bytes(self, timeout=None) -> bytes:
+        if self._left <= 0 and not self.fired:
+            self.fired = True
+            self._inner.close()
+            return b""  # what a dead peer looks like: EOF
+        return self._inner.recv_bytes(timeout=timeout)
+
+    def close(self) -> None:
+        self._inner.close()
+
+
+class TestPipelinedOTRecovery:
+    def test_cut_between_a_windows_halves_resumes_bit_identically(self):
+        """320 Bob bits per cycle: cycle 1's first window is choices
+        320-575 (a pool refill at 512 inside it).  The link dies once
+        they are all sent and before any reply is read; the session
+        resumes from the cycle-1 checkpoint to the uninterrupted run."""
+        from repro.circuit import CircuitBuilder
+
+        width, cycles = 320, 3
+
+        def build():
+            b = CircuitBuilder("wide_acc")
+            x, y = b.alice_input(width), b.bob_input(width)
+            acc = b.dff_bus(width)
+            b.drive_dff_bus(acc, b.xor_bus(acc, b.and_bus(x, y)))
+            b.set_outputs(acc)
+            return b.build()
+
+        def stream(seed):
+            return lambda c: int_to_bits((seed * (c + 7) ** 9) % (1 << width), width)
+
+        kw = dict(alice=stream(X), bob=stream(Y), ot="extension")
+        base = run_protocol(build(), cycles, **kw)
+        cuts = []
+
+        def wrap(role, attempt, link):
+            if role == "evaluator" and attempt == 0:
+                cuts.append(_CutBetweenHalves(link, width + 256))
+                return cuts[-1]
+            return link
+
+        a_res, b_res = run_resumable_pair(
+            build(), cycles, checkpoint_every=1, timeout=5.0, wrap=wrap, **kw)
+        assert [c.fired for c in cuts] == [True]
+        assert a_res.reconnects + b_res.reconnects >= 1
+        assert a_res.outputs == b_res.outputs == base.outputs
+        assert a_res.stats == base.alice_stats
+        assert a_res.tables_sent == base.tables_sent
 
 
 class TestHandshake:

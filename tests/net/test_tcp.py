@@ -182,3 +182,64 @@ class TestTcpProtocolRun:
         assert a_res.reconnects == 0 and b_res.reconnects == 0
         # Sockets carry framing overhead on top of the payload bytes.
         assert a_res.sent.wire_bytes > a_res.sent.payload_bytes > 0
+
+    @pytest.mark.parametrize("ot", ["simplest", "extension"])
+    def test_pipelined_input_ots_over_sockets_finish(self, ot):
+        """640 Bob input bits are three pool windows of choice messages
+        sent ahead of the replies: over real sockets, where a full send
+        buffer blocks the writer, the run must still finish (under a hard
+        deadline) and match the in-memory run."""
+        import random
+
+        from repro.bench_circuits import sum_combinational
+        from repro.circuit.bits import int_to_bits
+        from repro.core.protocol import EvaluatorParty, GarblerParty, _expand_bits
+        from repro.net.session import ResumableSession
+        from tests.helpers import run_protocol
+
+        width = 640
+        rng = random.Random(11)
+        x, y = rng.getrandbits(width), rng.getrandbits(width)
+        a_bits, b_bits = int_to_bits(x, width), int_to_bits(y, width)
+        net, cycles = sum_combinational(width)
+        base = run_protocol(net, cycles, alice=a_bits, bob=b_bits, ot=ot)
+        assert base.value == (x + y) % (1 << width)
+
+        def party(cls, role, bits):
+            net_p, _ = sum_combinational(width)
+            return cls(net_p, cycles, _expand_bits(net_p, role, bits, (), cycles),
+                       ot_group="modp512", ot=ot)
+
+        listener = TcpListener(port=0)
+        dialer = TcpDialer("127.0.0.1", listener.port)
+        sessions = {
+            "garbler": ResumableSession(
+                party(GarblerParty, "alice", a_bits),
+                connect=lambda: listener.connect(timeout=15.0), timeout=15.0),
+            "evaluator": ResumableSession(
+                party(EvaluatorParty, "bob", b_bits),
+                connect=lambda: dialer.connect(timeout=15.0), timeout=15.0),
+        }
+        box = {}
+
+        def main(role):
+            try:
+                box[role] = sessions[role].run()
+            except BaseException as exc:  # surfaced below
+                box[role] = exc
+
+        threads = [threading.Thread(target=main, args=(role,), daemon=True)
+                   for role in sessions]
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads), "deadlocked over TCP"
+        finally:
+            listener.close()
+        a_res, b_res = box["garbler"], box["evaluator"]
+        assert not isinstance(a_res, BaseException), a_res
+        assert not isinstance(b_res, BaseException), b_res
+        assert a_res.value == b_res.value == base.value
+        assert a_res.tables_sent == base.tables_sent
