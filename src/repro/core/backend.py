@@ -78,8 +78,11 @@ class Backend:
         for tt, key, ia, ib, d in zip(tts, keys, srcs_a, srcs_b, dsts):
             labels[d] = garble(tt, labels[ia], labels[ib], key)
 
-    def begin_cycle(self, cycle: int) -> None:
-        """Hook called before each sequential cycle."""
+    def begin_cycle(self, cycle: int, kept_keys: Sequence[int] = ()) -> None:
+        """Hook called before each sequential cycle.  A trace replay
+        also passes the keys of the tables the cycle will keep (a
+        sweeping engine learns them only at :meth:`end_cycle`): the
+        evaluator needs them to read the cycle's table blob."""
 
     def end_cycle(self, kept_keys: List[int], dropped_keys: List[int]) -> None:
         """Hook called after filtering; transports surviving tables."""

@@ -11,9 +11,10 @@ once per process for a given netlist, cycle count and public input)
 and replays it against its own crypto backend.  The replay hands the
 backend *runs*, not rows: a run of garbles is one call of the half-gate
 run kernel (:func:`~repro.gc.garble.garble_run` /
-:func:`~repro.gc.garble.evaluate_run`), and a stretch of Bob's input
-labels is one pipelined OT receive, whose choice messages go out a
-pool window ahead of Alice's replies instead of one round trip per bit.
+:func:`~repro.gc.garble.evaluate_run`), a stretch of Alice's input
+labels is one ``alice-label`` frame, and a stretch of Bob's is one OT
+run (``send_many`` / ``receive_many``), framed a pool window at a time
+instead of one round trip per bit.
 
 The protocol logic lives in two *party* objects —
 :class:`GarblerParty` and :class:`EvaluatorParty` — that are agnostic
@@ -35,8 +36,14 @@ regenerate fresh labels on both sides consistently.
 Wire formats are deterministic and fixed-width for label material
 (every label is exactly :data:`~repro.gc.hashing.LABEL_BYTES` bytes on
 the wire) so communication totals cannot wobble with random label
-values; a cycle's surviving tables travel as one ``(keys, blob)``
-batch costing ``32`` bytes per table plus a few bytes of keys.
+values.  Nothing the trace already says crosses the wire: a cycle's
+surviving tables travel as one ``tables`` blob of ``32`` bytes per
+table, in the order of the cycle's kept keys, which the evaluator reads
+from the trace (``ends[c]``) instead of from the frame; a cycle that
+keeps no table sends no frame; and no frame carries a count, because
+each receiver knows from the trace and the run lengths how many bytes
+the next frame must hold (a frame of any other length is a
+:class:`~repro.gc.channel.FrameCorruption`).
 
 Synchronization argument (why the two parties agree): every decision
 a SkipGate engine takes depends only on (a) public inputs, which both
@@ -45,11 +52,10 @@ identically on both sides — Alice compares zero-labels, Bob compares
 held labels, and these coincide because labels are only ever created
 fresh (garbling, inputs) or combined structurally (XOR, wire/inverter
 passes).  The trace is therefore the same whoever builds it, and holds
-label *ids*, never label bytes or delta.  Garbled tables are
-additionally tagged with their deterministic per-cycle gate key, so a
-table filtered by Alice (Algorithm 4 line 18) is simply absent from
-Bob's batch and he substitutes a flagged dummy label (Algorithm 5
-line 18).
+label *ids*, never label bytes or delta.  Garbled tables are matched by
+their deterministic per-cycle gate key, so a table filtered by Alice
+(Algorithm 4 line 18) is simply absent from Bob's blob and he
+substitutes a flagged dummy label (Algorithm 5 line 18).
 """
 
 from __future__ import annotations
@@ -63,7 +69,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 from ..circuit.bits import bits_to_int
 from ..circuit.netlist import Netlist
-from ..gc.channel import Endpoint, channel_pair
+from ..gc.channel import Endpoint, channel_pair, check_blob
 from ..gc.garble import (
     GarbledTable,
     evaluate_run,
@@ -81,6 +87,17 @@ from .stats import RunStats
 from .trace import TraceReplayer, residual_trace
 
 BitSource = Union[Sequence[int], "callable"]
+
+
+def _fresh_runs(keys, memo):
+    """``(owner, keys)`` for each stretch of one owner's keys not yet in
+    ``memo``: the unit of one label frame run.  Both parties cut the
+    same stretches, since their memos hold the same keys."""
+    fresh = dict.fromkeys(k for k in keys if k not in memo)
+    for owner, run in groupby(fresh, key=itemgetter(1)):
+        if owner not in ("alice", "bob"):  # pragma: no cover - defensive
+            raise ValueError(f"unknown label owner {owner!r}")
+        yield owner, list(run)
 
 
 class GarblerBackend(Backend):
@@ -116,21 +133,24 @@ class GarblerBackend(Backend):
         self.tables_sent = 0
 
     def secret_label(self, key: Hashable) -> int:
-        label = self._memo.get(key)
-        if label is not None:
-            return label
-        zero = random_label(self._rng)
-        self._memo[key] = zero
-        owner = key[1]
-        if owner == "alice":
-            bit = self._alice_bits[key]
-            held = zero ^ (self.delta if bit else 0)
-            self.chan.send("alice-label", held.to_bytes(LABEL_BYTES, "little"))
-        elif owner == "bob":
-            self._ot.send(zero, zero ^ self.delta)
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"unknown label owner in key {key!r}")
-        return zero
+        return self.secret_labels((key,))[0]
+
+    def secret_labels(self, keys) -> List[int]:
+        # Each stretch of one owner's fresh keys is one frame run: Alice's
+        # held labels as one ``alice-label`` blob, Bob's label pairs as
+        # one OT run.  The evaluator cuts the same stretches.
+        memo, delta = self._memo, self.delta
+        for owner, run in _fresh_runs(keys, memo):
+            zeros = [random_label(self._rng) for _ in run]
+            memo.update(zip(run, zeros))
+            if owner == "alice":
+                bits = self._alice_bits
+                self.chan.send("alice-label", b"".join(
+                    (zero ^ (delta if bits[k] else 0)).to_bytes(LABEL_BYTES, "little")
+                    for k, zero in zip(run, zeros)))
+            else:
+                self._ot.send_many([(zero, zero ^ delta) for zero in zeros])
+        return [memo[k] for k in keys]
 
     def xor(self, la: int, lb: int) -> int:
         return la ^ lb
@@ -145,16 +165,16 @@ class GarblerBackend(Backend):
         self._gid += len(tables)
         self._pending.update(zip(keys, tables))
 
-    def begin_cycle(self, cycle: int) -> None:
+    def begin_cycle(self, cycle: int, kept_keys: Sequence[int] = ()) -> None:
         self._pending = {}
 
     def end_cycle(self, kept_keys: List[int], dropped_keys: List[int]) -> None:
-        # One batch per cycle: the kept keys (small deterministic ints
-        # both parties could derive) plus one fixed-width blob of
-        # 2 x 16-byte ciphertexts per surviving table.
-        self.tables_sent += len(kept_keys)
-        blob = b"".join(map(self._pending.__getitem__, kept_keys))
-        self.chan.send("tables", (list(kept_keys), blob))
+        # One blob per cycle that keeps a table: 2 x 16-byte ciphertexts
+        # per surviving table, in kept-key order.  The keys themselves
+        # are in both parties' trace, so they stay off the wire.
+        if kept_keys:
+            self.tables_sent += len(kept_keys)
+            self.chan.send("tables", b"".join(map(self._pending.__getitem__, kept_keys)))
 
     # -- resume hooks --------------------------------------------------------
 
@@ -213,20 +233,20 @@ class EvaluatorBackend(Backend):
         return self.secret_labels((key,))[0]
 
     def secret_labels(self, keys) -> List[int]:
-        # Each stretch of Bob's keys is one pipelined OT run: his choice
-        # messages go out a window at a time, ahead of Alice's replies.
-        memo, chan = self._memo, self.chan
-        fresh = dict.fromkeys(k for k in keys if k not in memo)
-        for owner, run in groupby(fresh, key=itemgetter(1)):
-            run = list(run)
-            if owner == "bob":
+        # The garbler's stretches: one ``alice-label`` blob of exactly
+        # the run's labels, or one OT run whose choice frames go out a
+        # window at a time.
+        memo = self._memo
+        for owner, run in _fresh_runs(keys, memo):
+            if owner == "alice":
+                blob = check_blob(self.chan.recv("alice-label"),
+                                  LABEL_BYTES * len(run), "alice-label")
+                memo.update(zip(run, (
+                    int.from_bytes(blob[lo : lo + LABEL_BYTES], "little")
+                    for lo in range(0, len(blob), LABEL_BYTES))))
+            else:
                 choices = [self._bob_bits[k] for k in run]
                 memo.update(zip(run, self._ot.receive_many(choices)))
-            elif owner == "alice":
-                for k in run:
-                    memo[k] = int.from_bytes(chan.recv("alice-label"), "little")
-            else:  # pragma: no cover - defensive
-                raise ValueError(f"unknown label owner in key {run[0]!r}")
         return [memo[k] for k in keys]
 
     def xor(self, la: int, lb: int) -> int:
@@ -250,19 +270,16 @@ class EvaluatorBackend(Backend):
         self.invalid_labels.add(dummy)
         return dummy
 
-    def begin_cycle(self, cycle: int) -> None:
-        keys, blob = self.chan.recv("tables")
-        if len(blob) != GarbledTable.SIZE_BYTES * len(keys):
-            from ..gc.channel import FrameCorruption
-
-            raise FrameCorruption(
-                f"table batch blob of {len(blob)} bytes does not match "
-                f"{len(keys)} keys"
-            )
-        # The tables stay in the received blob: a gate key maps to its
-        # table's byte offset.
-        self._blob = blob
-        self._offsets = dict(zip(keys, range(0, len(blob), GarbledTable.SIZE_BYTES)))
+    def begin_cycle(self, cycle: int, kept_keys: Sequence[int] = ()) -> None:
+        # ``kept_keys`` come from the trace: a cycle that keeps no table
+        # has no frame to wait for.  The tables stay in the received
+        # blob: a gate key maps to its table's byte offset.
+        size = GarbledTable.SIZE_BYTES
+        self._blob = b""
+        if kept_keys:
+            self._blob = check_blob(self.chan.recv("tables"),
+                                    size * len(kept_keys), "tables")
+        self._offsets = dict(zip(kept_keys, range(0, len(self._blob), size)))
 
     # -- resume hooks --------------------------------------------------------
 

@@ -105,7 +105,7 @@ class TraceBackend(Backend):
         self._log(GARBLE + tt, key, self.ids[la], self.ids[lb], label)
         return label
 
-    def begin_cycle(self, cycle: int) -> None:
+    def begin_cycle(self, cycle: int, kept_keys=()) -> None:
         self._log(BEGIN, cycle)
 
     def end_cycle(self, kept_keys, dropped_keys) -> None:
@@ -234,7 +234,8 @@ class TraceReplayer:
     def _run(self, lo: int, hi: int) -> None:
         """Replay rows ``lo:hi`` a run at a time: a stretch of garbles is
         one ``garble_many``, a stretch of input labels one
-        ``secret_labels``."""
+        ``secret_labels``, and ``begin_cycle`` gets the cycle's kept
+        keys."""
         t, backend, lab = self.trace, self.backend, self._labels
         op, x, a, b, dst, runs = t.op, t.x, t.a, t.b, t.dst, t.runs
         xor, keys = backend.xor, t.keys
@@ -255,7 +256,9 @@ class TraceReplayer:
                 for d, label in zip(dst[lo:end], labels):
                     lab[d] = label
             else:
-                backend.begin_cycle(x[lo])
+                # The cycle's kept keys are public: the evaluator reads
+                # its table blob against them, so they never cross the wire.
+                backend.begin_cycle(x[lo], t.ends[x[lo]][0])
             lo = end
 
     def step(self) -> CycleStats:

@@ -86,6 +86,21 @@ class FrameCorruption(ProtocolDesync):
     """
 
 
+def check_blob(payload: Any, nbytes: int, tag: str) -> bytes:
+    """``payload`` if it is a ``bytes`` blob of exactly ``nbytes``.
+
+    Run frames carry no count: both parties derive each frame's length
+    from the public trace and run lengths, so a blob of any other shape
+    means the two byte streams disagree — :class:`FrameCorruption`,
+    never an ``IndexError`` or unpacking error further down.
+    """
+    if type(payload) is not bytes or len(payload) != nbytes:
+        got = (f"{len(payload)} bytes" if type(payload) is bytes
+               else type(payload).__name__)
+        raise FrameCorruption(f"{tag!r} frame: expected {nbytes} bytes, got {got}")
+    return payload
+
+
 _SENTINEL = object()
 _UNSET = object()
 

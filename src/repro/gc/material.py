@@ -5,8 +5,8 @@ ARM2GC's succinctness argument rests on the processor netlist being
 garbled tables precomputable.  During protocol cycles the garbler only
 ever *pushes* label material: her ``alice-label`` frames, the message
 pairs ``(zero, zero ^ delta)`` she feeds the OT for Bob's input bits,
-and one ``tables`` batch per cycle.  None of it depends on anything
-the evaluator sends (the OT itself is interactive, but the garbler's
+and the ``tables`` blob of each cycle that keeps a table.  None of it
+depends on anything the evaluator sends (the OT itself is interactive, but the garbler's
 *inputs* to it are not), so the entire per-cycle transcript can be
 produced in an **offline phase** before any client connects and
 replayed verbatim in the **online phase**, which then costs only the
@@ -16,7 +16,8 @@ Three pieces implement the split:
 
 * :func:`build_material` runs a real :class:`~repro.core.protocol.
   GarblerParty` against a recording channel and a recording OT,
-  capturing the ordered per-cycle event stream into a
+  capturing the ordered per-cycle event stream — one event per frame
+  run, framed exactly as the live garbler frames it — into a
   :class:`GarbledMaterial` bundle keyed by (netlist digest, cycle
   index, delta epoch).  Like every party it replays the program's
   residual trace (:mod:`repro.core.trace`), so an epoch costs the
@@ -30,7 +31,9 @@ Three pieces implement the split:
   line of work, enforced structurally here by single-use acquisition.
 * :class:`MaterialGarblerParty` is a drop-in for ``GarblerParty`` in
   a :class:`~repro.net.session.ResumableSession`: it replays the
-  recorded events through a live channel and a live OT, checkpoints
+  recorded events through a live channel and a live OT (one
+  ``send_many`` per recorded OT run), so its frames are byte-identical
+  to a fresh garbler's under the same labels; checkpoints
   carry the material epoch, and ``restore`` refuses to cross epochs.
 
 The recorded transcript replays the *same* label bytes on every
@@ -49,6 +52,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .channel import ProtocolDesync
+from .garble import GarbledTable
 from .ot import OTSender
 from .ot_extension import OTExtensionSender
 
@@ -66,34 +70,29 @@ class MaterialEpochMismatch(ProtocolDesync):
 
 
 class _Recorder:
-    """Accumulates the garbler's ordered outbound events.
+    """Accumulates the garbler's ordered outbound events: ``(tag,
+    blob)`` for an ``alice-label`` or ``tables`` frame, ``("ot",
+    pairs)`` for an OT run.
 
     Events before the first cycle (flip-flop / macro init labels,
     replayed from the trace's init bucket during ``attach``) land in
-    the *init bucket*; after that, each ``tables`` send closes one
-    cycle bucket.
+    the *init bucket*; after that, each cycle boundary closes one cycle
+    bucket (a cycle that keeps no table sends no frame to close it).
     """
 
     def __init__(self) -> None:
         self.init_events: List[tuple] = []
         self.cycle_events: List[List[tuple]] = []
-        self.cycle_tables: List[Tuple[List[int], bytes]] = []
         self._events: List[tuple] = []
-        self._init_open = True
 
     def add(self, event: tuple) -> None:
         self._events.append(event)
 
     def close_init(self) -> None:
-        assert self._init_open, "init bucket already closed"
-        self.init_events = self._events
-        self._events = []
-        self._init_open = False
+        self.init_events, self._events = self._events, []
 
-    def close_cycle(self, keys: List[int], blob: bytes) -> None:
-        assert not self._init_open, "tables sent before attach completed"
+    def close_cycle(self, completed: int) -> None:
         self.cycle_events.append(self._events)
-        self.cycle_tables.append((list(keys), blob))
         self._events = []
 
 
@@ -105,13 +104,9 @@ class _RecordingEndpoint:
         self._rec = recorder
 
     def send(self, tag: str, payload: Any) -> None:
-        if tag == "alice-label":
-            self._rec.add(("alice", bytes(payload)))
-        elif tag == "tables":
-            keys, blob = payload
-            self._rec.close_cycle(keys, blob)
-        else:  # pragma: no cover - defensive
+        if tag not in ("alice-label", "tables"):  # pragma: no cover - defensive
             raise AssertionError(f"unexpected offline-phase send {tag!r}")
+        self._rec.add((tag, bytes(payload)))
 
     def recv(self, tag: str, timeout: Optional[float] = None) -> Any:
         raise AssertionError(
@@ -121,15 +116,15 @@ class _RecordingEndpoint:
 
 
 class _RecordingOT:
-    """OT stand-in: captures the garbler's message pairs."""
+    """OT stand-in: captures each run of the garbler's message pairs."""
 
     def __init__(self, recorder: _Recorder) -> None:
         self._rec = recorder
         self.count = 0
 
-    def send(self, m0: int, m1: int) -> None:
-        self._rec.add(("ot", m0, m1))
-        self.count += 1
+    def send_many(self, pairs) -> None:
+        self._rec.add(("ot", list(pairs)))
+        self.count += len(pairs)
 
     def rebind(self, chan) -> None:  # pragma: no cover - never reconnects
         pass
@@ -158,7 +153,6 @@ class GarbledMaterial:
     delta: int
     init_events: List[tuple]
     cycle_events: List[List[tuple]]
-    cycle_tables: List[Tuple[List[int], bytes]]
     output_states: List[Any]
     stats: Any
     tables_sent: int
@@ -209,12 +203,7 @@ def build_material(
     )
     party.attach(_RecordingEndpoint(recorder))
     recorder.close_init()  # init labels resolve during attach
-    party.run_cycles()
-    if len(recorder.cycle_tables) != cycles:  # pragma: no cover - defensive
-        raise AssertionError(
-            f"recorded {len(recorder.cycle_tables)} table batches for "
-            f"{cycles} cycles"
-        )
+    party.run_cycles(on_boundary=recorder.close_cycle)
     output_states = []
     for s in party.engine.output_states():
         output_states.append(s if type(s) is int else (s[0], s[1]))
@@ -226,7 +215,6 @@ def build_material(
         delta=party.backend.delta,
         init_events=recorder.init_events,
         cycle_events=recorder.cycle_events,
-        cycle_tables=recorder.cycle_tables,
         output_states=output_states,
         stats=party.engine.stats,
         tables_sent=party.backend.tables_sent,
@@ -392,8 +380,8 @@ class MaterialGarblerParty:
 
     Drop-in for :class:`~repro.core.protocol.GarblerParty` inside a
     :class:`~repro.net.session.ResumableSession`: the online path sends
-    the recorded label frames and table batches and runs only the
-    *live* OT protocol for Bob's input bits.  Checkpoints record the
+    the recorded label and table frames and runs only the *live* OT
+    protocol for Bob's input bits.  Checkpoints record the
     material epoch and digest; :meth:`restore` raises
     :class:`MaterialEpochMismatch` on any cross-epoch restore attempt.
     """
@@ -440,13 +428,13 @@ class MaterialGarblerParty:
         return OTSender(chan, group=self._ot_group)
 
     def _replay(self, events: List[tuple]) -> None:
-        chan = self.chan
-        ot = self._ot
-        for ev in events:
-            if ev[0] == "alice":
-                chan.send("alice-label", ev[1])
+        for tag, payload in events:
+            if tag == "ot":
+                self._ot.send_many(payload)
             else:
-                ot.send(ev[1], ev[2])
+                self.chan.send(tag, payload)
+                if tag == "tables":
+                    self.backend.tables_sent += len(payload) // GarbledTable.SIZE_BYTES
 
     @property
     def cycle(self) -> int:
@@ -468,13 +456,8 @@ class MaterialGarblerParty:
             self._ot.rebind(chan)
 
     def run_cycles(self, on_boundary=None) -> None:
-        material = self.material
         while self._cursor < self.cycles:
-            i = self._cursor
-            self._replay(material.cycle_events[i])
-            keys, blob = material.cycle_tables[i]
-            self.chan.send("tables", (list(keys), blob))
-            self.backend.tables_sent += len(keys)
+            self._replay(self.material.cycle_events[self._cursor])
             self._cursor += 1
             if on_boundary is not None:
                 on_boundary(self._cursor)

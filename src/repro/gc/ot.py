@@ -7,9 +7,11 @@ chosen message; Alice learns nothing about the choice.
 
 Two parameter sets are provided:
 
-* ``modp2048`` — the RFC 3526 group 14 safe prime, a realistic setting;
+* ``modp2048`` — the RFC 3526 group 14 safe prime, a realistic setting
+  and the default of :class:`OTSender` / :class:`OTReceiver`;
 * ``modp512``  — a 508-bit *composite* test modulus (not secure), the
-  default everywhere because it keeps test and benchmark runs short.
+  default of the protocol, serve and OT-extension entry points because
+  it keeps test and benchmark runs short.
 
 Both parties draw 256-bit exponents (DESIGN.md §8 has the argument).
 The sender pays one modular exponentiation per transfer:
@@ -19,12 +21,16 @@ fixed bases, so a 4-bit windowed table per base turns each into 64
 modular multiplications.
 
 The transfer of Bob's GC input labels (Algorithms 1-2 lines 3-4) runs
-one OT per input bit; a receiver given a run of choices
-(``receive_many``) sends its choice messages a window ahead of the
-replies instead of waiting one round trip per bit.  Group elements
-cross the channel as **fixed-width** little-endian byte strings (the
-group size in bytes), so communication totals are deterministic and
-independent of the random element values.
+one OT per input bit, a run at a time: the receiver's ``receive_many``
+and the sender's ``send_many`` cut the run into :func:`windows` of
+``POOL_SIZE`` transfers, and each window is one ``ot-b`` frame (the
+window's group elements, back to back) answered by one ``ot-e`` frame
+(its ciphertext pairs).  Neither frame carries a count: both sides
+derive the window boundaries from the public run length, and a frame of
+any other length is a :class:`~repro.gc.channel.FrameCorruption`.
+Group elements are **fixed-width** little-endian (the group size in
+bytes), so communication totals are deterministic and independent of
+the random element values.
 
 Both sides expose ``snapshot`` / ``restore`` / ``rebind``: the resume
 layer (:mod:`repro.net.session`) checkpoints OT progress at cycle
@@ -39,7 +45,7 @@ import secrets
 import threading
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .channel import Endpoint
+from .channel import Endpoint, FrameCorruption, check_blob
 from .hashing import LABEL_BYTES, kdf_bytes
 
 # RFC 3526, group 14 (2048-bit MODP); generator 2.
@@ -71,7 +77,7 @@ GROUPS = {
 }
 
 
-#: Transfers a receiver runs ahead of the sender's replies, and the
+#: Transfers per OT window (one choice frame, one reply frame), and the
 #: OT-extension pool size (:mod:`repro.gc.ot_extension`).
 POOL_SIZE = 256
 
@@ -119,22 +125,46 @@ def _generator_table(group: str) -> _Table:
     return _fixed_base_table(g, p)
 
 
-def pipelined(choices: Sequence[int], window: int, send_choice, read_reply) -> list:
-    """Run a receiver's transfers a window at a time: ``send_choice``
-    for every choice of the window, then ``read_reply(choice, sent)``
-    (``sent``: what ``send_choice`` returned) for each, in order.
+def windows(items: Sequence, size: int) -> list:
+    """A run cut into consecutive windows of ``size`` (the last may be
+    shorter): the framing unit of both OT parties.  Each side derives it
+    from the public run length, so no frame carries a count.
 
-    Both directions carry the same messages in the same order as one
-    transfer at a time; only their interleaving changes.  The window
-    bounds the sender's replies in flight (a few dozen bytes each), so
-    they always fit the socket buffers and a TCP pair cannot deadlock
-    with both ends blocked writing.
+    A receiver sends a window's choices as one frame before it reads the
+    window's one reply frame.  The window bounds the reply in flight
+    (32 bytes a transfer), so it always fits the socket buffers and a
+    TCP pair cannot deadlock with both ends blocked writing.
     """
-    out: list = []
-    for lo in range(0, len(choices), window):
-        part = choices[lo : lo + window]
-        out += map(read_reply, part, [send_choice(c) for c in part])
-    return out
+    return [items[lo : lo + size] for lo in range(0, len(items), size)]
+
+
+def pack_bits(bits: Sequence[int]) -> bytes:
+    """Bit ``i`` of the little-endian result is ``bits[i]``."""
+    value = 0
+    for i, bit in enumerate(bits):
+        value |= bit << i
+    return value.to_bytes((len(bits) + 7) // 8, "little")
+
+
+def unpack_bits(payload, n: int, tag: str) -> List[int]:
+    """Inverse of :func:`pack_bits` for a frame that must hold ``n``
+    bits: anything but ``ceil(n/8)`` bytes with zero padding is a
+    :class:`~repro.gc.channel.FrameCorruption`."""
+    value = int.from_bytes(check_blob(payload, (n + 7) // 8, tag), "little")
+    if value >> n:
+        raise FrameCorruption(f"{tag!r} frame sets bits past its {n} transfers")
+    return [(value >> i) & 1 for i in range(n)]
+
+
+def chosen_halves(reply, choices: Sequence[int], tag: str) -> List[bytes]:
+    """The chosen 16-byte half of each ciphertext pair of a reply frame,
+    which must hold exactly one pair per choice."""
+    reply = check_blob(reply, 2 * LABEL_BYTES * len(choices), tag)
+    halves = []
+    for lo, choice in zip(range(0, len(reply), 2 * LABEL_BYTES), choices):
+        lo += LABEL_BYTES if choice else 0
+        halves.append(reply[lo : lo + LABEL_BYTES])
+    return halves
 
 
 def _pad(key: bytes, index: int) -> int:
@@ -222,17 +252,27 @@ class OTSender:
 
     def send(self, m0: int, m1: int) -> None:
         """Obliviously transfer one of two 128-bit messages."""
-        self._ensure_setup()
-        big_b = int.from_bytes(self.chan.recv("ot-b"), "little")
-        if not 1 < big_b < self.p:
-            raise ValueError("OT receiver sent an invalid group element")
-        group_bytes = self.group_bytes
-        k0 = pow(big_b, self._a, self.p)
-        k1 = k0 * self._k1_factor % self.p
-        e0 = _encrypt(k0.to_bytes(group_bytes, "little"), m0, self.count)
-        e1 = _encrypt(k1.to_bytes(group_bytes, "little"), m1, self.count)
-        self.chan.send("ot-e", (e0, e1))
-        self.count += 1
+        self.send_many(((m0, m1),))
+
+    def send_many(self, pairs: Sequence[Tuple[int, int]]) -> None:
+        """:meth:`send` for each pair, a window at a time: one ``ot-b``
+        frame of the window's elements in, one ``ot-e`` frame of its
+        ciphertext pairs out."""
+        p, width = self.p, self.group_bytes
+        for part in windows(pairs, POOL_SIZE):
+            self._ensure_setup()
+            elems = check_blob(self.chan.recv("ot-b"), width * len(part), "ot-b")
+            reply = []
+            for lo, (m0, m1) in zip(range(0, len(elems), width), part):
+                big_b = int.from_bytes(elems[lo : lo + width], "little")
+                if not 1 < big_b < p:
+                    raise ValueError("OT receiver sent an invalid group element")
+                k0 = pow(big_b, self._a, p)
+                k1 = k0 * self._k1_factor % p
+                reply += (_encrypt(k0.to_bytes(width, "little"), m0, self.count),
+                          _encrypt(k1.to_bytes(width, "little"), m1, self.count))
+                self.count += 1
+            self.chan.send("ot-e", b"".join(reply))
 
     # -- resume hooks --------------------------------------------------------
 
@@ -272,7 +312,8 @@ class OTReceiver:
 
     def _ensure_setup(self) -> None:
         if self._big_a is None:
-            self._big_a = int.from_bytes(self.chan.recv("ot-setup"), "little")
+            setup = check_blob(self.chan.recv("ot-setup"), self.group_bytes, "ot-setup")
+            self._big_a = int.from_bytes(setup, "little")
             if not 1 < self._big_a < self.p:
                 raise ValueError("OT sender sent an invalid group element")
         if self._a_table is None:
@@ -283,25 +324,29 @@ class OTReceiver:
         return self.receive_many((choice,))[0]
 
     def receive_many(self, choices: Sequence[int]) -> List[int]:
-        """:meth:`receive` for each choice, pipelined (:func:`pipelined`)."""
-        return pipelined(choices, POOL_SIZE, self._send_choice, self._read_reply)
+        """:meth:`receive` for each choice, a window at a time (see
+        :func:`windows`)."""
+        return [m for part in windows(choices, POOL_SIZE)
+                for m in self._receive_window(part)]
 
-    def _send_choice(self, choice: int) -> Tuple[int, bytes]:
+    def _receive_window(self, choices: Sequence[int]) -> List[int]:
         self._ensure_setup()
-        b = _draw_exponent()
-        big_b = _fixed_pow(self._g_table, b, self.p)
-        if choice:
-            big_b = big_b * self._big_a % self.p
-        group_bytes = self.group_bytes
-        self.chan.send("ot-b", big_b.to_bytes(group_bytes, "little"))
-        self.count += 1
-        key = _fixed_pow(self._a_table, b, self.p).to_bytes(group_bytes, "little")
-        return self.count - 1, key
-
-    def _read_reply(self, choice: int, sent: Tuple[int, bytes]) -> int:
-        index, key = sent
-        e0, e1 = self.chan.recv("ot-e")
-        return _decrypt(key, e1 if choice else e0, index)
+        p, width = self.p, self.group_bytes
+        exps = [_draw_exponent() for _ in choices]
+        elems = []
+        for b, choice in zip(exps, choices):
+            big_b = _fixed_pow(self._g_table, b, p)
+            if choice:
+                big_b = big_b * self._big_a % p
+            elems.append(big_b.to_bytes(width, "little"))
+        self.chan.send("ot-b", b"".join(elems))
+        # The keys are worked out while the sender computes its replies.
+        keys = [_fixed_pow(self._a_table, b, p).to_bytes(width, "little")
+                for b in exps]
+        first, self.count = self.count, self.count + len(choices)
+        halves = chosen_halves(self.chan.recv("ot-e"), choices, "ot-e")
+        return [_decrypt(key, half, first + j)
+                for j, (key, half) in enumerate(zip(keys, halves))]
 
     # -- resume hooks --------------------------------------------------------
 

@@ -24,18 +24,33 @@ bits :math:`r`):
    :math:`m_{r_j} = y_{r_j} \\oplus H(j, t_j)`.
 
 The pool produces *random* OTs which are derandomized per use (one
-choice-correction bit from R, two masked messages from S), giving the
-same one-at-a-time interface as :class:`repro.gc.ot.OTSender` — a
-drop-in for the protocol backends via ``ot="extension"``.
+choice-correction bit from R, two masked messages from S), behind the
+same ``send_many`` / ``receive_many`` interface as
+:class:`repro.gc.ot.OTSender` — a drop-in for the protocol backends via
+``ot="extension"``.  Derandomization is framed a window at a time
+(:func:`repro.gc.ot.windows`): one ``otx-d`` frame packs the window's
+correction bits, one ``otx-e`` frame carries its masked pairs; a pool
+refill (``otx-u``) inside a window goes out before that window's
+``otx-d``.  Both sides derive windows and refill points from the public
+run length and their transfer counters, so no frame carries a count.
+The kappa base OTs are one ``ot-b`` and one ``ot-e`` frame.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .channel import Endpoint
+from .channel import Endpoint, check_blob
 from .hashing import LABEL_BYTES, LABEL_MASK, hash_labels, kdf_bytes
-from .ot import POOL_SIZE, OTReceiver, OTSender, pipelined
+from .ot import (
+    POOL_SIZE,
+    OTReceiver,
+    OTSender,
+    chosen_halves,
+    pack_bits,
+    unpack_bits,
+    windows,
+)
 
 KAPPA = 128  #: security parameter / number of base OTs
 
@@ -140,7 +155,7 @@ class OTExtensionSender:
 
     def _base_phase(self) -> None:
         """Run the kappa base OTs (sender acts as base *receiver*), as
-        one pipelined run."""
+        one window: one ``ot-b`` frame out, one ``ot-e`` frame in."""
         choices = [(self._s >> i) & 1 for i in range(KAPPA)]
         self._seeds = self._base.receive_many(choices)
 
@@ -158,7 +173,7 @@ class OTExtensionSender:
         salt = self._salt + b"%d" % self._batch
         self._batch += 1
         # One fixed-width blob: KAPPA columns of (m+7)//8 bytes each.
-        u_blob = self.chan.recv("otx-u")
+        u_blob = check_blob(self.chan.recv("otx-u"), KAPPA * col_bytes, "otx-u")
         us = [
             int.from_bytes(u_blob[i * col_bytes : (i + 1) * col_bytes], "little")
             for i in range(KAPPA)
@@ -184,24 +199,31 @@ class OTExtensionSender:
 
     def send(self, m0: int, m1: int) -> None:
         """Obliviously transfer one of two 128-bit messages."""
-        if not self._pool:
-            self._extend()
-        x0, x1 = self._pool.pop()
-        d = self.chan.recv("otx-d")
-        # Receiver knows x_c where c = b ^ d; align pads so that
-        # e_b = m_b ^ x_{b^d}.
-        if d:
-            x0, x1 = x1, x0
-        e0 = (m0 ^ x0) & LABEL_MASK
-        e1 = (m1 ^ x1) & LABEL_MASK
-        self.chan.send(
-            "otx-e",
-            (
-                e0.to_bytes(LABEL_BYTES, "little"),
-                e1.to_bytes(LABEL_BYTES, "little"),
-            ),
-        )
-        self.count += 1
+        self.send_many(((m0, m1),))
+
+    def send_many(self, pairs: Sequence[Tuple[int, int]]) -> None:
+        """:meth:`send` for each pair, a window at a time: the window's
+        pool pads (refilling, ``otx-u`` in, where the receiver did), one
+        packed ``otx-d`` frame in, one ``otx-e`` frame out."""
+        for part in windows(pairs, self.pool_size):
+            pads = []
+            for _ in part:
+                # The count advances with each pad so a refill's tweaks
+                # line up with the receiver's.
+                if not self._pool:
+                    self._extend()
+                pads.append(self._pool.pop())
+                self.count += 1
+            flips = unpack_bits(self.chan.recv("otx-d"), len(part), "otx-d")
+            reply = []
+            for (m0, m1), (x0, x1), d in zip(part, pads, flips):
+                # Receiver knows x_c where c = b ^ d; align pads so that
+                # e_b = m_b ^ x_{b^d}.
+                if d:
+                    x0, x1 = x1, x0
+                reply += (((m0 ^ x0) & LABEL_MASK).to_bytes(LABEL_BYTES, "little"),
+                          ((m1 ^ x1) & LABEL_MASK).to_bytes(LABEL_BYTES, "little"))
+            self.chan.send("otx-e", b"".join(reply))
 
     # -- resume hooks --------------------------------------------------------
 
@@ -257,12 +279,8 @@ class OTExtensionReceiver:
         self.count = 0
 
     def _base_phase(self) -> None:
-        self._seed_pairs = []
-        for _ in range(KAPPA):
-            k0 = self._rand(128)
-            k1 = self._rand(128)
-            self._seed_pairs.append((k0, k1))
-            self._base.send(k0, k1)
+        self._seed_pairs = [(self._rand(128), self._rand(128)) for _ in range(KAPPA)]
+        self._base.send_many(self._seed_pairs)
 
     def export_base(self) -> Optional[List[Tuple[int, int]]]:
         """Base material for reuse, or ``None`` if no base phase ran."""
@@ -300,24 +318,27 @@ class OTExtensionReceiver:
         return self.receive_many((choice,))[0]
 
     def receive_many(self, choices: Sequence[int]) -> List[int]:
-        """:meth:`receive` for each choice, pipelined a pool at a time
-        (:func:`repro.gc.ot.pipelined`)."""
-        return pipelined(choices, self.pool_size, self._send_choice, self._read_reply)
+        """:meth:`receive` for each choice, a pool window at a time
+        (:func:`repro.gc.ot.windows`)."""
+        return [m for part in windows(choices, self.pool_size)
+                for m in self._receive_window(part)]
 
-    def _send_choice(self, choice: int) -> int:
-        # A refill (and the first one's base phase) happens here, between
-        # two choice messages, exactly as in a one-at-a-time run; the
-        # count advances with each choice so the pool tweaks stay aligned.
-        if not self._pool:
-            self._extend()
-        c, xc = self._pool.pop()
-        self.chan.send("otx-d", (choice ^ c) & 1)
-        self.count += 1
-        return xc
-
-    def _read_reply(self, choice: int, xc: int) -> int:
-        e0, e1 = self.chan.recv("otx-e")
-        return (int.from_bytes(e1 if choice else e0, "little") ^ xc) & LABEL_MASK
+    def _receive_window(self, choices: Sequence[int]) -> List[int]:
+        flips, pads = [], []
+        for choice in choices:
+            # A refill (and the first one's base phase) happens here, at
+            # the transfer that empties the pool, exactly where the
+            # sender refills.
+            if not self._pool:
+                self._extend()
+            c, xc = self._pool.pop()
+            flips.append((choice ^ c) & 1)
+            pads.append(xc)
+            self.count += 1
+        self.chan.send("otx-d", pack_bits(flips))
+        halves = chosen_halves(self.chan.recv("otx-e"), choices, "otx-e")
+        return [(int.from_bytes(half, "little") ^ xc) & LABEL_MASK
+                for half, xc in zip(halves, pads)]
 
     # -- resume hooks --------------------------------------------------------
 

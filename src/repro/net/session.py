@@ -85,14 +85,24 @@ class SessionHandoff(Exception):
         self.checkpoints: Dict[int, dict] = {}
 
 
+#: The protocol's message framing, folded into :func:`net_digest`.
+#: Format 1 sent every label, choice bit and OT reply as its own frame
+#: and each cycle's tables as ``(keys, blob)``; format 2 sends runs and
+#: windows as blobs and leaves out what the residual trace says.  Peers
+#: on different formats fail the ``net-hello`` digest check.
+WIRE_FORMAT = 2
+
+
 def net_digest(net: Netlist, cycles: int) -> str:
     """Short digest of the computation both parties must agree on.
 
-    Covers the full circuit structure and the cycle count; exchanged
-    in the ``net-hello`` so two processes configured with different
-    circuits fail loudly instead of desyncing mid-run.
+    Covers the full circuit structure, the cycle count and the
+    :data:`WIRE_FORMAT`; exchanged in the ``net-hello`` so two processes
+    configured with different circuits, or framing messages differently,
+    fail loudly instead of desyncing mid-run.
     """
     parts = (
+        WIRE_FORMAT,
         net.name,
         net.n_wires,
         tuple(net.gate_tt),
@@ -213,7 +223,8 @@ class ResumableSession:
         if peer.get("role") == self.party.role:
             fatal(f"both parties claim role {self.party.role!r}")
         if peer.get("digest") != self._digest:
-            fatal("parties are configured with different circuits")
+            fatal("parties are configured with different circuits "
+                  "or wire formats")
         if peer.get("cycles") != self.party.cycles:
             fatal(
                 f"cycle count disagrees ({self.party.cycles} here, "

@@ -6,9 +6,12 @@ than silently produce garbage when a table is corrupted, a message is
 dropped, or the parties disagree on the circuit.
 """
 
+import functools
 import threading
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.circuit import CircuitBuilder
 from repro.circuit import modules as M
@@ -16,10 +19,19 @@ from repro.circuit.bits import int_to_bits
 from repro.core.protocol import (
     EvaluatorBackend,
     GarblerBackend,
+    make_parties,
 )
 from tests.helpers import run_protocol
 from repro.core import SkipGateEngine
-from repro.gc.channel import ChannelClosed, ProtocolDesync, channel_pair
+from repro.core.trace import TraceReplayer, residual_trace
+from repro.gc.channel import (
+    ChannelClosed,
+    FrameCorruption,
+    ProtocolDesync,
+    channel_pair,
+)
+from repro.gc.garble import GarbledTable
+from repro.net.cli import _registry
 
 
 def adder_net(width=8):
@@ -39,13 +51,12 @@ class TamperingEndpoint:
         self.sent = inner.sent
 
     def send(self, tag, payload):
-        if tag == self._tag and tag == "tables" and payload[0]:
+        if tag == self._tag and tag == "tables":
             # Corrupt both halves of every table: the evaluator only
             # consumes a half when the matching permute bit is set, so
             # corrupting one half of one table would go unnoticed with
             # probability 1/2.
-            keys, blob = payload
-            payload = (keys, bytes(b ^ 0xA5 for b in blob))
+            payload = bytes(b ^ 0xA5 for b in payload)
         self._inner.send(tag, payload)
 
     def recv(self, tag, **kw):
@@ -69,10 +80,12 @@ class TestTampering:
         alice_bits = {("in", "alice", 0, i): (5 >> i) & 1 for i in range(8)}
         bob_bits = {("in", "bob", 0, i): (9 >> i) & 1 for i in range(8)}
 
+        trace = residual_trace(net, 1)
+
         def bob_main():
             backend = EvaluatorBackend(b_end, bob_bits, ot_group="modp512")
-            engine = SkipGateEngine(net, backend)
-            engine.step((), final=True)
+            engine = TraceReplayer(trace, backend)
+            engine.step()
             payload = []
             for s in engine.output_states():
                 payload.append(
@@ -83,14 +96,14 @@ class TestTampering:
         t = threading.Thread(target=bob_main, daemon=True)
         t.start()
         backend = GarblerBackend(tampered, alice_bits, ot_group="modp512")
-        engine = SkipGateEngine(net, backend)
-        engine.step((), final=True)
+        engine = TraceReplayer(trace, backend)
+        engine.step()
         payload = a_end.recv("outputs")
         with pytest.raises(AssertionError, match="unknown output label"):
             for got, s in zip(payload, engine.output_states()):
                 if got[0] == "lbl":
                     _, label, _flip = got
-                    zero, _, _ = s
+                    zero = s[0]
                     if label not in (zero, zero ^ backend.delta):
                         raise AssertionError(
                             "Bob returned an unknown output label"
@@ -99,7 +112,7 @@ class TestTampering:
 
     def test_channel_tag_mismatch_raises(self):
         a, b = channel_pair()
-        a.send("tables", ([], b""))
+        a.send("tables", bytes(32))
         with pytest.raises(ProtocolDesync, match="expected 'alice-label'"):
             b.recv("alice-label")
         # The desync aborted the peer so it cannot block forever.
@@ -142,3 +155,111 @@ class TestMisconfiguration:
         b.set_outputs([q])
         with pytest.raises(ValueError, match="out of range"):
             SkipGateEngine(b.build(), public_init=[1])
+
+
+# ---------------------------------------------------------------------------
+# Run frames: a frame of the wrong shape is a structured reject.
+# ---------------------------------------------------------------------------
+
+#: (tag, OT kind, the party that sends it): every frame whose length the
+#: receiver derives from the trace or a public run length.
+RESHAPED = [
+    ("tables", "simplest", "garbler"),
+    ("alice-label", "simplest", "garbler"),
+    ("ot-setup", "simplest", "garbler"),
+    ("ot-b", "simplest", "evaluator"),
+    ("ot-e", "simplest", "garbler"),
+    ("ot-b", "extension", "garbler"),
+    ("ot-e", "extension", "evaluator"),
+    ("otx-u", "extension", "evaluator"),
+    ("otx-d", "extension", "evaluator"),
+    ("otx-e", "extension", "garbler"),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _case(name):
+    entry = _registry()[name]
+    net, cycles = entry.build()
+    return net, cycles, {"alice": entry.alice_source(57, cycles),
+                         "bob": entry.bob_source(34, cycles)}
+
+
+def _run_parties(name, ot, tap=None):
+    """One in-process run of registry circuit ``name``; ``tap(role,
+    end)`` may wrap an endpoint first.  Returns each role's exception."""
+    net, cycles, inputs = _case(name)
+    ends = dict(zip(("garbler", "evaluator"), channel_pair(timeout=30.0)))
+    parties = dict(zip(ends, make_parties(net, cycles, ot=ot, seed=5, **inputs)))
+    errors = {}
+
+    def main(role):
+        party, end = parties[role], ends[role]
+        try:
+            party.attach(end)
+            party.run_cycles()
+            party.finish()
+        except BaseException as exc:  # noqa: BLE001 - returned to the test
+            errors[role] = exc
+            end.abort()
+
+    if tap is not None:
+        for role, end in ends.items():
+            tap(role, end)
+    threads = [threading.Thread(target=main, args=(role,)) for role in ends]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(60.0)
+    assert not any(t.is_alive() for t in threads)
+    return errors
+
+
+class TestRunFrameRejects:
+    @pytest.mark.parametrize("tag,ot,sender", RESHAPED,
+                             ids=[f"{ot}-{tag}" for tag, ot, _ in RESHAPED])
+    def test_a_resized_frame_is_frame_corruption_at_its_receiver(
+            self, tag, ot, sender):
+        @settings(max_examples=3, deadline=None, derandomize=True,
+                  suppress_health_check=list(HealthCheck))
+        @given(st.integers(min_value=-64, max_value=64).filter(bool))
+        @example(-(1 << 20))  # cut to nothing
+        def check(resize):
+            bent = []
+
+            def tap(role, end):
+                send = end.send
+
+                def bending_send(t, payload):
+                    if role == sender and t == tag and not bent:
+                        bent.append(t)
+                        payload = (payload[:max(0, len(payload) + resize)]
+                                   if resize < 0 else payload + b"\x01" * resize)
+                    send(t, payload)
+
+                end.send = bending_send
+
+            errors = _run_parties("sum32", ot, tap)
+            receiver = "evaluator" if sender == "garbler" else "garbler"
+            assert bent == [tag]
+            assert isinstance(errors.get(receiver), FrameCorruption), errors
+
+        check()
+
+    @pytest.mark.parametrize("name", ["hamming32-seq", "sum32-seq"])
+    def test_a_tables_frame_in_an_empty_cycle_is_a_desync(self, monkeypatch, name):
+        net, cycles, _ = _case(name)
+        trace = residual_trace(net, cycles)
+        empty = [c for c, (kept, _) in enumerate(trace.ends) if not len(kept)]
+        assert empty  # cycle 0 of hamming32-seq, the last of sum32-seq
+        end_cycle = GarblerBackend.end_cycle
+
+        def chatty_end_cycle(self, kept_keys, dropped_keys):
+            end_cycle(self, kept_keys, dropped_keys)
+            if not len(kept_keys):
+                self.chan.send("tables", bytes(GarbledTable.SIZE_BYTES))
+
+        monkeypatch.setattr(GarblerBackend, "end_cycle", chatty_end_cycle)
+        errors = _run_parties(name, "simplest")
+        assert type(errors.get("evaluator")) is ProtocolDesync, errors
+        assert "got 'tables'" in str(errors["evaluator"])

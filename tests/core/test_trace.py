@@ -139,6 +139,10 @@ class _PlainOT:
         self.chan.send("ot", (m0, m1))
         self.count += 1
 
+    def send_many(self, pairs):
+        for m0, m1 in pairs:
+            self.send(m0, m1)
+
     def receive(self, choice):
         self.count += 1
         return self.chan.recv("ot")[choice]
@@ -154,15 +158,55 @@ def _row(public, cycle):
     return public(cycle) if callable(public) else public
 
 
+class _RunsFromTrace(Backend):
+    """What a sweeping engine cannot tell a crypto backend by itself:
+    where each stretch of input labels ends (the unit of one label frame
+    run) and, at ``begin_cycle``, which tables the cycle will keep.  The
+    adapter reads both from the trace and forwards everything else, so
+    an engine that asked for a key out of the trace's order would show
+    on the wire."""
+
+    def __init__(self, inner, trace):
+        self.inner, self.trace = inner, trace
+        self._run_of = {}
+        t = trace
+        for lo, hi in zip(t.runs, t.runs[1:]):
+            if t.op[lo] == T.SECRET:
+                run = [t.keys[i] for i in t.x[lo:hi]]
+                self._run_of.update((key, (run, j)) for j, key in enumerate(run))
+
+    def secret_label(self, key):
+        if key not in self.inner._memo:
+            run, j = self._run_of[key]
+            self.inner.secret_labels(run[j:])
+        return self.inner.secret_label(key)
+
+    def xor(self, la, lb):
+        return self.inner.xor(la, lb)
+
+    def garble(self, tt, la, lb, key):
+        return self.inner.garble(tt, la, lb, key)
+
+    def begin_cycle(self, cycle, kept_keys=()):
+        self.inner.begin_cycle(cycle, self.trace.ends[cycle][0])
+
+    def end_cycle(self, kept_keys, dropped_keys):
+        self.inner.end_cycle(kept_keys, dropped_keys)
+
+
 def _drive_sweep(party, chan, inputs, rollback):
-    """The parent commit's ``_Party``: a sweeping engine over the real
-    backend, stepped cycle by cycle."""
+    """``_Party`` as it was before the residual trace: a sweeping engine
+    over the real backend, stepped cycle by cycle (told its label runs
+    and kept keys by :class:`_RunsFromTrace`)."""
     party.chan = chan
     party.backend = party._make_backend(chan)
-    eng = party.engine = make_engine(
-        party.net, party.backend, public_init=inputs.get("public_init", ()))
-    snap = None
     public = inputs.get("public", ())
+    trace = T.residual_trace(party.net, party.cycles, public,
+                             inputs.get("public_init", ()))
+    eng = party.engine = make_engine(
+        party.net, _RunsFromTrace(party.backend, trace),
+        public_init=inputs.get("public_init", ()))
+    snap = None
     while eng.cycle < party.cycles:
         i = eng.cycle
         eng.step(_row(public, i), final=(i == party.cycles - 1))
@@ -309,12 +353,17 @@ class TestDifferential:
         replayed = _two_party_run(monkeypatch, net, cycles, inputs, _drive_replay,
                                   rollback=rollback, real_ot=True)
         _assert_same_run(swept, replayed)
-        straight = _two_party_run(monkeypatch, net, cycles, inputs, _drive_replay)
+        straight = _two_party_run(monkeypatch, net, cycles, inputs, _drive_replay,
+                                  real_ot=True)
         assert replayed.outputs == straight.outputs
         assert replayed.stats == straight.stats
-        redone = rollback[1] - rollback[0]
+        # Every redone cycle that keeps a table sent its blob twice (on
+        # arm-fallback none does: those cycles send no frame at all).
+        trace = T.residual_trace(net, cycles, inputs.get("public", ()),
+                                 inputs.get("public_init", ()))
+        redone = sum(1 for c in range(*rollback) if len(trace.ends[c][0]))
         assert (len(replayed.sent["garbler"])
-                > len(straight.sent["garbler"]) + redone - 1)
+                >= len(straight.sent["garbler"]) + redone)
 
     @pytest.mark.parametrize("name", ["psi-hash8x16", "arm-hamming32"])
     def test_pipelined_extension_ot_is_the_sweeping_engine_on_the_wire(

@@ -90,7 +90,8 @@ class TestSenderKeys:
             tx.send(0x1234, 0x5678)
             big_a = int.from_bytes(b_end.recv("ot-setup"), "little")
             assert big_a == pow(2, tx._a, p)
-            e0, e1 = b_end.recv("ot-e")
+            pair = b_end.recv("ot-e")
+            e0, e1 = pair[: ot.LABEL_BYTES], pair[ot.LABEL_BYTES :]
             k0 = pow(big_b, tx._a, p)
             k1 = pow(big_b * pow(big_a, -1, p) % p, tx._a, p)
             width = tx.group_bytes

@@ -111,13 +111,13 @@ class TestBaseOTReuse:
         assert rx2.export_base() == receiver_base
         # The base phase really was skipped, in both directions: the
         # extension sender shipped none of its kappa "ot-b" group
-        # elements (64 bytes each in modp512), and the extension
-        # receiver none of its setup element + kappa ciphertext pairs.
-        base_elem = payload_wire_size(bytes(64))
-        assert a1.sent.payload_bytes - a2.sent.payload_bytes >= (
-            KAPPA * base_elem
-        )
-        assert b1.sent.payload_bytes - b2.sent.payload_bytes >= base_elem
+        # elements (64 bytes each in modp512, one frame), and the
+        # extension receiver none of its setup element + kappa
+        # ciphertext pairs.
+        elem = 64
+        assert a1.sent.payload_bytes - a2.sent.payload_bytes >= KAPPA * elem
+        assert b1.sent.payload_bytes - b2.sent.payload_bytes >= (
+            payload_wire_size(bytes(elem)) + KAPPA * 32)
 
     def test_reused_base_with_distinct_salts_gives_distinct_pads(self):
         """Two sessions over the same base material must not repeat

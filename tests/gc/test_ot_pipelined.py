@@ -1,9 +1,11 @@
-"""Pipelined OT receives against one-at-a-time receives, on the real OTs.
+"""Windowed OT runs against one-at-a-time transfers, on the real OTs.
 
-``receive_many(choices)`` sends a window of choice messages before it
-reads the window's replies.  It must be exactly ``[receive(c) for c in
-choices]``: the same values and, per direction, the same messages in
-the same order — only the interleaving of the two directions changes.
+``send_many(pairs)`` / ``receive_many(choices)`` cut a run into pool
+windows: the receiver sends a window's choices as one frame before it
+reads the window's one reply frame.  It must be exactly ``[receive(c)
+for c in choices]``: the same values and, per direction and per tag,
+the same transfer units (group elements, correction bits, ciphertext
+pairs, pool columns) in the same order — only the framing changes.
 """
 
 from __future__ import annotations
@@ -15,9 +17,8 @@ import pytest
 
 from repro.gc import ot as ot_mod
 from repro.gc.channel import channel_pair
-from repro.gc.ot import POOL_SIZE, OTReceiver, OTSender
+from repro.gc.ot import POOL_SIZE, OTReceiver, OTSender, unpack_bits
 from repro.gc.ot_extension import OTExtensionReceiver, OTExtensionSender
-from repro.net import codec
 
 KINDS = {
     "simplest": (
@@ -30,12 +31,15 @@ KINDS = {
     ),
 }
 LENGTHS = [0, 1, 127, 128, 255, 256, 257, 600]
+#: Bytes of one transfer unit per tag; ``None``: the frame is one unit.
+UNIT_BYTES = {"ot-b": 64, "ot-e": 32, "otx-e": 32, "ot-setup": None, "otx-u": None}
 
 
-def _transfer(monkeypatch, kind, choices, pipelined, prefix=()):
-    """Run ``prefix`` one at a time, then ``choices`` either way; returns
-    the received values, each side's ``(tag, payload)`` sends and each
-    side's own ``send``/``recv`` sequence."""
+def _transfer(monkeypatch, kind, choices, windowed, prefix=()):
+    """Run ``prefix`` one at a time, then ``choices`` either as one
+    windowed run or one at a time; returns the received values, each
+    side's ``(tag, payload)`` sends and each side's own ``send``/``recv``
+    sequence."""
     rngs = {"sender": random.Random(1), "receiver": random.Random(2)}
     monkeypatch.setattr(
         ot_mod, "_draw_exponent",
@@ -45,7 +49,7 @@ def _transfer(monkeypatch, kind, choices, pipelined, prefix=()):
     events = {role: [] for role in ends}
     for role, end in ends.items():
         def tapped_send(tag, payload, send=end.send, log=sent[role], ev=events[role]):
-            log.append((tag, codec.encode(payload)))
+            log.append((tag, payload))
             ev.append(("send", tag))
             send(tag, payload)
 
@@ -61,13 +65,18 @@ def _transfer(monkeypatch, kind, choices, pipelined, prefix=()):
 
     def sender():
         tx = make_sender(ends["sender"])
-        for m0, m1 in messages:
+        for m0, m1 in messages[: len(prefix)]:
             tx.send(m0, m1)
+        if windowed:
+            tx.send_many(messages[len(prefix):])
+        else:
+            for m0, m1 in messages[len(prefix):]:
+                tx.send(m0, m1)
 
     def receiver():
         rx = make_receiver(ends["receiver"])
         got = [rx.receive(c) for c in prefix]
-        if pipelined:
+        if windowed:
             got += rx.receive_many(choices)
         else:
             got += [rx.receive(c) for c in choices]
@@ -96,6 +105,28 @@ def _transfer(monkeypatch, kind, choices, pipelined, prefix=()):
     return box["got"], sent, events
 
 
+def _units(sent):
+    """Per role, per tag: the transfer units the frames carry, in order.
+    A packed ``otx-d`` frame holds as many bits as its ``otx-e`` reply
+    holds pairs."""
+    replies = [len(p) // 32 for tag, p in sent["sender"] if tag == "otx-e"]
+    units = {}
+    for role, frames in sent.items():
+        per_tag = units[role] = {}
+        d_frames = 0
+        for tag, payload in frames:
+            if tag == "otx-d":
+                items = unpack_bits(payload, replies[d_frames], tag)
+                d_frames += 1
+            elif UNIT_BYTES[tag] is None:
+                items = [payload]
+            else:
+                size = UNIT_BYTES[tag]
+                items = [payload[lo : lo + size] for lo in range(0, len(payload), size)]
+            per_tag.setdefault(tag, []).extend(items)
+    return units
+
+
 @pytest.mark.parametrize("kind", sorted(KINDS))
 @pytest.mark.parametrize("n", LENGTHS)
 def test_receive_many_is_receive_in_a_loop(monkeypatch, kind, n):
@@ -107,30 +138,39 @@ def test_receive_many_is_receive_in_a_loop(monkeypatch, kind, n):
         got, sent, _ = _transfer(monkeypatch, kind, choices, True, prefix)
         want, want_sent, _ = _transfer(monkeypatch, kind, choices, False, prefix)
         assert got == want
-        for role in ("sender", "receiver"):
-            assert sent[role] == want_sent[role], role
+        assert _units(sent) == _units(want_sent)
+        choice_tag = "ot-b" if kind == "simplest" else "otx-d"
+        frames = [tag for tag, _ in sent["receiver"]].count(choice_tag)
+        windows = -(-n // POOL_SIZE)
+        assert frames == len(prefix) + windows
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_a_window_of_choices_leaves_before_the_first_reply_is_read(monkeypatch, kind):
     n = 600
     choices = [i % 3 == 0 for i in range(n)]
-    _, _, events = _transfer(monkeypatch, kind, choices, True, prefix=(0,))
-    events = events["receiver"]
+    _, sent, events = _transfer(monkeypatch, kind, choices, True, prefix=(0,))
     choice_tag = "ot-b" if kind == "simplest" else "otx-d"
     reply_tag = "ot-e" if kind == "simplest" else "otx-e"
     # Drop the prefix transfer: its choice then its reply.
-    ot_events = [e for e in events if e[1] in (choice_tag, reply_tag)][2:]
-    windows = [ot_events[i : i + 2 * POOL_SIZE] for i in range(0, 2 * n, 2 * POOL_SIZE)]
-    for window in windows:
-        half = len(window) // 2
-        assert window[:half] == [("send", choice_tag)] * half
-        assert window[half:] == [("recv", reply_tag)] * half
+    ot_events = [e for e in events["receiver"] if e[1] in (choice_tag, reply_tag)][2:]
+    sizes = [min(POOL_SIZE, n - lo) for lo in range(0, n, POOL_SIZE)]
+    assert ot_events == [("send", choice_tag), ("recv", reply_tag)] * len(sizes)
+    # One frame per window, holding exactly the window's transfers.
+    choice_frames = [p for tag, p in sent["receiver"] if tag == choice_tag][-len(sizes):]
+    reply_frames = [p for tag, p in sent["sender"] if tag == reply_tag][-len(sizes):]
+    unit = 64 if kind == "simplest" else None
+    for size, choice, reply in zip(sizes, choice_frames, reply_frames):
+        assert len(choice) == (size * unit if unit else (size + 7) // 8)
+        assert len(reply) == 32 * size
 
 
 def test_the_extension_base_phase_is_one_pipelined_run(monkeypatch):
-    _, _, events = _transfer(monkeypatch, "extension", [1], True)
+    _, sent, events = _transfer(monkeypatch, "extension", [1], True)
     # The base receiver (the extension *sender*) sends all 128 base-OT
-    # choice messages before it reads the first reply.
+    # choice elements as one frame before it reads the one reply frame.
     base = [e for e in events["sender"] if e[1] in ("ot-b", "ot-e")]
-    assert base == [("send", "ot-b")] * 128 + [("recv", "ot-e")] * 128
+    assert base == [("send", "ot-b"), ("recv", "ot-e")]
+    (elems,) = [p for tag, p in sent["sender"] if tag == "ot-b"]
+    (pairs,) = [p for tag, p in sent["receiver"] if tag == "ot-e"]
+    assert (len(elems), len(pairs)) == (128 * 64, 128 * 32)

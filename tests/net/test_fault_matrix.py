@@ -89,7 +89,9 @@ class TestFailureTaxonomy:
 
 #: (faulty role, action, protocol tag it targets).  The role is the
 #: *sender* of that tag; disruptive faults must force a reconnect,
-#: benign ones must not.
+#: benign ones must not.  ``otx-*`` rows run the extension OT.  Alice's
+#: labels are one run frame and each OT window one ``otx-d`` / ``otx-e``
+#: pair, so a fault on one of them loses a whole run.
 MATRIX = [
     ("garbler", "corrupt", "tables", True),
     ("garbler", "drop", "tables", True),
@@ -97,6 +99,10 @@ MATRIX = [
     ("garbler", "reorder", "tables", True),
     ("garbler", "disconnect", "tables", True),
     ("garbler", "corrupt", "alice-label", True),
+    ("garbler", "drop", "alice-label", True),
+    ("garbler", "corrupt", "otx-e", True),
+    ("garbler", "drop", "otx-e", True),
+    ("evaluator", "disconnect", "otx-d", True),
     ("garbler", "drop", "ot-setup", True),
     ("garbler", "corrupt", "ot-e", True),
     ("garbler", "corrupt", "result", True),
@@ -141,6 +147,7 @@ class TestRecoveryMatrix:
             cycles,
             alice=int_to_bits(X, 32),
             bob=int_to_bits(Y, 32),
+            ot="extension" if tag.startswith("otx-") else "simplest",
             timeout=1.0,
             wrap=wrap,
         )

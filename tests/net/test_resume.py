@@ -163,7 +163,8 @@ class TestMidRunRecovery:
 
 class _CutBetweenHalves(Link):
     """The evaluator's link, cut at its first read after its ``n``-th
-    ``otx-d`` frame: after a window's send half, before its receive half."""
+    ``otx-d`` frame: after a window's packed choice bits, before their
+    ``otx-e`` reply."""
 
     def __init__(self, inner: Link, n: int) -> None:
         self._inner, self._left, self.fired = inner, n, False
@@ -185,10 +186,12 @@ class _CutBetweenHalves(Link):
 
 class TestPipelinedOTRecovery:
     def test_cut_between_a_windows_halves_resumes_bit_identically(self):
-        """320 Bob bits per cycle: cycle 1's first window is choices
-        320-575 (a pool refill at 512 inside it).  The link dies once
-        they are all sent and before any reply is read; the session
-        resumes from the cycle-1 checkpoint to the uninterrupted run."""
+        """320 Bob bits per cycle: cycle 0 is two windows (two ``otx-d``
+        frames) and cycle 1's first window, its third frame, is choices
+        320-575 (a pool refill at 512 inside it, so an ``otx-u`` goes
+        out just before).  The link dies once that frame is sent and
+        before its ``otx-e`` reply is read; the session resumes from the
+        cycle-1 checkpoint to the uninterrupted run."""
         from repro.circuit import CircuitBuilder
 
         width, cycles = 320, 3
@@ -210,7 +213,7 @@ class TestPipelinedOTRecovery:
 
         def wrap(role, attempt, link):
             if role == "evaluator" and attempt == 0:
-                cuts.append(_CutBetweenHalves(link, width + 256))
+                cuts.append(_CutBetweenHalves(link, 3))
                 return cuts[-1]
             return link
 
@@ -272,6 +275,16 @@ class TestHandshake:
         a_sess, b_sess = self._sessions(a_every=1, b_every=4)
         self._run_expect_alice_failure(a_sess, b_sess, "cadence")
 
+    def test_peer_on_the_per_transfer_wire_format_is_refused_at_hello(self):
+        """A peer that still frames every transfer separately (and
+        sends ``(keys, blob)`` tables) computes the digest without the
+        wire-format constant: it must fail the hello, not mid-session."""
+        net, cycles = sum_combinational(32)
+        a_sess, b_sess = self._sessions()
+        b_sess._digest = _per_transfer_digest(net, cycles)
+        assert b_sess._digest != net_digest(net, cycles)
+        self._run_expect_alice_failure(a_sess, b_sess, "wire formats")
+
     def test_circuit_mismatch_is_fatal(self):
         from repro.bench_circuits import compare_combinational
 
@@ -299,6 +312,26 @@ class TestHandshake:
             a_sess.run()
         t.join(timeout=10)
         assert a_sess.reconnects == 0
+
+
+def _per_transfer_digest(net, cycles):
+    """``net_digest`` as computed before the wire-format constant."""
+    import hashlib
+
+    parts = (
+        net.name,
+        net.n_wires,
+        tuple(net.gate_tt),
+        tuple(net.gate_a),
+        tuple(net.gate_b),
+        tuple(net.gate_out),
+        tuple((ff.d, ff.q, ff.init.src, ff.init.idx) for ff in net.dffs),
+        tuple(repr(e) for e in net.schedule),
+        tuple(sorted((k, tuple(v)) for k, v in net.inputs.items())),
+        tuple(net.outputs),
+        int(cycles),
+    )
+    return hashlib.sha256(repr(parts).encode("utf-8")).hexdigest()[:16]
 
 
 class TestNetDigest:

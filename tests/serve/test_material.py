@@ -16,14 +16,20 @@ exercised here against a live server:
   under the same delta.
 """
 
+import functools
+import random
+import threading
+
 import pytest
 
 from repro import api
 from repro.gc.material import (
     MaterialCache,
     MaterialEpochMismatch,
+    MaterialGarblerParty,
     build_material,
 )
+from repro.net.cli import _registry
 from repro.net.fault import FaultPlan, FaultRule, FaultyTransport
 from repro.serve import make_server, run_loadgen, run_registry_session
 from repro.serve.server import registry_program
@@ -257,3 +263,94 @@ class TestTraceWarmBeforeReady:
         ref = _local_reference(SEQ_CIRCUIT, SERVER_VALUE, CLIENT_VALUE)
         assert res.value == ref.value
         assert res.stats == ref.stats
+
+
+class TestReplayTranscript:
+    """The replay party frames its recorded runs exactly as the garbler
+    it recorded: seeded per-direction transcripts are identical, on
+    every registry circuit and with both OT kinds."""
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def _case(name):
+        # The differential's netlists: their traces are already built.
+        from tests.core.test_trace import _registry_case
+
+        net, cycles, inputs = _registry_case(name)
+        return net, cycles, inputs, api.run(net, inputs, mode="local", cycles=cycles)
+
+    def _session(self, monkeypatch, name, ot, replay):
+        from repro.core.protocol import EvaluatorParty, GarblerParty, _expand_bits
+        from repro.gc import ot as ot_mod
+        from repro.gc.channel import channel_pair
+        from repro.gc.ot import OTSender
+        from repro.gc.ot_extension import OTExtensionSender
+        from repro.net import codec
+
+        net, cycles, inputs, _ = self._case(name)
+        # Seeded base-OT exponents, and short: each simplest-OT transfer
+        # costs the sender one pow, and no frame depends on the width.
+        rngs = {"garbler": random.Random(1), "evaluator": random.Random(2)}
+        monkeypatch.setattr(
+            ot_mod, "_draw_exponent",
+            lambda: rngs[threading.current_thread().name].getrandbits(48) | 1)
+
+        def sender_ot(chan):
+            if ot == "extension":
+                return OTExtensionSender(chan, rng=random.Random(3))
+            return OTSender(chan, group="modp512")
+
+        if replay:
+            material = build_material(net, cycles, alice=inputs["alice"],
+                                      ot=ot, rng=random.Random(7))
+            garbler = MaterialGarblerParty(material, ot=ot, ot_factory=sender_ot)
+        else:
+            garbler = GarblerParty(
+                net, cycles, _expand_bits(net, "alice", inputs["alice"], (), cycles),
+                ot=ot, rng=random.Random(7), ot_factory=sender_ot)
+        evaluator = EvaluatorParty(
+            net, cycles, _expand_bits(net, "bob", inputs["bob"], (), cycles),
+            ot_group="modp512", ot=ot, rng=random.Random(8))
+        parties = {"garbler": garbler, "evaluator": evaluator}
+        ends = dict(zip(parties, channel_pair(timeout=60.0)))
+        sent = {role: [] for role in parties}
+        outputs, errors = {}, []
+        for role, end in ends.items():
+            def tapped(tag, payload, send=end.send, log=sent[role]):
+                log.append((tag, codec.encode(payload)))
+                send(tag, payload)
+
+            end.send = tapped
+
+        def main(role):
+            try:
+                parties[role].attach(ends[role])
+                parties[role].run_cycles()
+                outputs[role] = parties[role].finish()
+            except BaseException as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+                ends[role].abort()
+
+        threads = [threading.Thread(target=main, args=(role,), name=role)
+                   for role in parties]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(120.0)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+        assert outputs["garbler"] == outputs["evaluator"]
+        return sent, outputs["garbler"], garbler.engine.stats, garbler.backend.tables_sent
+
+    @pytest.mark.parametrize("ot", ["simplest", "extension"])
+    @pytest.mark.parametrize("name", sorted(_registry()))
+    def test_replay_frames_are_the_garblers(self, monkeypatch, name, ot):
+        fresh = self._session(monkeypatch, name, ot, replay=False)
+        replayed = self._session(monkeypatch, name, ot, replay=True)
+        for role in ("garbler", "evaluator"):
+            assert replayed[0][role] == fresh[0][role], role
+        local = self._case(name)[3]
+        for _, outputs, stats, tables_sent in (fresh, replayed):
+            assert outputs == list(local.outputs)
+            assert stats == local.stats
+            assert tables_sent == local.stats.garbled_nonxor
