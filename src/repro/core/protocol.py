@@ -69,7 +69,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 from ..circuit.bits import bits_to_int
 from ..circuit.netlist import Netlist
-from ..gc.channel import Endpoint, channel_pair, check_blob
+from ..gc.channel import Endpoint, ProtocolDesync, channel_pair, check_blob
 from ..gc.garble import (
     GarbledTable,
     evaluate_run,
@@ -78,7 +78,7 @@ from ..gc.garble import (
     random_label,
 )
 from ..gc.hashing import HASH_STATS, LABEL_BYTES
-from ..gc.ot import OTReceiver, OTSender
+from ..gc.ot import OTReceiver, OTSender, pack_bits, unpack_bits
 from ..gc.ot_extension import OTExtensionReceiver, OTExtensionSender
 from ..obs import NULL_OBS, timing_summary
 from .backend import Backend
@@ -367,6 +367,13 @@ class _Party:
         """Number of completed cycles."""
         return 0 if self.engine is None else self.engine.cycle
 
+    @property
+    def digest(self) -> str:
+        """The ``net-hello`` digest: circuit, cycles and public inputs."""
+        from ..net.session import net_digest
+
+        return net_digest(self.net, self.cycles, self._public, self._public_init)
+
     def run_cycles(self, on_boundary=None) -> None:
         """Run all remaining cycles (Algorithms 1-2 loop);
         ``on_boundary(completed_cycles)`` fires after each one (the
@@ -395,34 +402,32 @@ class _Party:
 
 
 def decode_outputs(payload, out_states, delta: int) -> List[int]:
-    """Decode Bob's output payload against Alice's output wire states.
+    """Decode Bob's ``outputs`` frame against Alice's output states.
 
-    ``payload`` holds one ``("pub", bit)`` or ``("lbl", bytes, flip)``
-    item per output; ``out_states`` the matching public bit or
-    ``(zero_label, flip[, origin])`` secret state.  Any disagreement
-    between the parties' views is a protocol desync.
+    ``out_states`` holds one public bit or ``(zero_label, flip[, ...])``
+    secret state per output, both fixed by the residual trace; the frame
+    holds only the 16-byte labels of the secret outputs, in order.  A
+    frame of any other length is a
+    :class:`~repro.gc.channel.FrameCorruption`; a label that is neither
+    ``W0`` nor ``W0 ^ delta`` is a :class:`~repro.gc.channel.ProtocolDesync`.
     """
-    if len(payload) != len(out_states):
-        raise AssertionError("output arity desync between parties")
+    n_labels = sum(type(s) is not int for s in out_states)
+    blob = check_blob(payload, LABEL_BYTES * n_labels, "outputs")
     outputs: List[int] = []
-    for got, s in zip(payload, out_states):
-        if got[0] == "pub":
-            if type(s) is not int or s != got[1]:
-                raise AssertionError("public output desync between parties")
+    lo = 0
+    for s in out_states:
+        if type(s) is int:
             outputs.append(s)
+            continue
+        label = int.from_bytes(blob[lo : lo + LABEL_BYTES], "little")
+        lo += LABEL_BYTES
+        zero, flip = s[0], s[1]
+        if label == zero:
+            outputs.append(flip)
+        elif label == zero ^ delta:
+            outputs.append(1 ^ flip)
         else:
-            _, label_raw, bob_flip = got
-            bob_label = int.from_bytes(label_raw, "little")
-            zero, flip = s[0], s[1]
-            if bob_flip != flip:
-                raise AssertionError("flip-bit desync between parties")
-            if bob_label == zero:
-                raw = 0
-            elif bob_label == zero ^ delta:
-                raw = 1
-            else:
-                raise AssertionError("Bob returned an unknown output label")
-            outputs.append(raw ^ flip)
+            raise ProtocolDesync("Bob returned an unknown output label")
     return outputs
 
 
@@ -454,7 +459,7 @@ class GarblerParty(_Party):
         # output is already known — the serve layer parks it for
         # replay so a redial recovers it instead of losing it.
         self.last_outputs = list(outputs)
-        chan.send("result", outputs)
+        chan.send("result", pack_bits(outputs))
         # Bob acknowledges receipt so a lost result frame is detected
         # here (and replayed by the resume layer) instead of leaving
         # Bob hanging after Alice declared victory.
@@ -478,23 +483,22 @@ class EvaluatorParty(_Party):
         )
 
     def finish(self) -> List[int]:
-        """Send output labels to Alice; receive the decoded result."""
+        """Send the labels of the secret outputs to Alice (the public
+        ones and every flip are in her trace too); receive the decoded
+        result as packed bits."""
         chan = self.chan
-        backend = self.backend
-        payload = []
-        for s in self.engine.output_states():
-            if type(s) is int:
-                payload.append(("pub", s))
-            else:
-                if s[0] in backend.invalid_labels:
+        states = self.engine.output_states()
+        invalid = self.backend.invalid_labels
+        labels = []
+        for s in states:
+            if type(s) is not int:
+                if s[0] in invalid:
                     raise AssertionError(
                         "a dummy label for a filtered gate reached an output"
                     )
-                payload.append(
-                    ("lbl", s[0].to_bytes(LABEL_BYTES, "little"), s[1])
-                )
-        chan.send("outputs", payload)
-        result = chan.recv("result")
+                labels.append(s[0].to_bytes(LABEL_BYTES, "little"))
+        chan.send("outputs", b"".join(labels))
+        result = unpack_bits(chan.recv("result"), len(states), "result")
         chan.send("bye", None)
         return result
 

@@ -53,7 +53,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .channel import ProtocolDesync
 from .garble import GarbledTable
-from .ot import OTSender
+from .ot import OTSender, pack_bits
 from .ot_extension import OTExtensionSender
 
 
@@ -209,7 +209,7 @@ def build_material(
         output_states.append(s if type(s) is int else (s[0], s[1]))
     return GarbledMaterial(
         net=net,
-        digest=net_digest(net, cycles),
+        digest=net_digest(net, cycles, public, public_init),
         cycles=cycles,
         epoch=epoch,
         delta=party.backend.delta,
@@ -402,6 +402,8 @@ class MaterialGarblerParty:
         self.net = material.net
         self.cycles = material.cycles
         self.material_epoch = material.epoch
+        #: The ``net-hello`` digest the material was garbled for.
+        self.digest = material.digest
         self._ot_group = ot_group
         self._ot_kind = ot
         self._ot_factory = ot_factory
@@ -476,7 +478,7 @@ class MaterialGarblerParty:
         # that dies between here and the goodbye, so the serve layer
         # can park it for redial replay.
         self.last_outputs = list(outputs)
-        chan.send("result", outputs)
+        chan.send("result", pack_bits(outputs))
         chan.recv("bye")
         return outputs
 

@@ -1,9 +1,13 @@
 """1-out-of-2 Oblivious Transfer (Section 2.2).
 
 Implements the "simplest OT" of Chou-Orlandi style Diffie-Hellman OT
-over a multiplicative prime group: Alice (sender) holds two 16-byte
-messages, Bob (receiver) holds a choice bit and learns exactly the
-chosen message; Alice learns nothing about the choice.
+over a multiplicative prime group.  Its core is a *random* OT: the
+sender ends up with two 16-byte pads ``(x0, x1)``, the receiver with
+``x_c`` for its choice bit ``c`` and nothing about ``x_{1-c}``, and the
+sender learns nothing about ``c``.  Each pad is a DH key hashed
+together with the transfer index (:func:`_pad`), so no pad ever
+crosses the wire.  A chosen-message OT of Alice's ``(m0, m1)`` is that
+core plus one reply frame of ``m0 ^ x0, m1 ^ x1``.
 
 Two parameter sets are provided:
 
@@ -20,17 +24,19 @@ sender's lifetime.  The receiver pays none: ``g^b`` and ``A^b`` have
 fixed bases, so a 4-bit windowed table per base turns each into 64
 modular multiplications.
 
-The transfer of Bob's GC input labels (Algorithms 1-2 lines 3-4) runs
-one OT per input bit, a run at a time: the receiver's ``receive_many``
-and the sender's ``send_many`` cut the run into :func:`windows` of
-``POOL_SIZE`` transfers, and each window is one ``ot-b`` frame (the
-window's group elements, back to back) answered by one ``ot-e`` frame
-(its ciphertext pairs).  Neither frame carries a count: both sides
-derive the window boundaries from the public run length, and a frame of
-any other length is a :class:`~repro.gc.channel.FrameCorruption`.
-Group elements are **fixed-width** little-endian (the group size in
-bytes), so communication totals are deterministic and independent of
-the random element values.
+Transfers run a :func:`windows` of ``POOL_SIZE`` at a time: the sender's
+one ``ot-setup`` frame (``A``), then per window one ``ot-b`` frame (the
+window's group elements, back to back) from the receiver.  That is the
+whole random OT (``send_random`` / ``receive_random``; the IKNP base
+phase of :mod:`repro.gc.ot_extension` is this and nothing more).  The
+transfer of Bob's GC input labels (Algorithms 1-2 lines 3-4) adds, per
+window, one ``ot-e`` frame of masked message pairs (``send_many`` /
+``receive_many``).  No frame carries a count: both sides derive the
+window boundaries from the public run length, and a frame of any other
+length is a :class:`~repro.gc.channel.FrameCorruption`.  Group elements
+are **fixed-width** little-endian (the group size in bytes), so
+communication totals are deterministic and independent of the random
+element values.
 
 Both sides expose ``snapshot`` / ``restore`` / ``rebind``: the resume
 layer (:mod:`repro.net.session`) checkpoints OT progress at cycle
@@ -168,19 +174,10 @@ def chosen_halves(reply, choices: Sequence[int], tag: str) -> List[bytes]:
 
 
 def _pad(key: bytes, index: int) -> int:
+    """A random-OT output: DH key ``key`` hashed with transfer ``index``."""
     return int.from_bytes(
         kdf_bytes(key, b"ot-msg%d" % index, LABEL_BYTES), "little"
     )
-
-
-def _encrypt(key: bytes, message: int, index: int) -> bytes:
-    return (message ^ _pad(key, index)).to_bytes(LABEL_BYTES, "little")
-
-
-def _decrypt(key: bytes, blob: bytes, index: int) -> int:
-    if len(blob) != LABEL_BYTES:
-        raise ValueError("OT sender sent a malformed ciphertext")
-    return int.from_bytes(blob, "little") ^ _pad(key, index)
 
 
 class BaseOTCache:
@@ -188,9 +185,10 @@ class BaseOTCache:
 
     The :math:`\\kappa` public-key base OTs are the dominant fixed cost
     of an OT-extension session.  Semi-honestly, the base *seeds* may be
-    reused across sessions between the same two parties (they never
-    cross the wire again); only the PRG expansion must be
-    session-unique (see :func:`repro.gc.ot_extension.session_salt`).
+    reused across sessions between the same two parties (they are
+    random-OT pads, so they never cross the wire); only the PRG
+    expansion must be session-unique (see
+    :func:`repro.gc.ot_extension.session_salt`).
     The serve layer keeps one cache per side, keyed by client identity:
     the server stores the sender-side ``(s, seeds)``, the client stores
     its receiver-side seed pairs.  Entries are opaque to the cache.
@@ -254,25 +252,39 @@ class OTSender:
         """Obliviously transfer one of two 128-bit messages."""
         self.send_many(((m0, m1),))
 
-    def send_many(self, pairs: Sequence[Tuple[int, int]]) -> None:
-        """:meth:`send` for each pair, a window at a time: one ``ot-b``
-        frame of the window's elements in, one ``ot-e`` frame of its
-        ciphertext pairs out."""
+    def send_random(self, n: int) -> List[Tuple[int, int]]:
+        """``n`` random OTs, a window at a time: one ``ot-b`` frame in
+        per window, nothing out.  Transfer ``i``'s pads are ``B^a`` and
+        ``(B/A)^a``, each hashed with ``i``."""
+        return [pads for part in windows(range(n), POOL_SIZE)
+                for pads in self._random_window(len(part))]
+
+    def _random_window(self, n: int) -> List[Tuple[int, int]]:
+        self._ensure_setup()
         p, width = self.p, self.group_bytes
+        elems = check_blob(self.chan.recv("ot-b"), width * n, "ot-b")
+        pads = []
+        for lo in range(0, len(elems), width):
+            big_b = int.from_bytes(elems[lo : lo + width], "little")
+            if not 1 < big_b < p:
+                raise ValueError("OT receiver sent an invalid group element")
+            k0 = pow(big_b, self._a, p)
+            k1 = k0 * self._k1_factor % p
+            pads.append((_pad(k0.to_bytes(width, "little"), self.count),
+                         _pad(k1.to_bytes(width, "little"), self.count)))
+            self.count += 1
+        return pads
+
+    def send_many(self, pairs: Sequence[Tuple[int, int]]) -> None:
+        """:meth:`send` for each pair, a window at a time: the window's
+        random OTs, then one ``ot-e`` frame of its messages under their
+        pads."""
         for part in windows(pairs, POOL_SIZE):
-            self._ensure_setup()
-            elems = check_blob(self.chan.recv("ot-b"), width * len(part), "ot-b")
-            reply = []
-            for lo, (m0, m1) in zip(range(0, len(elems), width), part):
-                big_b = int.from_bytes(elems[lo : lo + width], "little")
-                if not 1 < big_b < p:
-                    raise ValueError("OT receiver sent an invalid group element")
-                k0 = pow(big_b, self._a, p)
-                k1 = k0 * self._k1_factor % p
-                reply += (_encrypt(k0.to_bytes(width, "little"), m0, self.count),
-                          _encrypt(k1.to_bytes(width, "little"), m1, self.count))
-                self.count += 1
-            self.chan.send("ot-e", b"".join(reply))
+            pads = self._random_window(len(part))
+            self.chan.send("ot-e", b"".join(
+                ((m0 ^ x0).to_bytes(LABEL_BYTES, "little")
+                 + (m1 ^ x1).to_bytes(LABEL_BYTES, "little"))
+                for (m0, m1), (x0, x1) in zip(part, pads)))
 
     # -- resume hooks --------------------------------------------------------
 
@@ -329,7 +341,13 @@ class OTReceiver:
         return [m for part in windows(choices, POOL_SIZE)
                 for m in self._receive_window(part)]
 
-    def _receive_window(self, choices: Sequence[int]) -> List[int]:
+    def receive_random(self, choices: Sequence[int]) -> List[int]:
+        """The pad ``x_c`` of one random OT per choice, a window at a
+        time: one ``ot-b`` frame out per window, nothing in."""
+        return [x for part in windows(choices, POOL_SIZE)
+                for x in self._random_window(part)]
+
+    def _random_window(self, choices: Sequence[int]) -> List[int]:
         self._ensure_setup()
         p, width = self.p, self.group_bytes
         exps = [_draw_exponent() for _ in choices]
@@ -340,13 +358,16 @@ class OTReceiver:
                 big_b = big_b * self._big_a % p
             elems.append(big_b.to_bytes(width, "little"))
         self.chan.send("ot-b", b"".join(elems))
-        # The keys are worked out while the sender computes its replies.
-        keys = [_fixed_pow(self._a_table, b, p).to_bytes(width, "little")
-                for b in exps]
+        # The pads are worked out while the sender computes its own.
         first, self.count = self.count, self.count + len(choices)
+        return [_pad(_fixed_pow(self._a_table, b, p).to_bytes(width, "little"),
+                     first + j)
+                for j, b in enumerate(exps)]
+
+    def _receive_window(self, choices: Sequence[int]) -> List[int]:
+        pads = self._random_window(choices)
         halves = chosen_halves(self.chan.recv("ot-e"), choices, "ot-e")
-        return [_decrypt(key, half, first + j)
-                for j, (key, half) in enumerate(zip(keys, halves))]
+        return [int.from_bytes(half, "little") ^ x for half, x in zip(halves, pads)]
 
     # -- resume hooks --------------------------------------------------------
 

@@ -12,8 +12,11 @@ Protocol sketch (semi-honest IKNP, sender S, receiver R with choice
 bits :math:`r`):
 
 1. S picks :math:`s \\in \\{0,1\\}^{\\kappa}` and plays *receiver* in
-   :math:`\\kappa` base OTs with choices :math:`s_i`, obtaining one
-   seed of each of R's seed pairs :math:`(k_i^0, k_i^1)`.
+   :math:`\\kappa` *random* base OTs with choices :math:`s_i`: R ends
+   up with seed pairs :math:`(k_i^0, k_i^1)` and S with
+   :math:`k_i^{s_i}`.  IKNP needs nothing of the seeds but that they
+   are random, so they are the base OTs' pads and never cross the
+   wire.
 2. R expands both seeds into length-:math:`m` columns
    :math:`t_i = G(k_i^0)` and sends
    :math:`u_i = G(k_i^0) \\oplus G(k_i^1) \\oplus r`.
@@ -33,7 +36,8 @@ correction bits, one ``otx-e`` frame carries its masked pairs; a pool
 refill (``otx-u``) inside a window goes out before that window's
 ``otx-d``.  Both sides derive windows and refill points from the public
 run length and their transfer counters, so no frame carries a count.
-The kappa base OTs are one ``ot-b`` and one ``ot-e`` frame.
+The kappa base OTs are R's ``ot-setup`` and S's one ``ot-b`` frame; R's
+first ``otx-u`` follows directly.
 """
 
 from __future__ import annotations
@@ -154,10 +158,10 @@ class OTExtensionSender:
         self.count = 0
 
     def _base_phase(self) -> None:
-        """Run the kappa base OTs (sender acts as base *receiver*), as
-        one window: one ``ot-b`` frame out, one ``ot-e`` frame in."""
+        """Run the kappa random base OTs (sender acts as base
+        *receiver*): one ``ot-b`` frame out, and the pads are the seeds."""
         choices = [(self._s >> i) & 1 for i in range(KAPPA)]
-        self._seeds = self._base.receive_many(choices)
+        self._seeds = self._base.receive_random(choices)
 
     def export_base(self) -> Optional[Tuple[int, List[int]]]:
         """Base material for reuse, or ``None`` if no base phase ran."""
@@ -279,8 +283,9 @@ class OTExtensionReceiver:
         self.count = 0
 
     def _base_phase(self) -> None:
-        self._seed_pairs = [(self._rand(128), self._rand(128)) for _ in range(KAPPA)]
-        self._base.send_many(self._seed_pairs)
+        """The kappa random base OTs (receiver acts as base *sender*):
+        one ``ot-b`` frame in, and the pad pairs are the seed pairs."""
+        self._seed_pairs = self._base.send_random(KAPPA)
 
     def export_base(self) -> Optional[List[Tuple[int, int]]]:
         """Base material for reuse, or ``None`` if no base phase ran."""

@@ -10,8 +10,8 @@ completion, surviving transport failures:
    stats objects are owned by the session, so traffic totals survive
    reconnects.
 2. **Hello** — both sides exchange ``net-hello`` records (role, cycle
-   count, circuit digest, checkpoint cadence).  Any mismatch is a
-   configuration error, raised as a fatal
+   count, :func:`net_digest` of circuit and public inputs, checkpoint
+   cadence).  Any mismatch is a configuration error, raised as a fatal
    :class:`~repro.gc.channel.ProtocolDesync` — resume must never
    silently stitch two different computations together.
 3. **Negotiate** — both sides exchange ``net-resume`` records naming
@@ -88,19 +88,27 @@ class SessionHandoff(Exception):
 #: The protocol's message framing, folded into :func:`net_digest`.
 #: Format 1 sent every label, choice bit and OT reply as its own frame
 #: and each cycle's tables as ``(keys, blob)``; format 2 sends runs and
-#: windows as blobs and leaves out what the residual trace says.  Peers
-#: on different formats fail the ``net-hello`` digest check.
-WIRE_FORMAT = 2
+#: windows as blobs and leaves out what the residual trace says; format
+#: 3 runs random base OTs (no ``ot-e`` in the extension base phase),
+#: sends only the secret outputs' labels and packs the result bits.
+#: Peers on different formats fail the ``net-hello`` digest check.
+WIRE_FORMAT = 3
 
 
-def net_digest(net: Netlist, cycles: int) -> str:
+def net_digest(net: Netlist, cycles: int, public=(), public_init=()) -> str:
     """Short digest of the computation both parties must agree on.
 
-    Covers the full circuit structure, the cycle count and the
-    :data:`WIRE_FORMAT`; exchanged in the ``net-hello`` so two processes
-    configured with different circuits, or framing messages differently,
-    fail loudly instead of desyncing mid-run.
+    Covers the full circuit structure, the cycle count, the
+    :data:`WIRE_FORMAT` and the public inputs (``public`` per cycle,
+    a row or a ``cycle -> row`` callable, and ``public_init``): with
+    them it addresses one residual trace.  Exchanged in the
+    ``net-hello`` so two processes configured with different circuits
+    or public inputs, or framing messages differently, fail loudly
+    instead of desyncing mid-run.  Without public inputs it is the
+    program digest the serve fleet routes by.
     """
+    rows = ([public(c) for c in range(cycles)] if callable(public)
+            else [public] * cycles)
     parts = (
         WIRE_FORMAT,
         net.name,
@@ -114,6 +122,8 @@ def net_digest(net: Netlist, cycles: int) -> str:
         tuple(sorted((k, tuple(v)) for k, v in net.inputs.items())),
         tuple(net.outputs),
         int(cycles),
+        tuple(tuple(b & 1 for b in row) for row in rows),
+        tuple(b & 1 for b in public_init),
     )
     return hashlib.sha256(repr(parts).encode("utf-8")).hexdigest()[:16]
 
@@ -178,7 +188,7 @@ class ResumableSession:
         self.sent = ChannelStats()
         self.received = ChannelStats()
         self.reconnects = 0
-        self._digest = net_digest(party.net, party.cycles)
+        self._digest = party.digest
         #: Drain-time handoff hook: checked at every checkpoint
         #: boundary; when it returns true the run raises
         #: :class:`SessionHandoff` carrying the checkpoint store.
@@ -223,8 +233,8 @@ class ResumableSession:
         if peer.get("role") == self.party.role:
             fatal(f"both parties claim role {self.party.role!r}")
         if peer.get("digest") != self._digest:
-            fatal("parties are configured with different circuits "
-                  "or wire formats")
+            fatal("parties are configured with different circuits, "
+                  "public inputs or wire formats")
         if peer.get("cycles") != self.party.cycles:
             fatal(
                 f"cycle count disagrees ({self.party.cycles} here, "

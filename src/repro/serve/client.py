@@ -536,6 +536,8 @@ class ServeClient:
         self.max_attempts = max_attempts
         self.heartbeat = heartbeat
         self.obs = obs
+        #: Circuit name -> ``(net, cycles)``, built on first use.
+        self._circuits: dict = {}
 
     # -- sessions -----------------------------------------------------
 
@@ -563,7 +565,15 @@ class ServeClient:
 
     def run(self, circuit: str, value: int, **kwargs) -> SessionResult:
         """Run a bench-registry circuit with operand ``value`` as Bob
-        (see :func:`run_registry_session`)."""
+        (see :func:`run_registry_session`).  The handle builds each
+        circuit once and reuses its ``(net, cycles)``."""
+        built = self._circuits.get(circuit)
+        if built is None:
+            from ..net.cli import _registry
+
+            built = self._circuits[circuit] = _registry()[circuit].build()
+        kwargs.setdefault("net", built[0])
+        kwargs.setdefault("cycles", built[1])
         return run_registry_session(
             self.host, self.port, circuit, value,
             **self._session_defaults(kwargs),
@@ -667,17 +677,20 @@ def run_registry_session(
     value: int,
     session_id: Optional[str] = None,
     net: Optional[Netlist] = None,
+    cycles: Optional[int] = None,
     **kwargs,
 ) -> SessionResult:
     """Run a session for a bench-registry circuit with operand
     ``value`` as Bob.  ``net`` lets callers share one netlist instance
-    (and thus one compiled plan) across many client threads."""
+    (and thus one residual trace) across many client threads; the
+    circuit is built only when ``net`` or ``cycles`` is missing."""
     from ..net.cli import _registry
 
     entry = _registry()[circuit]
-    built, cycles = entry.build()
-    if net is None:
-        net = built
+    if net is None or cycles is None:
+        built, built_cycles = entry.build()
+        net = built if net is None else net
+        cycles = built_cycles if cycles is None else cycles
     return run_session(
         host,
         port,

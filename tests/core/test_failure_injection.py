@@ -19,6 +19,7 @@ from repro.circuit.bits import int_to_bits
 from repro.core.protocol import (
     EvaluatorBackend,
     GarblerBackend,
+    decode_outputs,
     make_parties,
 )
 from tests.helpers import run_protocol
@@ -86,28 +87,19 @@ class TestTampering:
             backend = EvaluatorBackend(b_end, bob_bits, ot_group="modp512")
             engine = TraceReplayer(trace, backend)
             engine.step()
-            payload = []
-            for s in engine.output_states():
-                payload.append(
-                    ("pub", s) if type(s) is int else ("lbl", s[0], s[1])
-                )
-            b_end.send("outputs", payload)
+            b_end.send("outputs", b"".join(
+                s[0].to_bytes(16, "little")
+                for s in engine.output_states() if type(s) is not int))
 
         t = threading.Thread(target=bob_main, daemon=True)
         t.start()
         backend = GarblerBackend(tampered, alice_bits, ot_group="modp512")
         engine = TraceReplayer(trace, backend)
         engine.step()
-        payload = a_end.recv("outputs")
-        with pytest.raises(AssertionError, match="unknown output label"):
-            for got, s in zip(payload, engine.output_states()):
-                if got[0] == "lbl":
-                    _, label, _flip = got
-                    zero = s[0]
-                    if label not in (zero, zero ^ backend.delta):
-                        raise AssertionError(
-                            "Bob returned an unknown output label"
-                        )
+        with pytest.raises(ProtocolDesync, match="unknown output label") as err:
+            decode_outputs(a_end.recv("outputs"), engine.output_states(),
+                           backend.delta)
+        assert not isinstance(err.value, FrameCorruption)  # not retried
         t.join(timeout=10)
 
     def test_channel_tag_mismatch_raises(self):
@@ -162,18 +154,22 @@ class TestMisconfiguration:
 # ---------------------------------------------------------------------------
 
 #: (tag, OT kind, the party that sends it): every frame whose length the
-#: receiver derives from the trace or a public run length.
+#: receiver derives from the trace or a public run length.  The
+#: extension base phase is ``ot-setup`` (evaluator) and ``ot-b``
+#: (garbler): its base OTs are random, so no ``ot-e`` comes back.
 RESHAPED = [
     ("tables", "simplest", "garbler"),
     ("alice-label", "simplest", "garbler"),
     ("ot-setup", "simplest", "garbler"),
     ("ot-b", "simplest", "evaluator"),
     ("ot-e", "simplest", "garbler"),
+    ("ot-setup", "extension", "evaluator"),
     ("ot-b", "extension", "garbler"),
-    ("ot-e", "extension", "evaluator"),
     ("otx-u", "extension", "evaluator"),
     ("otx-d", "extension", "evaluator"),
     ("otx-e", "extension", "garbler"),
+    ("outputs", "simplest", "evaluator"),
+    ("result", "simplest", "garbler"),
 ]
 
 
@@ -263,3 +259,54 @@ class TestRunFrameRejects:
         errors = _run_parties(name, "simplest")
         assert type(errors.get("evaluator")) is ProtocolDesync, errors
         assert "got 'tables'" in str(errors["evaluator"])
+
+
+class TestClosingFrameRejects:
+    """The ``outputs`` and ``result`` frames hold exactly what the trace
+    leaves open; anything else is a structured reject, not an assert."""
+
+    @staticmethod
+    def _bend(sender, tag, bend):
+        def tap(role, end):
+            send = end.send
+
+            def bending_send(t, payload):
+                if role == sender and t == tag:
+                    payload = bend(payload)
+                send(t, payload)
+
+            end.send = bending_send
+
+        return tap
+
+    def test_a_result_that_sets_a_padding_bit_is_frame_corruption(self):
+        # compare32 has one output: one result byte, seven padding bits.
+        assert len(_case("compare32")[0].outputs) == 1
+        errors = _run_parties("compare32", "simplest", self._bend(
+            "garbler", "result", lambda p: bytes([p[0] | 0x80])))
+        assert isinstance(errors.get("evaluator"), FrameCorruption), errors
+        assert "past its 1" in str(errors["evaluator"])
+
+    def test_an_unknown_output_label_is_a_desync(self):
+        errors = _run_parties("sum32", "simplest", self._bend(
+            "evaluator", "outputs", lambda p: bytes(b ^ 0x5A for b in p)))
+        err = errors.get("garbler")
+        assert type(err) is ProtocolDesync, errors
+        assert "unknown output label" in str(err)
+
+    def test_an_ot_e_in_the_extension_base_phase_is_a_desync(self, monkeypatch):
+        """What a peer still running chosen-message base OTs would send
+        after ``ot-b``: the extension sender wants ``otx-u`` there."""
+        from repro.gc.ot_extension import OTExtensionReceiver
+
+        base_phase = OTExtensionReceiver._base_phase
+
+        def chosen_base_phase(self):
+            base_phase(self)
+            self.chan.send("ot-e", bytes(2 * 16 * len(self._seed_pairs)))
+
+        monkeypatch.setattr(OTExtensionReceiver, "_base_phase", chosen_base_phase)
+        errors = _run_parties("sum32", "extension")
+        err = errors.get("garbler")
+        assert type(err) is ProtocolDesync, errors
+        assert "got 'ot-e'" in str(err)

@@ -15,6 +15,7 @@ from repro.circuit import gates as G
 from repro.circuit import modules as M
 from repro.circuit.bits import bits_to_int, int_to_bits
 from repro.circuit.macros import Ram, input_words
+from repro.gc.channel import FrameCorruption, ProtocolDesync
 from tests.helpers import run_local
 from tests.helpers import run_protocol
 
@@ -178,15 +179,17 @@ class _ScriptedChan:
 
 
 class TestOutputDecoding:
-    """Both garbler parties decode Bob's outputs with one function."""
+    """Both garbler parties decode Bob's outputs with one function: the
+    ``outputs`` frame holds the secret outputs' labels only, since the
+    public bits and the flips are in both parties' trace."""
 
     DELTA = 0x8001
     # One public 1, one secret wire (zero label 0x1234, flip 1).
     STATES = [1, (0x1234, 1, 7)]
 
     @staticmethod
-    def _lbl(label, flip):
-        return ("lbl", label.to_bytes(16, "little"), flip)
+    def _lbl(label):
+        return label.to_bytes(16, "little")
 
     def _finish(self, kind, payload):
         from types import SimpleNamespace
@@ -211,25 +214,22 @@ class TestOutputDecoding:
 
     @pytest.mark.parametrize("kind", ["live", "material"])
     def test_decodes_and_shares_the_result(self, kind):
-        payload = [("pub", 1), self._lbl(0x1234 ^ self.DELTA, 1)]
-        outputs, party, chan = self._finish(kind, payload)
+        outputs, party, chan = self._finish(kind, self._lbl(0x1234 ^ self.DELTA))
         assert outputs == party.last_outputs == [1, 0]  # raw 1 ^ flip 1
-        assert chan.sent == [("result", [1, 0])]
+        assert chan.sent == [("result", b"\x01")]  # packed, bit 0 first
 
-    @pytest.mark.parametrize("payload,message", [
-        ([("pub", 1), ("lbl", b"\x99" * 16, 1)],
-         "Bob returned an unknown output label"),
-        ([("pub", 1), ("lbl", (0x1234).to_bytes(16, "little"), 0)],
-         "flip-bit desync between parties"),
-        ([("pub", 0), ("lbl", (0x1234).to_bytes(16, "little"), 1)],
-         "public output desync between parties"),
-        ([("pub", 1), ("pub", 0)],
-         "public output desync between parties"),
-        ([("pub", 1)], "output arity desync between parties"),
-    ], ids=["unknown-label", "flipped-flip", "wrong-public-bit",
-            "public-for-secret", "short-payload"])
-    def test_desyncs_read_the_same_from_both_parties(self, payload, message):
+    @pytest.mark.parametrize("payload,error,message", [
+        (b"\x99" * 16, ProtocolDesync, "Bob returned an unknown output label"),
+        (b"", FrameCorruption, "'outputs' frame: expected 16 bytes, got 0 bytes"),
+        (b"\x99" * 32, FrameCorruption,
+         "'outputs' frame: expected 16 bytes, got 32 bytes"),
+        (b"\x99" * 15, FrameCorruption,
+         "'outputs' frame: expected 16 bytes, got 15 bytes"),
+    ], ids=["unknown-label", "public-for-secret", "secret-for-public",
+            "short-payload"])
+    def test_desyncs_read_the_same_from_both_parties(self, payload, error, message):
         for kind in ("live", "material"):
-            with pytest.raises(AssertionError) as exc:
+            with pytest.raises(error) as exc:
                 self._finish(kind, payload)
+            assert type(exc.value) is error, kind
             assert str(exc.value) == message, kind

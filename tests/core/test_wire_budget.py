@@ -2,8 +2,9 @@
 
 What crosses the wire is what the residual trace does not already say:
 table blobs without their keys, no frame for a cycle that keeps no
-table, one frame per run of Alice's labels and one ``otx-d`` / ``otx-e``
-pair per OT window.  Payload bytes and message counts are deterministic
+table, one frame per run of Alice's labels, one ``otx-d`` / ``otx-e``
+pair per OT window, a base phase of random OTs (no ``ot-e``), the
+labels of the secret outputs only and the result as packed bits.  Payload bytes and message counts are deterministic
 (label material is fixed-width), so each direction's figures are pinned
 exactly, and the message counts are held at least 10x below those of
 the per-transfer framing they replaced.
@@ -53,9 +54,16 @@ def _registered(name):
 
 #: program -> (case, garbler (bytes, messages), evaluator (bytes, messages)).
 BUDGET = {
-    "arm-hamming32": (lambda: _arm("hamming32"), (11_674, 9), (8_701, 6)),
+    "arm-hamming32": (lambda: _arm("hamming32"), (11_582, 9), (4_270, 5)),
     "psi-hash8x16@b4": (lambda: _registered("psi-hash8x16@b4"),
-                        (342_423, 9), (27_161, 14)),
+                        (342_182, 9), (22_055, 13)),
+}
+#: The same runs with chosen-message base OTs (an ``ot-e`` frame of 128
+#: seed pairs), a ``("pub", bit)`` / ``("lbl", label, flip)`` item per
+#: output and the result as a list of bits.
+PREVIOUS = {
+    "arm-hamming32": ((11_674, 9), (8_701, 6)),
+    "psi-hash8x16@b4": ((342_423, 9), (27_161, 14)),
 }
 #: The same runs framed one label, choice bit and OT reply per message,
 #: with each cycle's kept keys in its ``tables`` frame.
@@ -99,3 +107,7 @@ def test_per_direction_bytes_and_messages_are_pinned(program):
     for (nbytes, messages), (old_bytes, old_messages) in zip(got, PER_TRANSFER[program]):
         assert nbytes < old_bytes
         assert 10 * messages <= old_messages
+    # Random base OTs: Bob's ``ot-e`` is gone, and only it.
+    (g_prev, g_msgs), (e_prev, e_msgs) = PREVIOUS[program]
+    assert garbler[0] < g_prev and evaluator[0] < e_prev
+    assert (garbler[1], evaluator[1]) == (g_msgs, e_msgs - 1)

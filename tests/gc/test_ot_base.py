@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.gc import ot
-from repro.gc.channel import channel_pair
+from repro.gc.channel import FrameCorruption, channel_pair
 from repro.gc.ot import GROUPS, OTReceiver, OTSender
 from repro.gc.ot_extension import OTExtensionReceiver, OTExtensionSender
 
@@ -95,8 +95,10 @@ class TestSenderKeys:
             k0 = pow(big_b, tx._a, p)
             k1 = pow(big_b * pow(big_a, -1, p) % p, tx._a, p)
             width = tx.group_bytes
-            assert ot._decrypt(k0.to_bytes(width, "little"), e0, 0) == 0x1234
-            assert ot._decrypt(k1.to_bytes(width, "little"), e1, 0) == 0x5678
+            x0 = ot._pad(k0.to_bytes(width, "little"), 0)
+            x1 = ot._pad(k1.to_bytes(width, "little"), 0)
+            assert int.from_bytes(e0, "little") ^ x0 == 0x1234
+            assert int.from_bytes(e1, "little") ^ x1 == 0x5678
 
         check()
 
@@ -136,8 +138,63 @@ class TestSenderKeys:
 
 
 def test_malformed_ciphertext_rejected():
-    with pytest.raises(ValueError):
-        ot._decrypt(b"k", bytes(ot.LABEL_BYTES + 1), 0)
+    """A reply one byte off its window's size never reaches a pad."""
+    a_end, b_end = channel_pair()
+    tx, rx = OTSender(a_end, "modp512"), OTReceiver(b_end, "modp512")
+    tx._ensure_setup()
+    a_end.send("ot-e", bytes(2 * ot.LABEL_BYTES + 1))
+    with pytest.raises(FrameCorruption, match="ot-e"):
+        rx.receive(1)
+
+
+@pytest.mark.parametrize("group", GROUP_NAMES)
+class TestRandomOT:
+    """The core both OT kinds run: pads, not messages."""
+
+    CHOICES = [0, 1, 1, 0, 1]
+
+    def _run(self, group, choices):
+        a_end, b_end = channel_pair()
+        tx, rx = OTSender(a_end, group), OTReceiver(b_end, group)
+        box = {}
+        t = threading.Thread(
+            target=lambda: box.update(pads=tx.send_random(len(choices))),
+            daemon=True)
+        t.start()
+        got = rx.receive_random(choices)
+        t.join(timeout=60)
+        return box["pads"], got, (a_end, b_end)
+
+    def test_sender_and_receiver_keys_agree_for_both_choice_bits(self, group):
+        pads, got, _ = self._run(group, self.CHOICES)
+        assert len(pads) == len(got) == len(self.CHOICES)
+        for (x0, x1), c, xc in zip(pads, self.CHOICES, got):
+            assert xc == (x1 if c else x0)
+            assert xc != (x0 if c else x1)
+            assert 0 <= x0 < 1 << 128 and 0 <= x1 < 1 << 128
+
+    def test_pads_hash_the_textbook_keys_with_the_transfer_index(self, group):
+        """``x0 = H(B^a, i)`` and ``x1 = H((B/A)^a, i)`` by the builtin
+        ``pow``, for the same ``B`` at two indices."""
+        p, _ = GROUPS[group]
+        a_end, b_end = channel_pair()
+        tx = OTSender(a_end, group=group)
+        width = tx.group_bytes
+        elems = [3, 5, 3]
+        b_end.send("ot-b", b"".join(e.to_bytes(width, "little") for e in elems))
+        pads = tx.send_random(len(elems))
+        big_a = int.from_bytes(b_end.recv("ot-setup"), "little")
+        for i, (big_b, (x0, x1)) in enumerate(zip(elems, pads)):
+            k0 = pow(big_b, tx._a, p)
+            k1 = pow(big_b * pow(big_a, -1, p) % p, tx._a, p)
+            assert x0 == ot._pad(k0.to_bytes(width, "little"), i)
+            assert x1 == ot._pad(k1.to_bytes(width, "little"), i)
+        assert pads[0] != pads[2]  # same B, different index
+
+    def test_nothing_comes_back_but_the_choices(self, group):
+        _, _, (a_end, b_end) = self._run(group, self.CHOICES)
+        assert a_end.sent.messages == 1  # ot-setup
+        assert b_end.sent.messages == 1  # one ot-b window
 
 
 def test_extension_session_on_realistic_group():

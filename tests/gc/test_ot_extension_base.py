@@ -112,12 +112,12 @@ class TestBaseOTReuse:
         # The base phase really was skipped, in both directions: the
         # extension sender shipped none of its kappa "ot-b" group
         # elements (64 bytes each in modp512, one frame), and the
-        # extension receiver none of its setup element + kappa
-        # ciphertext pairs.
+        # extension receiver not its setup element, which is all it
+        # sends in a base phase of random OTs.
         elem = 64
         assert a1.sent.payload_bytes - a2.sent.payload_bytes >= KAPPA * elem
-        assert b1.sent.payload_bytes - b2.sent.payload_bytes >= (
-            payload_wire_size(bytes(elem)) + KAPPA * 32)
+        assert (b1.sent.payload_bytes - b2.sent.payload_bytes
+                == payload_wire_size(bytes(elem)))
 
     def test_reused_base_with_distinct_salts_gives_distinct_pads(self):
         """Two sessions over the same base material must not repeat
@@ -167,6 +167,69 @@ class TestBaseOTReuse:
         # repeat verbatim — exactly the leak session salts prevent.
         assert transcript(session_salt("b")) == transcript(session_salt("b"))
         assert transcript(session_salt("b")) != transcript(session_salt("c"))
+
+    def test_a_cached_base_session_runs_bit_identically(self):
+        """``export_base`` -> :class:`BaseOTCache` -> the next protocol
+        session, as the serve layer chains them: the second session runs
+        no base phase (no ``ot-setup``, no ``ot-b``) and decodes the same
+        outputs as the first and as ``mode="local"``."""
+        from repro import api
+        from repro.core.protocol import EvaluatorParty, GarblerParty, _expand_bits
+        from repro.gc.ot import BaseOTCache
+        from repro.net.cli import _registry
+
+        entry = _registry()["sum32-seq"]
+        net, cycles = entry.build()
+        alice, bob = entry.alice_source(57, cycles), entry.bob_source(34, cycles)
+        local = api.run(net, {"alice": alice, "bob": bob}, mode="local",
+                        cycles=cycles)
+        senders, receivers = BaseOTCache(), BaseOTCache()
+
+        def session(sid):
+            salt = session_salt(sid)
+            garbler = GarblerParty(
+                net, cycles, _expand_bits(net, "alice", alice, (), cycles),
+                ot_factory=lambda chan: OTExtensionSender(
+                    chan, base=senders.get("client"), salt=salt))
+            evaluator = EvaluatorParty(
+                net, cycles, _expand_bits(net, "bob", bob, (), cycles),
+                ot_factory=lambda chan: OTExtensionReceiver(
+                    chan, base=receivers.get("client"), salt=salt))
+            ends = channel_pair(timeout=60.0)
+            tags = {"garbler": [], "evaluator": []}
+            outputs = {}
+            for party, end in zip((garbler, evaluator), ends):
+                send = end.send
+
+                def tapped(tag, payload, send=send, log=tags[party.role]):
+                    log.append(tag)
+                    send(tag, payload)
+
+                end.send = tapped
+
+            def main(party, end):
+                party.attach(end)
+                party.run_cycles()
+                outputs[party.role] = party.finish()
+
+            t = threading.Thread(target=main, args=(evaluator, ends[1]))
+            t.start()
+            main(garbler, ends[0])
+            t.join(timeout=60)
+            senders.put("client", garbler.backend._ot.export_base())
+            receivers.put("client", evaluator.backend._ot.export_base())
+            assert outputs["garbler"] == outputs["evaluator"]
+            return outputs["garbler"], tags
+
+        first, first_tags = session("one")
+        second, second_tags = session("two")
+        assert first == second == list(local.outputs)
+        assert "ot-b" in first_tags["garbler"]
+        assert "ot-setup" in first_tags["evaluator"]
+        assert "ot-b" not in second_tags["garbler"]
+        assert "ot-setup" not in second_tags["evaluator"]
+        assert not [t for log in (first_tags, second_tags)
+                    for tag in log.values() for t in tag if t == "ot-e"]
 
     def test_session_salt_namespace_is_disjoint_from_default(self):
         """Default batch salts are b'iknp' + digits; session salts add

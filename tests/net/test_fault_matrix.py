@@ -89,9 +89,10 @@ class TestFailureTaxonomy:
 
 #: (faulty role, action, protocol tag it targets).  The role is the
 #: *sender* of that tag; disruptive faults must force a reconnect,
-#: benign ones must not.  ``otx-*`` rows run the extension OT.  Alice's
-#: labels are one run frame and each OT window one ``otx-d`` / ``otx-e``
-#: pair, so a fault on one of them loses a whole run.
+#: benign ones must not.  ``otx-*`` rows run the extension OT, and so do
+#: the rows of its base phase (:data:`EXTENSION_BASE`).  Alice's labels
+#: are one run frame and each OT window one ``otx-d`` / ``otx-e`` pair,
+#: so a fault on one of them loses a whole run.
 MATRIX = [
     ("garbler", "corrupt", "tables", True),
     ("garbler", "drop", "tables", True),
@@ -109,9 +110,21 @@ MATRIX = [
     ("garbler", "drop", "net-hello", True),
     ("evaluator", "corrupt", "outputs", True),
     ("evaluator", "disconnect", "ot-b", True),
+    ("garbler", "corrupt", "ot-b", True),
+    ("evaluator", "drop", "ot-setup", True),
     ("garbler", "split", "tables", False),
     ("garbler", "delay", "tables", False),
 ]
+
+
+#: The extension base phase's frames, by sender: it is a run of random
+#: OTs with the garbler as their receiver, so it has no ``ot-e``.
+EXTENSION_BASE = {("garbler", "ot-b"), ("evaluator", "ot-setup")}
+
+
+def _ot_kind(role, tag):
+    extension = tag.startswith("otx-") or (role, tag) in EXTENSION_BASE
+    return "extension" if extension else "simplest"
 
 
 class TestRecoveryMatrix:
@@ -147,7 +160,7 @@ class TestRecoveryMatrix:
             cycles,
             alice=int_to_bits(X, 32),
             bob=int_to_bits(Y, 32),
-            ot="extension" if tag.startswith("otx-") else "simplest",
+            ot=_ot_kind(role, tag),
             timeout=1.0,
             wrap=wrap,
         )

@@ -162,15 +162,16 @@ class TestMidRunRecovery:
 
 
 class _CutBetweenHalves(Link):
-    """The evaluator's link, cut at its first read after its ``n``-th
-    ``otx-d`` frame: after a window's packed choice bits, before their
-    ``otx-e`` reply."""
+    """A link cut at its first read after its ``n``-th ``tag`` frame:
+    by default the evaluator's, after a window's packed choice bits
+    (``otx-d``), before their ``otx-e`` reply."""
 
-    def __init__(self, inner: Link, n: int) -> None:
+    def __init__(self, inner: Link, n: int, tag: str = "otx-d") -> None:
         self._inner, self._left, self.fired = inner, n, False
+        self._tag = tag
 
     def send_bytes(self, data: bytes) -> None:
-        self._left -= frame_tag(data) == "otx-d"
+        self._left -= frame_tag(data) == self._tag
         self._inner.send_bytes(data)
 
     def recv_bytes(self, timeout=None) -> bytes:
@@ -219,6 +220,31 @@ class TestPipelinedOTRecovery:
 
         a_res, b_res = run_resumable_pair(
             build(), cycles, checkpoint_every=1, timeout=5.0, wrap=wrap, **kw)
+        assert [c.fired for c in cuts] == [True]
+        assert a_res.reconnects + b_res.reconnects >= 1
+        assert a_res.outputs == b_res.outputs == base.outputs
+        assert a_res.stats == base.alice_stats
+        assert a_res.tables_sent == base.tables_sent
+
+
+    def test_cut_between_the_base_phase_and_the_first_pool_resumes(self):
+        """The garbler's link dies after its one ``ot-b`` frame (the
+        random base OTs) and before it reads the evaluator's first
+        ``otx-u``: both roll back to cycle 0, redo the base phase with
+        fresh exponents and finish as the uninterrupted run."""
+        net, cycles = sum_sequential(32)
+        kw = dict(alice=_stream(X), bob=_stream(Y), ot="extension")
+        base = run_protocol(net, cycles, **kw)
+        cuts = []
+
+        def wrap(role, attempt, link):
+            if role == "garbler" and attempt == 0:
+                cuts.append(_CutBetweenHalves(link, 1, tag="ot-b"))
+                return cuts[-1]
+            return link
+
+        a_res, b_res = run_resumable_pair(
+            net, cycles, checkpoint_every=4, timeout=5.0, wrap=wrap, **kw)
         assert [c.fired for c in cuts] == [True]
         assert a_res.reconnects + b_res.reconnects >= 1
         assert a_res.outputs == b_res.outputs == base.outputs
@@ -285,6 +311,51 @@ class TestHandshake:
         assert b_sess._digest != net_digest(net, cycles)
         self._run_expect_alice_failure(a_sess, b_sess, "wire formats")
 
+    def test_peer_on_the_chosen_base_ot_wire_format_is_refused_at_hello(self):
+        """A format-2 peer still sends ``ot-e`` in the extension base
+        phase and ``("pub" | "lbl", ...)`` outputs."""
+        net, cycles = sum_combinational(32)
+        a_sess, b_sess = self._sessions()
+        b_sess._digest = _per_transfer_digest(net, cycles, 2)
+        assert b_sess._digest != net_digest(net, cycles)
+        self._run_expect_alice_failure(a_sess, b_sess, "wire formats")
+
+    def test_different_public_inputs_fail_the_hello_unretried(self):
+        """Same netlist, different ``public_init``: the parties would
+        replay different residual traces, so the hello's digest (which
+        binds the public inputs) refuses them before any OT, and the
+        refusal is not retried."""
+        from repro.circuit import CircuitBuilder, InitSpec
+
+        def build():
+            b = CircuitBuilder("public_gated_and")
+            x, y = b.alice_input(8), b.bob_input(8)
+            gates = []
+            for i in range(8):
+                q = b.dff(init=InitSpec("public", i))
+                b.drive_dff(q, q)
+                gates.append(q)
+            b.set_outputs(b.and_bus(gates, b.and_bus(x, y)))
+            return b.build()
+
+        net = build()
+        parties = [
+            cls(net, 1, _expand_bits(net, role, int_to_bits(v, 8), (), 1),
+                public_init=public_init)
+            for cls, role, v, public_init in (
+                (GarblerParty, "alice", 0xF0, [1] * 8),
+                (EvaluatorParty, "bob", 0x3C, [1] * 4 + [0] * 4))
+        ]
+        assert parties[0].digest != parties[1].digest
+        rv = MemoryRendezvous()
+        a_sess, b_sess = (
+            ResumableSession(party, checkpoint_every=1, timeout=2.0,
+                             max_attempts=3,
+                             connect=lambda role=party.role: rv.connect(role, timeout=5.0))
+            for party in parties)
+        self._run_expect_alice_failure(a_sess, b_sess, "public inputs")
+        assert a_sess.reconnects == 0
+
     def test_circuit_mismatch_is_fatal(self):
         from repro.bench_circuits import compare_combinational
 
@@ -314,11 +385,13 @@ class TestHandshake:
         assert a_sess.reconnects == 0
 
 
-def _per_transfer_digest(net, cycles):
-    """``net_digest`` as computed before the wire-format constant."""
+def _per_transfer_digest(net, cycles, *wire_format):
+    """``net_digest`` as computed before the wire-format constant, or
+    under format 2 (``_per_transfer_digest(net, cycles, 2)``)."""
     import hashlib
 
     parts = (
+        *wire_format,
         net.name,
         net.n_wires,
         tuple(net.gate_tt),
@@ -342,6 +415,20 @@ class TestNetDigest:
         cmp_net, cmp_cycles = compare_combinational(32)
         assert net_digest(sum_net, sum_cycles) != net_digest(cmp_net, cmp_cycles)
         assert net_digest(sum_net, sum_cycles) != net_digest(sum_net, sum_cycles + 1)
+
+    def test_digest_binds_the_public_inputs(self):
+        net, cycles = sum_sequential(32)
+        program = net_digest(net, cycles)
+        assert net_digest(net, cycles, (), ()) == program
+        assert net_digest(net, cycles, public_init=[1]) != program
+        assert net_digest(net, cycles, public_init=[1]) != net_digest(
+            net, cycles, public_init=[0])
+        # One row for every cycle, or a cycle -> row callable: the same
+        # rows are the same computation.
+        assert net_digest(net, cycles, [1, 0]) == net_digest(
+            net, cycles, lambda c: [1, 0])
+        assert net_digest(net, cycles, [1, 0]) != net_digest(
+            net, cycles, lambda c: [c & 1, 0])
 
     def test_digest_is_stable_across_builds(self):
         n1, c1 = sum_combinational(32)

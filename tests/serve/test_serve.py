@@ -281,3 +281,36 @@ class TestLifecycle:
         srv.shutdown()  # second call is a no-op
         _await(lambda: threading.active_count() <= before,
                what="server threads to exit")
+
+
+class TestClientHandle:
+    def test_one_handle_builds_each_circuit_at_most_once(self, monkeypatch):
+        """A handle reuses one ``(net, cycles)`` per circuit name instead
+        of rebuilding the netlist for every session."""
+        import dataclasses
+
+        import repro.net.cli as net_cli
+        from repro.serve import ServeClient
+
+        registry = net_cli._registry
+        builds = []
+
+        def counting_registry():
+            entries = registry()
+            build = entries["sum32"].build
+
+            def counted():
+                if threading.current_thread() is threading.main_thread():
+                    builds.append(1)
+                return build()
+
+            entries["sum32"] = dataclasses.replace(entries["sum32"], build=counted)
+            return entries
+
+        with make_server(["sum32"], value=SERVER_VALUE, workers=1,
+                         port=0) as srv:
+            monkeypatch.setattr(net_cli, "_registry", counting_registry)
+            client = ServeClient(srv.host, srv.port, max_attempts=1)
+            values = [client.run("sum32", v).value for v in (1, 2, 3)]
+        assert values == [(SERVER_VALUE + v) & 0xFFFFFFFF for v in (1, 2, 3)]
+        assert len(builds) <= 1
