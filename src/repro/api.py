@@ -1,8 +1,7 @@
 """One front door for every way of running a garbled computation.
 
 :func:`run` executes a netlist or an ARM program in any of the three
-execution modes, over either SkipGate engine, with one normalized
-argument spelling::
+execution modes with one normalized argument spelling::
 
     import repro.api
 
@@ -29,14 +28,14 @@ modes without touching their result handling (``mode="party"``
 returns the session-flavoured :class:`~repro.net.session.SessionResult`,
 which carries the same ``outputs`` / ``value`` / ``stats`` names).
 
-``engine="compiled"`` (default) runs the cycle-plan kernel of
-:mod:`repro.core.plan`; ``engine="reference"`` runs the interpreted
-engine.  The two are bit-identical in outputs, statistics and
-snapshots; the reference engine exists for differential testing.
-``mode="local"`` runs the chosen engine directly; the two-party modes
-(``protocol``, ``party``, ``serve``) run it once per process, to record
-the program's residual trace (:mod:`repro.core.trace`), and every
-session then replays that trace against its own crypto backend.
+Only ``mode="local"`` runs a SkipGate engine, so only it takes
+``engine=``: ``"compiled"`` (default) runs the cycle-plan kernel of
+:mod:`repro.core.plan`, ``"reference"`` the interpreted engine kept as
+the differential oracle; the two are bit-identical in outputs and
+statistics.  The two-party modes (``protocol``, ``party``, ``serve``)
+run no engine per session: the compiled engine records the program's
+residual trace (:mod:`repro.core.trace`) once per process, and every
+session replays that trace against its own crypto backend.
 
 :func:`run` is the **operator** half of the API: it executes a
 computation (or starts the server that will).  :func:`connect` is the
@@ -145,8 +144,10 @@ def run(
             :class:`~repro.serve.server.GarbleServer` garbling this
             computation for many concurrent evaluators; the caller
             shuts it down).
-        engine: ``"compiled"`` cycle-plan kernel (default) or
-            ``"reference"`` interpreted engine — bit-identical results.
+        engine: local mode only: ``"compiled"`` cycle-plan kernel
+            (default) or ``"reference"`` interpreted engine —
+            bit-identical results.  The other modes run no engine and
+            raise ``ValueError`` for anything but the default.
         profile: collect per-phase timing into ``result.timing``
             (shorthand for passing a fresh :class:`repro.obs.Obs`).
         obs: explicit observability sink (overrides ``profile``).
@@ -189,6 +190,12 @@ def run(
         also given, overrides the config's address).  Talk to the
         started server with :func:`connect`.
     """
+    if mode != "local" and engine != "compiled":
+        raise ValueError(
+            f"engine={engine!r} picks the engine of mode='local'; "
+            f"mode={mode!r} replays the program's residual trace and "
+            "runs no engine"
+        )
     obs = _make_obs(profile, obs)
     bits = _split_inputs(inputs)
     is_netlist = isinstance(program_or_netlist, Netlist)
@@ -234,7 +241,6 @@ def run(
             ot_group=ot_group,
             timeout=timeout,
             obs=obs,
-            engine=engine,
             seed=seed,
             **bits,
         )
@@ -244,7 +250,7 @@ def run(
             raise TypeError("mode='party' runs a netlist; compile the "
                             "program first (GarbledMachine(...).net)")
         return _run_party(
-            program_or_netlist, bits, role, engine,
+            program_or_netlist, bits, role,
             cycles=cycles if cycles is not None else 1,
             ot=ot, ot_group=ot_group, timeout=timeout, obs=obs,
             listen=listen, connect=connect,
@@ -290,7 +296,6 @@ def run(
                 max_attempts=max_attempts,
                 ot=ot,
                 ot_group=ot_group,
-                engine=engine,
                 heartbeat=heartbeat,
                 precompute=precompute,
                 material_depth=material_depth,
@@ -340,7 +345,7 @@ def connect(addr, **kwargs):
     :class:`~repro.serve.router.SessionRouter` fleet front (the client
     cannot tell the difference, by design).  Keyword arguments become
     the handle's per-client defaults — ``client_id``, ``timeout``,
-    ``ot``, ``ot_group``, ``engine``, ``max_attempts``, ``heartbeat``,
+    ``ot``, ``ot_group``, ``max_attempts``, ``heartbeat``,
     ``obs`` — overridable per call.
 
     Returns a :class:`~repro.serve.client.ServeClient` usable as a
@@ -394,7 +399,7 @@ def _program_protocol_args(program, bits, machine_config, cycles):
 
 
 def _run_party(
-    net, bits, role, engine, *, cycles, ot, ot_group, timeout, obs,
+    net, bits, role, *, cycles, ot, ot_group, timeout, obs,
     listen, connect, checkpoint_every, max_attempts, heartbeat, wrap,
 ):
     from .net.session import ResumableSession, run_resumable_pair
@@ -412,7 +417,6 @@ def _run_party(
             wrap=wrap,
             heartbeat_interval=heartbeat,
             obs=NULL_OBS if obs is None else obs,
-            engine=engine,
             **bits,
         )
     if role not in ("garbler", "evaluator"):
@@ -437,7 +441,6 @@ def _run_party(
             ot_group=ot_group,
             ot=ot,
             obs=obs,
-            engine=engine,
         )
     else:
         if connect is None:
@@ -453,7 +456,6 @@ def _run_party(
             ot_group=ot_group,
             ot=ot,
             obs=obs,
-            engine=engine,
         )
 
     session = ResumableSession(

@@ -44,7 +44,6 @@ identical to the equivalent MUX-tree subcircuit by construction.
 
 from __future__ import annotations
 
-import copy
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -592,58 +591,6 @@ class SkipGateEngine:
                 bits = public_inputs
             self.step(bits, final=(i == cycles - 1))
         return self.stats
-
-    # -- checkpoint / resume ---------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """Freeze the engine's mutable state at a cycle boundary.
-
-        Captures everything :meth:`step` reads or writes — wire states,
-        flip-flop contents, macro storage, per-cycle record arrays and
-        statistics — but *not* the netlist (immutable) or the backend
-        (checkpointed separately by the protocol party).  The returned
-        object is independent of future engine mutation and can be
-        passed to :meth:`restore` any number of times.
-
-        Call only between cycles (never from inside :meth:`step`):
-        deferred macro commits must have been flushed.
-        """
-        if self._deferred:  # pragma: no cover - defensive
-            raise RuntimeError("snapshot taken mid-cycle (deferred commits pending)")
-        return {
-            "cycle": self.cycle,
-            "in_final_cycle": self.in_final_cycle,
-            # WireStates are ints/tuples (immutable): shallow copies.
-            "state": list(self.state),
-            "ff_state": list(self._ff_state),
-            "macro_store": copy.deepcopy(self._macro_store),
-            "stats": copy.deepcopy(self.stats),
-            "rec_fanout": list(self._rec_fanout),
-            "rec_oa": list(self._rec_oa),
-            "rec_ob": list(self._rec_ob),
-            "tables": list(self._tables),
-            "next_key": self._next_key,
-        }
-
-    def restore(self, snap: dict) -> None:
-        """Roll the engine back to a :meth:`snapshot`.
-
-        The snapshot is copied on the way in, so one checkpoint can be
-        restored repeatedly (a session may replay the same cycles more
-        than once under repeated faults).
-        """
-        self.cycle = snap["cycle"]
-        self.in_final_cycle = snap["in_final_cycle"]
-        self.state = list(snap["state"])
-        self._ff_state = list(snap["ff_state"])
-        self._macro_store = copy.deepcopy(snap["macro_store"])
-        self.stats = copy.deepcopy(snap["stats"])
-        self._rec_fanout = list(snap["rec_fanout"])
-        self._rec_oa = list(snap["rec_oa"])
-        self._rec_ob = list(snap["rec_ob"])
-        self._tables = list(snap["tables"])
-        self._next_key = snap["next_key"]
-        self._deferred.clear()
 
     # -- results ---------------------------------------------------------------
 

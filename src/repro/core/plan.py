@@ -42,11 +42,10 @@ The cycle itself is :meth:`SkipGateEngine.step`, written once; this
 engine overrides only its three whole-phase hooks (``_seed``,
 ``_sweep_cycle``, ``_latch``) for the interned representation.
 
-Statistics, backend call order, garbled-table keys and snapshots are
-bit-identical to the reference engine: snapshots are serialized in the
-reference tuple dialect, so a checkpoint taken by one engine can be
-restored by the other (``repro.net`` sessions rely on this).
-Differential equivalence over every bench circuit and the ARM machine
+Statistics, backend call order and garbled-table keys are
+bit-identical to the reference engine, so either one records the same
+residual trace (:mod:`repro.core.trace`), which is all a session ever
+runs.  Differential equivalence over every bench circuit and the ARM machine
 is pinned by ``tests/core/test_cycle_plan.py``.
 """
 
@@ -412,9 +411,9 @@ class CompiledSkipGateEngine(SkipGateEngine):
     """Plan-driven SkipGate engine (drop-in for the reference engine).
 
     Same constructor, same observable behaviour: outputs, statistics,
-    backend call order, garbled-table keys and snapshots are
-    bit-identical to :class:`~repro.core.engine.SkipGateEngine` on any
-    netlist (pinned by the differential tests).  Only the per-cycle
+    backend call order and garbled-table keys are bit-identical to
+    :class:`~repro.core.engine.SkipGateEngine` on any netlist (pinned
+    by the differential tests).  Only the per-cycle
     execution strategy differs — see the module docstring.
     """
 
@@ -430,11 +429,10 @@ class CompiledSkipGateEngine(SkipGateEngine):
         self._sec: list = []
         #: wire -> None | [(pending_list, pin_multiplicity), ...]
         self._push_map: List[Optional[list]] = [None] * net.n_wires
-        self._pending_lists: List[list] = []
         # Re-encode the reference __init__'s state into the interned
         # store (secret init labels may already sit on wires).  Done
         # before handler construction: handlers capture this exact
-        # list object (restore() mutates it in place).
+        # list object.
         #
         # The interned store stays a plain list even though it holds
         # only ints: array('l').__getitem__ boxes a fresh int per read
@@ -538,7 +536,6 @@ class CompiledSkipGateEngine(SkipGateEngine):
         o1 = o0 + len(out)
         contig = out == list(range(o0, o1))
         pending: list = []
-        self._pending_lists.append(pending)
         for w, mult in pp.entry_pin_mult.items():
             pm = self._push_map[w]
             if pm is None:
@@ -858,26 +855,6 @@ class CompiledSkipGateEngine(SkipGateEngine):
                 t = sec[-s - 1]
                 new_ff.append(t if t[2] < 0 else (t[0], t[1], -1))
         return new_ff
-
-    # -- checkpoint / resume (reference tuple dialect) ------------------------
-
-    def snapshot(self) -> dict:
-        snap = super().snapshot()
-        snap["state"] = list(map(self._ctx.get, range(len(self.state))))
-        return snap
-
-    def restore(self, snap: dict) -> None:
-        # Handler closures captured the state/_sec list objects, so
-        # restore mutates them in place rather than rebinding.
-        state_obj = self.state
-        super().restore(snap)
-        self._sec.clear()
-        state_obj[:] = [
-            s if type(s) is int else self._encode_nopush(s) for s in self.state
-        ]
-        self.state = state_obj
-        for lst in self._pending_lists:
-            lst.clear()
 
 
 def make_engine(

@@ -101,27 +101,35 @@ def _fresh_runs(keys, memo):
 
 
 class GarblerBackend(Backend):
-    """Alice: creates labels, garbles, transfers inputs, sends tables."""
+    """Alice: creates labels, garbles, transfers inputs, sends tables.
+
+    ``delta`` defaults to a fresh draw from ``rng``; a material party
+    passes the delta its recorded epoch was garbled under."""
 
     PROFILE_PHASE = "garble"
 
     def __init__(
         self,
-        chan: Endpoint,
+        chan: Optional[Endpoint],
         alice_bits: Dict[Hashable, int],
         ot_group: str = "modp2048",
         ot: str = "simplest",
         rng=None,
         ot_factory=None,
+        delta: Optional[int] = None,
     ) -> None:
         self.chan = chan
-        self.delta = random_delta(rng)
+        self.delta = random_delta(rng) if delta is None else delta
         self._rng = rng
         self._memo: Dict[Hashable, int] = {}
         self._alice_bits = alice_bits
-        if ot_factory is not None:
+        if chan is None:
+            #: Offline garbling (:func:`repro.gc.material.build_material`):
+            #: no transport and no OT; each event lands in the open bucket.
+            self._ot, self.buckets = None, [[]]
+        elif ot_factory is not None:
             # The serve layer injects pre-configured OT objects (cached
-            # base OTs, session-unique salts) or recording stand-ins.
+            # base OTs, session-unique salts).
             self._ot = ot_factory(chan)
         elif ot == "extension":
             self._ot = OTExtensionSender(chan, group=ot_group, rng=rng)
@@ -145,12 +153,25 @@ class GarblerBackend(Backend):
             memo.update(zip(run, zeros))
             if owner == "alice":
                 bits = self._alice_bits
-                self.chan.send("alice-label", b"".join(
+                self.send("alice-label", b"".join(
                     (zero ^ (delta if bits[k] else 0)).to_bytes(LABEL_BYTES, "little")
                     for k, zero in zip(run, zeros)))
             else:
-                self._ot.send_many([(zero, zero ^ delta) for zero in zeros])
+                self.send("ot", [(zero, zero ^ delta) for zero in zeros])
         return [memo[k] for k in keys]
+
+    def send(self, tag: str, payload) -> None:
+        """The one outbound path, one call per frame run: an
+        ``alice-label`` or ``tables`` blob to the channel, or an
+        ``("ot", pairs)`` run of Bob's label pairs to the OT sender."""
+        if tag == "tables":
+            self.tables_sent += len(payload) // GarbledTable.SIZE_BYTES
+        if self.chan is None:
+            self.buckets[-1].append((tag, payload))
+        elif tag == "ot":
+            self._ot.send_many(payload)
+        else:
+            self.chan.send(tag, payload)
 
     def xor(self, la: int, lb: int) -> int:
         return la ^ lb
@@ -173,8 +194,7 @@ class GarblerBackend(Backend):
         # per surviving table, in kept-key order.  The keys themselves
         # are in both parties' trace, so they stay off the wire.
         if kept_keys:
-            self.tables_sent += len(kept_keys)
-            self.chan.send("tables", b"".join(map(self._pending.__getitem__, kept_keys)))
+            self.send("tables", b"".join(map(self._pending.__getitem__, kept_keys)))
 
     # -- resume hooks --------------------------------------------------------
 
@@ -326,7 +346,6 @@ class _Party:
         ot: str = "simplest",
         rng=None,
         obs=None,
-        engine: str = "compiled",
         ot_factory=None,
     ) -> None:
         self.net = net
@@ -338,7 +357,6 @@ class _Party:
         self._ot_kind = ot
         self._ot_factory = ot_factory
         self._rng = rng
-        self._engine_kind = engine
         self.obs = NULL_OBS if obs is None else obs
         self.chan: Optional[Endpoint] = None
         self.backend = None
@@ -356,7 +374,7 @@ class _Party:
             self.backend = self._make_backend(chan)
             trace = residual_trace(
                 self.net, self.cycles, self._public, self._public_init,
-                self._engine_kind, self.obs,
+                obs=self.obs,
             )
             self.engine = TraceReplayer(trace, self.backend, self.obs)
         else:
@@ -388,13 +406,13 @@ class _Party:
     def snapshot(self) -> dict:
         """Freeze protocol state at a cycle boundary."""
         return {
-            "engine": self.engine.snapshot(),
+            "replayer": self.engine.snapshot(),
             "backend": self.backend.snapshot(),
         }
 
     def restore(self, snap: dict) -> None:
         """Roll back to a snapshot (after :meth:`attach`)."""
-        self.engine.restore(snap["engine"])
+        self.engine.restore(snap["replayer"])
         self.backend.restore(snap["backend"])
 
     def finish(self) -> List[int]:
@@ -447,24 +465,26 @@ class GarblerParty(_Party):
         )
 
     def finish(self) -> List[int]:
-        """Receive Bob's output labels, decode, share the cleartext
-        (Algorithm 1 lines 16-17) and wait for Bob's goodbye."""
-        chan = self.chan
-        outputs = decode_outputs(
-            chan.recv("outputs"), self.engine.output_states(),
-            self.backend.delta,
-        )
-        # Stash the decoded result before waiting for the goodbye: a
-        # Bob that dies right here leaves the session failed, but the
-        # output is already known — the serve layer parks it for
-        # replay so a redial recovers it instead of losing it.
-        self.last_outputs = list(outputs)
-        chan.send("result", pack_bits(outputs))
-        # Bob acknowledges receipt so a lost result frame is detected
-        # here (and replayed by the resume layer) instead of leaving
-        # Bob hanging after Alice declared victory.
-        chan.recv("bye")
-        return outputs
+        return finish_garbler(self, self.engine.output_states(), self.backend.delta)
+
+
+def finish_garbler(party, out_states, delta: int) -> List[int]:
+    """Alice's closing exchange, for a fresh or a material party:
+    receive Bob's output labels, decode, share the cleartext
+    (Algorithm 1 lines 16-17) and wait for Bob's goodbye."""
+    chan = party.chan
+    outputs = decode_outputs(chan.recv("outputs"), out_states, delta)
+    # Stash the decoded result before waiting for the goodbye: a
+    # Bob that dies right here leaves the session failed, but the
+    # output is already known — the serve layer parks it for
+    # replay so a redial recovers it instead of losing it.
+    party.last_outputs = list(outputs)
+    chan.send("result", pack_bits(outputs))
+    # Bob acknowledges receipt so a lost result frame is detected
+    # here (and replayed by the resume layer) instead of leaving
+    # Bob hanging after Alice declared victory.
+    chan.recv("bye")
+    return outputs
 
 
 class EvaluatorParty(_Party):
@@ -551,7 +571,6 @@ def make_parties(
     ot_group: str = "modp512",
     ot: str = "simplest",
     obs=None,
-    engine: str = "compiled",
     seed: Optional[int] = None,
 ) -> Tuple[GarblerParty, EvaluatorParty]:
     """Build the two party objects for one protocol run.
@@ -574,7 +593,6 @@ def make_parties(
             ot=ot,
             rng=a_rng,
             obs=obs,
-            engine=engine,
         ),
         EvaluatorParty(
             net,
@@ -586,7 +604,6 @@ def make_parties(
             ot=ot,
             rng=b_rng,
             obs=obs,
-            engine=engine,
         ),
     )
 
@@ -604,7 +621,6 @@ def _run_protocol(
     ot: str = "simplest",
     timeout: Optional[float] = None,
     obs=None,
-    engine: str = "compiled",
     seed: Optional[int] = None,
 ) -> ProtocolResult:
     """Run the full two-party protocol and return the decoded output.
@@ -642,7 +658,6 @@ def _run_protocol(
         ot_group=ot_group,
         ot=ot,
         obs=obs,
-        engine=engine,
         seed=seed,
     )
 

@@ -14,14 +14,15 @@ OT protocol plus the evaluator's work.
 
 Three pieces implement the split:
 
-* :func:`build_material` runs a real :class:`~repro.core.protocol.
-  GarblerParty` against a recording channel and a recording OT,
-  capturing the ordered per-cycle event stream — one event per frame
-  run, framed exactly as the live garbler frames it — into a
-  :class:`GarbledMaterial` bundle keyed by (netlist digest, cycle
-  index, delta epoch).  Like every party it replays the program's
-  residual trace (:mod:`repro.core.trace`), so an epoch costs the
-  garbling itself and no SkipGate sweep.
+* :func:`build_material` is the garbler's own backend replaying the
+  program's residual trace (:mod:`repro.core.trace`) with no channel
+  and no OT: :meth:`~repro.core.protocol.GarblerBackend.send` appends
+  each outbound event — one per frame run, framed exactly as the live
+  garbler frames it — to the open bucket, the init bucket first and
+  then one per cycle.  The buckets, delta, output states and stats
+  make a plain :class:`GarbledMaterial` record keyed by (netlist
+  digest, cycle index, delta epoch); an epoch costs the garbling
+  itself and no SkipGate sweep.
 * :class:`MaterialCache` is a bounded per-program pool of such
   bundles with explicit **delta-epoch rotation**: every bundle is
   garbled under a fresh delta and handed out exactly once.  Reusing a
@@ -30,8 +31,8 @@ Three pieces implement the split:
   the reuse-soundness rules from the CRGC / "Reuse It Or Lose It"
   line of work, enforced structurally here by single-use acquisition.
 * :class:`MaterialGarblerParty` is a drop-in for ``GarblerParty`` in
-  a :class:`~repro.net.session.ResumableSession`: it replays the
-  recorded events through a live channel and a live OT (one
+  a :class:`~repro.net.session.ResumableSession`: it sends the
+  recorded buckets through the same ``send`` of a live backend (one
   ``send_many`` per recorded OT run), so its frames are byte-identical
   to a fresh garbler's under the same labels; checkpoints
   carry the material epoch, and ``restore`` refuses to cross epochs.
@@ -49,12 +50,10 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .channel import ProtocolDesync
-from .garble import GarbledTable
-from .ot import OTSender, pack_bits
-from .ot_extension import OTExtensionSender
 
 
 class MaterialEpochMismatch(ProtocolDesync):
@@ -64,86 +63,19 @@ class MaterialEpochMismatch(ProtocolDesync):
     both labels of a wire under one delta."""
 
 
-# ---------------------------------------------------------------------------
-# Recording: a fake channel and a fake OT that capture the transcript.
-# ---------------------------------------------------------------------------
-
-
-class _Recorder:
-    """Accumulates the garbler's ordered outbound events: ``(tag,
-    blob)`` for an ``alice-label`` or ``tables`` frame, ``("ot",
-    pairs)`` for an OT run.
-
-    Events before the first cycle (flip-flop / macro init labels,
-    replayed from the trace's init bucket during ``attach``) land in
-    the *init bucket*; after that, each cycle boundary closes one cycle
-    bucket (a cycle that keeps no table sends no frame to close it).
-    """
-
-    def __init__(self) -> None:
-        self.init_events: List[tuple] = []
-        self.cycle_events: List[List[tuple]] = []
-        self._events: List[tuple] = []
-
-    def add(self, event: tuple) -> None:
-        self._events.append(event)
-
-    def close_init(self) -> None:
-        self.init_events, self._events = self._events, []
-
-    def close_cycle(self, completed: int) -> None:
-        self.cycle_events.append(self._events)
-        self._events = []
-
-
-class _RecordingEndpoint:
-    """Channel stand-in for the offline run: captures sends, forbids
-    receives (the garbler never receives during cycles)."""
-
-    def __init__(self, recorder: _Recorder) -> None:
-        self._rec = recorder
-
-    def send(self, tag: str, payload: Any) -> None:
-        if tag not in ("alice-label", "tables"):  # pragma: no cover - defensive
-            raise AssertionError(f"unexpected offline-phase send {tag!r}")
-        self._rec.add((tag, bytes(payload)))
-
-    def recv(self, tag: str, timeout: Optional[float] = None) -> Any:
-        raise AssertionError(
-            f"offline garbling tried to receive {tag!r}; the garbler "
-            "must not depend on the evaluator during cycles"
-        )
-
-
-class _RecordingOT:
-    """OT stand-in: captures each run of the garbler's message pairs."""
-
-    def __init__(self, recorder: _Recorder) -> None:
-        self._rec = recorder
-        self.count = 0
-
-    def send_many(self, pairs) -> None:
-        self._rec.add(("ot", list(pairs)))
-        self.count += len(pairs)
-
-    def rebind(self, chan) -> None:  # pragma: no cover - never reconnects
-        pass
-
-
-# ---------------------------------------------------------------------------
-# The bundle.
-# ---------------------------------------------------------------------------
-
-
 @dataclass
 class GarbledMaterial:
     """One pre-garbled transcript: (netlist digest, cycles, delta epoch).
 
-    ``output_states`` holds the garbler's final per-output decode info:
-    an ``int`` for public outputs or ``(zero_label, flip)`` for secret
-    ones.  ``stats`` is the engine's final :class:`~repro.core.stats.
-    RunStats` — replayed sessions report gate counts bit-identical to
-    fresh garbling because they *are* the fresh run's counts.
+    ``buckets[0]`` holds the events of the init bucket (flip-flop and
+    macro init labels), ``buckets[c + 1]`` those of cycle ``c``: each a
+    ``(tag, blob)`` for an ``alice-label`` or ``tables`` frame, or an
+    ``("ot", pairs)`` run.  ``output_states`` holds the garbler's final
+    per-output decode info: an ``int`` for public outputs or
+    ``(zero_label, flip)`` for secret ones.  ``stats`` is the trace's
+    :class:`~repro.core.stats.RunStats` — replayed sessions report gate
+    counts bit-identical to fresh garbling because they *are* the fresh
+    run's counts.
     """
 
     net: Any
@@ -151,11 +83,9 @@ class GarbledMaterial:
     cycles: int
     epoch: int
     delta: int
-    init_events: List[tuple]
-    cycle_events: List[List[tuple]]
+    buckets: List[List[tuple]]
     output_states: List[Any]
     stats: Any
-    tables_sent: int
     build_seconds: float
 
 
@@ -167,57 +97,44 @@ def build_material(
     alice_init: Sequence[int] = (),
     public: Sequence[int] = (),
     public_init: Sequence[int] = (),
-    ot_group: str = "modp512",
     ot: str = "simplest",
-    engine: str = "compiled",
     epoch: int = 0,
     rng=None,
 ) -> GarbledMaterial:
     """Offline phase: garble every cycle of ``net`` under a fresh delta.
 
-    Runs the real garbler (same residual trace, same backend, hence
-    the same category decisions) against recording stand-ins, so the
-    captured transcript is byte-for-byte what an online session must
-    send.  ``alice`` /
-    ``alice_init`` are the garbler's operand sources exactly as a
-    :class:`~repro.serve.server.ServeProgram` holds them.
+    A :class:`~repro.core.protocol.GarblerBackend` with no channel
+    replays the program's residual trace, so the recorded events are
+    byte-for-byte what an online session must send.  ``rng`` is drawn
+    as a fresh garbler draws it: delta, then labels in trace order.
+    ``alice`` / ``alice_init`` are the garbler's operand sources
+    exactly as a :class:`~repro.serve.server.ServeProgram` holds them.
+    The record is the same for either ``ot`` kind (the live OT frames
+    the recorded pairs at replay); the keyword stays for callers that
+    pass the session's.
     """
     # Imported lazily: core imports gc, not the other way around.
-    from ..core.protocol import GarblerParty, _expand_bits
+    from ..core.protocol import GarblerBackend, _expand_bits
+    from ..core.trace import TraceReplayer, residual_trace
     from ..net.session import net_digest
 
     t0 = time.perf_counter()
-    recorder = _Recorder()
-    recording_ot = _RecordingOT(recorder)
-    party = GarblerParty(
-        net,
-        cycles,
-        _expand_bits(net, "alice", alice, alice_init, cycles),
-        public=public,
-        public_init=public_init,
-        ot_group=ot_group,
-        ot=ot,
-        rng=rng,
-        engine=engine,
-        ot_factory=lambda chan: recording_ot,
-    )
-    party.attach(_RecordingEndpoint(recorder))
-    recorder.close_init()  # init labels resolve during attach
-    party.run_cycles(on_boundary=recorder.close_cycle)
-    output_states = []
-    for s in party.engine.output_states():
-        output_states.append(s if type(s) is int else (s[0], s[1]))
+    backend = GarblerBackend(
+        None, _expand_bits(net, "alice", alice, alice_init, cycles), rng=rng)
+    replayer = TraceReplayer(
+        residual_trace(net, cycles, public, public_init), backend)
+    for _ in range(cycles):
+        backend.buckets.append([])
+        replayer.step()
     return GarbledMaterial(
         net=net,
         digest=net_digest(net, cycles, public, public_init),
         cycles=cycles,
         epoch=epoch,
-        delta=party.backend.delta,
-        init_events=recorder.init_events,
-        cycle_events=recorder.cycle_events,
-        output_states=output_states,
-        stats=party.engine.stats,
-        tables_sent=party.backend.tables_sent,
+        delta=backend.delta,
+        buckets=backend.buckets,
+        output_states=replayer.output_states(),
+        stats=replayer.stats,
         build_seconds=time.perf_counter() - t0,
     )
 
@@ -248,9 +165,6 @@ class MaterialCache:
         alice_init: Sequence[int] = (),
         public: Sequence[int] = (),
         public_init: Sequence[int] = (),
-        ot_group: str = "modp512",
-        ot: str = "simplest",
-        engine: str = "compiled",
         depth: int = 2,
         rng=None,
     ) -> None:
@@ -261,9 +175,6 @@ class MaterialCache:
             alice_init=alice_init,
             public=public,
             public_init=public_init,
-            ot_group=ot_group,
-            ot=ot,
-            engine=engine,
         )
         self.net = net
         self.cycles = cycles
@@ -358,32 +269,17 @@ class MaterialCache:
 # ---------------------------------------------------------------------------
 
 
-class _ReplayBackendView:
-    """The slice of backend state the session layer reads."""
-
-    def __init__(self, delta: int) -> None:
-        self.delta = delta
-        self.tables_sent = 0
-        self._ot = None
-
-
-class _ReplayEngineView:
-    """The slice of engine state the session layer reads."""
-
-    def __init__(self, stats: Any, cycles: int) -> None:
-        self.stats = stats
-        self.cycles = cycles
-
-
 class MaterialGarblerParty:
     """Garbler party that replays a :class:`GarbledMaterial` bundle.
 
     Drop-in for :class:`~repro.core.protocol.GarblerParty` inside a
     :class:`~repro.net.session.ResumableSession`: the online path sends
-    the recorded label and table frames and runs only the *live* OT
-    protocol for Bob's input bits.  Checkpoints record the
-    material epoch and digest; :meth:`restore` raises
-    :class:`MaterialEpochMismatch` on any cross-epoch restore attempt.
+    the recorded buckets through a live
+    :class:`~repro.core.protocol.GarblerBackend` holding the material's
+    delta, and runs only the *live* OT protocol for Bob's input bits.
+    Checkpoints record the material epoch and digest; :meth:`restore`
+    raises :class:`MaterialEpochMismatch` on any cross-epoch restore
+    attempt.
     """
 
     role = "garbler"
@@ -404,12 +300,12 @@ class MaterialGarblerParty:
         self.material_epoch = material.epoch
         #: The ``net-hello`` digest the material was garbled for.
         self.digest = material.digest
-        self._ot_group = ot_group
-        self._ot_kind = ot
-        self._ot_factory = ot_factory
+        self._ot_args = dict(ot_group=ot_group, ot=ot, ot_factory=ot_factory)
         self.obs = obs
         self.chan = None
-        self._ot = None
+        self.backend = None
+        #: What the session layers read of an engine: the recorded stats.
+        self.engine = SimpleNamespace(stats=material.stats)
         #: ``resume=True`` marks a party adopting a handed-off session:
         #: the evaluator already holds the init labels (they are in its
         #: restored memo), so the first attach must NOT replay them —
@@ -417,26 +313,10 @@ class MaterialGarblerParty:
         #: peer's resume negotiation.
         self._resume = resume
         self._cursor = 0  # completed cycles
-        self.backend = _ReplayBackendView(material.delta)
-        self.engine = _ReplayEngineView(material.stats, material.cycles)
 
-    # -- plumbing ------------------------------------------------------------
-
-    def _make_ot(self, chan):
-        if self._ot_factory is not None:
-            return self._ot_factory(chan)
-        if self._ot_kind == "extension":
-            return OTExtensionSender(chan, group=self._ot_group)
-        return OTSender(chan, group=self._ot_group)
-
-    def _replay(self, events: List[tuple]) -> None:
-        for tag, payload in events:
-            if tag == "ot":
-                self._ot.send_many(payload)
-            else:
-                self.chan.send(tag, payload)
-                if tag == "tables":
-                    self.backend.tables_sent += len(payload) // GarbledTable.SIZE_BYTES
+    def _replay(self, bucket: List[tuple]) -> None:
+        for tag, payload in bucket:
+            self.backend.send(tag, payload)
 
     @property
     def cycle(self) -> int:
@@ -446,41 +326,33 @@ class MaterialGarblerParty:
     def attach(self, chan) -> None:
         """Bind (or re-bind, after a reconnect) the transport."""
         self.chan = chan
-        if self._ot is None:
-            self._ot = self._make_ot(chan)
-            self.backend._ot = self._ot
+        if self.backend is None:
+            from ..core.protocol import GarblerBackend
+
+            self.backend = GarblerBackend(
+                chan, {}, delta=self.material.delta, **self._ot_args)
             if not self._resume:
                 # Init labels (flip-flop / macro initial state) go out
                 # as part of the first attach, exactly where a fresh
-                # party resolves them while constructing its engine.
-                self._replay(self.material.init_events)
+                # party replays the trace's init bucket.
+                self._replay(self.material.buckets[0])
         else:
-            self._ot.rebind(chan)
+            self.backend.rebind(chan)
 
     def run_cycles(self, on_boundary=None) -> None:
         while self._cursor < self.cycles:
-            self._replay(self.material.cycle_events[self._cursor])
+            self._replay(self.material.buckets[self._cursor + 1])
             self._cursor += 1
             if on_boundary is not None:
                 on_boundary(self._cursor)
 
     def finish(self) -> List[int]:
-        """Decode Bob's output labels against the recorded states
-        (mirrors :meth:`GarblerParty.finish`)."""
-        from ..core.protocol import decode_outputs
+        """The fresh garbler's closing exchange, against the recorded
+        output states."""
+        from ..core.protocol import finish_garbler
 
-        chan = self.chan
         material = self.material
-        outputs = decode_outputs(
-            chan.recv("outputs"), material.output_states, material.delta
-        )
-        # Same stash as GarblerParty.finish: the result survives a Bob
-        # that dies between here and the goodbye, so the serve layer
-        # can park it for redial replay.
-        self.last_outputs = list(outputs)
-        chan.send("result", pack_bits(outputs))
-        chan.recv("bye")
-        return outputs
+        return finish_garbler(self, material.output_states, material.delta)
 
     # -- resume hooks --------------------------------------------------------
 
@@ -490,8 +362,7 @@ class MaterialGarblerParty:
             "epoch": self.material.epoch,
             "digest": self.material.digest,
             "cycle": self._cursor,
-            "tables_sent": self.backend.tables_sent,
-            "ot": self._ot.snapshot(),
+            "backend": self.backend.snapshot(),
         }
 
     def restore(self, snap: dict) -> None:
@@ -505,5 +376,5 @@ class MaterialGarblerParty:
                 f"{self.material.epoch} (digest {self.material.digest})"
             )
         self._cursor = snap["cycle"]
-        self.backend.tables_sent = snap["tables_sent"]
-        self._ot.restore(snap["ot"])
+        self.backend.restore(snap["backend"])
+

@@ -196,7 +196,6 @@ def run_party(args) -> int:
             },
             mode="party",
             role="both",
-            engine=args.engine,
             cycles=cycles,
             ot_group=args.ot_group,
             ot=args.ot,
@@ -240,7 +239,6 @@ def run_party(args) -> int:
         inputs,
         mode="party",
         role=args.role,
-        engine=args.engine,
         cycles=cycles,
         ot_group=args.ot_group,
         ot=args.ot,
@@ -300,10 +298,6 @@ def add_party_parser(sub) -> None:
                    help="receive/accept deadline in seconds")
     p.add_argument("--heartbeat", type=float, default=None, metavar="SECONDS",
                    help="send keepalive frames when idle this long")
-    p.add_argument("--engine", choices=("compiled", "reference"),
-                   default="compiled",
-                   help="SkipGate execution strategy (bit-identical; "
-                        "'reference' is the interpreted engine)")
     p.add_argument("--ot", choices=("simplest", "extension"), default="simplest")
     p.add_argument("--ot-group", choices=("modp512", "modp2048"),
                    default="modp512")

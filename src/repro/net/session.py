@@ -24,7 +24,10 @@ completion, surviving transport failures:
    fresh wire labels; this is safe because every skipping decision is
    a function of public data and label *identity*, both of which
    evolve identically on the two (synchronously rolled back) sides.
-   Engine statistics are part of the snapshot, so final gate counts
+   A checkpoint is the party's trace replayer (cycle and live label
+   table) plus its backend and OT state — no engine runs in a session,
+   so none is checkpointed — and statistics are the residual trace's,
+   read up to the restored cycle, so final gate counts
    are bit-identical to an uninterrupted run; channel byte totals are
    deliberately **not** rolled back — retransmitted bytes really
    crossed the wire.
@@ -356,18 +359,13 @@ def run_resumable_pair(
     wrap=None,
     heartbeat_interval: Optional[float] = None,
     obs=NULL_OBS,
-    engine: str = "compiled",
 ) -> Tuple[SessionResult, SessionResult]:
     """Run both parties as resumable sessions over an in-memory network.
 
     ``wrap(role, attempt, link) -> link`` is the fault-injection splice
     point: wrap a connection attempt's link in a
     :class:`~repro.net.fault.FaultyTransport` to rehearse failures.
-    ``engine`` selects the SkipGate execution strategy for both
-    parties (``"compiled"`` cycle-plan kernel or ``"reference"``);
-    checkpoints are engine-agnostic, so a session checkpointed by one
-    can resume on the other.  Returns
-    ``(garbler_result, evaluator_result)``.
+    Returns ``(garbler_result, evaluator_result)``.
     """
     from ..core.protocol import make_parties
 
@@ -383,7 +381,6 @@ def run_resumable_pair(
         ot_group=ot_group,
         ot=ot,
         obs=obs,
-        engine=engine,
     )
     rendezvous = MemoryRendezvous(wrap=wrap)
     connect_window = 30.0 if timeout is None else max(timeout, 5.0)

@@ -146,7 +146,6 @@ def run_loadgen_cmd(args) -> int:
         base_value=args.value_base,
         server_value=args.server_value,
         timeout=args.timeout,
-        engine=args.engine,
         ot=args.ot,
         ot_group=args.ot_group,
         verify=not args.no_verify,
@@ -258,8 +257,6 @@ def add_serve_parser(sub) -> None:
                         "refused (default 10000)")
     p.add_argument("--max-sessions", type=int, default=None, metavar="N",
                    help="drain and exit after N sessions finished (CI)")
-    p.add_argument("--engine", choices=("compiled", "reference"),
-                   default="compiled")
     p.add_argument("--ot", choices=("simplest", "extension"),
                    default="simplest")
     p.add_argument("--ot-group", choices=("modp512", "modp2048"),
@@ -350,8 +347,6 @@ def add_loadgen_parser(sub) -> None:
                    help="the server's --value; arms full result "
                         "verification against the local simulator")
     p.add_argument("--timeout", type=float, default=30.0)
-    p.add_argument("--engine", choices=("compiled", "reference"),
-                   default="compiled")
     p.add_argument("--ot", choices=("simplest", "extension"),
                    default="simplest")
     p.add_argument("--ot-group", choices=("modp512", "modp2048"),

@@ -353,7 +353,6 @@ def run_session(
     cycles: Optional[int] = None,
     ot: str = "simplest",
     ot_group: str = "modp512",
-    engine: str = "compiled",
     timeout: Optional[float] = 30.0,
     max_attempts: int = 6,
     heartbeat: Optional[float] = None,
@@ -459,7 +458,6 @@ def run_session(
         ot_group=ot_group,
         ot=ot,
         obs=obs,
-        engine=engine,
         ot_factory=ot_factory,
     )
 
@@ -499,7 +497,7 @@ class ServeClient:
 
     This is the object :func:`repro.api.connect` returns: it bundles
     the endpoint address with per-client defaults (identity, OT
-    flavour, engine, timeout) so call sites stop threading a dozen
+    flavour, timeout) so call sites stop threading a dozen
     kwargs through every session.  Each operation opens its own
     connection (the serve protocol is a hello/welcome exchange per
     connection), so the handle itself holds no socket; the context-
@@ -521,7 +519,6 @@ class ServeClient:
         timeout: Optional[float] = 30.0,
         ot: str = "simplest",
         ot_group: str = "modp512",
-        engine: str = "compiled",
         max_attempts: int = 6,
         heartbeat: Optional[float] = None,
         obs=NULL_OBS,
@@ -532,7 +529,6 @@ class ServeClient:
         self.timeout = timeout
         self.ot = ot
         self.ot_group = ot_group
-        self.engine = engine
         self.max_attempts = max_attempts
         self.heartbeat = heartbeat
         self.obs = obs
@@ -547,7 +543,6 @@ class ServeClient:
             "timeout": self.timeout,
             "ot": self.ot,
             "ot_group": self.ot_group,
-            "engine": self.engine,
             "max_attempts": self.max_attempts,
             "heartbeat": self.heartbeat,
             "obs": self.obs,

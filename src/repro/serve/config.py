@@ -55,7 +55,6 @@ class ServeConfig:
     max_hello_bytes: int = MAX_HELLO_BYTES
     ot: str = "simplest"
     ot_group: str = "modp512"
-    engine: str = "compiled"
     heartbeat: Optional[float] = None
     max_sessions: Optional[int] = None
     pool: str = "auto"
@@ -88,7 +87,6 @@ class ServeConfig:
             max_connections=args.max_connections,
             ot=args.ot,
             ot_group=args.ot_group,
-            engine=args.engine,
             heartbeat=args.heartbeat,
             max_sessions=args.max_sessions,
             pool=args.pool,

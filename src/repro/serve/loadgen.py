@@ -110,7 +110,7 @@ def _make_client(host: str, port: int, i: int, spec: dict) -> ServeClient:
         host, port,
         client_id=_client_id(spec, i),
         timeout=spec["timeout"], max_attempts=spec["max_attempts"],
-        engine=spec["engine"], ot=spec["ot"], ot_group=spec["ot_group"],
+        ot=spec["ot"], ot_group=spec["ot_group"],
     )
 
 
@@ -186,7 +186,7 @@ def _proc_client_main(i: int, barrier, outq, host: str, port: int,
         # Thread clients share one process-wide trace cache, so all
         # but the first session replay a warm trace; give each client
         # process the same footing before the measured window.
-        residual_trace(net, cycles, engine=spec["engine"])
+        residual_trace(net, cycles)
         client = _make_client(host, port, i, spec)
         warmed = True
         try:
@@ -238,7 +238,6 @@ def run_loadgen(
     session_prefix: Optional[str] = None,
     timeout: Optional[float] = 30.0,
     max_attempts: int = 3,
-    engine: str = "compiled",
     ot: str = "simplest",
     ot_group: str = "modp512",
     verify: bool = True,
@@ -308,7 +307,7 @@ def run_loadgen(
     prefix = session_prefix or f"loadgen-{uuid.uuid4().hex[:8]}"
     spec = {
         "timeout": timeout, "max_attempts": max_attempts,
-        "engine": engine, "ot": ot, "ot_group": ot_group,
+        "ot": ot, "ot_group": ot_group,
         "client_prefix": client_prefix, "warmup": warmup,
         "prefix": prefix, "busy_retries": busy_retries,
     }

@@ -171,9 +171,9 @@ class ServeProgram:
     The server plays Alice, so the program bundles the circuit with
     the garbler-side inputs; the evaluator brings only its own private
     bits.  ``net`` is shared by every session over this program —
-    engines never mutate the netlist, and the compiled plan cache is
-    thread-safe — which is exactly what makes N sessions pay one
-    compile per process.
+    nothing mutates the netlist, and the plan and residual-trace caches
+    are thread-safe — which is exactly what makes N sessions pay one
+    trace build per process.
     """
 
     net: Netlist
@@ -1054,7 +1054,7 @@ class GarbleServer:
         that rides its spawn arguments."""
         config = {key: getattr(self.config, key) for key in (
             "checkpoint_every", "timeout", "resume_window", "max_attempts",
-            "ot", "ot_group", "engine", "heartbeat", "precompute",
+            "ot", "ot_group", "heartbeat", "precompute",
             "material_depth",
         )}
         if config["resume_window"] is None:

@@ -208,9 +208,6 @@ def build_material_caches(programs: dict, config: dict) -> dict:
             alice_init=prog.alice_init,
             public=prog.public,
             public_init=prog.public_init,
-            ot_group=config["ot_group"],
-            ot=config["ot"],
-            engine=config["engine"],
             depth=config.get("material_depth", 2),
         )
     return materials
@@ -321,7 +318,6 @@ def make_garbler_party(name: str, prog, config: dict, run_msg: dict,
         ot_group=config["ot_group"],
         ot=config["ot"],
         obs=obs,
-        engine=config["engine"],
         ot_factory=ot_factory,
     )
     return party, None
@@ -564,8 +560,7 @@ def worker_main(index: int, sock: socket.socket, stats: tuple,
     # session sweeps afterwards.  Without it a ``precompute=False``
     # server's first session would pay the build.
     for prog in programs.values():
-        residual_trace(prog.net, prog.cycles, prog.public,
-                       prog.public_init, config["engine"])
+        residual_trace(prog.net, prog.cycles, prog.public, prog.public_init)
     # Offline phase: pre-garble material_depth delta epochs per program
     # before signalling ready, so the first admitted session is already
     # pure replay.

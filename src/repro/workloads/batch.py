@@ -120,7 +120,6 @@ def run_batch(
     *,
     server_value: int = 0,
     mode: str = "local",
-    engine: str = "compiled",
     ot: str = "extension",
     ot_group: str = "modp512",
     timeout: Optional[float] = None,
@@ -151,7 +150,7 @@ def run_batch(
         "alice": batched.alice_source(server_value, cycles),
         "bob": encode_batch(workload, values),
     }
-    kwargs = dict(mode=mode, engine=engine, cycles=cycles, obs=obs)
+    kwargs = dict(mode=mode, cycles=cycles, obs=obs)
     if mode == "protocol":
         kwargs.update(ot=ot, ot_group=ot_group, timeout=timeout,
                       seed=seed)

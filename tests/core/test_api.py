@@ -108,6 +108,17 @@ class TestRunFacade:
         with pytest.raises(ValueError):
             api.run(net, engine="turbo", cycles=cycles)
 
+    @pytest.mark.parametrize("mode", ["protocol", "party", "serve"])
+    def test_engine_choice_is_local_mode_only(self, mode):
+        """Only count mode runs an engine; a session replays the trace
+        the compiled builder recorded, so choosing another is an error
+        raised before anything runs."""
+        net, cycles = BC.sum_combinational(32)
+        inputs = {"alice": int_to_bits(1, 32), "bob": int_to_bits(2, 32)}
+        with pytest.raises(ValueError, match=f"mode='{mode}'"):
+            api.run(net, inputs, mode=mode, engine="reference",
+                    cycles=cycles, role="both", listen=("127.0.0.1", 0))
+
     def test_party_mode_requires_netlist(self):
         with pytest.raises(TypeError, match="netlist"):
             api.run(PROG, {"alice": [1]}, mode="party", role="both")

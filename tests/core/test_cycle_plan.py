@@ -3,9 +3,11 @@
 The contract of :class:`repro.core.plan.CompiledSkipGateEngine` is
 bit-identity with the reference engine: same outputs, same RunStats
 (hence identical per-category gate counts and garbled non-XOR
-totals), interchangeable snapshots.  These tests sweep that contract
-over every bench-circuit module, the ARM machine, the crypto
-protocol, and checkpoint/resume through injected transport faults.
+totals).  These tests sweep that contract over every bench-circuit
+module and the ARM machine; the two builders' residual traces are
+held equal in ``tests/core/test_trace.py``, and a faulted session
+(which checkpoints a trace replayer, never an engine) resumes
+bit-identically to an unfaulted one.
 """
 
 from __future__ import annotations
@@ -199,28 +201,6 @@ class TestFallbackDifferential:
         assert ref.stats == cmp_.stats
         assert all(fallbacks_taken[kind] for kind in self.PORT_KINDS)
 
-    @pytest.mark.parametrize(
-        "snap_cls,resume_cls",
-        [(SkipGateEngine, CompiledSkipGateEngine),
-         (CompiledSkipGateEngine, SkipGateEngine)],
-        ids=["reference-compiled", "compiled-reference"],
-    )
-    def test_mid_run_cross_engine_restore(self, snap_cls, resume_cls):
-        # Snapshot after the secret-address LDR (cycle 9) has put
-        # secret words in registers and memory, before the secret STRs.
-        base = _machine_engine(SkipGateEngine, prog=FALLBACK_PROG)
-        _run(base, base.net, self.CYCLES)
-        backend = CountingBackend()
-        eng = _machine_engine(snap_cls, backend, FALLBACK_PROG)
-        for _ in range(10):
-            eng.step()
-        resumed = _machine_engine(resume_cls, backend, FALLBACK_PROG)
-        resumed.restore(eng.snapshot())
-        for i in range(10, self.CYCLES):
-            resumed.step(final=(i == self.CYCLES - 1))
-        assert resumed.output_states() == base.output_states()
-        assert resumed.stats == base.stats
-
 
 class TestOneDoorOneSkeleton:
     """Structure guards: what this layer deleted must not grow back."""
@@ -343,74 +323,6 @@ class TestGeneratedSweep:
             assert res.stats == base.stats
 
 
-class TestSnapshotRestore:
-    _machine_engine = staticmethod(_machine_engine)
-
-    @pytest.mark.parametrize(
-        "snap_cls,resume_cls",
-        [
-            (CompiledSkipGateEngine, CompiledSkipGateEngine),
-            (SkipGateEngine, CompiledSkipGateEngine),
-            (CompiledSkipGateEngine, SkipGateEngine),
-        ],
-        ids=["compiled-compiled", "reference-compiled", "compiled-reference"],
-    )
-    def test_mid_run_restore_bit_identical(self, snap_cls, resume_cls):
-        # The snapshot carries engine state only; a resuming party keeps
-        # its label backend alive (as ResumableSession does), so the
-        # resumed engine shares the snapshotting engine's backend.
-        cycles, snap_at = 40, 17
-        base = self._machine_engine(SkipGateEngine)
-        _run(base, base.net, cycles)
-
-        backend = CountingBackend()
-        eng = self._machine_engine(snap_cls, backend)
-        for i in range(snap_at):
-            eng.step(final=False)
-        snap = eng.snapshot()
-        resumed = self._machine_engine(resume_cls, backend)
-        resumed.restore(snap)
-        for i in range(snap_at, cycles):
-            resumed.step(final=(i == cycles - 1))
-        assert resumed.output_states() == base.output_states()
-        assert resumed.stats == base.stats
-
-    def test_snapshot_dialect_is_engine_agnostic(self):
-        """Compiled snapshots decode the interned store back to the
-        reference tuple dialect, field for field."""
-        a = self._machine_engine(SkipGateEngine)
-        b = self._machine_engine(CompiledSkipGateEngine)
-        for _ in range(9):
-            a.step()
-            b.step()
-        sa, sb = a.snapshot(), b.snapshot()
-        assert set(sa) == set(sb)
-        for key in sa:
-            assert sa[key] == sb[key], f"snapshot field {key} diverges"
-
-
-class TestProtocolDifferential:
-    def test_crypto_protocol_bit_identical_across_engines(self):
-        from repro.core.protocol import _run_protocol
-
-        net, cycles = BC.sum_combinational(32)
-        x, y = 0xDEAD_BEEF, 0x0BAD_F00D
-        ref = _run_protocol(
-            net, cycles, alice=int_to_bits(x, 32), bob=int_to_bits(y, 32),
-            engine="reference", seed=11,
-        )
-        cmp_ = _run_protocol(
-            net, cycles, alice=int_to_bits(x, 32), bob=int_to_bits(y, 32),
-            engine="compiled", seed=11,
-        )
-        assert ref.value == cmp_.value == (x + y) & 0xFFFFFFFF
-        assert ref.outputs == cmp_.outputs
-        assert ref.stats == cmp_.stats
-        assert ref.alice_stats == cmp_.alice_stats
-        assert ref.bob_stats == cmp_.bob_stats
-        assert ref.tables_sent == cmp_.tables_sent
-
-
 class TestFaultyResume:
     def test_compiled_engine_resumes_bit_identically_over_faults(self):
         from repro.net.fault import FaultPlan, FaultRule, FaultyTransport
@@ -418,11 +330,8 @@ class TestFaultyResume:
 
         net, cycles = BC.sum_combinational(32)
         x, y = 0x1234_5678, 0x0F0F_0F0F
-        baseline = run_resumable_pair(
-            net, cycles,
-            alice=int_to_bits(x, 32), bob=int_to_bits(y, 32),
-            timeout=1.0, engine="reference",
-        )
+        inputs = dict(alice=int_to_bits(x, 32), bob=int_to_bits(y, 32))
+        baseline = run_resumable_pair(net, cycles, timeout=1.0, **inputs)
 
         def wrap(role, attempt, link):
             if role == "garbler" and attempt == 0:
@@ -432,10 +341,8 @@ class TestFaultyResume:
             return link
 
         a_res, b_res = run_resumable_pair(
-            net, cycles,
-            alice=int_to_bits(x, 32), bob=int_to_bits(y, 32),
-            timeout=1.0, wrap=wrap, engine="compiled",
-        )
+            net, cycles, timeout=1.0, wrap=wrap, **inputs)
+        assert baseline[0].reconnects + baseline[1].reconnects == 0
         assert a_res.reconnects + b_res.reconnects >= 1
         assert a_res.value == b_res.value == (x + y) & 0xFFFFFFFF
         assert a_res.outputs == baseline[0].outputs

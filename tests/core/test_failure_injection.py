@@ -56,8 +56,13 @@ class TamperingEndpoint:
             # Corrupt both halves of every table: the evaluator only
             # consumes a half when the matching permute bit is set, so
             # corrupting one half of one table would go unnoticed with
-            # probability 1/2.
-            payload = bytes(b ^ 0xA5 for b in payload)
+            # probability 1/2.  The halves get different masks: with
+            # both permute bits set the evaluator XORs both halves in,
+            # and one shared mask would cancel itself (then the 7 tables
+            # of the adder all went unnoticed once in ~128 runs).
+            mask = bytes([0xA5] * 16 + [0x5A] * 16)
+            payload = bytes(b ^ mask[i % GarbledTable.SIZE_BYTES]
+                            for i, b in enumerate(payload))
         self._inner.send(tag, payload)
 
     def recv(self, tag, **kw):

@@ -1,10 +1,12 @@
 """Thread safety of the compiled cycle-plan cache.
 
-The serve worker pool points N engines at one shared netlist, so
-``compile_plan``'s lookup/insert and the lazy sweep codegen must be
-safe under concurrent first access — every thread must get the *same*
-plan object, and concurrently stepping engines over the shared plan
-must stay bit-identical to a single-threaded run."""
+Engines in one process share a netlist's plan (concurrent
+``mode="local"`` runs, the residual-trace builds that protocol parties
+and serve workers fetch), so ``compile_plan``'s lookup/insert and the
+lazy sweep codegen must be safe under concurrent first access — every
+thread must get the *same* plan object, and concurrently stepping
+engines over the shared plan must stay bit-identical to a
+single-threaded run."""
 
 import threading
 

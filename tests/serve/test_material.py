@@ -17,12 +17,15 @@ exercised here against a live server:
 """
 
 import functools
+import hashlib
 import random
+import secrets
 import threading
 
 import pytest
 
 from repro import api
+from repro.core.trace import residual_trace
 from repro.gc.material import (
     MaterialCache,
     MaterialEpochMismatch,
@@ -362,3 +365,181 @@ class TestReplayTranscript:
             assert outputs == list(local.outputs)
             assert stats == local.stats
             assert tables_sent == local.stats.garbled_nonxor
+
+    #: SHA-256 of each direction's transcript — the list of ``(tag,
+    #: payload)`` frames under :func:`repro.net.codec.encode` — of a
+    #: seeded fresh-garbler session, ``(garbler, evaluator)``.  Pinned
+    #: when material became a backend replay: a change that moved the
+    #: fresh and the replayed bytes alike still shows here.
+    GOLDEN = {
+        ("sum32-seq", "simplest"): (
+            "52a54214820bf0c710252a72e17b9430a6a3142bc961eae99a47a4c7e2c227dd",
+            "cf6ec27f7ae296d6383ec8a96c7d4c0031a4133e77e7dd3d18a3700af359c70a"),
+        ("sum32-seq", "extension"): (
+            "0a15f21af820098e9a2dbd033a99b554be8f3bc2fa5668ec86e44dec9c39f18d",
+            "30f567d4ce59bdd220999da5c77dada85d40fa5501089171b32808d4d7be0c03"),
+        ("mult8-seq", "simplest"): (
+            "bf25c4f5f6628d4c034eb6e52b2ebc7d2af4c027f3970e6f0c149753df1e093a",
+            "f2a5512ccfae18909ea7970bebdbf6aeee39ccf3b8994bebef7c8adeed4294bb"),
+        ("mult8-seq", "extension"): (
+            "68ef54cbdf50431856f198bd19853554b2a20f3b238a5a73a43d0462e8087055",
+            "695dcaaf608a870cbda7bcfefb7c0920198521c294f288bc62775b19038199db"),
+        ("hamming32-seq", "simplest"): (
+            "9093eee83c7ba7ef71df89b01b5c40178a02f7b6ad22b82a5cff2a23e0232391",
+            "114869332c7f85090435a5c4d9eb6b167d49fe842078986329abb20518f366a5"),
+        ("hamming32-seq", "extension"): (
+            "ce716b5e3ef46a163211a54f3888bdaddfa9bab4acce390db536ad643acd60c7",
+            "c72bcce85fb7b019f90406c54adb7602f0ac963dc84e92f1ace426c1adef47f3"),
+        ("psi-hash8x16@b4", "simplest"): (
+            "3c03babaad1f18f491ae48f5f5acada88525a019bf6292045655463872a6e5d8",
+            "16172a13e0e31a580eabda5180026f9f0a6215a2ad37fb31ca666eb5dbd4962e"),
+        ("psi-hash8x16@b4", "extension"): (
+            "1af714871a5018cbf22d5b0958e185cefd8d2730224255fbd7bce766235e7387",
+            "ea1f5ed3ea5d484e239cff4ff38a696301c3deb03180a58b946e04301b285b02"),
+    }
+
+    @pytest.mark.parametrize("name,ot", list(GOLDEN),
+                             ids=[f"{name}-{ot}" for name, ot in GOLDEN])
+    def test_golden_transcript_digests(self, monkeypatch, name, ot):
+        from repro.net import codec
+
+        sent = self._session(monkeypatch, name, ot, replay=False)[0]
+        digests = tuple(hashlib.sha256(codec.encode(sent[role])).hexdigest()
+                        for role in ("garbler", "evaluator"))
+        assert digests == self.GOLDEN[name, ot]
+
+
+class TestBuildIsABackendReplay:
+    def test_no_party_no_ot_and_no_sweep(self, monkeypatch):
+        """An epoch is the garbler's backend replaying the warm trace:
+        building one makes no party and no OT sender, and builds no
+        trace."""
+        from repro.core import protocol, trace
+        from repro.gc import ot as ot_mod
+        from repro.gc import ot_extension
+        from repro.gc.garble import GarbledTable
+
+        prog = registry_program(SEQ_CIRCUIT, SERVER_VALUE)
+        trace.residual_trace(prog.net, prog.cycles)
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"material build made a {type(self).__name__}")
+
+        for cls in (protocol.GarblerParty, ot_mod.OTSender,
+                    ot_extension.OTExtensionSender):
+            monkeypatch.setattr(cls, "__init__", refuse)
+        builds = trace.BUILDS
+        material = build_material(prog.net, prog.cycles, alice=prog.alice,
+                                  ot="extension")
+        assert trace.BUILDS == builds
+        assert len(material.buckets) == 1 + prog.cycles
+        tables = sum(len(blob) for bucket in material.buckets
+                     for tag, blob in bucket if tag == "tables")
+        assert tables == GarbledTable.SIZE_BYTES * material.stats.garbled_nonxor
+
+
+class TestDefaultPathsDrawFromSecrets:
+    """With no seed and no ``rng``, delta, labels and OT choices come
+    from :mod:`secrets`: a default path that drew from a
+    ``random.Random`` would garble under a predictable delta.  Each
+    case builds the residual trace first, as a worker does before it
+    prewarms: the trace is the compile stage, and its label ids are
+    public, drawn from a seeded counting backend on purpose."""
+
+    @staticmethod
+    def _refuse_random(monkeypatch):
+        """Make every ``random.Random`` draw fail; returns the values
+        ``secrets.randbits`` handed out (with the permute bit set, as
+        a delta has it) and the deltas the garblers drew."""
+        from repro.core import protocol
+
+        def refuse(self, k):
+            raise AssertionError("a default path drew from random.Random")
+
+        drawn, deltas = set(), []
+        real_randbits, real_delta = secrets.randbits, protocol.random_delta
+
+        def spy_randbits(k):
+            value = real_randbits(k)
+            drawn.add(value | 1)
+            return value
+
+        def spy_delta(rng=None):
+            deltas.append(real_delta(rng))
+            return deltas[-1]
+
+        monkeypatch.setattr(random.Random, "getrandbits", refuse)
+        monkeypatch.setattr(secrets, "randbits", spy_randbits)
+        monkeypatch.setattr(protocol, "random_delta", spy_delta)
+        return drawn, deltas
+
+    @staticmethod
+    def _run_pair(garbler, evaluator):
+        from repro.gc.channel import channel_pair
+
+        ends = channel_pair(timeout=60.0)
+        outputs, errors = [None, None], []
+
+        def main(i, party):
+            try:
+                party.attach(ends[i])
+                party.run_cycles()
+                outputs[i] = party.finish()
+            except BaseException as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+                ends[i].abort()
+
+        thread = threading.Thread(target=main, args=(1, evaluator))
+        thread.start()
+        main(0, garbler)
+        thread.join(60.0)
+        assert not errors, errors
+        assert outputs[0] == outputs[1]
+        return outputs[0]
+
+    @pytest.mark.parametrize("ot", ["simplest", "extension"])
+    def test_protocol_run(self, monkeypatch, ot):
+        local = _local_reference(SEQ_CIRCUIT, SERVER_VALUE, CLIENT_VALUE)
+        entry = _registry()[SEQ_CIRCUIT]
+        net, cycles = entry.build()
+        inputs = {"alice": entry.alice_source(SERVER_VALUE, cycles),
+                  "bob": entry.bob_source(CLIENT_VALUE, cycles)}
+        residual_trace(net, cycles)
+        drawn, deltas = self._refuse_random(monkeypatch)
+        res = api.run(net, inputs, mode="protocol", cycles=cycles, ot=ot)
+        assert list(res.outputs) == list(local.outputs)
+        assert len(deltas) == 1 and deltas[0] in drawn
+
+    def test_worker_material_prewarm(self, monkeypatch):
+        from repro.serve.worker import build_material_caches
+
+        prog = registry_program(SEQ_CIRCUIT, SERVER_VALUE)
+        config = {"precompute": True, "material_depth": 2,
+                  "ot": "extension", "ot_group": "modp512"}
+        residual_trace(prog.net, prog.cycles)
+        drawn, deltas = self._refuse_random(monkeypatch)
+        caches = build_material_caches({SEQ_CIRCUIT: prog}, config)
+        assert caches[SEQ_CIRCUIT].prewarm() == 2
+        material, hit = caches[SEQ_CIRCUIT].acquire("client")
+        assert hit and material.delta in drawn
+        assert len(deltas) == 2 and set(deltas) <= drawn
+
+    def test_fresh_garbler_party(self, monkeypatch):
+        from repro.core.protocol import EvaluatorParty, _expand_bits
+        from repro.serve.worker import make_garbler_party
+
+        local = _local_reference(SEQ_CIRCUIT, SERVER_VALUE, CLIENT_VALUE)
+        prog = registry_program(SEQ_CIRCUIT, SERVER_VALUE)
+        bob = _registry()[SEQ_CIRCUIT].bob_source(CLIENT_VALUE, prog.cycles)
+        config = {"ot": "simplest", "ot_group": "modp512"}
+        residual_trace(prog.net, prog.cycles)
+        drawn, deltas = self._refuse_random(monkeypatch)
+        garbler, hit = make_garbler_party(
+            SEQ_CIRCUIT, prog, config, {"session": "fresh"}, materials={})
+        assert hit is None
+        evaluator = EvaluatorParty(
+            prog.net, prog.cycles,
+            _expand_bits(prog.net, "bob", bob, (), prog.cycles),
+            ot_group=config["ot_group"], ot=config["ot"])
+        assert self._run_pair(garbler, evaluator) == list(local.outputs)
+        assert deltas == [garbler.backend.delta] and deltas[0] in drawn

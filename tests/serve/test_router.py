@@ -255,6 +255,13 @@ class TestDrainHandoff:
             assert result.stats.garbled_nonxor == ref.stats.garbled_nonxor
             assert result.reconnects >= 1
 
+            # Completion bookkeeping lands just after the client sees
+            # the result: wait for the adopter to count the session.
+            def counted():
+                agg = fetch_fleet_stats(fleet.host, fleet.port)["aggregate"]
+                return agg["completed"] + agg["failed"] >= 1
+            _await(counted, what="adopter bookkeeping")
+
             agg = fetch_fleet_stats(fleet.host, fleet.port)["aggregate"]
             assert agg["handed_off"] == 1
             assert agg["adopted"] == 1
