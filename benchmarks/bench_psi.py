@@ -86,10 +86,8 @@ def measure() -> dict:
         for name in (WORKLOAD, f"{WORKLOAD}@b{BATCH}")
     }
     with GarbleServer(programs, pool="thread", workers=WORKERS,
-                      ot="extension", ot_group=OT_GROUP,
-                      precompute=False) as srv:
-        with ServeClient(srv.host, srv.port, ot="extension",
-                         ot_group=OT_GROUP) as client:
+                      ot_group=OT_GROUP, precompute=False) as srv:
+        with ServeClient(srv.host, srv.port, ot_group=OT_GROUP) as client:
             # Warm both compiled plans (server and client side) so the
             # measured window is protocol work, not codegen.
             client.run(WORKLOAD, BASE_SEED - 1)
@@ -111,7 +109,6 @@ def measure() -> dict:
         "batch_program": batch.program,
         "batch": BATCH,
         "workers": WORKERS,
-        "ot": "extension",
         "ot_group": OT_GROUP,
         "speedup_gate": _speedup_gate_enabled(),
         "min_speedup_gate": MIN_SPEEDUP,

@@ -17,11 +17,10 @@ GIL caps the measured figure.  On a machine with at least 8 cores the
 4-client figure (throughput rises with client count up to the core
 count); ``$SERVE_SCALING_GATE`` =1/0 forces the gate on/off elsewhere.
 
-A second section measures the **offline/online split**: with
-``ot="extension"`` the per-session fixed cost is dominated by the
-kappa base OTs plus inline garbling, both of which the split moves off
-the connection path (pre-garbled material epochs + per-client base-OT
-reuse).  The "full" wave runs 4 clients against a ``precompute=False``
+A second section measures the **offline/online split**: the
+per-session fixed cost is dominated by the kappa base OTs plus inline
+garbling, both of which the split moves off the connection path
+(pre-garbled material epochs + per-client base-OT reuse).  The "full" wave runs 4 clients against a ``precompute=False``
 server with anonymous clients (every session pays base OTs and
 garbling inline); the "online" wave runs the same 4 operands against a
 pre-warmed material cache with named client identities and one warmup
@@ -148,9 +147,9 @@ def _serve_levels() -> dict:
 def _online_vs_full() -> dict:
     """Measure the offline/online split at SPLIT_CLIENTS clients.
 
-    Both waves run ``ot="extension"`` over the thread pool (the
-    material cache and its build stats live in the parent there, and
-    pool choice cancels out of the ratio).  The *full* wave garbles
+    Both waves run over the thread pool (the material cache and its
+    build stats live in the parent there, and pool choice cancels out
+    of the ratio).  The *full* wave garbles
     inline and runs anonymous clients, so every session pays the kappa
     base OTs plus garbling; the *online* wave replays pre-garbled
     material to named identities whose warmup session seeded the
@@ -159,8 +158,8 @@ def _online_vs_full() -> dict:
     """
     values = [BASE_VALUE + i for i in range(SPLIT_CLIENTS)]
     kw = dict(value=SERVER_VALUE, workers=SPLIT_CLIENTS, queue_depth=32,
-              pool="thread", ot="extension", port=0)
-    lg_kw = dict(values=values, server_value=SERVER_VALUE, ot="extension")
+              pool="thread", port=0)
+    lg_kw = dict(values=values, server_value=SERVER_VALUE)
 
     forget_receiver_bases()
     with make_server([CIRCUIT], precompute=False, **kw) as srv:
@@ -320,8 +319,7 @@ def test_serve_throughput_speedup():
           f"cores={report['cores']}, "
           f"gate {'on' if report['scaling_gate'] else 'off'})")
     split = report["split"]
-    print(f"offline/online split ({split['clients']} clients, "
-          f"ot=extension): full "
+    print(f"offline/online split ({split['clients']} clients): full "
           f"{split['full']['sessions_per_sec']:.2f}/s "
           f"p95 {split['full']['p95_seconds']:.3f}s | online "
           f"{split['online']['sessions_per_sec']:.2f}/s "

@@ -107,7 +107,8 @@ def run(
     # machine memory layout (program runs only)
     machine_config: Optional[Mapping] = None,
     # protocol / party options
-    ot: str = "simplest",
+    # Only benchmarks/spine passes it; ROADMAP item 1(b) deletes it.
+    ot: str = "extension",
     ot_group: str = "modp512",
     timeout: Optional[float] = None,
     # party-mode options
@@ -162,7 +163,10 @@ def run(
         machine_config: memory layout for program runs — keys
             ``alice_words``, ``bob_words``, ``output_words``,
             ``data_words``, ``imem_words``.
-        ot / ot_group: oblivious-transfer flavour for crypto modes.
+        ot_group: DH group of the IKNP base OTs (crypto modes); Bob's
+            input labels always travel by IKNP extension.  ``ot`` names
+            that one transfer (``"extension"``); anything else is a
+            ``ValueError``.
         timeout: channel receive deadline for crypto modes.
         role: party mode only: ``"garbler"``, ``"evaluator"`` or
             ``"both"`` (both parties over the in-memory transport).
@@ -190,6 +194,9 @@ def run(
         also given, overrides the config's address).  Talk to the
         started server with :func:`connect`.
     """
+    from .gc.ot_extension import check_session_ot
+
+    check_session_ot(ot)
     if mode != "local" and engine != "compiled":
         raise ValueError(
             f"engine={engine!r} picks the engine of mode='local'; "
@@ -237,7 +244,6 @@ def run(
         return _run_protocol(
             net,
             run_cycles,
-            ot=ot,
             ot_group=ot_group,
             timeout=timeout,
             obs=obs,
@@ -252,7 +258,7 @@ def run(
         return _run_party(
             program_or_netlist, bits, role,
             cycles=cycles if cycles is not None else 1,
-            ot=ot, ot_group=ot_group, timeout=timeout, obs=obs,
+            ot_group=ot_group, timeout=timeout, obs=obs,
             listen=listen, connect=connect,
             checkpoint_every=checkpoint_every, max_attempts=max_attempts,
             heartbeat=heartbeat, wrap=wrap,
@@ -294,7 +300,6 @@ def run(
                 checkpoint_every=checkpoint_every,
                 timeout=timeout,
                 max_attempts=max_attempts,
-                ot=ot,
                 ot_group=ot_group,
                 heartbeat=heartbeat,
                 precompute=precompute,
@@ -345,8 +350,8 @@ def connect(addr, **kwargs):
     :class:`~repro.serve.router.SessionRouter` fleet front (the client
     cannot tell the difference, by design).  Keyword arguments become
     the handle's per-client defaults — ``client_id``, ``timeout``,
-    ``ot``, ``ot_group``, ``max_attempts``, ``heartbeat``,
-    ``obs`` — overridable per call.
+    ``ot_group``, ``max_attempts``, ``heartbeat``, ``obs`` —
+    overridable per call.
 
     Returns a :class:`~repro.serve.client.ServeClient` usable as a
     context manager::
@@ -399,7 +404,7 @@ def _program_protocol_args(program, bits, machine_config, cycles):
 
 
 def _run_party(
-    net, bits, role, *, cycles, ot, ot_group, timeout, obs,
+    net, bits, role, *, cycles, ot_group, timeout, obs,
     listen, connect, checkpoint_every, max_attempts, heartbeat, wrap,
 ):
     from .net.session import ResumableSession, run_resumable_pair
@@ -410,7 +415,6 @@ def _run_party(
             net,
             cycles,
             ot_group=ot_group,
-            ot=ot,
             checkpoint_every=checkpoint_every,
             timeout=timeout,
             max_attempts=max_attempts,
@@ -439,7 +443,6 @@ def _run_party(
             public=bits.get("public", ()),
             public_init=bits.get("public_init", ()),
             ot_group=ot_group,
-            ot=ot,
             obs=obs,
         )
     else:
@@ -454,7 +457,6 @@ def _run_party(
             public=bits.get("public", ()),
             public_init=bits.get("public_init", ()),
             ot_group=ot_group,
-            ot=ot,
             obs=obs,
         )
 

@@ -12,9 +12,10 @@ and replays it against its own crypto backend.  The replay hands the
 backend *runs*, not rows: a run of garbles is one call of the half-gate
 run kernel (:func:`~repro.gc.garble.garble_run` /
 :func:`~repro.gc.garble.evaluate_run`), a stretch of Alice's input
-labels is one ``alice-label`` frame, and a stretch of Bob's is one OT
-run (``send_many`` / ``receive_many``), framed a pool window at a time
-instead of one round trip per bit.
+labels is one ``alice-label`` frame, and a stretch of Bob's is one IKNP
+extension run (:mod:`repro.gc.ot_extension`: ``send_many`` /
+``receive_many``), framed a pool window at a time instead of one round
+trip per bit.
 
 The protocol logic lives in two *party* objects —
 :class:`GarblerParty` and :class:`EvaluatorParty` — that are agnostic
@@ -78,8 +79,12 @@ from ..gc.garble import (
     random_label,
 )
 from ..gc.hashing import HASH_STATS, LABEL_BYTES
-from ..gc.ot import OTReceiver, OTSender, pack_bits, unpack_bits
-from ..gc.ot_extension import OTExtensionReceiver, OTExtensionSender
+from ..gc.ot import pack_bits, unpack_bits
+from ..gc.ot_extension import (
+    OTExtensionReceiver,
+    OTExtensionSender,
+    check_session_ot,
+)
 from ..obs import NULL_OBS, timing_summary
 from .backend import Backend
 from .results import BaseResult
@@ -113,7 +118,6 @@ class GarblerBackend(Backend):
         chan: Optional[Endpoint],
         alice_bits: Dict[Hashable, int],
         ot_group: str = "modp2048",
-        ot: str = "simplest",
         rng=None,
         ot_factory=None,
         delta: Optional[int] = None,
@@ -131,10 +135,8 @@ class GarblerBackend(Backend):
             # The serve layer injects pre-configured OT objects (cached
             # base OTs, session-unique salts).
             self._ot = ot_factory(chan)
-        elif ot == "extension":
-            self._ot = OTExtensionSender(chan, group=ot_group, rng=rng)
         else:
-            self._ot = OTSender(chan, group=ot_group)
+            self._ot = OTExtensionSender(chan, group=ot_group, rng=rng)
         #: Gate key -> 32-byte table, for the cycle being garbled.
         self._pending: Dict[int, bytes] = {}
         self._gid = 0
@@ -228,7 +230,6 @@ class EvaluatorBackend(Backend):
         chan: Endpoint,
         bob_bits: Dict[Hashable, int],
         ot_group: str = "modp2048",
-        ot: str = "simplest",
         rng=None,
         ot_factory=None,
     ) -> None:
@@ -238,10 +239,8 @@ class EvaluatorBackend(Backend):
         self._bob_bits = bob_bits
         if ot_factory is not None:
             self._ot = ot_factory(chan)
-        elif ot == "extension":
-            self._ot = OTExtensionReceiver(chan, group=ot_group, rng=rng)
         else:
-            self._ot = OTReceiver(chan, group=ot_group)
+            self._ot = OTExtensionReceiver(chan, group=ot_group, rng=rng)
         self._blob = b""
         self._offsets: Dict[int, int] = {}
         self._gid = 0
@@ -343,7 +342,6 @@ class _Party:
         public: BitSource = (),
         public_init: Sequence[int] = (),
         ot_group: str = "modp2048",
-        ot: str = "simplest",
         rng=None,
         obs=None,
         ot_factory=None,
@@ -354,7 +352,6 @@ class _Party:
         self._public = public
         self._public_init = public_init
         self._ot_group = ot_group
-        self._ot_kind = ot
         self._ot_factory = ot_factory
         self._rng = rng
         self.obs = NULL_OBS if obs is None else obs
@@ -459,7 +456,6 @@ class GarblerParty(_Party):
             chan,
             self._bits,
             ot_group=self._ot_group,
-            ot=self._ot_kind,
             rng=self._rng,
             ot_factory=self._ot_factory,
         )
@@ -497,7 +493,6 @@ class EvaluatorParty(_Party):
             chan,
             self._bits,
             ot_group=self._ot_group,
-            ot=self._ot_kind,
             rng=self._rng,
             ot_factory=self._ot_factory,
         )
@@ -569,7 +564,8 @@ def make_parties(
     bob_init: Sequence[int] = (),
     public_init: Sequence[int] = (),
     ot_group: str = "modp512",
-    ot: str = "simplest",
+    # Only benchmarks/spine passes it; ROADMAP item 1(b) deletes it.
+    ot: str = "extension",
     obs=None,
     seed: Optional[int] = None,
 ) -> Tuple[GarblerParty, EvaluatorParty]:
@@ -580,6 +576,7 @@ def make_parties(
     needs only its own private bits).  ``seed`` makes label generation
     deterministic (testing); the default draws from the OS.
     """
+    check_session_ot(ot)
     a_rng = random.Random(seed) if seed is not None else None
     b_rng = random.Random(seed + 1) if seed is not None else None
     return (
@@ -590,7 +587,6 @@ def make_parties(
             public=public,
             public_init=public_init,
             ot_group=ot_group,
-            ot=ot,
             rng=a_rng,
             obs=obs,
         ),
@@ -601,7 +597,6 @@ def make_parties(
             public=public,
             public_init=public_init,
             ot_group=ot_group,
-            ot=ot,
             rng=b_rng,
             obs=obs,
         ),
@@ -618,7 +613,6 @@ def _run_protocol(
     bob_init: Sequence[int] = (),
     public_init: Sequence[int] = (),
     ot_group: str = "modp512",
-    ot: str = "simplest",
     timeout: Optional[float] = None,
     obs=None,
     seed: Optional[int] = None,
@@ -630,9 +624,8 @@ def _run_protocol(
     cycle) and ``public_init`` (the public input ``p``).  At the end
     Bob sends his output labels to Alice, Alice decodes and shares the
     cleartext result (Algorithm 1 lines 16-17), so both learn ``c``.
-    ``ot`` selects the input-label transfer: ``"simplest"`` (one DH OT
-    per bit) or ``"extension"`` (IKNP: kappa base OTs amortized over
-    all of Bob's input bits).
+    Bob's input labels travel by IKNP extension: kappa base OTs
+    amortized over all of his input bits.
 
     ``timeout`` is the channel receive deadline; the default ``None``
     blocks until the peer delivers or aborts (large circuits exceed
@@ -656,7 +649,6 @@ def _run_protocol(
         bob_init=bob_init,
         public_init=public_init,
         ot_group=ot_group,
-        ot=ot,
         obs=obs,
         seed=seed,
     )

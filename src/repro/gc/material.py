@@ -54,6 +54,7 @@ from types import SimpleNamespace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .channel import ProtocolDesync
+from .ot_extension import check_session_ot
 
 
 class MaterialEpochMismatch(ProtocolDesync):
@@ -97,7 +98,8 @@ def build_material(
     alice_init: Sequence[int] = (),
     public: Sequence[int] = (),
     public_init: Sequence[int] = (),
-    ot: str = "simplest",
+    # Only benchmarks/spine passes it; ROADMAP item 1(b) deletes it.
+    ot: str = "extension",
     epoch: int = 0,
     rng=None,
 ) -> GarbledMaterial:
@@ -109,15 +111,14 @@ def build_material(
     as a fresh garbler draws it: delta, then labels in trace order.
     ``alice`` / ``alice_init`` are the garbler's operand sources
     exactly as a :class:`~repro.serve.server.ServeProgram` holds them.
-    The record is the same for either ``ot`` kind (the live OT frames
-    the recorded pairs at replay); the keyword stays for callers that
-    pass the session's.
+    The live IKNP extension frames the recorded pairs at replay.
     """
     # Imported lazily: core imports gc, not the other way around.
     from ..core.protocol import GarblerBackend, _expand_bits
     from ..core.trace import TraceReplayer, residual_trace
     from ..net.session import net_digest
 
+    check_session_ot(ot)
     t0 = time.perf_counter()
     backend = GarblerBackend(
         None, _expand_bits(net, "alice", alice, alice_init, cycles), rng=rng)
@@ -289,7 +290,6 @@ class MaterialGarblerParty:
         material: GarbledMaterial,
         *,
         ot_group: str = "modp512",
-        ot: str = "simplest",
         ot_factory=None,
         obs=None,
         resume: bool = False,
@@ -300,7 +300,7 @@ class MaterialGarblerParty:
         self.material_epoch = material.epoch
         #: The ``net-hello`` digest the material was garbled for.
         self.digest = material.digest
-        self._ot_args = dict(ot_group=ot_group, ot=ot, ot_factory=ot_factory)
+        self._ot_args = dict(ot_group=ot_group, ot_factory=ot_factory)
         self.obs = obs
         self.chan = None
         self.backend = None

@@ -1,13 +1,15 @@
-"""1-out-of-2 Oblivious Transfer (Section 2.2).
+"""1-out-of-2 random Oblivious Transfer: the IKNP base phase (Section 2.2).
 
-Implements the "simplest OT" of Chou-Orlandi style Diffie-Hellman OT
-over a multiplicative prime group.  Its core is a *random* OT: the
-sender ends up with two 16-byte pads ``(x0, x1)``, the receiver with
-``x_c`` for its choice bit ``c`` and nothing about ``x_{1-c}``, and the
-sender learns nothing about ``c``.  Each pad is a DH key hashed
-together with the transfer index (:func:`_pad`), so no pad ever
-crosses the wire.  A chosen-message OT of Alice's ``(m0, m1)`` is that
-core plus one reply frame of ``m0 ^ x0, m1 ^ x1``.
+Implements Chou-Orlandi style Diffie-Hellman OT over a multiplicative
+prime group, as a *random* OT: the sender ends
+up with two 16-byte pads ``(x0, x1)``, the receiver with ``x_c`` for
+its choice bit ``c`` and nothing about ``x_{1-c}``, and the sender
+learns nothing about ``c``.  Each pad is a DH key hashed together with
+the transfer index (:func:`_pad`), so no pad ever crosses the wire.
+This is all a session uses public-key OT for: the kappa base OTs of
+:mod:`repro.gc.ot_extension`, whose pads are the IKNP seeds.  Bob's
+input labels (Algorithms 1-2 lines 3-4) always travel through the
+extension.
 
 Two parameter sets are provided:
 
@@ -26,15 +28,12 @@ modular multiplications.
 
 Transfers run a :func:`windows` of ``POOL_SIZE`` at a time: the sender's
 one ``ot-setup`` frame (``A``), then per window one ``ot-b`` frame (the
-window's group elements, back to back) from the receiver.  That is the
-whole random OT (``send_random`` / ``receive_random``; the IKNP base
-phase of :mod:`repro.gc.ot_extension` is this and nothing more).  The
-transfer of Bob's GC input labels (Algorithms 1-2 lines 3-4) adds, per
-window, one ``ot-e`` frame of masked message pairs (``send_many`` /
-``receive_many``).  No frame carries a count: both sides derive the
-window boundaries from the public run length, and a frame of any other
-length is a :class:`~repro.gc.channel.FrameCorruption`.  Group elements
-are **fixed-width** little-endian (the group size in bytes), so
+window's group elements, back to back) from the receiver, and nothing
+back (``send_random`` / ``receive_random``).  No frame carries a count:
+both sides derive the window boundaries from the public run length,
+and a frame of any other length is a
+:class:`~repro.gc.channel.FrameCorruption`.  Group elements are
+**fixed-width** little-endian (the group size in bytes), so
 communication totals are deterministic and independent of the random
 element values.
 
@@ -223,7 +222,8 @@ class BaseOTCache:
 
 
 class OTSender:
-    """Alice's side: transfers one of (m0, m1) per invocation."""
+    """Random-OT sender: a pad pair per transfer (in IKNP, the
+    extension *receiver*'s side of the base phase)."""
 
     def __init__(self, chan: Endpoint, group: str = "modp2048") -> None:
         self.p, self.g = GROUPS[group]
@@ -248,10 +248,6 @@ class OTSender:
             )
             self._setup_sent = True
 
-    def send(self, m0: int, m1: int) -> None:
-        """Obliviously transfer one of two 128-bit messages."""
-        self.send_many(((m0, m1),))
-
     def send_random(self, n: int) -> List[Tuple[int, int]]:
         """``n`` random OTs, a window at a time: one ``ot-b`` frame in
         per window, nothing out.  Transfer ``i``'s pads are ``B^a`` and
@@ -274,17 +270,6 @@ class OTSender:
                          _pad(k1.to_bytes(width, "little"), self.count)))
             self.count += 1
         return pads
-
-    def send_many(self, pairs: Sequence[Tuple[int, int]]) -> None:
-        """:meth:`send` for each pair, a window at a time: the window's
-        random OTs, then one ``ot-e`` frame of its messages under their
-        pads."""
-        for part in windows(pairs, POOL_SIZE):
-            pads = self._random_window(len(part))
-            self.chan.send("ot-e", b"".join(
-                ((m0 ^ x0).to_bytes(LABEL_BYTES, "little")
-                 + (m1 ^ x1).to_bytes(LABEL_BYTES, "little"))
-                for (m0, m1), (x0, x1) in zip(part, pads)))
 
     # -- resume hooks --------------------------------------------------------
 
@@ -310,7 +295,8 @@ class OTSender:
 
 
 class OTReceiver:
-    """Bob's side: learns ``m[choice]`` and nothing else."""
+    """Random-OT receiver: the chosen pad of each pair and nothing else
+    (in IKNP, the extension *sender*'s side of the base phase)."""
 
     def __init__(self, chan: Endpoint, group: str = "modp2048") -> None:
         self.p, self.g = GROUPS[group]
@@ -330,16 +316,6 @@ class OTReceiver:
                 raise ValueError("OT sender sent an invalid group element")
         if self._a_table is None:
             self._a_table = _fixed_base_table(self._big_a, self.p)
-
-    def receive(self, choice: int) -> int:
-        """Receive the message selected by ``choice`` (0 or 1)."""
-        return self.receive_many((choice,))[0]
-
-    def receive_many(self, choices: Sequence[int]) -> List[int]:
-        """:meth:`receive` for each choice, a window at a time (see
-        :func:`windows`)."""
-        return [m for part in windows(choices, POOL_SIZE)
-                for m in self._receive_window(part)]
 
     def receive_random(self, choices: Sequence[int]) -> List[int]:
         """The pad ``x_c`` of one random OT per choice, a window at a
@@ -363,11 +339,6 @@ class OTReceiver:
         return [_pad(_fixed_pow(self._a_table, b, p).to_bytes(width, "little"),
                      first + j)
                 for j, b in enumerate(exps)]
-
-    def _receive_window(self, choices: Sequence[int]) -> List[int]:
-        pads = self._random_window(choices)
-        halves = chosen_halves(self.chan.recv("ot-e"), choices, "ot-e")
-        return [int.from_bytes(half, "little") ^ x for half, x in zip(halves, pads)]
 
     # -- resume hooks --------------------------------------------------------
 

@@ -198,7 +198,6 @@ def run_party(args) -> int:
             role="both",
             cycles=cycles,
             ot_group=args.ot_group,
-            ot=args.ot,
             checkpoint_every=args.checkpoint_every,
             timeout=args.timeout,
             max_attempts=max_attempts,
@@ -241,7 +240,6 @@ def run_party(args) -> int:
         role=args.role,
         cycles=cycles,
         ot_group=args.ot_group,
-        ot=args.ot,
         timeout=args.timeout,
         listen=listen,
         connect=connect,
@@ -275,6 +273,9 @@ def add_party_parser(sub) -> None:
         "circuit over a real transport.  Start the garbler (listener) "
         "first, then the evaluator (dialer); with --resume both sides "
         "survive disconnects via cycle-level checkpoint/replay.",
+        # Whole flag names only: a removed ``--ot`` must not resolve to
+        # ``--ot-group``.
+        allow_abbrev=False,
     )
     p.add_argument("role", choices=("garbler", "evaluator", "both"))
     p.add_argument("--circuit", default="", help="registry circuit name "
@@ -298,7 +299,6 @@ def add_party_parser(sub) -> None:
                    help="receive/accept deadline in seconds")
     p.add_argument("--heartbeat", type=float, default=None, metavar="SECONDS",
                    help="send keepalive frames when idle this long")
-    p.add_argument("--ot", choices=("simplest", "extension"), default="simplest")
     p.add_argument("--ot-group", choices=("modp512", "modp2048"),
                    default="modp512")
     p.add_argument("--json", action="store_true",

@@ -352,7 +352,6 @@ def run_resumable_pair(
     bob_init=(),
     public_init=(),
     ot_group: str = "modp512",
-    ot: str = "simplest",
     checkpoint_every: int = 1,
     timeout: Optional[float] = 10.0,
     max_attempts: int = 6,
@@ -379,7 +378,6 @@ def run_resumable_pair(
         bob_init=bob_init,
         public_init=public_init,
         ot_group=ot_group,
-        ot=ot,
         obs=obs,
     )
     rendezvous = MemoryRendezvous(wrap=wrap)

@@ -146,7 +146,6 @@ def run_loadgen_cmd(args) -> int:
         base_value=args.value_base,
         server_value=args.server_value,
         timeout=args.timeout,
-        ot=args.ot,
         ot_group=args.ot_group,
         verify=not args.no_verify,
         client_procs=args.client_procs,
@@ -205,6 +204,9 @@ def add_serve_parser(sub) -> None:
         "concurrent evaluator sessions over one TCP listener, with a "
         "bounded worker pool, admission control and graceful drain on "
         "SIGTERM.",
+        # Whole flag names only: a removed ``--ot`` must not resolve to
+        # ``--ot-group``.
+        allow_abbrev=False,
     )
     p.add_argument("--circuit", action="append", metavar="NAME",
                    help="registry circuit to serve (repeatable; "
@@ -257,8 +259,6 @@ def add_serve_parser(sub) -> None:
                         "refused (default 10000)")
     p.add_argument("--max-sessions", type=int, default=None, metavar="N",
                    help="drain and exit after N sessions finished (CI)")
-    p.add_argument("--ot", choices=("simplest", "extension"),
-                   default="simplest")
     p.add_argument("--ot-group", choices=("modp512", "modp2048"),
                    default="modp512")
     p.add_argument("--no-precompute", action="store_true",
@@ -328,6 +328,7 @@ def add_loadgen_parser(sub) -> None:
         description="Run K concurrent evaluator sessions against a running "
         "`repro serve` server and verify every result; exits non-zero on "
         "any failed, rejected or unverified session.",
+        allow_abbrev=False,  # as ``serve``
     )
     p.add_argument("--connect", required=True, metavar="HOST:PORT")
     p.add_argument("--circuit", default="sum32")
@@ -347,8 +348,6 @@ def add_loadgen_parser(sub) -> None:
                    help="the server's --value; arms full result "
                         "verification against the local simulator")
     p.add_argument("--timeout", type=float, default=30.0)
-    p.add_argument("--ot", choices=("simplest", "extension"),
-                   default="simplest")
     p.add_argument("--ot-group", choices=("modp512", "modp2048"),
                    default="modp512")
     p.add_argument("--client-procs", action="store_true",

@@ -10,14 +10,17 @@ own private bits.  On a dropped connection the session redials the
 link to the live worker and both sides resume from the last common
 checkpoint.
 
-A client that names itself (``client_id=``) opts into **base-OT
-reuse**: after its first successful ``ot="extension"`` session the
-receiver-side base-OT seeds are cached per ``(host, port, client_id)``
-together with the id of the session that ran their base phase, the
-next hello advertises that id (``"base_ot": "<session id>"``), and a
-server whose stored sender side came from the same session answers
-``"base_ot": "cached"`` — both sides then skip the kappa base DH OTs
-and re-derive fresh extension pools under a session-unique PRG salt.
+Bob's input labels travel by IKNP OT extension under a session-unique
+PRG salt (:func:`~repro.gc.ot_extension.session_salt`), and every
+welcome says whether the kappa base OTs run (``"base_ot": "fresh"``)
+or are reused (``"cached"``).  A client that names itself
+(``client_id=``) opts into **base-OT reuse**: after its first
+successful session the receiver-side base-OT seeds are cached per
+``(host, port, client_id)`` together with the id of the session that
+ran their base phase, the next hello advertises that id
+(``"base_ot": "<session id>"``), and a server whose stored sender side
+came from the same session answers ``"cached"`` — both sides then skip
+the kappa base DH OTs and re-derive fresh extension pools.
 Any disagreement — including one identity whose sessions reach two
 shards, or one shard both directly and through a router — degrades to
 a fresh base phase, never to a protocol error.
@@ -37,6 +40,7 @@ explicitly (``op: "result"``) without ever joining the session.
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 import uuid
@@ -45,7 +49,11 @@ from typing import Callable, Optional, Sequence, Union
 from ..circuit.netlist import Netlist
 from ..core.protocol import EvaluatorParty, _expand_bits
 from ..gc.channel import ChannelStats
-from ..gc.ot_extension import OTExtensionReceiver, session_salt
+from ..gc.ot_extension import (
+    OTExtensionReceiver,
+    check_session_ot,
+    session_salt,
+)
 from ..net.links import Link, LinkTimeout, PrefacedLink
 from ..net.session import ResumableSession, SessionResult
 from ..net.tcp import connect_with_backoff
@@ -351,7 +359,6 @@ def run_session(
     public: BitSource = (),
     public_init: Sequence[int] = (),
     cycles: Optional[int] = None,
-    ot: str = "simplest",
     ot_group: str = "modp512",
     timeout: Optional[float] = 30.0,
     max_attempts: int = 6,
@@ -365,10 +372,9 @@ def run_session(
     netlist (the ``net-hello`` digest check enforces this).  ``cycles``
     may be omitted — the server's welcome names it; if given, a
     mismatch fails before any protocol traffic.  ``client_id`` is a
-    stable identity across sessions; with ``ot="extension"`` it
-    enables base-OT reuse (see the module docstring) and lets the
-    server audit that pre-garbled delta epochs are never shared across
-    identities.  ``wrap(attempt, link) -> link`` is the
+    stable identity across sessions; it enables base-OT reuse (see the
+    module docstring) and lets the server audit that pre-garbled delta
+    epochs are never shared across identities.  ``wrap(attempt, link) -> link`` is the
     fault-injection splice point (tests wrap a connection attempt in a
     :class:`~repro.net.fault.FaultyTransport`).  ``garbler_key``
     selects a per-session garbler operand out of the program's keyed
@@ -386,15 +392,13 @@ def run_session(
     if client_id:
         hello["client"] = client_id
         base_key = (host, port, client_id)
-        if ot == "extension":
-            # Snapshot the cached base now: the hello's advertisement
-            # and the base actually used must be the same material.
-            # The advertisement is the id of the session whose base
-            # phase made it (servers that predate the tag read it as
-            # the plain truthy flag it used to be).
-            advertised_base = _cached_receiver_base(base_key)
-            if advertised_base is not None:
-                hello["base_ot"] = advertised_base[0]
+        # Snapshot the cached base now: the hello's advertisement and
+        # the base actually used must be the same material.  The
+        # advertisement is the id of the session whose base phase made
+        # it.
+        advertised_base = _cached_receiver_base(base_key)
+        if advertised_base is not None:
+            hello["base_ot"] = advertised_base[0]
     state = {"attempt": 0, "first": None}
     #: Mutable dial target: a drain-time ``moved`` redirect rewrites
     #: it so mid-session redials chase the session to its new shard.
@@ -434,20 +438,13 @@ def run_session(
     run_cycles = welcome["cycles"] if cycles is None else cycles
     state["first"] = first
 
-    # A welcome carrying "base_ot" marks a material-aware extension-OT
-    # server: both sides then derive their extension pools under the
-    # session-unique salt, and skip the base phase entirely when the
-    # server answered "cached" (it kept our sender side).
-    base_mode = welcome.get("base_ot") if ot == "extension" else None
-    ot_factory = None
-    if base_mode is not None:
-        reuse = advertised_base[1] if base_mode == "cached" else None
-        salt = session_salt(sid)
-
-        def ot_factory(chan, _base=reuse, _salt=salt):
-            return OTExtensionReceiver(
-                chan, group=ot_group, base=_base, salt=_salt
-            )
+    # Both sides derive their extension pools under the session-unique
+    # salt, and skip the base phase entirely when the server answered
+    # "cached" (it kept our sender side).
+    base_mode = welcome.get("base_ot")
+    ot_factory = functools.partial(
+        OTExtensionReceiver, group=ot_group, salt=session_salt(sid),
+        base=advertised_base[1] if base_mode == "cached" else None)
 
     party = EvaluatorParty(
         net,
@@ -456,7 +453,6 @@ def run_session(
         public=public,
         public_init=public_init,
         ot_group=ot_group,
-        ot=ot,
         obs=obs,
         ot_factory=ot_factory,
     )
@@ -486,9 +482,7 @@ def run_session(
     if base_mode == "fresh" and base_key is not None:
         # This session ran a real base phase: keep the receiver side so
         # the next session under this identity can skip it.
-        export = getattr(party.backend._ot, "export_base", None)
-        if export is not None:
-            _store_receiver_base(base_key, (sid, export()))
+        _store_receiver_base(base_key, (sid, party.backend._ot.export_base()))
     return result
 
 
@@ -497,7 +491,7 @@ class ServeClient:
 
     This is the object :func:`repro.api.connect` returns: it bundles
     the endpoint address with per-client defaults (identity, OT
-    flavour, timeout) so call sites stop threading a dozen
+    group, timeout) so call sites stop threading a dozen
     kwargs through every session.  Each operation opens its own
     connection (the serve protocol is a hello/welcome exchange per
     connection), so the handle itself holds no socket; the context-
@@ -517,17 +511,18 @@ class ServeClient:
         *,
         client_id: Optional[str] = None,
         timeout: Optional[float] = 30.0,
-        ot: str = "simplest",
+        # Only benchmarks/spine passes it; ROADMAP item 1(b) deletes it.
+        ot: str = "extension",
         ot_group: str = "modp512",
         max_attempts: int = 6,
         heartbeat: Optional[float] = None,
         obs=NULL_OBS,
     ) -> None:
+        check_session_ot(ot)
         self.host = str(host)
         self.port = int(port)
         self.client_id = client_id
         self.timeout = timeout
-        self.ot = ot
         self.ot_group = ot_group
         self.max_attempts = max_attempts
         self.heartbeat = heartbeat
@@ -541,7 +536,6 @@ class ServeClient:
         merged = {
             "client_id": self.client_id,
             "timeout": self.timeout,
-            "ot": self.ot,
             "ot_group": self.ot_group,
             "max_attempts": self.max_attempts,
             "heartbeat": self.heartbeat,

@@ -19,9 +19,10 @@ the config it echoes, and nothing mutates it after construction.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import InitVar, asdict, dataclass, fields, replace
 from typing import Optional, Tuple
 
+from ..gc.ot_extension import check_session_ot
 from ..net.tcp import parse_hostport  # re-exported: its public home
 from .handshake import MAX_HELLO_BYTES
 
@@ -53,7 +54,6 @@ class ServeConfig:
     replay_capacity: int = 256
     max_connections: int = 10_000
     max_hello_bytes: int = MAX_HELLO_BYTES
-    ot: str = "simplest"
     ot_group: str = "modp512"
     heartbeat: Optional[float] = None
     max_sessions: Optional[int] = None
@@ -68,6 +68,11 @@ class ServeConfig:
     #: trust domain, so this stays off outside a fleet deployment) and
     #: honor ``op: "drain"`` requests naming handoff peers.
     fleet: bool = False
+    # Only benchmarks/spine passes it; ROADMAP item 1(b) deletes it.
+    ot: InitVar[str] = "extension"
+
+    def __post_init__(self, ot: str) -> None:
+        check_session_ot(ot)
 
     @classmethod
     def from_args(cls, args) -> "ServeConfig":
@@ -85,7 +90,6 @@ class ServeConfig:
             idle_timeout=args.idle_timeout,
             replay_ttl=args.replay_ttl,
             max_connections=args.max_connections,
-            ot=args.ot,
             ot_group=args.ot_group,
             heartbeat=args.heartbeat,
             max_sessions=args.max_sessions,

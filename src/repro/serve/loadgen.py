@@ -110,7 +110,7 @@ def _make_client(host: str, port: int, i: int, spec: dict) -> ServeClient:
         host, port,
         client_id=_client_id(spec, i),
         timeout=spec["timeout"], max_attempts=spec["max_attempts"],
-        ot=spec["ot"], ot_group=spec["ot_group"],
+        ot_group=spec["ot_group"],
     )
 
 
@@ -119,7 +119,7 @@ def _warmup_client(i: int, value: int, client: ServeClient, circuit: str,
     """Unmeasured sessions before the release barrier.
 
     Primes the serve-side caches for this client's identity (base-OT
-    material after the first extension session) so the measured window
+    material after the first session) so the measured window
     observes the steady online phase, not first-contact costs.
     """
     for w in range(spec.get("warmup", 0)):
@@ -238,7 +238,6 @@ def run_loadgen(
     session_prefix: Optional[str] = None,
     timeout: Optional[float] = 30.0,
     max_attempts: int = 3,
-    ot: str = "simplest",
     ot_group: str = "modp512",
     verify: bool = True,
     client_procs: bool = False,
@@ -307,7 +306,7 @@ def run_loadgen(
     prefix = session_prefix or f"loadgen-{uuid.uuid4().hex[:8]}"
     spec = {
         "timeout": timeout, "max_attempts": max_attempts,
-        "ot": ot, "ot_group": ot_group,
+        "ot_group": ot_group,
         "client_prefix": client_prefix, "warmup": warmup,
         "prefix": prefix, "busy_retries": busy_retries,
     }

@@ -762,22 +762,20 @@ class GarbleServer:
                           f"{name!r}", garbler_keys=sorted(table))
                 return
             sess.garbler_key = welcome["garbler_key"] = gkey
-        if self.config.ot == "extension":
-            # Base-OT reuse negotiation: a returning client advertises
-            # the session id whose fresh base phase produced the
-            # receiver material it holds ("base_ot" in the hello) and
-            # gets "cached" back iff the sender side stored here came
-            # from that same phase; anything else — nothing stored, or
-            # a base from a session this client ran against another
-            # shard or endpoint in between — answers "fresh" and both
-            # sides run the base phase again.  Decided here,
-            # snapshotted on the session, so the welcome and the
-            # worker's ``run`` message agree even if the cache churns.
-            stored = self._client_bases.get(sess.client)
-            if stored is not None and stored[0] == hello.get("base_ot"):
-                sess.ot_base = stored[1]
-            welcome["base_ot"] = (
-                "cached" if sess.ot_base is not None else "fresh")
+        # Base-OT reuse negotiation: a returning client advertises the
+        # session id whose fresh base phase produced the receiver
+        # material it holds ("base_ot" in the hello) and gets "cached"
+        # back iff the sender side stored here came from that same
+        # phase; anything else — nothing stored, or a base from a
+        # session this client ran against another shard or endpoint in
+        # between — answers "fresh" and both sides run the base phase
+        # again.  Decided here, snapshotted on the session, so the
+        # welcome and the worker's ``run`` message agree even if the
+        # cache churns.
+        stored = self._client_bases.get(sess.client)
+        if stored is not None and stored[0] == hello.get("base_ot"):
+            sess.ot_base = stored[1]
+        welcome["base_ot"] = "cached" if sess.ot_base is not None else "fresh"
         if self._admit(sess, link, welcome, "accepted"):
             self._deliver_link(sess, link, leftover)
 
@@ -1054,7 +1052,7 @@ class GarbleServer:
         that rides its spawn arguments."""
         config = {key: getattr(self.config, key) for key in (
             "checkpoint_every", "timeout", "resume_window", "max_attempts",
-            "ot", "ot_group", "heartbeat", "precompute",
+            "ot_group", "heartbeat", "precompute",
             "material_depth",
         )}
         if config["resume_window"] is None:

@@ -50,6 +50,7 @@ so in-flight sessions finish.
 
 from __future__ import annotations
 
+import functools
 import queue
 import signal
 import socket
@@ -216,16 +217,8 @@ def build_material_caches(programs: dict, config: dict) -> dict:
 def _sender_ot_factory(config: dict, sid: str, ot_base):
     """Garbler-side OT factory for one serve session: session-unique
     PRG salt always, cached base material when the handshake agreed."""
-    if config["ot"] != "extension":
-        return None
-    salt = session_salt(sid)
-
-    def factory(chan):
-        return OTExtensionSender(
-            chan, group=config["ot_group"], base=ot_base, salt=salt
-        )
-
-    return factory
+    return functools.partial(OTExtensionSender, group=config["ot_group"],
+                             base=ot_base, salt=session_salt(sid))
 
 
 def _reader_loop(chan: MsgChannel, runq: "queue.Queue", sessions: dict,
@@ -298,7 +291,6 @@ def make_garbler_party(name: str, prog, config: dict, run_msg: dict,
         party = MaterialGarblerParty(
             material,
             ot_group=config["ot_group"],
-            ot=config["ot"],
             ot_factory=ot_factory,
             obs=obs,
         )
@@ -316,7 +308,6 @@ def make_garbler_party(name: str, prog, config: dict, run_msg: dict,
         public=prog.public,
         public_init=prog.public_init,
         ot_group=config["ot_group"],
-        ot=config["ot"],
         obs=obs,
         ot_factory=ot_factory,
     )
@@ -342,7 +333,6 @@ def make_adopted_party(prog, config: dict, run_msg: dict, obs=NULL_OBS):
     return MaterialGarblerParty(
         bundle["material"],
         ot_group=config["ot_group"],
-        ot=config["ot"],
         ot_factory=ot_factory,
         obs=obs,
         resume=True,
@@ -401,16 +391,6 @@ def replay_payload(result, party) -> Optional[dict]:
         "garbled_nonxor": getattr(stats, "garbled_nonxor", -1),
         "tables_sent": getattr(backend, "tables_sent", -1),
     }
-
-
-def exportable_ot_base(party, config: dict, run_msg: dict):
-    """Sender-side base-OT material worth caching: only when this
-    session ran a *fresh* base phase (nothing cached was supplied)."""
-    if config["ot"] != "extension" or run_msg.get("ot_base") is not None:
-        return None
-    ot = getattr(party.backend, "_ot", None)
-    export = getattr(ot, "export_base", None)
-    return export() if export is not None else None
 
 
 def _ship_handoff(chan: MsgChannel, sess: _WorkerSession, session,
@@ -516,10 +496,10 @@ def _run_one(chan: MsgChannel, sess: _WorkerSession, run_msg: dict,
         replay = replay_payload(result, party)
         if replay is not None:
             msg["replay"] = replay
-        if error is None:
-            base = exportable_ot_base(party, config, run_msg)
-            if base is not None:
-                msg["ot_base_export"] = base
+        if error is None and run_msg.get("ot_base") is None:
+            # This session ran a fresh base phase (nothing cached was
+            # supplied): its sender side is worth caching.
+            msg["ot_base_export"] = party.backend._ot.export_base()
         if error is not None:
             msg["error"] = f"{type(error).__name__}: {error}"
         try:

@@ -7,8 +7,8 @@ workload's netlist is built with ``B`` Bob query slots sharing Alice's
 input wires (see :func:`repro.workloads.psi.build_psi`), and one
 ordinary session over that netlist answers ``B`` queries.  What
 amortizes is everything paid per *session* rather than per *gate*:
-dial + handshake, admission, the base-OT phase (kappa DH exchanges
-under ``ot="extension"``), Alice's input-label transfer, and the
+dial + handshake, admission, the IKNP base-OT phase (kappa DH
+exchanges), Alice's input-label transfer, and the
 scheduling/decode overhead — which is why a batch of N queries beats N
 independent sessions (the ``psi_batch_speedup`` gate in
 ``benchmarks/bench_psi.py``).
@@ -120,7 +120,6 @@ def run_batch(
     *,
     server_value: int = 0,
     mode: str = "local",
-    ot: str = "extension",
     ot_group: str = "modp512",
     timeout: Optional[float] = None,
     seed: Optional[int] = None,
@@ -152,7 +151,7 @@ def run_batch(
     }
     kwargs = dict(mode=mode, cycles=cycles, obs=obs)
     if mode == "protocol":
-        kwargs.update(ot=ot, ot_group=ot_group, timeout=timeout,
+        kwargs.update(ot_group=ot_group, timeout=timeout,
                       seed=seed)
     elif seed is not None:
         kwargs.update(seed=seed)

@@ -158,23 +158,20 @@ class TestMisconfiguration:
 # Run frames: a frame of the wrong shape is a structured reject.
 # ---------------------------------------------------------------------------
 
-#: (tag, OT kind, the party that sends it): every frame whose length the
+#: (tag, the party that sends it): every frame whose length the
 #: receiver derives from the trace or a public run length.  The
 #: extension base phase is ``ot-setup`` (evaluator) and ``ot-b``
 #: (garbler): its base OTs are random, so no ``ot-e`` comes back.
 RESHAPED = [
-    ("tables", "simplest", "garbler"),
-    ("alice-label", "simplest", "garbler"),
-    ("ot-setup", "simplest", "garbler"),
-    ("ot-b", "simplest", "evaluator"),
-    ("ot-e", "simplest", "garbler"),
-    ("ot-setup", "extension", "evaluator"),
-    ("ot-b", "extension", "garbler"),
-    ("otx-u", "extension", "evaluator"),
-    ("otx-d", "extension", "evaluator"),
-    ("otx-e", "extension", "garbler"),
-    ("outputs", "simplest", "evaluator"),
-    ("result", "simplest", "garbler"),
+    ("tables", "garbler"),
+    ("alice-label", "garbler"),
+    ("ot-setup", "evaluator"),
+    ("ot-b", "garbler"),
+    ("otx-u", "evaluator"),
+    ("otx-d", "evaluator"),
+    ("otx-e", "garbler"),
+    ("outputs", "evaluator"),
+    ("result", "garbler"),
 ]
 
 
@@ -186,12 +183,12 @@ def _case(name):
                          "bob": entry.bob_source(34, cycles)}
 
 
-def _run_parties(name, ot, tap=None):
+def _run_parties(name, tap=None):
     """One in-process run of registry circuit ``name``; ``tap(role,
     end)`` may wrap an endpoint first.  Returns each role's exception."""
     net, cycles, inputs = _case(name)
     ends = dict(zip(("garbler", "evaluator"), channel_pair(timeout=30.0)))
-    parties = dict(zip(ends, make_parties(net, cycles, ot=ot, seed=5, **inputs)))
+    parties = dict(zip(ends, make_parties(net, cycles, seed=5, **inputs)))
     errors = {}
 
     def main(role):
@@ -217,10 +214,10 @@ def _run_parties(name, ot, tap=None):
 
 
 class TestRunFrameRejects:
-    @pytest.mark.parametrize("tag,ot,sender", RESHAPED,
-                             ids=[f"{ot}-{tag}" for tag, ot, _ in RESHAPED])
+    @pytest.mark.parametrize("tag,sender", RESHAPED,
+                             ids=[tag for tag, _ in RESHAPED])
     def test_a_resized_frame_is_frame_corruption_at_its_receiver(
-            self, tag, ot, sender):
+            self, tag, sender):
         @settings(max_examples=3, deadline=None, derandomize=True,
                   suppress_health_check=list(HealthCheck))
         @given(st.integers(min_value=-64, max_value=64).filter(bool))
@@ -240,7 +237,7 @@ class TestRunFrameRejects:
 
                 end.send = bending_send
 
-            errors = _run_parties("sum32", ot, tap)
+            errors = _run_parties("sum32", tap)
             receiver = "evaluator" if sender == "garbler" else "garbler"
             assert bent == [tag]
             assert isinstance(errors.get(receiver), FrameCorruption), errors
@@ -261,7 +258,7 @@ class TestRunFrameRejects:
                 self.chan.send("tables", bytes(GarbledTable.SIZE_BYTES))
 
         monkeypatch.setattr(GarblerBackend, "end_cycle", chatty_end_cycle)
-        errors = _run_parties(name, "simplest")
+        errors = _run_parties(name)
         assert type(errors.get("evaluator")) is ProtocolDesync, errors
         assert "got 'tables'" in str(errors["evaluator"])
 
@@ -287,13 +284,13 @@ class TestClosingFrameRejects:
     def test_a_result_that_sets_a_padding_bit_is_frame_corruption(self):
         # compare32 has one output: one result byte, seven padding bits.
         assert len(_case("compare32")[0].outputs) == 1
-        errors = _run_parties("compare32", "simplest", self._bend(
+        errors = _run_parties("compare32", self._bend(
             "garbler", "result", lambda p: bytes([p[0] | 0x80])))
         assert isinstance(errors.get("evaluator"), FrameCorruption), errors
         assert "past its 1" in str(errors["evaluator"])
 
     def test_an_unknown_output_label_is_a_desync(self):
-        errors = _run_parties("sum32", "simplest", self._bend(
+        errors = _run_parties("sum32", self._bend(
             "evaluator", "outputs", lambda p: bytes(b ^ 0x5A for b in p)))
         err = errors.get("garbler")
         assert type(err) is ProtocolDesync, errors
@@ -311,7 +308,7 @@ class TestClosingFrameRejects:
             self.chan.send("ot-e", bytes(2 * 16 * len(self._seed_pairs)))
 
         monkeypatch.setattr(OTExtensionReceiver, "_base_phase", chosen_base_phase)
-        errors = _run_parties("sum32", "extension")
+        errors = _run_parties("sum32")
         err = errors.get("garbler")
         assert type(err) is ProtocolDesync, errors
         assert "got 'ot-e'" in str(err)

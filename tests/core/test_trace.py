@@ -258,7 +258,7 @@ def _two_party_run(monkeypatch, net, cycles, inputs, drive, *, rollback=None,
     run = _Run()
     ends = dict(zip(("garbler", "evaluator"), channel_pair(timeout=60.0)))
     parties = dict(zip(("garbler", "evaluator"), make_parties(
-        net, cycles, ot="extension", seed=7, **inputs)))
+        net, cycles, seed=7, **inputs)))
     if real_ot:
         # The base-OT exponents are the one draw `seed` does not reach.
         rngs = {"garbler": random.Random(1), "evaluator": random.Random(2)}
@@ -487,7 +487,7 @@ class TestNoSecrets:
             inputs = {"alice": entry.alice_source(a, cycles),
                       "bob": entry.bob_source(b, cycles)}
             local = api.run(net, inputs, mode="local", cycles=cycles)
-            garbler, evaluator = make_parties(net, cycles, ot="extension", **inputs)
+            garbler, evaluator = make_parties(net, cycles, **inputs)
             g_end, e_end = channel_pair(timeout=30.0)
             box = {}
 
@@ -522,7 +522,7 @@ class TestSharedAndBounded:
         def session(i):
             try:
                 res = api.run(net, inputs, mode="protocol", cycles=cycles,
-                              ot="extension", seed=100 + i, timeout=60.0)
+                              seed=100 + i, timeout=60.0)
                 results.append(list(res.outputs))
             except BaseException as exc:  # noqa: BLE001
                 errors.append(exc)
@@ -552,7 +552,7 @@ class TestSharedAndBounded:
             assert len(T._TRACES[net]) <= T.TRACES_PER_NETLIST
         assert first not in T._TRACES[net].values()
         # An evicted program still runs: it is simply rebuilt.
-        res = api.run(net, inputs, mode="protocol", cycles=cycles, ot="extension")
+        res = api.run(net, inputs, mode="protocol", cycles=cycles)
         local = api.run(net, inputs, mode="local", cycles=cycles)
         assert list(res.outputs) == list(local.outputs)
 

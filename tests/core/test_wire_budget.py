@@ -10,7 +10,7 @@ exactly, and the message counts are held at least 10x below those of
 the per-transfer framing they replaced.
 
 The two programs are the ``@quick`` sizes of the spine's ``arm_sweep``
-and ``gc_heavy`` workloads (in-process, ``ot="extension"``), so the
+and ``gc_heavy`` workloads (in-process), so the
 totals here are also what ``benchmarks/spine/run.py --quick`` reports
 as their ``wire_bytes_per_op``.
 """
@@ -76,7 +76,7 @@ PER_TRANSFER = {
 def _directions(net, cycles, inputs):
     """One in-process run; ``(bytes, messages)`` each party sent."""
     g_end, e_end = channel_pair(timeout=120.0)
-    garbler, evaluator = make_parties(net, cycles, ot="extension", seed=3, **inputs)
+    garbler, evaluator = make_parties(net, cycles, seed=3, **inputs)
     box = {}
 
     def bob():

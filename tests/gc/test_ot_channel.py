@@ -119,48 +119,45 @@ class TestChannel:
         assert issubclass(ChannelClosed, ChannelError)
 
 
-def run_ots(choices, m_pairs, group="modp512"):
-    """Run len(choices) sequential OTs between two threads."""
+def run_ots(choices, group="modp512"):
+    """Run len(choices) sequential random OTs between two threads:
+    the sender's message (pad) pairs and the receiver's messages."""
     a_end, b_end = channel_pair()
     received = []
 
     def bob():
         rx = OTReceiver(b_end, group=group)
         for c in choices:
-            received.append(rx.receive(c))
+            received.extend(rx.receive_random([c]))
 
     t = threading.Thread(target=bob, daemon=True)
     t.start()
     tx = OTSender(a_end, group=group)
-    for m0, m1 in m_pairs:
-        tx.send(m0, m1)
+    pairs = [tx.send_random(1)[0] for _ in choices]
     t.join(timeout=30)
     assert not t.is_alive()
-    return received
+    return pairs, received
 
 
 class TestOT:
     def test_receiver_gets_chosen_message(self):
-        pairs = [(111, 222), (333, 444), (555, 666)]
-        got = run_ots([0, 1, 0], pairs)
-        assert got == [111, 444, 555]
+        pairs, got = run_ots([0, 1, 0])
+        assert got == [pairs[0][0], pairs[1][1], pairs[2][0]]
 
     def test_receiver_does_not_get_other_message(self):
-        pairs = [(0xAAAA, 0xBBBB)]
-        got = run_ots([1], pairs)
-        assert got == [0xBBBB]
-        assert got != [0xAAAA]
+        pairs, got = run_ots([1])
+        assert got == [pairs[0][1]]
+        assert got != [pairs[0][0]]
 
     def test_many_sequential_ots_stay_in_sync(self):
-        pairs = [(i, i + 1000) for i in range(16)]
         choices = [i % 2 for i in range(16)]
-        got = run_ots(choices, pairs)
-        expect = [i + 1000 if i % 2 else i for i in range(16)]
-        assert got == expect
+        pairs, got = run_ots(choices)
+        assert got == [pair[c] for pair, c in zip(pairs, choices)]
+        assert len(set(pairs)) == 16  # every transfer has its own pads
 
     def test_realistic_group_works(self):
-        got = run_ots([1], [(123456789, 987654321)], group="modp2048")
-        assert got == [987654321]
+        pairs, got = run_ots([1], group="modp2048")
+        assert got == [pairs[0][1]]
 
     def test_invalid_receiver_element_rejected(self):
         a_end, b_end = channel_pair()
@@ -173,7 +170,7 @@ class TestOT:
         t.start()
         tx = OTSender(a_end, group="modp512")
         with pytest.raises(ValueError):
-            tx.send(1, 2)
+            tx.send_random(1)
         t.join(timeout=5)
 
     def test_group_elements_cross_wire_fixed_width(self):
@@ -183,15 +180,16 @@ class TestOT:
 
         def bob():
             rx = OTReceiver(b_end, group="modp512")
-            rx.receive(0)
+            rx.receive_random([0])
 
         t = threading.Thread(target=bob, daemon=True)
         t.start()
         tx = OTSender(a_end, group="modp512")
-        tx.send(1, 2)
+        tx.send_random(1)
         t.join(timeout=30)
         assert not t.is_alive()
-        # setup (64B element) + encrypted pair; b-side: one 64B element.
+        # One 64B element each way: the setup, then the choice.
+        assert a_end.sent.payload_bytes == payload_wire_size(bytes(64))
         assert b_end.sent.payload_bytes == payload_wire_size(bytes(64))
 
 
@@ -234,12 +232,13 @@ class TestOTExtension:
         assert got == [p[c] for p, c in zip(pairs, choices)]
 
     def test_extension_inside_protocol(self):
-        """The full two-party protocol with ot='extension' produces the
-        same result and table count as with the base OT."""
+        """The full two-party protocol, whose input labels travel by
+        extension, produces the local simulator's result and table
+        count."""
         from repro.circuit import CircuitBuilder
         from repro.circuit import modules as M
         from repro.circuit.bits import int_to_bits
-        from tests.helpers import run_protocol
+        from tests.helpers import run_local, run_protocol
 
         b = CircuitBuilder()
         x = b.alice_input(16)
@@ -247,7 +246,7 @@ class TestOTExtension:
         b.set_outputs(M.ripple_add(b, x, y))
         net = b.build()
         kw = dict(alice=int_to_bits(1234, 16), bob=int_to_bits(4321, 16))
-        base = run_protocol(net, 1, ot="simplest", **kw)
-        ext = run_protocol(net, 1, ot="extension", **kw)
-        assert base.value == ext.value == 5555
-        assert base.tables_sent == ext.tables_sent
+        local = run_local(net, 1, **kw)
+        ext = run_protocol(net, 1, **kw)
+        assert local.value == ext.value == 5555
+        assert local.stats.tables_sent == ext.tables_sent

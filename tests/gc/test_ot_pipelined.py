@@ -1,4 +1,5 @@
-"""Windowed OT runs against one-at-a-time transfers, on the real OTs.
+"""Windowed OT runs against one-at-a-time transfers, on the real IKNP
+extension (the one session OT; ``kind`` keeps its test ids).
 
 ``send_many(pairs)`` / ``receive_many(choices)`` cut a run into pool
 windows: the receiver sends a window's choices as one frame before it
@@ -17,14 +18,10 @@ import pytest
 
 from repro.gc import ot as ot_mod
 from repro.gc.channel import channel_pair
-from repro.gc.ot import POOL_SIZE, OTReceiver, OTSender, unpack_bits
+from repro.gc.ot import POOL_SIZE, unpack_bits
 from repro.gc.ot_extension import OTExtensionReceiver, OTExtensionSender
 
 KINDS = {
-    "simplest": (
-        lambda chan: OTSender(chan, group="modp512"),
-        lambda chan: OTReceiver(chan, group="modp512"),
-    ),
     "extension": (
         lambda chan: OTExtensionSender(chan, rng=random.Random(3)),
         lambda chan: OTExtensionReceiver(chan, rng=random.Random(4)),
@@ -32,7 +29,7 @@ KINDS = {
 }
 LENGTHS = [0, 1, 127, 128, 255, 256, 257, 600]
 #: Bytes of one transfer unit per tag; ``None``: the frame is one unit.
-UNIT_BYTES = {"ot-b": 64, "ot-e": 32, "otx-e": 32, "ot-setup": None, "otx-u": None}
+UNIT_BYTES = {"ot-b": 64, "otx-e": 32, "ot-setup": None, "otx-u": None}
 
 
 def _transfer(monkeypatch, kind, choices, windowed, prefix=()):
@@ -131,16 +128,15 @@ def _units(sent):
 @pytest.mark.parametrize("n", LENGTHS)
 def test_receive_many_is_receive_in_a_loop(monkeypatch, kind, n):
     choices = [random.Random(n).getrandbits(1) for _ in range(n)]
-    # Extension: a prefix of one transfer puts the base phase before the
-    # run and moves every pool refill off a window boundary (into a
-    # window); without it, the base phase falls inside the first window.
-    for prefix in ((), (1,)) if kind == "extension" else ((),):
+    # A prefix of one transfer puts the base phase before the run and
+    # moves every pool refill off a window boundary (into a window);
+    # without it, the base phase falls inside the first window.
+    for prefix in ((), (1,)):
         got, sent, _ = _transfer(monkeypatch, kind, choices, True, prefix)
         want, want_sent, _ = _transfer(monkeypatch, kind, choices, False, prefix)
         assert got == want
         assert _units(sent) == _units(want_sent)
-        choice_tag = "ot-b" if kind == "simplest" else "otx-d"
-        frames = [tag for tag, _ in sent["receiver"]].count(choice_tag)
+        frames = [tag for tag, _ in sent["receiver"]].count("otx-d")
         windows = -(-n // POOL_SIZE)
         assert frames == len(prefix) + windows
 
@@ -150,18 +146,15 @@ def test_a_window_of_choices_leaves_before_the_first_reply_is_read(monkeypatch, 
     n = 600
     choices = [i % 3 == 0 for i in range(n)]
     _, sent, events = _transfer(monkeypatch, kind, choices, True, prefix=(0,))
-    choice_tag = "ot-b" if kind == "simplest" else "otx-d"
-    reply_tag = "ot-e" if kind == "simplest" else "otx-e"
     # Drop the prefix transfer: its choice then its reply.
-    ot_events = [e for e in events["receiver"] if e[1] in (choice_tag, reply_tag)][2:]
+    ot_events = [e for e in events["receiver"] if e[1] in ("otx-d", "otx-e")][2:]
     sizes = [min(POOL_SIZE, n - lo) for lo in range(0, n, POOL_SIZE)]
-    assert ot_events == [("send", choice_tag), ("recv", reply_tag)] * len(sizes)
+    assert ot_events == [("send", "otx-d"), ("recv", "otx-e")] * len(sizes)
     # One frame per window, holding exactly the window's transfers.
-    choice_frames = [p for tag, p in sent["receiver"] if tag == choice_tag][-len(sizes):]
-    reply_frames = [p for tag, p in sent["sender"] if tag == reply_tag][-len(sizes):]
-    unit = 64 if kind == "simplest" else None
+    choice_frames = [p for tag, p in sent["receiver"] if tag == "otx-d"][-len(sizes):]
+    reply_frames = [p for tag, p in sent["sender"] if tag == "otx-e"][-len(sizes):]
     for size, choice, reply in zip(sizes, choice_frames, reply_frames):
-        assert len(choice) == (size * unit if unit else (size + 7) // 8)
+        assert len(choice) == (size + 7) // 8
         assert len(reply) == 32 * size
 
 

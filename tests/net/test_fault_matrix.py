@@ -89,10 +89,11 @@ class TestFailureTaxonomy:
 
 #: (faulty role, action, protocol tag it targets).  The role is the
 #: *sender* of that tag; disruptive faults must force a reconnect,
-#: benign ones must not.  ``otx-*`` rows run the extension OT, and so do
-#: the rows of its base phase (:data:`EXTENSION_BASE`).  Alice's labels
-#: are one run frame and each OT window one ``otx-d`` / ``otx-e`` pair,
-#: so a fault on one of them loses a whole run.
+#: benign ones must not.  The ``ot-*`` rows hit the extension's base
+#: phase, a run of random OTs with the garbler as their receiver: the
+#: evaluator sends ``ot-setup``, the garbler ``ot-b``, and no ``ot-e``
+#: exists.  Alice's labels are one run frame and each OT window one
+#: ``otx-d`` / ``otx-e`` pair, so a fault on one of them loses a whole run.
 MATRIX = [
     ("garbler", "corrupt", "tables", True),
     ("garbler", "drop", "tables", True),
@@ -104,27 +105,16 @@ MATRIX = [
     ("garbler", "corrupt", "otx-e", True),
     ("garbler", "drop", "otx-e", True),
     ("evaluator", "disconnect", "otx-d", True),
-    ("garbler", "drop", "ot-setup", True),
-    ("garbler", "corrupt", "ot-e", True),
+    ("garbler", "drop", "ot-b", True),
     ("garbler", "corrupt", "result", True),
     ("garbler", "drop", "net-hello", True),
     ("evaluator", "corrupt", "outputs", True),
-    ("evaluator", "disconnect", "ot-b", True),
+    ("evaluator", "disconnect", "ot-setup", True),
     ("garbler", "corrupt", "ot-b", True),
     ("evaluator", "drop", "ot-setup", True),
     ("garbler", "split", "tables", False),
     ("garbler", "delay", "tables", False),
 ]
-
-
-#: The extension base phase's frames, by sender: it is a run of random
-#: OTs with the garbler as their receiver, so it has no ``ot-e``.
-EXTENSION_BASE = {("garbler", "ot-b"), ("evaluator", "ot-setup")}
-
-
-def _ot_kind(role, tag):
-    extension = tag.startswith("otx-") or (role, tag) in EXTENSION_BASE
-    return "extension" if extension else "simplest"
 
 
 class TestRecoveryMatrix:
@@ -160,7 +150,6 @@ class TestRecoveryMatrix:
             cycles,
             alice=int_to_bits(X, 32),
             bob=int_to_bits(Y, 32),
-            ot=_ot_kind(role, tag),
             timeout=1.0,
             wrap=wrap,
         )

@@ -208,7 +208,7 @@ class TestPipelinedOTRecovery:
         def stream(seed):
             return lambda c: int_to_bits((seed * (c + 7) ** 9) % (1 << width), width)
 
-        kw = dict(alice=stream(X), bob=stream(Y), ot="extension")
+        kw = dict(alice=stream(X), bob=stream(Y))
         base = run_protocol(build(), cycles, **kw)
         cuts = []
 
@@ -233,7 +233,7 @@ class TestPipelinedOTRecovery:
         ``otx-u``: both roll back to cycle 0, redo the base phase with
         fresh exponents and finish as the uninterrupted run."""
         net, cycles = sum_sequential(32)
-        kw = dict(alice=_stream(X), bob=_stream(Y), ot="extension")
+        kw = dict(alice=_stream(X), bob=_stream(Y))
         base = run_protocol(net, cycles, **kw)
         cuts = []
 

@@ -271,7 +271,7 @@ class TestTraceWarmBeforeReady:
 class TestReplayTranscript:
     """The replay party frames its recorded runs exactly as the garbler
     it recorded: seeded per-direction transcripts are identical, on
-    every registry circuit and with both OT kinds."""
+    every registry circuit, through the IKNP extension."""
 
     @staticmethod
     @functools.lru_cache(maxsize=None)
@@ -282,38 +282,35 @@ class TestReplayTranscript:
         net, cycles, inputs = _registry_case(name)
         return net, cycles, inputs, api.run(net, inputs, mode="local", cycles=cycles)
 
-    def _session(self, monkeypatch, name, ot, replay):
+    def _session(self, monkeypatch, name, replay):
         from repro.core.protocol import EvaluatorParty, GarblerParty, _expand_bits
         from repro.gc import ot as ot_mod
         from repro.gc.channel import channel_pair
-        from repro.gc.ot import OTSender
         from repro.gc.ot_extension import OTExtensionSender
         from repro.net import codec
 
         net, cycles, inputs, _ = self._case(name)
-        # Seeded base-OT exponents, and short: each simplest-OT transfer
-        # costs the sender one pow, and no frame depends on the width.
+        # Seeded base-OT exponents, and short: each base OT costs its
+        # sender one pow, and no frame depends on the width.
         rngs = {"garbler": random.Random(1), "evaluator": random.Random(2)}
         monkeypatch.setattr(
             ot_mod, "_draw_exponent",
             lambda: rngs[threading.current_thread().name].getrandbits(48) | 1)
 
         def sender_ot(chan):
-            if ot == "extension":
-                return OTExtensionSender(chan, rng=random.Random(3))
-            return OTSender(chan, group="modp512")
+            return OTExtensionSender(chan, rng=random.Random(3))
 
         if replay:
             material = build_material(net, cycles, alice=inputs["alice"],
-                                      ot=ot, rng=random.Random(7))
-            garbler = MaterialGarblerParty(material, ot=ot, ot_factory=sender_ot)
+                                      rng=random.Random(7))
+            garbler = MaterialGarblerParty(material, ot_factory=sender_ot)
         else:
             garbler = GarblerParty(
                 net, cycles, _expand_bits(net, "alice", inputs["alice"], (), cycles),
-                ot=ot, rng=random.Random(7), ot_factory=sender_ot)
+                rng=random.Random(7), ot_factory=sender_ot)
         evaluator = EvaluatorParty(
             net, cycles, _expand_bits(net, "bob", inputs["bob"], (), cycles),
-            ot_group="modp512", ot=ot, rng=random.Random(8))
+            ot_group="modp512", rng=random.Random(8))
         parties = {"garbler": garbler, "evaluator": evaluator}
         ends = dict(zip(parties, channel_pair(timeout=60.0)))
         sent = {role: [] for role in parties}
@@ -345,19 +342,20 @@ class TestReplayTranscript:
         assert outputs["garbler"] == outputs["evaluator"]
         return sent, outputs["garbler"], garbler.engine.stats, garbler.backend.tables_sent
 
-    @pytest.mark.parametrize("ot", ["simplest", "extension"])
+    # One session OT is left; the ``ot`` parameters keep the test ids.
+    @pytest.mark.parametrize("ot", ["extension"])
     def test_seeded_transcripts_repeat(self, monkeypatch, ot):
         """The random base phase draws nothing the seeds do not reach:
         two seeded runs send the same bytes each way."""
-        first = self._session(monkeypatch, "sum32-seq", ot, replay=False)
-        again = self._session(monkeypatch, "sum32-seq", ot, replay=False)
+        first = self._session(monkeypatch, "sum32-seq", replay=False)
+        again = self._session(monkeypatch, "sum32-seq", replay=False)
         assert first[0] == again[0]
 
-    @pytest.mark.parametrize("ot", ["simplest", "extension"])
+    @pytest.mark.parametrize("ot", ["extension"])
     @pytest.mark.parametrize("name", sorted(_registry()))
     def test_replay_frames_are_the_garblers(self, monkeypatch, name, ot):
-        fresh = self._session(monkeypatch, name, ot, replay=False)
-        replayed = self._session(monkeypatch, name, ot, replay=True)
+        fresh = self._session(monkeypatch, name, replay=False)
+        replayed = self._session(monkeypatch, name, replay=True)
         for role in ("garbler", "evaluator"):
             assert replayed[0][role] == fresh[0][role], role
         local = self._case(name)[3]
@@ -372,27 +370,15 @@ class TestReplayTranscript:
     #: when material became a backend replay: a change that moved the
     #: fresh and the replayed bytes alike still shows here.
     GOLDEN = {
-        ("sum32-seq", "simplest"): (
-            "52a54214820bf0c710252a72e17b9430a6a3142bc961eae99a47a4c7e2c227dd",
-            "cf6ec27f7ae296d6383ec8a96c7d4c0031a4133e77e7dd3d18a3700af359c70a"),
         ("sum32-seq", "extension"): (
             "0a15f21af820098e9a2dbd033a99b554be8f3bc2fa5668ec86e44dec9c39f18d",
             "30f567d4ce59bdd220999da5c77dada85d40fa5501089171b32808d4d7be0c03"),
-        ("mult8-seq", "simplest"): (
-            "bf25c4f5f6628d4c034eb6e52b2ebc7d2af4c027f3970e6f0c149753df1e093a",
-            "f2a5512ccfae18909ea7970bebdbf6aeee39ccf3b8994bebef7c8adeed4294bb"),
         ("mult8-seq", "extension"): (
             "68ef54cbdf50431856f198bd19853554b2a20f3b238a5a73a43d0462e8087055",
             "695dcaaf608a870cbda7bcfefb7c0920198521c294f288bc62775b19038199db"),
-        ("hamming32-seq", "simplest"): (
-            "9093eee83c7ba7ef71df89b01b5c40178a02f7b6ad22b82a5cff2a23e0232391",
-            "114869332c7f85090435a5c4d9eb6b167d49fe842078986329abb20518f366a5"),
         ("hamming32-seq", "extension"): (
             "ce716b5e3ef46a163211a54f3888bdaddfa9bab4acce390db536ad643acd60c7",
             "c72bcce85fb7b019f90406c54adb7602f0ac963dc84e92f1ace426c1adef47f3"),
-        ("psi-hash8x16@b4", "simplest"): (
-            "3c03babaad1f18f491ae48f5f5acada88525a019bf6292045655463872a6e5d8",
-            "16172a13e0e31a580eabda5180026f9f0a6215a2ad37fb31ca666eb5dbd4962e"),
         ("psi-hash8x16@b4", "extension"): (
             "1af714871a5018cbf22d5b0958e185cefd8d2730224255fbd7bce766235e7387",
             "ea1f5ed3ea5d484e239cff4ff38a696301c3deb03180a58b946e04301b285b02"),
@@ -403,7 +389,7 @@ class TestReplayTranscript:
     def test_golden_transcript_digests(self, monkeypatch, name, ot):
         from repro.net import codec
 
-        sent = self._session(monkeypatch, name, ot, replay=False)[0]
+        sent = self._session(monkeypatch, name, replay=False)[0]
         digests = tuple(hashlib.sha256(codec.encode(sent[role])).hexdigest()
                         for role in ("garbler", "evaluator"))
         assert digests == self.GOLDEN[name, ot]
@@ -429,8 +415,7 @@ class TestBuildIsABackendReplay:
                     ot_extension.OTExtensionSender):
             monkeypatch.setattr(cls, "__init__", refuse)
         builds = trace.BUILDS
-        material = build_material(prog.net, prog.cycles, alice=prog.alice,
-                                  ot="extension")
+        material = build_material(prog.net, prog.cycles, alice=prog.alice)
         assert trace.BUILDS == builds
         assert len(material.buckets) == 1 + prog.cycles
         tables = sum(len(blob) for bucket in material.buckets
@@ -439,8 +424,8 @@ class TestBuildIsABackendReplay:
 
 
 class TestDefaultPathsDrawFromSecrets:
-    """With no seed and no ``rng``, delta, labels and OT choices come
-    from :mod:`secrets`: a default path that drew from a
+    """With no seed and no ``rng``, delta, labels and the IKNP choice
+    bits come from :mod:`secrets`: a default path that drew from a
     ``random.Random`` would garble under a predictable delta.  Each
     case builds the residual trace first, as a worker does before it
     prewarms: the trace is the compile stage, and its label ids are
@@ -461,7 +446,7 @@ class TestDefaultPathsDrawFromSecrets:
 
         def spy_randbits(k):
             value = real_randbits(k)
-            drawn.add(value | 1)
+            drawn.update((value, value | 1))
             return value
 
         def spy_delta(rng=None):
@@ -497,7 +482,7 @@ class TestDefaultPathsDrawFromSecrets:
         assert outputs[0] == outputs[1]
         return outputs[0]
 
-    @pytest.mark.parametrize("ot", ["simplest", "extension"])
+    @pytest.mark.parametrize("ot", ["extension"])
     def test_protocol_run(self, monkeypatch, ot):
         local = _local_reference(SEQ_CIRCUIT, SERVER_VALUE, CLIENT_VALUE)
         entry = _registry()[SEQ_CIRCUIT]
@@ -506,7 +491,7 @@ class TestDefaultPathsDrawFromSecrets:
                   "bob": entry.bob_source(CLIENT_VALUE, cycles)}
         residual_trace(net, cycles)
         drawn, deltas = self._refuse_random(monkeypatch)
-        res = api.run(net, inputs, mode="protocol", cycles=cycles, ot=ot)
+        res = api.run(net, inputs, mode="protocol", cycles=cycles)
         assert list(res.outputs) == list(local.outputs)
         assert len(deltas) == 1 and deltas[0] in drawn
 
@@ -515,7 +500,7 @@ class TestDefaultPathsDrawFromSecrets:
 
         prog = registry_program(SEQ_CIRCUIT, SERVER_VALUE)
         config = {"precompute": True, "material_depth": 2,
-                  "ot": "extension", "ot_group": "modp512"}
+                  "ot_group": "modp512"}
         residual_trace(prog.net, prog.cycles)
         drawn, deltas = self._refuse_random(monkeypatch)
         caches = build_material_caches({SEQ_CIRCUIT: prog}, config)
@@ -526,12 +511,13 @@ class TestDefaultPathsDrawFromSecrets:
 
     def test_fresh_garbler_party(self, monkeypatch):
         from repro.core.protocol import EvaluatorParty, _expand_bits
+        from repro.gc.ot_extension import OTExtensionReceiver, session_salt
         from repro.serve.worker import make_garbler_party
 
         local = _local_reference(SEQ_CIRCUIT, SERVER_VALUE, CLIENT_VALUE)
         prog = registry_program(SEQ_CIRCUIT, SERVER_VALUE)
         bob = _registry()[SEQ_CIRCUIT].bob_source(CLIENT_VALUE, prog.cycles)
-        config = {"ot": "simplest", "ot_group": "modp512"}
+        config = {"ot_group": "modp512"}
         residual_trace(prog.net, prog.cycles)
         drawn, deltas = self._refuse_random(monkeypatch)
         garbler, hit = make_garbler_party(
@@ -540,6 +526,10 @@ class TestDefaultPathsDrawFromSecrets:
         evaluator = EvaluatorParty(
             prog.net, prog.cycles,
             _expand_bits(prog.net, "bob", bob, (), prog.cycles),
-            ot_group=config["ot_group"], ot=config["ot"])
+            # What a serve client builds: the session's PRG salt.
+            ot_factory=lambda chan: OTExtensionReceiver(
+                chan, salt=session_salt("fresh")))
         assert self._run_pair(garbler, evaluator) == list(local.outputs)
         assert deltas == [garbler.backend.delta] and deltas[0] in drawn
+        # So did the extension sender's secret s, its base-OT choices.
+        assert garbler.backend._ot._s in drawn

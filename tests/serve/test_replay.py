@@ -215,7 +215,11 @@ class TestRedialRecovery:
     def test_probe_on_running_session_reports_pending(self):
         from repro.serve import ResultPending
 
-        with make_server(["sum32"], value=1, workers=1, port=0) as srv:
+        # Short knobs, as TestAnswerTable's: the held session must not
+        # pin its worker through long resume windows at teardown.
+        with make_server(["sum32"], value=1, workers=1, pool="thread",
+                         precompute=False, timeout=0.5, resume_window=0.2,
+                         max_attempts=1, port=0) as srv:
             from repro.serve.client import _hello_exchange
 
             # Hold the worker with a hello-only session, then probe it.

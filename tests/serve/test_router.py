@@ -417,7 +417,7 @@ class TestBaseOTAcrossShards:
         names = [n for n in _registry() if not n.startswith("psi")]
         programs = {n: registry_program(n, SERVER_VALUE) for n in names}
         forget_receiver_bases()
-        config = ServeConfig(pool="thread", ot="extension", workers=1,
+        config = ServeConfig(pool="thread", workers=1,
                              precompute=False)
         with LocalFleet(programs, shards=2, config=config) as fleet:
             digests = fleet.servers[0].program_digests
@@ -428,7 +428,7 @@ class TestBaseOTAcrossShards:
             if b is None:  # 2**-7: every digest hashed to one shard
                 pytest.skip("all programs landed on one shard")
             client = ServeClient(fleet.host, fleet.port,
-                                 client_id="roamer", ot="extension")
+                                 client_id="roamer")
             for i, name in enumerate((a, b, a)):
                 entry = _registry()[name]
                 net, cycles = entry.build()

@@ -284,7 +284,7 @@ class TestRunBatch:
     def test_api_reexport_and_protocol_mode(self):
         res = api.run_batch(
             "psi-sort8x16", [5, 6], server_value=7,
-            mode="protocol", ot="extension",
+            mode="protocol",
         )
         local = api.run_batch("psi-sort8x16", [5, 6], server_value=7)
         assert res.outputs == local.outputs

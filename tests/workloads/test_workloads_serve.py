@@ -105,13 +105,9 @@ class TestFleetAndBatch:
             n: workload_program(n, value=SERVER_SEED)
             for n in (base, f"{base}@b{len(values)}")
         }
-        # Extension OT on both sides: the batched circuit carries 4x
-        # the Bob input bits, exactly the regime where per-bit DH OTs
-        # would dominate and OT extension keeps the test fast.
-        config = ServeConfig(pool="thread", ot="extension")
+        config = ServeConfig(pool="thread")
         with LocalFleet(programs, shards=2, config=config) as fleet:
-            with ServeClient(fleet.host, fleet.port,
-                             ot="extension") as client:
+            with ServeClient(fleet.host, fleet.port) as client:
                 fresh = [client.run(base, v) for v in values]
                 for v, res in zip(values, fresh):
                     ref = _local_reference(base, SERVER_SEED, v)
