@@ -12,8 +12,7 @@ label algebra:
   **public** information — the engine never sees private input bits —
   which mirrors the security argument of Section 3.5.
 * The cryptographic garbler/evaluator backends live in
-  :mod:`repro.core.protocol`; they share this interface and run the
-  real half-gate protocol over a channel.
+  :mod:`repro.core.protocol` and run the real half-gate protocol.
 
 Backends are engine-agnostic: the interpreted reference engine and
 the compiled cycle-plan engine (:mod:`repro.core.plan`) issue exactly
@@ -22,7 +21,13 @@ the same ``secret_label`` / ``xor`` / ``garble`` / ``begin_cycle`` /
 change — the differential tests pin this call-order equivalence.  A
 replay of that sequence (:mod:`repro.core.trace`) knows what comes
 next, so it hands over runs: ``secret_labels`` and ``garble_many``,
-which default to loops over the one-call methods.
+which default to loops over the one-call methods.  Sweeping engines
+drive only :class:`CountingBackend` and the trace recorder; the
+crypto backends are driven only by a
+:class:`~repro.core.trace.TraceReplayer`, which calls ``xor``,
+``secret_labels``, ``garble_many`` and ``begin_cycle`` /
+``end_cycle``, so they implement the run methods and no one-call
+``secret_label`` / ``garble``.
 
 Free-XOR is modelled exactly: a wire label is the XOR of the base
 labels on its structural path, so two wires carry identical labels if

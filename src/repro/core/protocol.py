@@ -21,18 +21,24 @@ The protocol logic lives in two *party* objects —
 :class:`GarblerParty` and :class:`EvaluatorParty` — that are agnostic
 about what carries their messages: :func:`_run_protocol` (behind
 :func:`repro.api.run` with ``mode="protocol"``) runs them in
-two threads over the in-memory channel (Alice sends each cycle's
-surviving tables at the end of her cycle while Bob blocks for them at
-the start of his, so Alice is naturally garbling cycle ``c+1`` while
-Bob evaluates cycle ``c`` — the pipelining of Section 3.2), and
+two threads over the in-memory channel, and
 :class:`repro.net.session.ResumableSession` runs one party per OS
-process over TCP with cycle-level checkpoint/resume.
+process over TCP with cycle-level checkpoint/resume.  Alice only ever
+*pushes* label material, none of it depending on what Bob sends, so
+her party sends a recorded transcript
+(:class:`~repro.gc.material.GarbledMaterial`): prebuilt offline, or
+garbled just in time by her :class:`GarblerBackend` recorder, one
+cycle's bucket when the party reaches it — so Alice is garbling cycle
+``c+1`` while Bob evaluates cycle ``c`` (the pipelining of Section
+3.2).  Bob replays the trace against a channel-bound
+:class:`EvaluatorBackend`.
 
 Parties expose three resume hooks: :meth:`attach` binds (or re-binds,
-after a reconnect) the transport, :meth:`snapshot` freezes trace
-position + live labels + backend + OT progress at a cycle boundary,
-and :meth:`restore` rolls back to a snapshot so the replayed cycles
-regenerate fresh labels on both sides consistently.
+after a reconnect) the transport, :meth:`snapshot` freezes progress at
+a cycle boundary (Alice: cycle, tables sent and OT state; Bob: trace
+position, live labels, backend and OT state), and :meth:`restore`
+rolls back to a snapshot: Alice resends the recorded buckets from
+there and Bob evaluates them again.
 
 Wire formats are deterministic and fixed-width for label material
 (every label is exactly :data:`~repro.gc.hashing.LABEL_BYTES` bytes on
@@ -52,8 +58,9 @@ have, and (b) raw-label identity plus flip bits, which evolve
 identically on both sides — Alice compares zero-labels, Bob compares
 held labels, and these coincide because labels are only ever created
 fresh (garbling, inputs) or combined structurally (XOR, wire/inverter
-passes).  The trace is therefore the same whoever builds it, and holds
-label *ids*, never label bytes or delta.  Garbled tables are matched by
+passes).  The trace is therefore the same whoever builds it (Alice's
+recorder replays the very trace Bob replays), and holds label *ids*,
+never label bytes or delta.  Garbled tables are matched by
 their deterministic per-cycle gate key, so a table filtered by Alice
 (Algorithm 4 line 18) is simply absent from Bob's blob and he
 substitutes a flagged dummy label (Algorithm 5 line 18).
@@ -64,6 +71,7 @@ from __future__ import annotations
 import random
 import threading
 from dataclasses import dataclass
+from functools import partial
 from itertools import groupby
 from operator import itemgetter
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
@@ -79,6 +87,7 @@ from ..gc.garble import (
     random_label,
 )
 from ..gc.hashing import HASH_STATS, LABEL_BYTES
+from ..gc.material import GarbledMaterial, MaterialEpochMismatch
 from ..gc.ot import pack_bits, unpack_bits
 from ..gc.ot_extension import (
     OTExtensionReceiver,
@@ -106,82 +115,44 @@ def _fresh_runs(keys, memo):
 
 
 class GarblerBackend(Backend):
-    """Alice: creates labels, garbles, transfers inputs, sends tables.
-
-    ``delta`` defaults to a fresh draw from ``rng``; a material party
-    passes the delta its recorded epoch was garbled under."""
+    """Alice's recorder: creates labels and garbles, appending each
+    outbound event to the open bucket of ``buckets`` (the init bucket
+    first, then one per cycle): an ``alice-label`` or ``tables`` blob,
+    or an ``("ot", pairs)`` run of Bob's label pairs.  One event is one
+    frame run; :class:`GarblerParty` sends them.  ``delta`` is the
+    first draw from ``rng``."""
 
     PROFILE_PHASE = "garble"
 
-    def __init__(
-        self,
-        chan: Optional[Endpoint],
-        alice_bits: Dict[Hashable, int],
-        ot_group: str = "modp2048",
-        rng=None,
-        ot_factory=None,
-        delta: Optional[int] = None,
-    ) -> None:
-        self.chan = chan
-        self.delta = random_delta(rng) if delta is None else delta
+    def __init__(self, alice_bits: Dict[Hashable, int], rng=None) -> None:
+        self.delta = random_delta(rng)
         self._rng = rng
         self._memo: Dict[Hashable, int] = {}
         self._alice_bits = alice_bits
-        if chan is None:
-            #: Offline garbling (:func:`repro.gc.material.build_material`):
-            #: no transport and no OT; each event lands in the open bucket.
-            self._ot, self.buckets = None, [[]]
-        elif ot_factory is not None:
-            # The serve layer injects pre-configured OT objects (cached
-            # base OTs, session-unique salts).
-            self._ot = ot_factory(chan)
-        else:
-            self._ot = OTExtensionSender(chan, group=ot_group, rng=rng)
+        self.buckets: List[List[tuple]] = [[]]
         #: Gate key -> 32-byte table, for the cycle being garbled.
         self._pending: Dict[int, bytes] = {}
         self._gid = 0
-        self.tables_sent = 0
-
-    def secret_label(self, key: Hashable) -> int:
-        return self.secret_labels((key,))[0]
 
     def secret_labels(self, keys) -> List[int]:
         # Each stretch of one owner's fresh keys is one frame run: Alice's
         # held labels as one ``alice-label`` blob, Bob's label pairs as
         # one OT run.  The evaluator cuts the same stretches.
-        memo, delta = self._memo, self.delta
+        memo, delta, bucket = self._memo, self.delta, self.buckets[-1]
         for owner, run in _fresh_runs(keys, memo):
             zeros = [random_label(self._rng) for _ in run]
             memo.update(zip(run, zeros))
             if owner == "alice":
                 bits = self._alice_bits
-                self.send("alice-label", b"".join(
+                bucket.append(("alice-label", b"".join(
                     (zero ^ (delta if bits[k] else 0)).to_bytes(LABEL_BYTES, "little")
-                    for k, zero in zip(run, zeros)))
+                    for k, zero in zip(run, zeros))))
             else:
-                self.send("ot", [(zero, zero ^ delta) for zero in zeros])
+                bucket.append(("ot", [(zero, zero ^ delta) for zero in zeros]))
         return [memo[k] for k in keys]
-
-    def send(self, tag: str, payload) -> None:
-        """The one outbound path, one call per frame run: an
-        ``alice-label`` or ``tables`` blob to the channel, or an
-        ``("ot", pairs)`` run of Bob's label pairs to the OT sender."""
-        if tag == "tables":
-            self.tables_sent += len(payload) // GarbledTable.SIZE_BYTES
-        if self.chan is None:
-            self.buckets[-1].append((tag, payload))
-        elif tag == "ot":
-            self._ot.send_many(payload)
-        else:
-            self.chan.send(tag, payload)
 
     def xor(self, la: int, lb: int) -> int:
         return la ^ lb
-
-    def garble(self, tt: int, la: int, lb: int, key: int) -> int:
-        labels = [la, lb, 0]
-        self.garble_many((tt,), (key,), (0,), (1,), (2,), labels)
-        return labels[2]
 
     def garble_many(self, tts, keys, srcs_a, srcs_b, dsts, labels) -> None:
         tables = garble_run(labels, tts, srcs_a, srcs_b, dsts, self.delta, self._gid)
@@ -196,28 +167,43 @@ class GarblerBackend(Backend):
         # per surviving table, in kept-key order.  The keys themselves
         # are in both parties' trace, so they stay off the wire.
         if kept_keys:
-            self.send("tables", b"".join(map(self._pending.__getitem__, kept_keys)))
+            self.buckets[-1].append(
+                ("tables", b"".join(map(self._pending.__getitem__, kept_keys))))
 
-    # -- resume hooks --------------------------------------------------------
 
-    def rebind(self, chan: Endpoint) -> None:
-        self.chan = chan
-        self._ot.rebind(chan)
+def record_material(
+    net: Netlist,
+    cycles: int,
+    bits: Dict[Hashable, int],
+    public: BitSource = (),
+    public_init: Sequence[int] = (),
+    *,
+    epoch: Optional[int] = None,
+    rng=None,
+    obs=NULL_OBS,
+) -> GarbledMaterial:
+    """Start recording Alice's transcript of ``net``: a
+    :class:`~repro.gc.material.GarbledMaterial` whose init bucket is
+    garbled here and whose later buckets are garbled on demand
+    (:meth:`~repro.gc.material.GarbledMaterial.bucket`) by a
+    :class:`GarblerBackend` replaying the program's residual trace.
+    ``rng`` is drawn for delta, then for labels in trace order."""
+    from ..net.session import net_digest
 
-    def snapshot(self) -> dict:
-        return {
-            "memo": dict(self._memo),
-            "gid": self._gid,
-            "tables_sent": self.tables_sent,
-            "ot": self._ot.snapshot(),
-        }
-
-    def restore(self, snap: dict) -> None:
-        self._memo = dict(snap["memo"])
-        self._gid = snap["gid"]
-        self.tables_sent = snap["tables_sent"]
-        self._pending = {}
-        self._ot.restore(snap["ot"])
+    backend = GarblerBackend(bits, rng)
+    recorder = TraceReplayer(
+        residual_trace(net, cycles, public, public_init, obs=obs), backend, obs)
+    return GarbledMaterial(
+        net=net,
+        digest=net_digest(net, cycles, public, public_init),
+        cycles=cycles,
+        epoch=epoch,
+        delta=backend.delta,
+        buckets=backend.buckets,
+        output_states=None,
+        stats=recorder.trace.stats.prefix(cycles),
+        recorder=recorder,
+    )
 
 
 class EvaluatorBackend(Backend):
@@ -248,9 +234,6 @@ class EvaluatorBackend(Backend):
         #: kept to assert none ever reaches a live output.
         self.invalid_labels: set = set()
 
-    def secret_label(self, key: Hashable) -> int:
-        return self.secret_labels((key,))[0]
-
     def secret_labels(self, keys) -> List[int]:
         # The garbler's stretches: one ``alice-label`` blob of exactly
         # the run's labels, or one OT run whose choice frames go out a
@@ -270,11 +253,6 @@ class EvaluatorBackend(Backend):
 
     def xor(self, la: int, lb: int) -> int:
         return la ^ lb
-
-    def garble(self, tt: int, la: int, lb: int, key: int) -> int:
-        labels = [la, lb, 0]
-        self.garble_many((tt,), (key,), (0,), (1,), (2,), labels)
-        return labels[2]
 
     def garble_many(self, tts, keys, srcs_a, srcs_b, dsts, labels) -> None:
         offsets = map(self._offsets.get, keys)
@@ -329,93 +307,6 @@ class EvaluatorBackend(Backend):
 # ---------------------------------------------------------------------------
 
 
-class _Party:
-    """Shared plumbing of the two protocol parties."""
-
-    role = "?"
-
-    def __init__(
-        self,
-        net: Netlist,
-        cycles: int,
-        bits: Dict[Hashable, int],
-        public: BitSource = (),
-        public_init: Sequence[int] = (),
-        ot_group: str = "modp2048",
-        rng=None,
-        obs=None,
-        ot_factory=None,
-    ) -> None:
-        self.net = net
-        self.cycles = cycles
-        self._bits = bits
-        self._public = public
-        self._public_init = public_init
-        self._ot_group = ot_group
-        self._ot_factory = ot_factory
-        self._rng = rng
-        self.obs = NULL_OBS if obs is None else obs
-        self.chan: Optional[Endpoint] = None
-        self.backend = None
-        #: Not a sweeping engine: the replayer of the program's residual
-        #: trace (the name is what the session layers read).
-        self.engine: Optional[TraceReplayer] = None
-
-    def _make_backend(self, chan: Endpoint):
-        raise NotImplementedError
-
-    def attach(self, chan: Endpoint) -> None:
-        """Bind (or re-bind, after a reconnect) the transport."""
-        self.chan = chan
-        if self.backend is None:
-            self.backend = self._make_backend(chan)
-            trace = residual_trace(
-                self.net, self.cycles, self._public, self._public_init,
-                obs=self.obs,
-            )
-            self.engine = TraceReplayer(trace, self.backend, self.obs)
-        else:
-            self.backend.rebind(chan)
-
-    @property
-    def cycle(self) -> int:
-        """Number of completed cycles."""
-        return 0 if self.engine is None else self.engine.cycle
-
-    @property
-    def digest(self) -> str:
-        """The ``net-hello`` digest: circuit, cycles and public inputs."""
-        from ..net.session import net_digest
-
-        return net_digest(self.net, self.cycles, self._public, self._public_init)
-
-    def run_cycles(self, on_boundary=None) -> None:
-        """Run all remaining cycles (Algorithms 1-2 loop);
-        ``on_boundary(completed_cycles)`` fires after each one (the
-        session checkpoints there)."""
-        while self.engine.cycle < self.cycles:
-            self.engine.step()
-            if on_boundary is not None:
-                on_boundary(self.engine.cycle)
-
-    # -- resume hooks --------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """Freeze protocol state at a cycle boundary."""
-        return {
-            "replayer": self.engine.snapshot(),
-            "backend": self.backend.snapshot(),
-        }
-
-    def restore(self, snap: dict) -> None:
-        """Roll back to a snapshot (after :meth:`attach`)."""
-        self.engine.restore(snap["replayer"])
-        self.backend.restore(snap["backend"])
-
-    def finish(self) -> List[int]:
-        raise NotImplementedError
-
-
 def decode_outputs(payload, out_states, delta: int) -> List[int]:
     """Decode Bob's ``outputs`` frame against Alice's output states.
 
@@ -446,56 +337,217 @@ def decode_outputs(payload, out_states, delta: int) -> List[int]:
     return outputs
 
 
-class GarblerParty(_Party):
-    """Alice: garbles, decodes Bob's output labels, shares the result."""
+class GarblerParty:
+    """Alice: sends her garbled material, decodes Bob's output labels,
+    shares the result.
+
+    The party holds a :class:`~repro.gc.material.GarbledMaterial`, a
+    live IKNP sender, the channel and ``tables_sent``.  The constructor
+    is the just-in-time source: it records the init bucket, and
+    :meth:`run_cycles` garbles the bucket of cycle ``c`` when it
+    reaches it, so across processes Alice garbles cycle ``c+1`` while
+    Bob evaluates cycle ``c`` (the pipelining of Section 3.2).
+    :meth:`from_material` takes prebuilt material instead: a cached
+    delta epoch, or the material of an adopted handoff.  Either way a
+    send is the same: an ``alice-label`` or ``tables`` blob to the
+    channel, an ``("ot", pairs)`` run to the sender's ``send_many``.
+    A checkpoint is (epoch, digest, cycle, ``tables_sent``, OT state):
+    a rollback resends recorded buckets, and :meth:`restore` refuses a
+    checkpoint of other material.
+    """
 
     role = "garbler"
 
-    def _make_backend(self, chan: Endpoint) -> GarblerBackend:
-        return GarblerBackend(
-            chan,
-            self._bits,
-            ot_group=self._ot_group,
-            rng=self._rng,
-            ot_factory=self._ot_factory,
-        )
+    def __init__(
+        self,
+        net: Netlist,
+        cycles: int,
+        bits: Dict[Hashable, int],
+        public: BitSource = (),
+        public_init: Sequence[int] = (),
+        ot_group: str = "modp2048",
+        rng=None,
+        ot_factory=None,
+        obs=None,
+    ) -> None:
+        self._hold(
+            record_material(net, cycles, bits, public, public_init, rng=rng,
+                            obs=NULL_OBS if obs is None else obs),
+            ot_factory or partial(OTExtensionSender, group=ot_group, rng=rng))
+
+    @classmethod
+    def from_material(cls, material: GarbledMaterial, *, ot_factory=None,
+                      resume: bool = False) -> "GarblerParty":
+        """The party for prebuilt material.  ``resume=True`` adopts a
+        handed-off session: its evaluator already holds the init labels,
+        so the first attach must not send them (an unsolicited
+        ``alice-label`` frame would desync the peer's resume)."""
+        party = cls.__new__(cls)
+        party._hold(material, ot_factory or OTExtensionSender, resume)
+        return party
+
+    def _hold(self, material: GarbledMaterial, ot_factory, resume: bool = False) -> None:
+        self.material = material
+        self.net, self.cycles, self.digest = material.net, material.cycles, material.digest
+        self.material_epoch = material.epoch
+        self._ot_factory, self._resume = ot_factory, resume
+        self.chan: Optional[Endpoint] = None
+        self._ot = None
+        self.cycle = self.tables_sent = 0
+        #: The decoded result, stashed by :meth:`finish` before Bob's goodbye.
+        self.last_outputs: Optional[List[int]] = None
+
+    @property
+    def engine(self) -> GarbledMaterial:
+        """What the session layers read of an engine: ``stats``."""
+        return self.material
+
+    @property
+    def backend(self) -> "GarblerParty":
+        """What the session layers read of a backend: ``tables_sent``."""
+        return self
+
+    def _send(self, bucket: List[tuple]) -> None:
+        for tag, payload in bucket:
+            if tag == "ot":
+                self._ot.send_many(payload)
+                continue
+            if tag == "tables":
+                self.tables_sent += len(payload) // GarbledTable.SIZE_BYTES
+            self.chan.send(tag, payload)
+
+    def attach(self, chan: Endpoint) -> None:
+        """Bind (or re-bind, after a reconnect) the transport; the first
+        attach starts the OT sender and sends the init bucket."""
+        self.chan = chan
+        if self._ot is not None:
+            self._ot.rebind(chan)
+            return
+        self._ot = self._ot_factory(chan)
+        if not self._resume:
+            self._send(self.material.buckets[0])
+
+    def run_cycles(self, on_boundary=None) -> None:
+        """Send every remaining cycle's bucket, garbling it first if the
+        material has not reached it; ``on_boundary(completed_cycles)``
+        fires after each one (the session checkpoints there)."""
+        while self.cycle < self.cycles:
+            self._send(self.material.bucket(self.cycle + 1))
+            self.cycle += 1
+            if on_boundary is not None:
+                on_boundary(self.cycle)
 
     def finish(self) -> List[int]:
-        return finish_garbler(self, self.engine.output_states(), self.backend.delta)
+        """Receive Bob's output labels, decode, share the cleartext
+        (Algorithm 1 lines 16-17) and wait for Bob's goodbye."""
+        chan, material = self.chan, self.material.complete()
+        outputs = decode_outputs(chan.recv("outputs"), material.output_states,
+                                 material.delta)
+        # Stash the decoded result before waiting for the goodbye: a
+        # Bob that dies right here leaves the session failed, but the
+        # output is already known — the serve layer parks it for
+        # replay so a redial recovers it instead of losing it.
+        self.last_outputs = list(outputs)
+        chan.send("result", pack_bits(outputs))
+        # Bob acknowledges receipt so a lost result frame is detected
+        # here (and replayed by the resume layer) instead of leaving
+        # Bob hanging after Alice declared victory.
+        chan.recv("bye")
+        return outputs
+
+    # -- resume hooks --------------------------------------------------------
+
+    def snapshot(self) -> dict:
+        """Freeze send progress; the material's epoch rides along."""
+        return {
+            "epoch": self.material.epoch,
+            "digest": self.material.digest,
+            "cycle": self.cycle,
+            "tables_sent": self.tables_sent,
+            "ot": self._ot.snapshot(),
+        }
+
+    def restore(self, snap: dict) -> None:
+        """Roll back to a snapshot (after :meth:`attach`)."""
+        material = self.material
+        if snap["epoch"] != material.epoch or snap["digest"] != material.digest:
+            raise MaterialEpochMismatch(
+                f"checkpoint is for material epoch {snap['epoch']} "
+                f"(digest {snap['digest']}), party holds epoch "
+                f"{material.epoch} (digest {material.digest})"
+            )
+        self.cycle, self.tables_sent = snap["cycle"], snap["tables_sent"]
+        self._ot.restore(snap["ot"])
 
 
-def finish_garbler(party, out_states, delta: int) -> List[int]:
-    """Alice's closing exchange, for a fresh or a material party:
-    receive Bob's output labels, decode, share the cleartext
-    (Algorithm 1 lines 16-17) and wait for Bob's goodbye."""
-    chan = party.chan
-    outputs = decode_outputs(chan.recv("outputs"), out_states, delta)
-    # Stash the decoded result before waiting for the goodbye: a
-    # Bob that dies right here leaves the session failed, but the
-    # output is already known — the serve layer parks it for
-    # replay so a redial recovers it instead of losing it.
-    party.last_outputs = list(outputs)
-    chan.send("result", pack_bits(outputs))
-    # Bob acknowledges receipt so a lost result frame is detected
-    # here (and replayed by the resume layer) instead of leaving
-    # Bob hanging after Alice declared victory.
-    chan.recv("bye")
-    return outputs
-
-
-class EvaluatorParty(_Party):
-    """Bob: evaluates, returns his output labels, learns the result."""
+class EvaluatorParty:
+    """Bob: replays the program's residual trace against a
+    channel-bound :class:`EvaluatorBackend`, returns his output labels,
+    learns the result."""
 
     role = "evaluator"
 
-    def _make_backend(self, chan: Endpoint) -> EvaluatorBackend:
-        return EvaluatorBackend(
-            chan,
-            self._bits,
-            ot_group=self._ot_group,
-            rng=self._rng,
-            ot_factory=self._ot_factory,
-        )
+    def __init__(
+        self,
+        net: Netlist,
+        cycles: int,
+        bits: Dict[Hashable, int],
+        public: BitSource = (),
+        public_init: Sequence[int] = (),
+        ot_group: str = "modp2048",
+        rng=None,
+        ot_factory=None,
+        obs=None,
+    ) -> None:
+        self.net = net
+        self.cycles = cycles
+        self._bits = bits
+        self._public = public
+        self._public_init = public_init
+        self._ot_group = ot_group
+        self._ot_factory = ot_factory
+        self._rng = rng
+        self.obs = NULL_OBS if obs is None else obs
+        self.chan: Optional[Endpoint] = None
+        self.backend: Optional[EvaluatorBackend] = None
+        #: Not a sweeping engine: the replayer of the program's residual
+        #: trace (the name is what the session layers read).
+        self.engine: Optional[TraceReplayer] = None
+
+    def attach(self, chan: Endpoint) -> None:
+        """Bind (or re-bind, after a reconnect) the transport."""
+        self.chan = chan
+        if self.backend is None:
+            self.backend = EvaluatorBackend(
+                chan, self._bits, ot_group=self._ot_group, rng=self._rng,
+                ot_factory=self._ot_factory)
+            trace = residual_trace(
+                self.net, self.cycles, self._public, self._public_init,
+                obs=self.obs,
+            )
+            self.engine = TraceReplayer(trace, self.backend, self.obs)
+        else:
+            self.backend.rebind(chan)
+
+    @property
+    def cycle(self) -> int:
+        """Number of completed cycles."""
+        return 0 if self.engine is None else self.engine.cycle
+
+    @property
+    def digest(self) -> str:
+        """The ``net-hello`` digest: circuit, cycles and public inputs."""
+        from ..net.session import net_digest
+
+        return net_digest(self.net, self.cycles, self._public, self._public_init)
+
+    def run_cycles(self, on_boundary=None) -> None:
+        """Run all remaining cycles (Algorithm 2 loop);
+        ``on_boundary(completed_cycles)`` fires after each one."""
+        while self.engine.cycle < self.cycles:
+            self.engine.step()
+            if on_boundary is not None:
+                on_boundary(self.engine.cycle)
 
     def finish(self) -> List[int]:
         """Send the labels of the secret outputs to Alice (the public
@@ -516,6 +568,21 @@ class EvaluatorParty(_Party):
         result = unpack_bits(chan.recv("result"), len(states), "result")
         chan.send("bye", None)
         return result
+
+    # -- resume hooks --------------------------------------------------------
+
+    def snapshot(self) -> dict:
+        """Freeze trace position, label table, backend and OT state at a
+        cycle boundary."""
+        return {
+            "replayer": self.engine.snapshot(),
+            "backend": self.backend.snapshot(),
+        }
+
+    def restore(self, snap: dict) -> None:
+        """Roll back to a snapshot (after :meth:`attach`)."""
+        self.engine.restore(snap["replayer"])
+        self.backend.restore(snap["backend"])
 
 
 @dataclass(kw_only=True)
@@ -673,7 +740,7 @@ def _run_protocol(
         a_party.attach(a_end)
         a_party.run_cycles()
         outputs = a_party.finish()
-        alice_stats = a_party.engine.stats
+        alice_stats = a_party.material.stats
     except BaseException:
         a_end.abort()
         bob_thread.join(timeout=5.0)
@@ -691,7 +758,7 @@ def _run_protocol(
         stats=alice_stats,
         alice_stats=alice_stats,
         bob_stats=bob_box["stats"],
-        tables_sent=a_party.backend.tables_sent,
+        tables_sent=a_party.tables_sent,
         alice_sent_bytes=a_end.sent.payload_bytes,
         bob_sent_bytes=b_end.sent.payload_bytes,
         alice_wait_seconds=a_end.received.wait_seconds,

@@ -12,17 +12,17 @@ produced in an **offline phase** before any client connects and
 replayed verbatim in the **online phase**, which then costs only the
 OT protocol plus the evaluator's work.
 
-Three pieces implement the split:
+Two pieces implement the split, and one party consumes it:
 
-* :func:`build_material` is the garbler's own backend replaying the
-  program's residual trace (:mod:`repro.core.trace`) with no channel
-  and no OT: :meth:`~repro.core.protocol.GarblerBackend.send` appends
-  each outbound event — one per frame run, framed exactly as the live
-  garbler frames it — to the open bucket, the init bucket first and
-  then one per cycle.  The buckets, delta, output states and stats
-  make a plain :class:`GarbledMaterial` record keyed by (netlist
-  digest, cycle index, delta epoch); an epoch costs the garbling
-  itself and no SkipGate sweep.
+* :func:`build_material` runs the garbler's recorder to the end: her
+  own backend replaying the program's residual trace
+  (:mod:`repro.core.trace`) with no channel and no OT, appending each
+  outbound event — one per frame run, framed exactly as it goes on the
+  wire — to the open bucket, the init bucket first and then one per
+  cycle.  The buckets, delta, output states and stats make a plain
+  :class:`GarbledMaterial` record keyed by (netlist digest, cycle
+  index, delta epoch); an epoch costs the garbling itself and no
+  SkipGate sweep.
 * :class:`MaterialCache` is a bounded per-program pool of such
   bundles with explicit **delta-epoch rotation**: every bundle is
   garbled under a fresh delta and handed out exactly once.  Reusing a
@@ -30,12 +30,12 @@ Three pieces implement the split:
   curious repeat) evaluator(s) pair up wire labels and recover delta —
   the reuse-soundness rules from the CRGC / "Reuse It Or Lose It"
   line of work, enforced structurally here by single-use acquisition.
-* :class:`MaterialGarblerParty` is a drop-in for ``GarblerParty`` in
-  a :class:`~repro.net.session.ResumableSession`: it sends the
-  recorded buckets through the same ``send`` of a live backend (one
-  ``send_many`` per recorded OT run), so its frames are byte-identical
-  to a fresh garbler's under the same labels; checkpoints
-  carry the material epoch, and ``restore`` refuses to cross epochs.
+* :class:`~repro.core.protocol.GarblerParty`, the one garbler party,
+  sends a material's buckets (one ``send_many`` of the live IKNP
+  sender per recorded OT run).  A prebuilt epoch is one source; the
+  other is material garbled just in time, whose recorder builds each
+  bucket when the party reaches it.  Its checkpoints carry the
+  material epoch, and ``restore`` refuses to cross epochs.
 
 The recorded transcript replays the *same* label bytes on every
 (re)send of a cycle, matching the garbled tables; to the evaluator
@@ -50,7 +50,6 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .channel import ProtocolDesync
@@ -66,7 +65,7 @@ class MaterialEpochMismatch(ProtocolDesync):
 
 @dataclass
 class GarbledMaterial:
-    """One pre-garbled transcript: (netlist digest, cycles, delta epoch).
+    """One garbler transcript: (netlist digest, cycles, delta epoch).
 
     ``buckets[0]`` holds the events of the init bucket (flip-flop and
     macro init labels), ``buckets[c + 1]`` those of cycle ``c``: each a
@@ -77,17 +76,39 @@ class GarbledMaterial:
     :class:`~repro.core.stats.RunStats` — replayed sessions report gate
     counts bit-identical to fresh garbling because they *are* the fresh
     run's counts.
+
+    Material garbled just in time (``epoch`` ``None``) still holds its
+    ``recorder``, which :meth:`bucket` steps to garble the buckets not
+    built yet; ``output_states`` is set, and the recorder dropped, once
+    the last one is.
     """
 
     net: Any
     digest: str
     cycles: int
-    epoch: int
+    epoch: Optional[int]
     delta: int
     buckets: List[List[tuple]]
-    output_states: List[Any]
+    output_states: Optional[List[Any]]
     stats: Any
-    build_seconds: float
+    build_seconds: float = 0.0
+    recorder: Any = None
+
+    def bucket(self, i: int) -> List[tuple]:
+        """Bucket ``i``, garbling the buckets up to it first."""
+        while len(self.buckets) <= i:
+            self.buckets.append([])
+            self.recorder.step()
+        if self.recorder is not None and len(self.buckets) > self.cycles:
+            self.output_states = self.recorder.output_states()
+            self.recorder = None
+        return self.buckets[i]
+
+    def complete(self) -> "GarbledMaterial":
+        """Garble every bucket not built yet (before a handoff ships
+        the material, or the closing exchange reads its output states)."""
+        self.bucket(self.cycles)
+        return self
 
 
 def build_material(
@@ -105,39 +126,23 @@ def build_material(
 ) -> GarbledMaterial:
     """Offline phase: garble every cycle of ``net`` under a fresh delta.
 
-    A :class:`~repro.core.protocol.GarblerBackend` with no channel
-    replays the program's residual trace, so the recorded events are
-    byte-for-byte what an online session must send.  ``rng`` is drawn
-    as a fresh garbler draws it: delta, then labels in trace order.
+    The recorder of a just-in-time party
+    (:func:`~repro.core.protocol.record_material`), run to the end, so
+    the recorded events are byte-for-byte what an online session sends.
     ``alice`` / ``alice_init`` are the garbler's operand sources
     exactly as a :class:`~repro.serve.server.ServeProgram` holds them.
     The live IKNP extension frames the recorded pairs at replay.
     """
     # Imported lazily: core imports gc, not the other way around.
-    from ..core.protocol import GarblerBackend, _expand_bits
-    from ..core.trace import TraceReplayer, residual_trace
-    from ..net.session import net_digest
+    from ..core.protocol import _expand_bits, record_material
 
     check_session_ot(ot)
     t0 = time.perf_counter()
-    backend = GarblerBackend(
-        None, _expand_bits(net, "alice", alice, alice_init, cycles), rng=rng)
-    replayer = TraceReplayer(
-        residual_trace(net, cycles, public, public_init), backend)
-    for _ in range(cycles):
-        backend.buckets.append([])
-        replayer.step()
-    return GarbledMaterial(
-        net=net,
-        digest=net_digest(net, cycles, public, public_init),
-        cycles=cycles,
-        epoch=epoch,
-        delta=backend.delta,
-        buckets=backend.buckets,
-        output_states=replayer.output_states(),
-        stats=replayer.stats,
-        build_seconds=time.perf_counter() - t0,
-    )
+    material = record_material(
+        net, cycles, _expand_bits(net, "alice", alice, alice_init, cycles),
+        public, public_init, epoch=epoch, rng=rng).complete()
+    material.build_seconds = time.perf_counter() - t0
+    return material
 
 
 # ---------------------------------------------------------------------------
@@ -263,118 +268,3 @@ class MaterialCache:
     def __len__(self) -> int:
         with self._lock:
             return len(self._pool)
-
-
-# ---------------------------------------------------------------------------
-# The online replay party.
-# ---------------------------------------------------------------------------
-
-
-class MaterialGarblerParty:
-    """Garbler party that replays a :class:`GarbledMaterial` bundle.
-
-    Drop-in for :class:`~repro.core.protocol.GarblerParty` inside a
-    :class:`~repro.net.session.ResumableSession`: the online path sends
-    the recorded buckets through a live
-    :class:`~repro.core.protocol.GarblerBackend` holding the material's
-    delta, and runs only the *live* OT protocol for Bob's input bits.
-    Checkpoints record the material epoch and digest; :meth:`restore`
-    raises :class:`MaterialEpochMismatch` on any cross-epoch restore
-    attempt.
-    """
-
-    role = "garbler"
-
-    def __init__(
-        self,
-        material: GarbledMaterial,
-        *,
-        ot_group: str = "modp512",
-        ot_factory=None,
-        obs=None,
-        resume: bool = False,
-    ) -> None:
-        self.material = material
-        self.net = material.net
-        self.cycles = material.cycles
-        self.material_epoch = material.epoch
-        #: The ``net-hello`` digest the material was garbled for.
-        self.digest = material.digest
-        self._ot_args = dict(ot_group=ot_group, ot_factory=ot_factory)
-        self.obs = obs
-        self.chan = None
-        self.backend = None
-        #: What the session layers read of an engine: the recorded stats.
-        self.engine = SimpleNamespace(stats=material.stats)
-        #: ``resume=True`` marks a party adopting a handed-off session:
-        #: the evaluator already holds the init labels (they are in its
-        #: restored memo), so the first attach must NOT replay them —
-        #: an unsolicited ``alice-label`` frame would desync the
-        #: peer's resume negotiation.
-        self._resume = resume
-        self._cursor = 0  # completed cycles
-
-    def _replay(self, bucket: List[tuple]) -> None:
-        for tag, payload in bucket:
-            self.backend.send(tag, payload)
-
-    @property
-    def cycle(self) -> int:
-        """Number of completed cycles."""
-        return self._cursor
-
-    def attach(self, chan) -> None:
-        """Bind (or re-bind, after a reconnect) the transport."""
-        self.chan = chan
-        if self.backend is None:
-            from ..core.protocol import GarblerBackend
-
-            self.backend = GarblerBackend(
-                chan, {}, delta=self.material.delta, **self._ot_args)
-            if not self._resume:
-                # Init labels (flip-flop / macro initial state) go out
-                # as part of the first attach, exactly where a fresh
-                # party replays the trace's init bucket.
-                self._replay(self.material.buckets[0])
-        else:
-            self.backend.rebind(chan)
-
-    def run_cycles(self, on_boundary=None) -> None:
-        while self._cursor < self.cycles:
-            self._replay(self.material.buckets[self._cursor + 1])
-            self._cursor += 1
-            if on_boundary is not None:
-                on_boundary(self._cursor)
-
-    def finish(self) -> List[int]:
-        """The fresh garbler's closing exchange, against the recorded
-        output states."""
-        from ..core.protocol import finish_garbler
-
-        material = self.material
-        return finish_garbler(self, material.output_states, material.delta)
-
-    # -- resume hooks --------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """Freeze replay progress; the epoch rides in every checkpoint."""
-        return {
-            "epoch": self.material.epoch,
-            "digest": self.material.digest,
-            "cycle": self._cursor,
-            "backend": self.backend.snapshot(),
-        }
-
-    def restore(self, snap: dict) -> None:
-        if (
-            snap["epoch"] != self.material.epoch
-            or snap["digest"] != self.material.digest
-        ):
-            raise MaterialEpochMismatch(
-                f"checkpoint is for material epoch {snap['epoch']} "
-                f"(digest {snap['digest']}), party holds epoch "
-                f"{self.material.epoch} (digest {self.material.digest})"
-            )
-        self._cursor = snap["cycle"]
-        self.backend.restore(snap["backend"])
-

@@ -20,17 +20,16 @@ completion, surviving transport failures:
    same deterministic cycle grid (validated in the hello), the agreed
    cycle is guaranteed to be in both stores.
 4. **Restore + replay** — each side rolls its party back to the agreed
-   checkpoint and re-runs the protocol from there.  Replay regenerates
-   fresh wire labels; this is safe because every skipping decision is
-   a function of public data and label *identity*, both of which
-   evolve identically on the two (synchronously rolled back) sides.
-   A checkpoint is the party's trace replayer (cycle and live label
+   checkpoint and re-runs the protocol from there: the garbler resends
+   its recorded material from that cycle (the same label bytes and
+   tables) and the evaluator evaluates it again.  A garbler checkpoint
+   is its material epoch and digest, cycle, table count and OT state;
+   an evaluator checkpoint is its trace replayer (cycle and live label
    table) plus its backend and OT state — no engine runs in a session,
    so none is checkpointed — and statistics are the residual trace's,
-   read up to the restored cycle, so final gate counts
-   are bit-identical to an uninterrupted run; channel byte totals are
-   deliberately **not** rolled back — retransmitted bytes really
-   crossed the wire.
+   so final gate counts are bit-identical to an uninterrupted run;
+   channel byte totals are deliberately **not** rolled back —
+   retransmitted bytes really crossed the wire.
 5. **Finish** — after the last cycle the output-decode exchange runs;
    a trailing ``bye`` acknowledgment hardens termination, so a result
    frame lost in flight is replayed rather than leaving one party
@@ -147,9 +146,9 @@ class SessionResult:
     #: Garbler only: total garbled tables shipped (None for Bob).
     tables_sent: Optional[int] = None
     #: Garbler only: delta epoch of the pre-garbled material consumed
-    #: by this session (None when the session garbled fresh).  Every
-    #: checkpoint carries the same epoch — a resume can never stitch
-    #: material from two different deltas together.
+    #: by this session (None when its material was garbled just in
+    #: time).  Every checkpoint carries the same epoch — a resume can
+    #: never stitch material from two different deltas together.
     material_epoch: Optional[int] = None
     #: True when this result was recovered from the server's replay
     #: buffer (a redial of a finished session) rather than computed by

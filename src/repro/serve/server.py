@@ -1231,11 +1231,11 @@ class GarbleServer:
         until release, so the evaluator's redial can only observe the
         session after the peer has it (or after it is failed).
         """
-        bundle = msg.get("bundle")
+        bundle = msg["bundle"]
         with self._lock:
             peers = list(self._handoff_peers)
         ok, peer = False, None
-        if bundle is not None and peers:
+        if peers:
             peer = rendezvous_select(bundle["digest"], peers)
             if peer is not None:
                 ok = self._adopt_on_peer(peer[0], peer[1], bundle)

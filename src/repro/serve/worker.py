@@ -30,8 +30,10 @@ Control flow, identical for both:
   ``handoff-release`` drive drain-time handoff, ``stop`` ends the
   worker after the current session;
 * the **main loop** runs one
-  :class:`~repro.net.session.ResumableSession` at a time around a
-  garbler party and ships the outcome (record plus the pickled
+  :class:`~repro.net.session.ResumableSession` at a time around the
+  one garbler party (over a cached epoch, an adopted bundle's
+  material, or material garbled just in time — so every session can
+  hand off on drain) and ships the outcome (record plus the pickled
   :class:`~repro.net.session.SessionResult`) back to the parent,
   which owns all session bookkeeping.
 
@@ -59,9 +61,9 @@ from time import perf_counter
 from typing import Optional
 
 from ..circuit.bits import bits_to_int
-from ..core.protocol import GarblerParty, _expand_bits
+from ..core.protocol import GarblerParty, _expand_bits, record_material
 from ..core.trace import residual_trace
-from ..gc.material import MaterialCache, MaterialGarblerParty
+from ..gc.material import MaterialCache
 from ..gc.ot_extension import OTExtensionSender, session_salt
 from ..net.links import Link, LinkClosed, LinkTimeout, PrefacedLink
 from ..net.session import ResumableSession, SessionHandoff, net_digest
@@ -270,84 +272,50 @@ def _reader_loop(chan: MsgChannel, runq: "queue.Queue", sessions: dict,
 
 def make_garbler_party(name: str, prog, config: dict, run_msg: dict,
                        materials: dict, obs=NULL_OBS):
-    """Build the garbler party for one admitted session.
+    """Build the garbler party for one admitted or adopted session.
 
-    With pre-garbled material available this is a
-    :class:`MaterialGarblerParty` consuming one cached delta epoch
-    (keyed to the client identity from the handshake — the cache
-    enforces that an epoch is never handed to two identities);
-    otherwise a fresh :class:`GarblerParty`.  Either way the OT factory
-    applies the session salt and any cached base-OT material the
-    parent negotiated into the ``run`` message.  Returns
-    ``(party, material_hit)`` where ``material_hit`` is ``None`` for
-    fresh garbling, else whether the pool had an epoch ready.
+    Every session runs one :class:`GarblerParty` over one material:
+    an adopted session's is the handoff bundle's (its epoch must match
+    the checkpoints — :meth:`GarblerParty.restore` enforces it); an
+    unkeyed session on a precompute server consumes one cached delta
+    epoch (keyed to the client identity from the handshake — the cache
+    enforces that an epoch is never handed to two identities); any
+    other session's is garbled just in time.  Keyed sessions never
+    take a cached epoch: recorded epochs bind the default operand, so
+    replaying one would leak (and compute) the wrong input.  The OT
+    factory applies the session salt and any cached base-OT material
+    the parent negotiated into the ``run`` message (an adopted
+    session's comes from its bundle).
+    Returns ``(party, material_hit)``: ``material_hit`` is ``None``
+    unless a cached epoch was consumed, else whether the pool had one
+    ready.
     """
-    sid = run_msg["session"]
-    ot_factory = _sender_ot_factory(config, sid, run_msg.get("ot_base"))
+    bundle = run_msg.get("bundle")
     gkey = run_msg.get("garbler_key")
     cache = materials.get(name)
-    if gkey is None and cache is not None:
+    hit = None
+    if bundle is not None:
+        material = bundle["material"]
+    elif gkey is None and cache is not None:
         material, hit = cache.acquire(run_msg.get("client"))
-        party = MaterialGarblerParty(
-            material,
-            ot_group=config["ot_group"],
-            ot_factory=ot_factory,
-            obs=obs,
-        )
-        return party, hit
-    # Per-session garbler inputs: the hello picked its operand out of
-    # the program's keyed table.  Keyed sessions garble fresh —
-    # recorded material transcripts bind the default operand, so
-    # replaying one here would leak (and compute) the wrong input.
-    alice = prog.alice if gkey is None else prog.alice_by_key[gkey]
-    party = GarblerParty(
-        prog.net,
-        prog.cycles,
-        _expand_bits(prog.net, "alice", alice, prog.alice_init,
-                     prog.cycles),
-        public=prog.public,
-        public_init=prog.public_init,
-        ot_group=config["ot_group"],
-        obs=obs,
-        ot_factory=ot_factory,
-    )
-    return party, None
-
-
-def make_adopted_party(prog, config: dict, run_msg: dict, obs=NULL_OBS):
-    """Rebuild the garbler party for a session adopted from a draining
-    peer shard.
-
-    The handoff bundle carries the peer's :class:`GarbledMaterial`
-    (its epoch must match the checkpoints — the epoch guard in
-    ``MaterialGarblerParty.restore`` enforces it) plus the original
-    OT negotiation, so the rebuilt party is wire-compatible with the
-    evaluator mid-session: same material transcript, same session
-    salt, same base-OT view.  ``resume=True`` suppresses the
-    init-label replay the evaluator already received.
-    """
-    bundle = run_msg["bundle"]
-    ot_factory = _sender_ot_factory(
-        config, run_msg["session"], bundle.get("ot_base")
-    )
-    return MaterialGarblerParty(
-        bundle["material"],
-        ot_group=config["ot_group"],
-        ot_factory=ot_factory,
-        obs=obs,
-        resume=True,
-    )
+    else:
+        alice = prog.alice if gkey is None else prog.alice_by_key[gkey]
+        material = record_material(
+            prog.net, prog.cycles,
+            _expand_bits(prog.net, "alice", alice, prog.alice_init, prog.cycles),
+            prog.public, prog.public_init, obs=obs)
+    party = GarblerParty.from_material(
+        material, resume=bundle is not None,
+        ot_factory=_sender_ot_factory(config, run_msg["session"],
+                                      run_msg.get("ot_base")))
+    return party, hit
 
 
 def handoff_bundle(party, run_msg: dict, checkpoints: dict,
-                   cycle: int) -> Optional[dict]:
+                   cycle: int) -> dict:
     """Everything the adopting shard needs to finish this session
-    bit-identically, or ``None`` when the session cannot hand off
-    (only material-backed sessions can: a fresh party's labels are
-    bound to in-process state the peer cannot reconstruct)."""
-    material = getattr(party, "material", None)
-    if material is None:
-        return None
+    bit-identically: the checkpoints and the whole material, whose
+    buckets not yet garbled are garbled first."""
     return {
         "session": run_msg["session"],
         "program": run_msg["program"],
@@ -357,7 +325,7 @@ def handoff_bundle(party, run_msg: dict, checkpoints: dict,
         "digest": net_digest(party.net, party.cycles),
         "cycle": cycle,
         "checkpoints": dict(checkpoints),
-        "material": material,
+        "material": party.material.complete(),
     }
 
 
@@ -380,16 +348,14 @@ def replay_payload(result, party) -> Optional[dict]:
                 result.tables_sent if result.tables_sent is not None else -1
             ),
         }
-    outputs = getattr(party, "last_outputs", None)
+    outputs = party.last_outputs
     if outputs is None:
         return None
-    stats = getattr(getattr(party, "engine", None), "stats", None)
-    backend = getattr(party, "backend", None)
     return {
         "outputs": [int(b) for b in outputs],
         "value": bits_to_int(outputs),
-        "garbled_nonxor": getattr(stats, "garbled_nonxor", -1),
-        "tables_sent": getattr(backend, "tables_sent", -1),
+        "garbled_nonxor": party.material.stats.garbled_nonxor,
+        "tables_sent": party.tables_sent,
     }
 
 
@@ -410,7 +376,7 @@ def _ship_handoff(chan: MsgChannel, sess: _WorkerSession, session,
     record = session_record(
         sess.id, run_msg["program"], "handed-off", wall,
         reconnects=session.reconnects,
-        epoch=getattr(party, "material_epoch", None), cycle=handoff.cycle,
+        epoch=party.material_epoch, cycle=handoff.cycle,
     )
     try:
         chan.send({"type": "handed-off", "session": sess.id,
@@ -437,23 +403,13 @@ def _run_one(chan: MsgChannel, sess: _WorkerSession, run_msg: dict,
     reraise: Optional[BaseException] = None
     handoff: Optional[SessionHandoff] = None
     adopt = run_msg.get("bundle")
-    if adopt is not None:
-        party, material_hit = make_adopted_party(
-            programs[name], config, run_msg, obs=obs
-        ), None
-    else:
-        party, material_hit = make_garbler_party(
-            name, programs[name], config, run_msg, materials, obs=obs
-        )
+    party, material_hit = make_garbler_party(
+        name, programs[name], config, run_msg, materials, obs=obs
+    )
     if material_hit is not None:
         _bump(stats, _IDX_HITS if material_hit else _IDX_MISSES)
         if not material_hit:
             _bump(stats, _IDX_EPOCHS)
-    # Only material-backed sessions can hand off (a fresh party's
-    # free-XOR delta and memoized labels are bound to in-process state
-    # no peer can reconstruct); leave the interrupt unarmed otherwise
-    # and the session finishes here during drain.
-    can_handoff = getattr(party, "material", None) is not None
     session = ResumableSession(
         party,
         connect=lambda: sess.pop_link(config["resume_window"]),
@@ -461,7 +417,7 @@ def _run_one(chan: MsgChannel, sess: _WorkerSession, run_msg: dict,
         timeout=config["timeout"],
         max_attempts=config["max_attempts"],
         heartbeat_interval=config["heartbeat"],
-        interrupt=sess.handoff.is_set if can_handoff else None,
+        interrupt=sess.handoff.is_set,
         checkpoints=adopt["checkpoints"] if adopt is not None else None,
         obs=obs,
     )
@@ -499,7 +455,7 @@ def _run_one(chan: MsgChannel, sess: _WorkerSession, run_msg: dict,
         if error is None and run_msg.get("ot_base") is None:
             # This session ran a fresh base phase (nothing cached was
             # supplied): its sender side is worth caching.
-            msg["ot_base_export"] = party.backend._ot.export_base()
+            msg["ot_base_export"] = party._ot.export_base()
         if error is not None:
             msg["error"] = f"{type(error).__name__}: {error}"
         try:

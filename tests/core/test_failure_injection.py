@@ -19,7 +19,7 @@ from repro.circuit.bits import int_to_bits
 from repro.core.protocol import (
     EvaluatorBackend,
     GarblerBackend,
-    decode_outputs,
+    GarblerParty,
     make_parties,
 )
 from tests.helpers import run_protocol
@@ -98,12 +98,11 @@ class TestTampering:
 
         t = threading.Thread(target=bob_main, daemon=True)
         t.start()
-        backend = GarblerBackend(tampered, alice_bits, ot_group="modp512")
-        engine = TraceReplayer(trace, backend)
-        engine.step()
+        party = GarblerParty(net, 1, alice_bits, ot_group="modp512")
+        party.attach(tampered)
+        party.run_cycles()
         with pytest.raises(ProtocolDesync, match="unknown output label") as err:
-            decode_outputs(a_end.recv("outputs"), engine.output_states(),
-                           backend.delta)
+            party.finish()
         assert not isinstance(err.value, FrameCorruption)  # not retried
         t.join(timeout=10)
 
@@ -255,7 +254,8 @@ class TestRunFrameRejects:
         def chatty_end_cycle(self, kept_keys, dropped_keys):
             end_cycle(self, kept_keys, dropped_keys)
             if not len(kept_keys):
-                self.chan.send("tables", bytes(GarbledTable.SIZE_BYTES))
+                # Recorded into the cycle's bucket, which the party sends.
+                self.buckets[-1].append(("tables", bytes(GarbledTable.SIZE_BYTES)))
 
         monkeypatch.setattr(GarblerBackend, "end_cycle", chatty_end_cycle)
         errors = _run_parties(name)

@@ -179,9 +179,10 @@ class _ScriptedChan:
 
 
 class TestOutputDecoding:
-    """Both garbler parties decode Bob's outputs with one function: the
-    ``outputs`` frame holds the secret outputs' labels only, since the
-    public bits and the flips are in both parties' trace."""
+    """The garbler decodes Bob's outputs alike from both material
+    sources, prebuilt and just in time: the ``outputs`` frame holds the
+    secret outputs' labels only, since the public bits and the flips
+    are in both parties' trace."""
 
     DELTA = 0x8001
     # One public 1, one secret wire (zero label 0x1234, flip 1).
@@ -195,24 +196,23 @@ class TestOutputDecoding:
         from types import SimpleNamespace
 
         from repro.core.protocol import GarblerParty
-        from repro.gc.material import MaterialGarblerParty
+        from repro.gc.material import GarbledMaterial
 
-        chan = _ScriptedChan(payload)
-        if kind == "live":
-            party = object.__new__(GarblerParty)
-            party.engine = SimpleNamespace(output_states=lambda: self.STATES)
-            party.backend = SimpleNamespace(delta=self.DELTA)
-        else:
-            party = object.__new__(MaterialGarblerParty)
-            party.material = SimpleNamespace(
-                output_states=[s if type(s) is int else s[:2]
-                               for s in self.STATES],
-                delta=self.DELTA,
-            )
-        party.chan = chan
-        return party.finish(), party, chan
+        material = GarbledMaterial(
+            net=None, digest="", cycles=1, epoch=0, delta=self.DELTA,
+            buckets=[[], []], stats=None,
+            output_states=[s if type(s) is int else s[:2] for s in self.STATES])
+        if kind == "just-in-time":
+            # Its last bucket not garbled yet: the recorder's output
+            # states are read when it is.
+            material.epoch, material.buckets, material.output_states = None, [[]], None
+            material.recorder = SimpleNamespace(
+                step=lambda: None, output_states=lambda: self.STATES)
+        party = GarblerParty.from_material(material)
+        party.chan = _ScriptedChan(payload)
+        return party.finish(), party, party.chan
 
-    @pytest.mark.parametrize("kind", ["live", "material"])
+    @pytest.mark.parametrize("kind", ["just-in-time", "prebuilt"])
     def test_decodes_and_shares_the_result(self, kind):
         outputs, party, chan = self._finish(kind, self._lbl(0x1234 ^ self.DELTA))
         assert outputs == party.last_outputs == [1, 0]  # raw 1 ^ flip 1
@@ -228,7 +228,7 @@ class TestOutputDecoding:
     ], ids=["unknown-label", "public-for-secret", "secret-for-public",
             "short-payload"])
     def test_desyncs_read_the_same_from_both_parties(self, payload, error, message):
-        for kind in ("live", "material"):
+        for kind in ("just-in-time", "prebuilt"):
             with pytest.raises(error) as exc:
                 self._finish(kind, payload)
             assert type(exc.value) is error, kind

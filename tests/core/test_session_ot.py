@@ -18,7 +18,7 @@ from repro.__main__ import main
 from repro.bench_circuits import sum_combinational
 from repro.circuit.bits import int_to_bits
 from repro.core import protocol
-from repro.gc.material import MaterialGarblerParty, build_material
+from repro.gc.material import build_material
 from repro.net.session import run_resumable_pair
 from repro.serve import GarbleServer, ServeClient, ServeConfig, registry_program
 from repro.serve.client import run_session
@@ -81,7 +81,8 @@ def test_serve_config_neither_stores_nor_echoes_nor_forwards_the_keyword():
 
 @pytest.mark.parametrize("fn", [
     protocol._run_protocol, protocol.GarblerParty, protocol.EvaluatorParty,
-    protocol.GarblerBackend, protocol.EvaluatorBackend, MaterialGarblerParty,
+    protocol.GarblerBackend, protocol.EvaluatorBackend,
+    protocol.GarblerParty.from_material, protocol.record_material,
     run_resumable_pair, run_session, ServeClient.submit, run_loadgen,
     run_batch,
 ], ids=lambda fn: fn.__qualname__)

@@ -3,7 +3,7 @@
 The contract of :mod:`repro.core.trace` is that replaying a recorded
 trace against a real crypto backend is indistinguishable, on the wire
 and in every statistic, from driving that backend with a sweeping
-SkipGate engine (what ``_Party`` did before the trace existed).  The
+SkipGate engine (what the parties did before the trace existed).  The
 differential here pins that on every registry circuit and ARM program;
 the guards pin what the trace may hold and who may decide categories.
 """
@@ -27,7 +27,7 @@ from repro.circuit.bits import pack_words
 from repro.core import make_engine
 from repro.core import trace as T
 from repro.core.backend import Backend
-from repro.core.protocol import make_parties
+from repro.core.protocol import EvaluatorBackend, make_parties
 from repro.gc import ot as ot_mod
 from repro.gc.channel import channel_pair
 from repro.gc.hashing import HASH_STATS
@@ -179,13 +179,15 @@ class _RunsFromTrace(Backend):
         if key not in self.inner._memo:
             run, j = self._run_of[key]
             self.inner.secret_labels(run[j:])
-        return self.inner.secret_label(key)
+        return self.inner.secret_labels((key,))[0]
 
     def xor(self, la, lb):
         return self.inner.xor(la, lb)
 
     def garble(self, tt, la, lb, key):
-        return self.inner.garble(tt, la, lb, key)
+        labels = [la, lb, 0]
+        self.inner.garble_many((tt,), (key,), (0,), (1,), (2,), labels)
+        return labels[2]
 
     def begin_cycle(self, cycle, kept_keys=()):
         self.inner.begin_cycle(cycle, self.trace.ends[cycle][0])
@@ -194,27 +196,63 @@ class _RunsFromTrace(Backend):
         self.inner.end_cycle(kept_keys, dropped_keys)
 
 
+class _Swept:
+    """A sweeping engine in a recorder's seat: one engine step per
+    cycle, and the engine's output states."""
+
+    def __init__(self, eng, public, cycles):
+        self.eng, self.public, self.cycles = eng, public, cycles
+
+    def step(self):
+        i = self.eng.cycle
+        self.eng.step(_row(self.public, i), final=(i == self.cycles - 1))
+
+    def output_states(self):
+        return self.eng.output_states()
+
+
+def _replayer(party):
+    """The trace replayer under a party's crypto backend: the garbler's
+    material recorder (dropped once its last bucket is garbled), the
+    evaluator's engine (built by ``attach``)."""
+    return party.material.recorder if party.role == "garbler" else party.engine
+
+
 def _drive_sweep(party, chan, inputs, rollback):
-    """``_Party`` as it was before the residual trace: a sweeping engine
-    over the real backend, stepped cycle by cycle (told its label runs
-    and kept keys by :class:`_RunsFromTrace`)."""
+    """The parties as they were before the residual trace: a sweeping
+    engine over the real backend, stepped cycle by cycle (told its
+    label runs and kept keys by :class:`_RunsFromTrace`).  The
+    garbler's engine sweeps its recorder's backend, whose memo already
+    holds the init bucket, so the engine's init asks mint nothing."""
     assert rollback is None  # a sweeping engine keeps no checkpoint
-    party.chan = chan
-    party.backend = party._make_backend(chan)
-    public = inputs.get("public", ())
-    trace = T.residual_trace(party.net, party.cycles, public,
-                             inputs.get("public_init", ()))
-    eng = party.engine = make_engine(
-        party.net, _RunsFromTrace(party.backend, trace),
-        public_init=inputs.get("public_init", ()))
-    while eng.cycle < party.cycles:
-        i = eng.cycle
-        eng.step(_row(public, i), final=(i == party.cycles - 1))
+    public, public_init = inputs.get("public", ()), inputs.get("public_init", ())
+    trace = T.residual_trace(party.net, party.cycles, public, public_init)
+    if party.role == "garbler":
+        backend = party.material.recorder.backend
+    else:
+        party.chan = chan
+        backend = party.backend = EvaluatorBackend(
+            chan, party._bits, ot_group=party._ot_group, rng=party._rng,
+            ot_factory=party._ot_factory)
+    eng = make_engine(party.net, _RunsFromTrace(backend, trace),
+                      public_init=public_init)
+    swept = _Swept(eng, public, party.cycles)
+    if party.role == "garbler":
+        party.material.recorder = swept
+        party.attach(chan)
+        party.run_cycles()
+    else:
+        party.engine = eng
+        while eng.cycle < party.cycles:
+            swept.step()
+    return eng
 
 
 def _drive_replay(party, chan, inputs, rollback):
-    """This commit's ``_Party``: attach builds or fetches the trace."""
+    """This commit's parties: the garbler's recorder and the
+    evaluator's ``attach`` replay the trace."""
     party.attach(chan)
+    replayer = _replayer(party)
     snap = None
 
     def boundary(done):
@@ -226,21 +264,32 @@ def _drive_replay(party, chan, inputs, rollback):
             rollback = None
 
     party.run_cycles(on_boundary=boundary)
+    return replayer
+
+
+def _garble_rows(backend):
+    """``garble_many`` one row at a time: the path the run kernels
+    replaced."""
+
+    def run(tts, keys, srcs_a, srcs_b, dsts, labels):
+        for row in zip(tts, keys, srcs_a, srcs_b, dsts):
+            backend.garble_many(*([v] for v in row), labels)
+
+    return run
 
 
 def _replay_logging_garbles(per_row):
     """A replay that logs the labels each garble run writes.  With
-    ``per_row`` the runs go through the base-class loop over ``garble``,
-    one row at a time: the path the run kernels replaced."""
+    ``per_row`` the runs go through :func:`_garble_rows`."""
 
     def drive(party, chan, inputs, rollback):
         assert rollback is None
         party.attach(chan)
-        eng = party.engine
-        # The init bucket (replayed by attach) held no garble to divert.
+        eng = _replayer(party)
+        # The init bucket (replayed before the first cycle) held no
+        # garble to divert.
         assert max(eng.trace.op[: eng.trace.bounds[0]], default=0) < T.GARBLE
-        run = (functools.partial(Backend.garble_many, party.backend)
-               if per_row else eng._garble_many)
+        run = _garble_rows(eng.backend) if per_row else eng._garble_many
         eng.garbled = []
 
         def logged(tts, keys, srcs_a, srcs_b, dsts, labels):
@@ -249,6 +298,7 @@ def _replay_logging_garbles(per_row):
 
         eng._garble_many = logged
         party.run_cycles()
+        return eng
 
     return drive
 
@@ -283,11 +333,11 @@ def _two_party_run(monkeypatch, net, cycles, inputs, drive, *, rollback=None,
     def main(role):
         try:
             party = parties[role]
-            drive(party, ends[role], inputs, rollback)
+            driver = drive(party, ends[role], inputs, rollback)
             run.outputs[role] = party.finish()
-            run.stats[role] = party.engine.stats
-            run.labels[role] = list(getattr(party.engine, "_labels", ()))
-            run.garbled[role] = getattr(party.engine, "garbled", None)
+            run.stats[role] = driver.stats
+            run.labels[role] = list(getattr(driver, "_labels", ()))
+            run.garbled[role] = getattr(driver, "garbled", None)
         except BaseException as exc:  # noqa: BLE001 - surface in the test
             errors.append(exc)
             ends[role].abort()
@@ -303,7 +353,7 @@ def _two_party_run(monkeypatch, net, cycles, inputs, drive, *, rollback=None,
     if errors:
         raise errors[0]
     assert not any(t.is_alive() for t in threads)
-    run.tables_sent = parties["garbler"].backend.tables_sent
+    run.tables_sent = parties["garbler"].tables_sent
     run.invalid = set(parties["evaluator"].backend.invalid_labels)
     run.hashes = HASH_STATS.calls - hashes0
     return run
@@ -391,8 +441,8 @@ def _kept_after_filtered_in_a_run(trace):
 
 
 class TestRunKernel:
-    """``garble_many`` on the crypto backends (one half-gate kernel call
-    per run) against the base-class loop over ``garble``."""
+    """``garble_many`` on the crypto backends: one half-gate kernel call
+    per run against one call per row."""
 
     @pytest.mark.parametrize("name", list(_registry()) + ["arm-fallback"])
     def test_garble_many_is_garble_row_by_row(self, monkeypatch, name):
@@ -488,6 +538,7 @@ class TestNoSecrets:
                       "bob": entry.bob_source(b, cycles)}
             local = api.run(net, inputs, mode="local", cycles=cycles)
             garbler, evaluator = make_parties(net, cycles, **inputs)
+            recorder = garbler.material.recorder
             g_end, e_end = channel_pair(timeout=30.0)
             box = {}
 
@@ -505,8 +556,8 @@ class TestNoSecrets:
             assert not thread.is_alive()
             assert out == box["out"] == list(local.outputs)
             assert garbler.engine.stats == local.stats
-            assert garbler.engine.trace is evaluator.engine.trace
-            deltas.add(garbler.backend.delta)
+            assert recorder.trace is evaluator.engine.trace
+            deltas.add(garbler.material.delta)
         assert len(deltas) == 2
         assert T.BUILDS - builds <= 1
 

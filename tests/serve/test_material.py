@@ -25,11 +25,11 @@ import threading
 import pytest
 
 from repro import api
+from repro.core.protocol import GarblerParty
 from repro.core.trace import residual_trace
 from repro.gc.material import (
     MaterialCache,
     MaterialEpochMismatch,
-    MaterialGarblerParty,
     build_material,
 )
 from repro.net.cli import _registry
@@ -197,8 +197,6 @@ class TestResumeAcrossMaterial:
         """A checkpoint records its material epoch; restoring it into a
         party holding different material must raise, never silently
         stitch two deltas into one session."""
-        from repro.gc.material import MaterialGarblerParty
-
         prog = registry_program(SEQ_CIRCUIT, SERVER_VALUE)
         kw = dict(alice=prog.alice)
         m0 = build_material(prog.net, prog.cycles, epoch=0, **kw)
@@ -208,12 +206,12 @@ class TestResumeAcrossMaterial:
             def send(self, tag, payload):
                 pass
 
-        p0 = MaterialGarblerParty(m0)
+        p0 = GarblerParty.from_material(m0)
         p0.attach(_NullChan())
         snap = p0.snapshot()
         p0.restore(snap)  # same epoch: fine
 
-        p1 = MaterialGarblerParty(m1)
+        p1 = GarblerParty.from_material(m1)
         p1.attach(_NullChan())
         with pytest.raises(MaterialEpochMismatch):
             p1.restore(snap)
@@ -269,9 +267,9 @@ class TestTraceWarmBeforeReady:
 
 
 class TestReplayTranscript:
-    """The replay party frames its recorded runs exactly as the garbler
-    it recorded: seeded per-direction transcripts are identical, on
-    every registry circuit, through the IKNP extension."""
+    """The garbler party frames prebuilt material exactly as material
+    it garbles just in time: seeded per-direction transcripts are
+    identical, on every registry circuit, through the IKNP extension."""
 
     @staticmethod
     @functools.lru_cache(maxsize=None)
@@ -283,7 +281,7 @@ class TestReplayTranscript:
         return net, cycles, inputs, api.run(net, inputs, mode="local", cycles=cycles)
 
     def _session(self, monkeypatch, name, replay):
-        from repro.core.protocol import EvaluatorParty, GarblerParty, _expand_bits
+        from repro.core.protocol import EvaluatorParty, _expand_bits
         from repro.gc import ot as ot_mod
         from repro.gc.channel import channel_pair
         from repro.gc.ot_extension import OTExtensionSender
@@ -303,7 +301,7 @@ class TestReplayTranscript:
         if replay:
             material = build_material(net, cycles, alice=inputs["alice"],
                                       rng=random.Random(7))
-            garbler = MaterialGarblerParty(material, ot_factory=sender_ot)
+            garbler = GarblerParty.from_material(material, ot_factory=sender_ot)
         else:
             garbler = GarblerParty(
                 net, cycles, _expand_bits(net, "alice", inputs["alice"], (), cycles),
@@ -366,7 +364,7 @@ class TestReplayTranscript:
 
     #: SHA-256 of each direction's transcript — the list of ``(tag,
     #: payload)`` frames under :func:`repro.net.codec.encode` — of a
-    #: seeded fresh-garbler session, ``(garbler, evaluator)``.  Pinned
+    #: seeded just-in-time session, ``(garbler, evaluator)``.  Pinned
     #: when material became a backend replay: a change that moved the
     #: fresh and the replayed bytes alike still shows here.
     GOLDEN = {
@@ -393,6 +391,52 @@ class TestReplayTranscript:
         digests = tuple(hashlib.sha256(codec.encode(sent[role])).hexdigest()
                         for role in ("garbler", "evaluator"))
         assert digests == self.GOLDEN[name, ot]
+
+
+class TestJustInTime:
+    def test_material_is_garbled_one_cycle_ahead(self):
+        """A just-in-time party has garbled only the init bucket when
+        ``attach`` returns, and at each cycle boundary at most one
+        bucket beyond the cycles it has sent: Alice garbles cycle
+        ``c+1`` while Bob evaluates cycle ``c``."""
+        from repro.core.protocol import EvaluatorParty, _expand_bits
+        from repro.gc.channel import channel_pair
+
+        entry = _registry()[SEQ_CIRCUIT]
+        net, cycles = entry.build()
+        garbler = GarblerParty(
+            net, cycles,
+            _expand_bits(net, "alice", entry.alice_source(SERVER_VALUE, cycles),
+                         (), cycles), ot_group="modp512")
+        evaluator = EvaluatorParty(
+            net, cycles,
+            _expand_bits(net, "bob", entry.bob_source(CLIENT_VALUE, cycles),
+                         (), cycles), ot_group="modp512")
+        g_end, e_end = channel_pair(timeout=60.0)
+        box = {}
+
+        def bob():
+            evaluator.attach(e_end)
+            evaluator.run_cycles()
+            box["outputs"] = evaluator.finish()
+
+        thread = threading.Thread(target=bob)
+        thread.start()
+        material = garbler.material
+        garbler.attach(g_end)
+        assert len(material.buckets) == 1 and material.recorder is not None
+        built = []
+        garbler.run_cycles(
+            on_boundary=lambda sent: built.append((sent, len(material.buckets) - 1)))
+        outputs = garbler.finish()
+        thread.join(60.0)
+        assert not thread.is_alive()
+        assert [sent for sent, _ in built] == list(range(1, cycles + 1))
+        assert all(sent <= garbled <= sent + 1 for sent, garbled in built), built
+        assert outputs == box["outputs"]
+        assert outputs == list(_local_reference(
+            SEQ_CIRCUIT, SERVER_VALUE, CLIENT_VALUE).outputs)
+        assert material.recorder is None and garbler.material_epoch is None
 
 
 class TestBuildIsABackendReplay:
@@ -530,6 +574,6 @@ class TestDefaultPathsDrawFromSecrets:
             ot_factory=lambda chan: OTExtensionReceiver(
                 chan, salt=session_salt("fresh")))
         assert self._run_pair(garbler, evaluator) == list(local.outputs)
-        assert deltas == [garbler.backend.delta] and deltas[0] in drawn
+        assert deltas == [garbler.material.delta] and deltas[0] in drawn
         # So did the extension sender's secret s, its base-OT choices.
-        assert garbler.backend._ot._s in drawn
+        assert garbler._ot._s in drawn

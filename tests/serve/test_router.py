@@ -191,14 +191,23 @@ class TestRouterFleet:
 
 
 class TestDrainHandoff:
-    @pytest.mark.parametrize("pool", ["thread", "process"])
-    def test_forced_drain_handoff_is_bit_identical(self, pool):
+    @pytest.mark.parametrize("pool,precompute,key", [
+        ("thread", True, None),
+        ("process", True, None),
+        ("thread", False, None),
+        ("thread", True, "high"),
+    ], ids=["thread", "process", "thread-no-precompute", "thread-keyed"])
+    def test_forced_drain_handoff_is_bit_identical(self, pool, precompute, key):
         """Drain the shard that owns an in-flight session mid-run: the
         session is checkpoint-transferred to the peer and finishes with
         outputs and gate counts bit-identical to the local simulator —
-        however the shards start their workers."""
+        however the shards start their workers, and whether the session
+        replays a cached epoch or garbles just in time (precompute off,
+        or a keyed garbler operand)."""
         from repro.serve.config import ServeConfig
+        from repro.serve.server import registry_keyed_program
 
+        keyed_value = 900
         entry = _registry()["sum32-seq"]
         net, cycles = entry.build()
         bob = entry.bob_source(7, cycles)
@@ -209,22 +218,28 @@ class TestDrainHandoff:
             time.sleep(0.05)
             return bob(cycle) if callable(bob) else bob
 
+        alice_value = SERVER_VALUE if key is None else keyed_value
         ref = api.run(
             net,
-            {"alice": entry.alice_source(SERVER_VALUE, cycles),
+            {"alice": entry.alice_source(alice_value, cycles),
              "bob": entry.bob_source(7, cycles)},
-            cycles=cycles,
+            mode="local", cycles=cycles,
         )
 
-        programs = {"sum32-seq": registry_program("sum32-seq", SERVER_VALUE)}
-        with LocalFleet(programs, shards=2,
-                        config=ServeConfig(pool=pool)) as fleet:
+        if key is None:
+            prog = registry_program("sum32-seq", SERVER_VALUE)
+        else:
+            prog = registry_keyed_program(
+                "sum32-seq", {key: keyed_value}, value=SERVER_VALUE)
+        config = ServeConfig(pool=pool, precompute=precompute)
+        with LocalFleet({"sum32-seq": prog}, shards=2, config=config) as fleet:
             box = {}
 
             def client_main():
                 box["result"] = run_session(
                     fleet.host, fleet.port, "sum32-seq", net,
-                    session_id="drain-handoff", bob=slow_bob, cycles=cycles,
+                    session_id="drain-handoff", garbler_key=key,
+                    bob=slow_bob, cycles=cycles,
                 )
 
             t = threading.Thread(target=client_main)
@@ -263,8 +278,8 @@ class TestDrainHandoff:
             _await(counted, what="adopter bookkeeping")
 
             agg = fetch_fleet_stats(fleet.host, fleet.port)["aggregate"]
-            assert agg["handed_off"] == 1
-            assert agg["adopted"] == 1
+            # Every served session hands off: the drain's count is true.
+            assert drain["handoffs"] == agg["handed_off"] == agg["adopted"] == 1
             assert agg["completed"] == 1
             assert agg["failed"] == 0
 
