@@ -62,8 +62,8 @@ class Backend:
         """Garble/evaluate one non-XOR gate; returns the output label.
 
         ``tt`` is the effective truth table after input flips have been
-        folded in; ``key`` is the deterministic per-cycle gate id used
-        to match garbled tables between the parties.
+        folded in; ``key`` names the gate: an engine's per-cycle gate key
+        (what :meth:`end_cycle` filters by), or a replay's gate id.
         """
         raise NotImplementedError
 
@@ -72,25 +72,28 @@ class Backend:
         knows the whole run up front)."""
         return [self.secret_label(key) for key in keys]
 
-    def garble_many(self, tts: Sequence[int], keys: Sequence[int],
+    def garble_many(self, tts: Sequence[int], gids: Sequence[int],
                     srcs_a: Sequence[int], srcs_b: Sequence[int],
                     dsts: Sequence[int], labels: List[int]) -> None:
         """:meth:`garble` over a run of gates, in order, on a label
-        table: row ``i`` reads ``labels[srcs_a[i]]``/``labels[srcs_b[i]]``
-        and writes its output to ``labels[dsts[i]]``, where later rows
-        may read it."""
+        table: row ``i`` is gate ``gids[i]`` (its index among every
+        garble of the recorded run, which fixes its table's tweak), reads
+        ``labels[srcs_a[i]]``/``labels[srcs_b[i]]`` and writes its output
+        to ``labels[dsts[i]]``, where later rows may read it."""
         garble = self.garble
-        for tt, key, ia, ib, d in zip(tts, keys, srcs_a, srcs_b, dsts):
-            labels[d] = garble(tt, labels[ia], labels[ib], key)
+        for tt, gid, ia, ib, d in zip(tts, gids, srcs_a, srcs_b, dsts):
+            labels[d] = garble(tt, labels[ia], labels[ib], gid)
 
-    def begin_cycle(self, cycle: int, kept_keys: Sequence[int] = ()) -> None:
+    def begin_cycle(self, cycle: int, tables: int = 0) -> None:
         """Hook called before each sequential cycle.  A trace replay
-        also passes the keys of the tables the cycle will keep (a
-        sweeping engine learns them only at :meth:`end_cycle`): the
-        evaluator needs them to read the cycle's table blob."""
+        also passes how many tables the cycle sends (a sweeping engine
+        learns it only at :meth:`end_cycle`): the evaluator reads the
+        cycle's table blob by it."""
 
-    def end_cycle(self, kept_keys: List[int], dropped_keys: List[int]) -> None:
-        """Hook called after filtering; transports surviving tables."""
+    def end_cycle(self, kept_keys: Sequence[int] = (), dropped_keys: Sequence[int] = ()) -> None:
+        """Hook called after the table filter (Algorithm 4 line 18): a
+        sweeping engine passes the keys it keeps and drops, a trace
+        replay none (its trace holds only kept tables)."""
 
 
 class CountingBackend(Backend):

@@ -44,13 +44,12 @@ Wire formats are deterministic and fixed-width for label material
 (every label is exactly :data:`~repro.gc.hashing.LABEL_BYTES` bytes on
 the wire) so communication totals cannot wobble with random label
 values.  Nothing the trace already says crosses the wire: a cycle's
-surviving tables travel as one ``tables`` blob of ``32`` bytes per
-table, in the order of the cycle's kept keys, which the evaluator reads
-from the trace (``ends[c]``) instead of from the frame; a cycle that
+tables travel as one ``tables`` blob of ``32`` bytes per table, in
+trace order, each table at its garble row's position; a cycle that
 keeps no table sends no frame; and no frame carries a count, because
-each receiver knows from the trace and the run lengths how many bytes
-the next frame must hold (a frame of any other length is a
-:class:`~repro.gc.channel.FrameCorruption`).
+each receiver knows from the trace (``tables[c]``) and the run lengths
+how many bytes the next frame must hold (a frame of any other length
+is a :class:`~repro.gc.channel.FrameCorruption`).
 
 Synchronization argument (why the two parties agree): every decision
 a SkipGate engine takes depends only on (a) public inputs, which both
@@ -60,10 +59,10 @@ held labels, and these coincide because labels are only ever created
 fresh (garbling, inputs) or combined structurally (XOR, wire/inverter
 passes).  The trace is therefore the same whoever builds it (Alice's
 recorder replays the very trace Bob replays), and holds label *ids*,
-never label bytes or delta.  Garbled tables are matched by
-their deterministic per-cycle gate key, so a table filtered by Alice
-(Algorithm 4 line 18) is simply absent from Bob's blob and he
-substitutes a flagged dummy label (Algorithm 5 line 18).
+never label bytes or delta.  A table the engine filters (Algorithm 4
+line 18) has no row in the trace, so neither party garbles it, sends
+it or stands in a dummy label for it (Algorithm 5 line 18): the
+trace's build audit has already shown that nothing reads it.
 """
 
 from __future__ import annotations
@@ -130,9 +129,8 @@ class GarblerBackend(Backend):
         self._memo: Dict[Hashable, int] = {}
         self._alice_bits = alice_bits
         self.buckets: List[List[tuple]] = [[]]
-        #: Gate key -> 32-byte table, for the cycle being garbled.
-        self._pending: Dict[int, bytes] = {}
-        self._gid = 0
+        #: The open cycle's 32-byte tables, in trace order.
+        self._tables: List[bytes] = []
 
     def secret_labels(self, keys) -> List[int]:
         # Each stretch of one owner's fresh keys is one frame run: Alice's
@@ -154,21 +152,15 @@ class GarblerBackend(Backend):
     def xor(self, la: int, lb: int) -> int:
         return la ^ lb
 
-    def garble_many(self, tts, keys, srcs_a, srcs_b, dsts, labels) -> None:
-        tables = garble_run(labels, tts, srcs_a, srcs_b, dsts, self.delta, self._gid)
-        self._gid += len(tables)
-        self._pending.update(zip(keys, tables))
+    def garble_many(self, tts, gids, srcs_a, srcs_b, dsts, labels) -> None:
+        self._tables += garble_run(labels, tts, gids, srcs_a, srcs_b, dsts, self.delta)
 
-    def begin_cycle(self, cycle: int, kept_keys: Sequence[int] = ()) -> None:
-        self._pending = {}
-
-    def end_cycle(self, kept_keys: List[int], dropped_keys: List[int]) -> None:
+    def end_cycle(self) -> None:
         # One blob per cycle that keeps a table: 2 x 16-byte ciphertexts
-        # per surviving table, in kept-key order.  The keys themselves
-        # are in both parties' trace, so they stay off the wire.
-        if kept_keys:
-            self.buckets[-1].append(
-                ("tables", b"".join(map(self._pending.__getitem__, kept_keys))))
+        # per table, in the order they were garbled.
+        if self._tables:
+            self.buckets[-1].append(("tables", b"".join(self._tables)))
+            self._tables = []
 
 
 def record_material(
@@ -207,7 +199,7 @@ def record_material(
 
 
 class EvaluatorBackend(Backend):
-    """Bob: receives labels/tables, evaluates, flags dummy labels."""
+    """Bob: receives labels/tables, evaluates."""
 
     PROFILE_PHASE = "eval"
 
@@ -220,19 +212,14 @@ class EvaluatorBackend(Backend):
         ot_factory=None,
     ) -> None:
         self.chan = chan
-        self._rng = rng
         self._memo: Dict[Hashable, int] = {}
         self._bob_bits = bob_bits
         if ot_factory is not None:
             self._ot = ot_factory(chan)
         else:
             self._ot = OTExtensionReceiver(chan, group=ot_group, rng=rng)
-        self._blob = b""
-        self._offsets: Dict[int, int] = {}
-        self._gid = 0
-        #: Labels invented for filtered gates (Algorithm 5 line 18);
-        #: kept to assert none ever reaches a live output.
-        self.invalid_labels: set = set()
+        #: What the open cycle's runs have not yet read of its table blob.
+        self._blob = memoryview(b"")
 
     def secret_labels(self, keys) -> List[int]:
         # The garbler's stretches: one ``alice-label`` blob of exactly
@@ -254,29 +241,17 @@ class EvaluatorBackend(Backend):
     def xor(self, la: int, lb: int) -> int:
         return la ^ lb
 
-    def garble_many(self, tts, keys, srcs_a, srcs_b, dsts, labels) -> None:
-        offsets = map(self._offsets.get, keys)
-        evaluate_run(labels, self._blob, offsets, srcs_a, srcs_b, dsts,
-                     self._gid, self._dummy_label)
-        self._gid += len(keys)
+    def garble_many(self, tts, gids, srcs_a, srcs_b, dsts, labels) -> None:
+        n = GarbledTable.SIZE_BYTES * len(gids)
+        evaluate_run(labels, self._blob[:n], gids, srcs_a, srcs_b, dsts)
+        self._blob = self._blob[n:]
 
-    def _dummy_label(self) -> int:
-        # Alice filtered this table: its fanout will reach zero.  Track
-        # the secret with a flagged unique label.
-        dummy = random_label(self._rng)
-        self.invalid_labels.add(dummy)
-        return dummy
-
-    def begin_cycle(self, cycle: int, kept_keys: Sequence[int] = ()) -> None:
-        # ``kept_keys`` come from the trace: a cycle that keeps no table
-        # has no frame to wait for.  The tables stay in the received
-        # blob: a gate key maps to its table's byte offset.
-        size = GarbledTable.SIZE_BYTES
-        self._blob = b""
-        if kept_keys:
-            self._blob = check_blob(self.chan.recv("tables"),
-                                    size * len(kept_keys), "tables")
-        self._offsets = dict(zip(kept_keys, range(0, len(self._blob), size)))
+    def begin_cycle(self, cycle: int, tables: int = 0) -> None:
+        # ``tables`` comes from the trace: a cycle that keeps no table
+        # has no frame to wait for.
+        if tables:
+            self._blob = memoryview(check_blob(
+                self.chan.recv("tables"), GarbledTable.SIZE_BYTES * tables, "tables"))
 
     # -- resume hooks --------------------------------------------------------
 
@@ -285,20 +260,11 @@ class EvaluatorBackend(Backend):
         self._ot.rebind(chan)
 
     def snapshot(self) -> dict:
-        return {
-            "memo": dict(self._memo),
-            "gid": self._gid,
-            # Never mutated, only replaced at each begin_cycle.
-            "tables": (self._blob, self._offsets),
-            "invalid": set(self.invalid_labels),
-            "ot": self._ot.snapshot(),
-        }
+        # At a cycle boundary the cycle's table blob is fully read.
+        return {"memo": dict(self._memo), "ot": self._ot.snapshot()}
 
     def restore(self, snap: dict) -> None:
         self._memo = dict(snap["memo"])
-        self._gid = snap["gid"]
-        self._blob, self._offsets = snap["tables"]
-        self.invalid_labels = set(snap["invalid"])
         self._ot.restore(snap["ot"])
 
 
@@ -555,16 +521,8 @@ class EvaluatorParty:
         result as packed bits."""
         chan = self.chan
         states = self.engine.output_states()
-        invalid = self.backend.invalid_labels
-        labels = []
-        for s in states:
-            if type(s) is not int:
-                if s[0] in invalid:
-                    raise AssertionError(
-                        "a dummy label for a filtered gate reached an output"
-                    )
-                labels.append(s[0].to_bytes(LABEL_BYTES, "little"))
-        chan.send("outputs", b"".join(labels))
+        chan.send("outputs", b"".join(
+            s[0].to_bytes(LABEL_BYTES, "little") for s in states if type(s) is not int))
         result = unpack_bits(chan.recv("result"), len(states), "result")
         chan.send("bye", None)
         return result

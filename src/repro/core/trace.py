@@ -10,7 +10,9 @@ hands out and logs the calls as flat typed-int columns;
 :class:`TraceReplayer` then drives any real backend through that log
 with no netlist and no engine.  This module decides nothing: which
 gates are skipped is the sweeping engines' business alone, and they
-stay as trace builder and oracle.
+stay as trace builder and oracle.  A row the engine's table filter
+drops (Algorithm 4 line 18) leaves the trace at build, so no party
+garbles or evaluates a table that is never sent.
 
 A trace holds label *ids* and truth tables, never label bytes (the
 structure of a run is reusable across sessions, labels and delta are
@@ -25,8 +27,9 @@ from __future__ import annotations
 import threading
 import weakref
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import OrderedDict
+from itertools import accumulate, compress
 from time import perf_counter
 from typing import Hashable, List, Sequence
 
@@ -38,7 +41,8 @@ from .stats import CycleStats, RunStats
 
 #: Codes of the ``op`` column.  A garble op is ``GARBLE + tt`` (its 4-bit
 #: truth table); column ``x`` holds the index into ``keys`` (SECRET), the
-#: cycle number (BEGIN) or the gate key (GARBLE).
+#: cycle number (BEGIN) or the gate id (GARBLE: the row's index among
+#: every garble the builder saw, filtered ones included).
 SECRET, XOR, BEGIN, GARBLE = range(4)
 
 #: Traces kept per netlist (LRU over cycle counts and public inputs).
@@ -52,18 +56,19 @@ class ResidualTrace:
     program) once :func:`residual_trace` has returned it.  Row ``i`` of
     the columns is one backend call writing label slot ``dst[i]`` from
     slots ``a[i]``, ``b[i]``.  ``bounds[0]`` ends the init bucket,
-    ``bounds[c + 1]`` cycle ``c``, which closes with ``end_cycle(*ends[c])``;
-    ``keys`` are the public ``secret_label`` key tuples, ``outputs`` the
-    final output states (a public bit or ``(slot, flip)``), ``stats``
-    the builder's RunStats.  ``runs`` holds the first row of every run
-    (a stretch of one kind of call inside one bucket; garbles of any
-    truth table are one kind), then ``len(op)``: the replay unit."""
+    ``bounds[c + 1]`` cycle ``c``, which sends ``tables[c]`` tables (one
+    per garble row: filtered rows are not in the trace); ``keys`` are
+    the public ``secret_label`` key tuples, ``outputs`` the final output
+    states (a public bit or ``(slot, flip)``), ``stats`` the builder's
+    RunStats.  ``runs`` holds the first row of every run (a stretch of
+    one kind of call inside one bucket; garbles of any truth table are
+    one kind), then ``len(op)``: the replay unit."""
 
     def __init__(self) -> None:
         self.op = array("B")
-        self.x, self.a, self.b, self.dst, self.bounds, self.runs = (
-            array("l") for _ in range(6))
-        self.keys, self.ends, self.outputs = [], [], []
+        self.x, self.a, self.b, self.dst, self.bounds, self.runs, self.tables = (
+            array("l") for _ in range(7))
+        self.keys, self.outputs = [], []
         self.stats = RunStats()
         self.n_labels = self.n_slots = 0
 
@@ -80,6 +85,8 @@ class TraceBackend(Backend):
         self.ids: dict = {}
         self.trace = t = ResidualTrace()
         self._columns = (t.op, t.x, t.a, t.b, t.dst)
+        self.filtered: set = set()  # gate ids of the tables the engine dropped
+        self._gid = self._cycle_gid = 0
 
     def _log(self, op: int, x: int, a: int = 0, b: int = 0, label=None) -> None:
         t = self.trace
@@ -102,15 +109,50 @@ class TraceBackend(Backend):
 
     def garble(self, tt: int, la: int, lb: int, key: int) -> int:
         label = self._inner.garble(tt, la, lb, key)
-        self._log(GARBLE + tt, key, self.ids[la], self.ids[lb], label)
+        self._log(GARBLE + tt, self._gid, self.ids[la], self.ids[lb], label)
+        self._gid += 1
         return label
 
-    def begin_cycle(self, cycle: int, kept_keys=()) -> None:
+    def begin_cycle(self, cycle: int, tables: int = 0) -> None:
         self._log(BEGIN, cycle)
+        self._cycle_gid = self._gid
 
-    def end_cycle(self, kept_keys, dropped_keys) -> None:
-        self.trace.ends.append((array("l", kept_keys), array("l", dropped_keys)))
+    def end_cycle(self, kept_keys=(), dropped_keys=()) -> None:
+        # An engine's gate keys number the cycle's garbles from 0.
+        self.filtered.update(self._cycle_gid + key for key in dropped_keys)
+        self.trace.tables.append(len(kept_keys))
         self.trace.bounds.append(len(self.trace.op))
+
+
+class TraceAuditError(RuntimeError):
+    """A table the engine filtered (Algorithm 4 line 18) is still read."""
+
+
+def _drop_filtered(t: ResidualTrace, filtered: set) -> None:
+    """Remove, in place, every garble row in ``filtered`` and every xor
+    that no remaining row and no output reads, in one backward pass over
+    label ids (before slots are assigned); raise
+    :class:`TraceAuditError` if a filtered row is still read."""
+    op, x, a, b, dst = t.op, t.x, t.a, t.b, t.dst
+    live = bytearray(t.n_labels)
+    for s in (s for s in t.outputs if type(s) is not int):
+        live[s[0]] = 1
+    keep = bytearray(len(op))
+    for i in range(len(op) - 1, -1, -1):
+        o = op[i]
+        if o == SECRET or o == BEGIN:
+            keep[i] = 1
+        elif o >= GARBLE and x[i] in filtered:
+            if live[dst[i]]:
+                raise TraceAuditError(
+                    f"cycle {bisect_right(t.bounds, i) - 1}: the table of gate "
+                    f"{x[i]} was filtered, but a later row or an output reads it")
+        elif o >= GARBLE or live[dst[i]]:
+            keep[i] = live[a[i]] = live[b[i]] = 1
+    t.bounds[:] = array("l", accumulate(
+        keep.count(1, lo, hi) for lo, hi in zip([0, *t.bounds], t.bounds)))
+    for column in (op, x, a, b, dst):
+        column[:] = array(column.typecode, compress(column, keep))
 
 
 def _assign_slots(t: ResidualTrace) -> None:
@@ -192,6 +234,8 @@ def residual_trace(
         # size of the run) are freed on return, not by a later cyclic
         # collection.
         vars(eng).clear()
+        if recorder.filtered:
+            _drop_filtered(trace, recorder.filtered)
         _assign_slots(trace)
         _mark_runs(trace)
         lru[cache_key] = trace
@@ -233,9 +277,9 @@ class TraceReplayer:
 
     def _run(self, lo: int, hi: int) -> None:
         """Replay rows ``lo:hi`` a run at a time: a stretch of garbles is
-        one ``garble_many``, a stretch of input labels one
-        ``secret_labels``, and ``begin_cycle`` gets the cycle's kept
-        keys."""
+        one ``garble_many`` (with the rows' gate ids), a stretch of input
+        labels one ``secret_labels``, and ``begin_cycle`` gets the
+        cycle's table count."""
         t, backend, lab = self.trace, self.backend, self._labels
         op, x, a, b, dst, runs = t.op, t.x, t.a, t.b, t.dst, t.runs
         xor, keys = backend.xor, t.keys
@@ -256,9 +300,9 @@ class TraceReplayer:
                 for d, label in zip(dst[lo:end], labels):
                     lab[d] = label
             else:
-                # The cycle's kept keys are public: the evaluator reads
-                # its table blob against them, so they never cross the wire.
-                backend.begin_cycle(x[lo], t.ends[x[lo]][0])
+                # The cycle's table count is public: the evaluator reads
+                # its table blob by it, so no count crosses the wire.
+                backend.begin_cycle(x[lo], t.tables[x[lo]])
             lo = end
 
     def step(self) -> CycleStats:
@@ -268,7 +312,7 @@ class TraceReplayer:
         t0 = perf_counter()
         self._garble_seconds = 0.0
         self._run(t.bounds[c], t.bounds[c + 1])
-        self.backend.end_cycle(*t.ends[c])
+        self.backend.end_cycle()
         self.cycle = c + 1
         if obs.enabled:
             seconds = perf_counter() - t0

@@ -11,7 +11,8 @@ The half-gate algebra is written once, in the *run kernels*
 :func:`garble_run` and :func:`evaluate_run`: they take a run of gates
 that read and write slots of a live label table, in order, so a
 backend replaying a fixed gate stream pays one call per run instead of
-one per gate.  :func:`garble_gate`, :func:`evaluate_gate`,
+one per gate (a filtered table never reaches them: the residual trace
+drops its row).  :func:`garble_gate`, :func:`evaluate_gate`,
 :func:`garble_and` and :func:`evaluate_and` are one-row wrappers.
 
 Conventions
@@ -30,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import secrets
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..circuit.gates import and_decomposition
 from .hashing import HASH_STATS, LABEL_BITS, LABEL_MASK
@@ -82,14 +83,14 @@ def _check_and_like(tt: int) -> None:
         raise ValueError(f"gate type {tt:#06b} is not AND-like")
 
 
-def garble_run(labels: List[int], tts: Sequence[int], srcs_a: Sequence[int],
-               srcs_b: Sequence[int], dsts: Sequence[int], delta: int,
-               gid: int) -> List[bytes]:
+def garble_run(labels: List[int], tts: Sequence[int], gids: Sequence[int],
+               srcs_a: Sequence[int], srcs_b: Sequence[int],
+               dsts: Sequence[int], delta: int) -> List[bytes]:
     """Garble a run of AND-like gates, in order, over a label table.
 
     Row ``i`` reads the zero labels ``labels[srcs_a[i]]`` and
     ``labels[srcs_b[i]]``, garbles truth table ``tts[i]`` as gate
-    ``gid + i`` and writes its output zero label to ``labels[dsts[i]]``
+    ``gids[i]`` and writes its output zero label to ``labels[dsts[i]]``
     (a later row may read it).  Returns each row's 32-byte table.
     Input inversions re-base the zero labels (``a0 ^ ai*delta`` is the
     label of the value that makes the AND input false); the output
@@ -102,13 +103,13 @@ def garble_run(labels: List[int], tts: Sequence[int], srcs_a: Sequence[int],
     from_bytes = int.from_bytes
     decomposition = _AND_DECOMPOSITION
     mask, tweak, step = LABEL_MASK, _TWEAK, _GID
-    j0 = gid * step
     tables = []
     append = tables.append
-    for tt, ia, ib, d in zip(tts, srcs_a, srcs_b, dsts):
+    for tt, gid, ia, ib, d in zip(tts, gids, srcs_a, srcs_b, dsts):
         ai, bi, oi = decomposition[tt]
         a0 = labels[ia] ^ delta if ai else labels[ia]
         b0 = labels[ib] ^ delta if bi else labels[ib]
+        j0 = gid * step
         a1, b1, j1 = a0 ^ delta, b0 ^ delta, j0 | tweak
         ha0 = from_bytes(sha256((j0 | a0).to_bytes(24, "little")).digest(), "little")
         ha1 = from_bytes(sha256((j0 | a1).to_bytes(24, "little")).digest(), "little")
@@ -121,44 +122,37 @@ def garble_run(labels: List[int], tts: Sequence[int], srcs_a: Sequence[int],
         out0 = (ha0 ^ tg if a0 & 1 else ha0) ^ (hb1 if b0 & 1 else hb0)
         labels[d] = (out0 ^ delta if oi else out0) & mask
         append(((te & mask) << 128 | tg & mask).to_bytes(32, "little"))
-        j0 += step
     HASH_STATS.calls += 4 * len(tables)
     return tables
 
 
-def evaluate_run(labels: List[int], blob: bytes, offsets: Sequence[Optional[int]],
-                 srcs_a: Sequence[int], srcs_b: Sequence[int], dsts: Sequence[int],
-                 gid: int, dummy: Optional[Callable[[], int]] = None) -> None:
+def evaluate_run(labels: List[int], blob: bytes, gids: Sequence[int],
+                 srcs_a: Sequence[int], srcs_b: Sequence[int],
+                 dsts: Sequence[int]) -> None:
     """Evaluate a run of garbled gates, in order, over a label table.
 
-    Row ``i`` is gate ``gid + i``: it reads the held labels
-    ``labels[srcs_a[i]]``/``labels[srcs_b[i]]`` and the table at byte
-    ``offsets[i]`` of ``blob`` and writes the output label to
-    ``labels[dsts[i]]``.  An offset of ``None`` marks a table the
-    garbler filtered: that row's label is ``dummy()`` and costs no hash.
+    Row ``i`` is gate ``gids[i]``: it reads the held labels
+    ``labels[srcs_a[i]]``/``labels[srcs_b[i]]`` and the ``i``-th 32-byte
+    table of ``blob`` and writes the output label to ``labels[dsts[i]]``.
     """
     sha256 = hashlib.sha256
     from_bytes = int.from_bytes
     mask, tweak, step = LABEL_MASK, _TWEAK, _GID
-    j0 = gid * step
-    evaluated = 0
-    for off, ia, ib, d in zip(offsets, srcs_a, srcs_b, dsts):
-        if off is None:
-            labels[d] = dummy()
-        else:
-            a, b, j1 = labels[ia], labels[ib], j0 | tweak
-            w = from_bytes(sha256((j0 | a).to_bytes(24, "little")).digest(), "little")
-            w ^= from_bytes(sha256((j1 | b).to_bytes(24, "little")).digest(), "little")
-            if a & 1 or b & 1:
-                table = from_bytes(blob[off : off + 32], "little")
-                if a & 1:
-                    w ^= table
-                if b & 1:
-                    w ^= table >> 128 ^ a
-            labels[d] = w & mask
-            evaluated += 1
-        j0 += step
-    HASH_STATS.calls += 2 * evaluated
+    off = 0
+    for gid, ia, ib, d in zip(gids, srcs_a, srcs_b, dsts):
+        a, b, j0 = labels[ia], labels[ib], gid * step
+        j1 = j0 | tweak
+        w = from_bytes(sha256((j0 | a).to_bytes(24, "little")).digest(), "little")
+        w ^= from_bytes(sha256((j1 | b).to_bytes(24, "little")).digest(), "little")
+        if a & 1 or b & 1:
+            table = from_bytes(blob[off : off + 32], "little")
+            if a & 1:
+                w ^= table
+            if b & 1:
+                w ^= table >> 128 ^ a
+        labels[d] = w & mask
+        off += 32
+    HASH_STATS.calls += off // 16  # two hashes per 32-byte table
 
 
 def garble_gate(tt: int, a0: int, b0: int, delta: int,
@@ -166,7 +160,7 @@ def garble_gate(tt: int, a0: int, b0: int, delta: int,
     """Garble one AND-like gate type; returns ``(out0, table)``."""
     _check_and_like(tt)
     labels = [a0, b0, 0]
-    (table,) = garble_run(labels, (tt,), (0,), (1,), (2,), delta, gid)
+    (table,) = garble_run(labels, (tt,), (gid,), (0,), (1,), (2,), delta)
     both = int.from_bytes(table, "little")
     return labels[2], GarbledTable(both & LABEL_MASK, both >> LABEL_BITS)
 
@@ -186,5 +180,5 @@ def evaluate_and(a: int, b: int, table: GarbledTable, gid: int) -> int:
     """Evaluate a garbled AND gate on held labels ``a`` and ``b``."""
     labels = [a, b, 0]
     blob = (table.te << LABEL_BITS | table.tg).to_bytes(32, "little")
-    evaluate_run(labels, blob, (0,), (0,), (1,), (2,), gid)
+    evaluate_run(labels, blob, (gid,), (0,), (1,), (2,))
     return labels[2]

@@ -122,8 +122,9 @@ class TestSequential:
         assert r.tables_sent == 8  # one 2-entry subset mux
 
     def test_filtered_tables_are_not_transmitted(self):
-        """Alice garbles a doomed gate but never sends its table; Bob
-        substitutes a dummy label and the run still decodes."""
+        """The engine filters a doomed gate: its row leaves the residual
+        trace at build, so Alice never garbles or sends its table, Bob
+        needs no stand-in label for it, and the run still decodes."""
         b = CircuitBuilder()
         a = b.alice_input(1)
         bob = b.bob_input(1)

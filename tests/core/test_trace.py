@@ -18,7 +18,6 @@ import random
 import sys
 import threading
 import weakref
-from bisect import bisect_right
 
 import pytest
 
@@ -121,7 +120,6 @@ class _Run:
         #: the labels its garble runs wrote, in order.
         self.labels = {}
         self.garbled = {}
-        self.invalid = None
         self.hashes = None
 
 
@@ -161,15 +159,20 @@ def _row(public, cycle):
 class _RunsFromTrace(Backend):
     """What a sweeping engine cannot tell a crypto backend by itself:
     where each stretch of input labels ends (the unit of one label frame
-    run) and, at ``begin_cycle``, which tables the cycle will keep.  The
-    adapter reads both from the trace and forwards everything else, so
-    an engine that asked for a key out of the trace's order would show
-    on the wire."""
+    run), how many tables a cycle sends, and which garbles the table
+    filter drops.  The adapter reads all three from the trace: a garble
+    whose gate id the trace kept goes to the backend with that id, a
+    filtered one gets a stand-in label here (the crypto backends never
+    see a filtered gate).  Everything else is forwarded, so an engine
+    that asked for a key out of the trace's order would show on the
+    wire."""
 
     def __init__(self, inner, trace):
         self.inner, self.trace = inner, trace
         self._run_of = {}
         t = trace
+        self._kept = {g for o, g in zip(t.op, t.x) if o >= T.GARBLE}
+        self._gid = 0
         for lo, hi in zip(t.runs, t.runs[1:]):
             if t.op[lo] == T.SECRET:
                 run = [t.keys[i] for i in t.x[lo:hi]]
@@ -185,15 +188,18 @@ class _RunsFromTrace(Backend):
         return self.inner.xor(la, lb)
 
     def garble(self, tt, la, lb, key):
+        gid, self._gid = self._gid, self._gid + 1
+        if gid not in self._kept:
+            return random.getrandbits(128)  # filtered: nothing reads it
         labels = [la, lb, 0]
-        self.inner.garble_many((tt,), (key,), (0,), (1,), (2,), labels)
+        self.inner.garble_many((tt,), (gid,), (0,), (1,), (2,), labels)
         return labels[2]
 
-    def begin_cycle(self, cycle, kept_keys=()):
-        self.inner.begin_cycle(cycle, self.trace.ends[cycle][0])
+    def begin_cycle(self, cycle, tables=0):
+        self.inner.begin_cycle(cycle, self.trace.tables[cycle])
 
-    def end_cycle(self, kept_keys, dropped_keys):
-        self.inner.end_cycle(kept_keys, dropped_keys)
+    def end_cycle(self, kept_keys=(), dropped_keys=()):
+        self.inner.end_cycle()
 
 
 class _Swept:
@@ -221,9 +227,10 @@ def _replayer(party):
 def _drive_sweep(party, chan, inputs, rollback):
     """The parties as they were before the residual trace: a sweeping
     engine over the real backend, stepped cycle by cycle (told its
-    label runs and kept keys by :class:`_RunsFromTrace`).  The
-    garbler's engine sweeps its recorder's backend, whose memo already
-    holds the init bucket, so the engine's init asks mint nothing."""
+    label runs, table counts and filtered gates by
+    :class:`_RunsFromTrace`).  The garbler's engine sweeps its
+    recorder's backend, whose memo already holds the init bucket, so
+    the engine's init asks mint nothing."""
     assert rollback is None  # a sweeping engine keeps no checkpoint
     public, public_init = inputs.get("public", ()), inputs.get("public_init", ())
     trace = T.residual_trace(party.net, party.cycles, public, public_init)
@@ -271,8 +278,8 @@ def _garble_rows(backend):
     """``garble_many`` one row at a time: the path the run kernels
     replaced."""
 
-    def run(tts, keys, srcs_a, srcs_b, dsts, labels):
-        for row in zip(tts, keys, srcs_a, srcs_b, dsts):
+    def run(tts, gids, srcs_a, srcs_b, dsts, labels):
+        for row in zip(tts, gids, srcs_a, srcs_b, dsts):
             backend.garble_many(*([v] for v in row), labels)
 
     return run
@@ -292,8 +299,8 @@ def _replay_logging_garbles(per_row):
         run = _garble_rows(eng.backend) if per_row else eng._garble_many
         eng.garbled = []
 
-        def logged(tts, keys, srcs_a, srcs_b, dsts, labels):
-            run(tts, keys, srcs_a, srcs_b, dsts, labels)
+        def logged(tts, gids, srcs_a, srcs_b, dsts, labels):
+            run(tts, gids, srcs_a, srcs_b, dsts, labels)
             eng.garbled += [labels[d] for d in dsts]
 
         eng._garble_many = logged
@@ -354,7 +361,6 @@ def _two_party_run(monkeypatch, net, cycles, inputs, drive, *, rollback=None,
         raise errors[0]
     assert not any(t.is_alive() for t in threads)
     run.tables_sent = parties["garbler"].tables_sent
-    run.invalid = set(parties["evaluator"].backend.invalid_labels)
     run.hashes = HASH_STATS.calls - hashes0
     return run
 
@@ -408,7 +414,7 @@ class TestDifferential:
         # arm-fallback none does: those cycles send no frame at all).
         trace = T.residual_trace(net, cycles, inputs.get("public", ()),
                                  inputs.get("public_init", ()))
-        redone = sum(1 for c in range(*rollback) if len(trace.ends[c][0]))
+        redone = sum(1 for c in range(*rollback) if trace.tables[c])
         assert (len(replayed.sent["garbler"])
                 >= len(straight.sent["garbler"]) + redone)
 
@@ -427,17 +433,14 @@ class TestDifferential:
         _assert_same_run(swept, replayed)
 
 
-def _kept_after_filtered_in_a_run(trace):
-    """Garble rows evaluated after a row whose table the garbler
-    filtered, in the same run (cycle ``c`` closes with ``ends[c]``)."""
-    count = 0
-    for lo, hi in zip(trace.runs, trace.runs[1:]):
-        if trace.op[lo] >= T.GARBLE:
-            dropped = set(trace.ends[bisect_right(trace.bounds, lo) - 1][1])
-            flags = [trace.x[i] in dropped for i in range(lo, hi)]
-            if True in flags:
-                count += flags[flags.index(True):].count(False)
-    return count
+def _gid_gaps_in_runs(trace):
+    """Places inside one garble run where the gate ids skip: a filtered
+    row stood there, and the rows after it kept their own ids."""
+    x = trace.x
+    return sum(
+        x[i + 1] - x[i] > 1
+        for lo, hi in zip(trace.runs, trace.runs[1:]) if trace.op[lo] >= T.GARBLE
+        for i in range(lo, hi - 1))
 
 
 class TestRunKernel:
@@ -461,18 +464,60 @@ class TestRunKernel:
         _assert_same_run(rows, kernel)
         assert rows.labels == kernel.labels
         assert rows.garbled == kernel.garbled
-        assert rows.invalid == kernel.invalid
         trace = T.residual_trace(net, cycles, inputs.get("public", ()),
                                  inputs.get("public_init", ()))
+        # The replay garbles and evaluates only the tables it sends.
         garbles = sum(o >= T.GARBLE for o in trace.op)
-        filtered = sum(len(dropped) for _kept, dropped in trace.ends)
+        assert garbles == sum(trace.tables) == trace.stats.tables_sent
+        assert garbles == kernel.tables_sent
         # 4 hashes per garbled table, 2 per evaluated one.
-        assert rows.hashes == kernel.hashes == 6 * garbles - 2 * filtered
-        assert len(kernel.invalid) == filtered
+        assert rows.hashes == kernel.hashes == 6 * garbles
         if name == "arm-fallback":
-            # The evaluator's dummy-label branch runs mid-run, so the
-            # rows after it must still get their own gate ids.
-            assert _kept_after_filtered_in_a_run(trace) > 0
+            # A filtered row left mid-run: the rows after it keep the
+            # gate ids (and so the tables) they had before it left.
+            assert trace.stats.tables_filtered > 0
+            assert _gid_gaps_in_runs(trace) > 0
+
+
+class TestBuildAudit:
+    """A row the engine's table filter drops leaves the trace at build;
+    a filtered row that a remaining row or an output still reads fails
+    the build, naming its cycle."""
+
+    @pytest.mark.parametrize("name", ["compare32", "sum32-seq"])
+    def test_a_filtered_row_that_is_still_read_fails_the_build(
+            self, monkeypatch, name):
+        net, cycles = _registry()[name].build()  # a fresh netlist: no cache hit
+        target = cycles - 1 if name == "compare32" else 1
+        end_cycle = T.TraceBackend.end_cycle
+
+        def misreport(self, kept_keys=(), dropped_keys=()):
+            # The cycle's last kept table is still read: call it dropped.
+            if len(self.trace.tables) == target:
+                kept_keys, dropped_keys = kept_keys[:-1], [*dropped_keys, kept_keys[-1]]
+            end_cycle(self, kept_keys, dropped_keys)
+
+        monkeypatch.setattr(T.TraceBackend, "end_cycle", misreport)
+        with pytest.raises(T.TraceAuditError, match=rf"^cycle {target}: "):
+            T.residual_trace(net, cycles)
+
+    @pytest.mark.xfail(
+        strict=True, raises=T.TraceAuditError,
+        reason="ROADMAP item 12(a): the engine filters 14 tables of secret-"
+               "address stores that the outputs still read")
+    def test_dijkstra8_builds_cleanly_at_full_length(self):
+        prog = REGISTRY["dijkstra8"]
+        machine = build_machine(prog)
+        alice, bob = prog.gen_inputs(random.Random(1))
+        net, cycles, inputs = _machine_case(machine, alice, bob)
+        try:
+            trace = T.residual_trace(net, cycles, (), inputs["public_init"])
+        except T.TraceAuditError as exc:
+            # Item 12's cycles, two live filtered stores each: 2279,
+            # 2870, ..., 5825.
+            assert int(str(exc).split(":")[0].split()[1]) in range(2279, 5826, 591)
+            raise
+        assert sum(o >= T.GARBLE for o in trace.op) == trace.stats.tables_sent
 
 
 class TestBuildLeavesNoGarbage:
@@ -510,13 +555,11 @@ class TestNoSecrets:
         net, cycles, _ = _registry_case("hamming32-seq")
         trace = T.residual_trace(net, cycles)
         label = 1 << 127
-        for name in ("op", "x", "a", "b", "dst", "bounds"):
+        for name in ("op", "x", "a", "b", "dst", "bounds", "runs", "tables"):
             column = getattr(trace, name)
             assert type(column).__name__ == "array", name
             with pytest.raises(OverflowError):
                 column.__class__(column.typecode, [label])
-        for kept, dropped in trace.ends:
-            assert kept.typecode == dropped.typecode == "l"
         # Whatever else it holds is small public ints and key tuples.
         flat = [v for key in trace.keys for v in key]
         flat += [v for s in trace.outputs for v in ((s,) if type(s) is int else s)]
