@@ -10,7 +10,8 @@ non-XOR gates are garbled (the paper's Sum 32 result).
 
 The script runs the computation twice through the one front door,
 ``repro.api.run``:
-1. count mode — the cost-accounting engine used by the benchmarks;
+1. local mode — the parties' residual trace replayed in the clear,
+   checked against the reference emulator (the benchmarks' cost count);
 2. crypto mode — the *real* two-party protocol (half-gate garbling,
    oblivious transfers, byte-counted channel) on the same program,
    with the two parties in separate threads.
@@ -44,9 +45,9 @@ def main() -> None:
     layout = dict(alice_words=1, bob_words=1, output_words=1,
                   data_words=8, imem_words=32)
 
-    # --- count mode -------------------------------------------------------
+    # --- local mode -------------------------------------------------------
     result = repro.api.run(program.words, inputs, machine_config=layout)
-    print(f"count mode: c[0] = {result.output_words[0]:,}")
+    print(f"local mode: c[0] = {result.output_words[0]:,}")
     print(f"  clock cycles garbled : {result.cycles}")
     print(f"  garbled non-XOR gates: {result.garbled_nonxor} "
           "(paper Table 2: Sum 32 = 31)")
@@ -68,7 +69,7 @@ def main() -> None:
           "(OT + output labels)")
     assert output == alice_secret + bob_secret
     assert proto.tables_sent == result.garbled_nonxor
-    print("count mode and the real protocol agree, gate for gate.")
+    print("local mode and the real protocol agree, gate for gate.")
 
 
 if __name__ == "__main__":

@@ -82,8 +82,7 @@ def cmd_run(args) -> int:
         imem_words=max(32, 1 << (len(words) - 1).bit_length()),
     )
     obs = _make_obs(args)
-    result = machine.run(alice=alice, bob=bob, cycles=args.cycles, obs=obs,
-                         engine=args.engine)
+    result = machine.run(alice=alice, bob=bob, cycles=args.cycles, obs=obs)
     print(f"output memory      : {result.output_words}")
     print(f"cycles garbled     : {result.cycles:,}")
     print(f"garbled non-XOR    : {result.garbled_nonxor:,}")
@@ -206,10 +205,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--data-words", type=int, default=128)
     p_run.add_argument("--cycles", type=int, default=None,
                        help="explicit cycle count (secret-PC programs)")
-    p_run.add_argument("--engine", choices=("compiled", "reference"),
-                       default="compiled",
-                       help="SkipGate execution strategy (bit-identical; "
-                            "'reference' is the interpreted engine)")
     p_run.add_argument("--profile", action="store_true",
                        help="print a per-phase wall-clock breakdown")
     p_run.add_argument("--trace", metavar="PATH", default=None,

@@ -28,14 +28,13 @@ modes without touching their result handling (``mode="party"``
 returns the session-flavoured :class:`~repro.net.session.SessionResult`,
 which carries the same ``outputs`` / ``value`` / ``stats`` names).
 
-Only ``mode="local"`` runs a SkipGate engine, so only it takes
-``engine=``: ``"compiled"`` (default) runs the cycle-plan kernel of
-:mod:`repro.core.plan`, ``"reference"`` the interpreted engine kept as
-the differential oracle; the two are bit-identical in outputs and
-statistics.  The two-party modes (``protocol``, ``party``, ``serve``)
-run no engine per session: the compiled engine records the program's
-residual trace (:mod:`repro.core.trace`) once per process, and every
-session replays that trace against its own crypto backend.
+No mode runs a SkipGate engine per call: every mode replays the
+program's residual trace (:mod:`repro.core.trace`), recorded once per
+process from public data.  The two-party modes replay it against their
+crypto backends; ``mode="local"`` replays it in the clear
+(:mod:`repro.core.run`) and checks every output bit against the plain
+simulator or the ISA emulator.  Only the trace builder picks an engine
+(``residual_trace`` / ``make_engine``'s ``engine=``).
 
 :func:`run` is the **operator** half of the API: it executes a
 computation (or starts the server that will).  :func:`connect` is the
@@ -97,13 +96,10 @@ def run(
     inputs: Optional[Mapping] = None,
     *,
     mode: str = "local",
-    engine: str = "compiled",
     profile: bool = False,
     obs=None,
     cycles: Optional[int] = None,
     seed: Optional[int] = None,
-    check: bool = True,
-    on_cycle=None,
     # machine memory layout (program runs only)
     machine_config: Optional[Mapping] = None,
     # protocol / party options
@@ -137,29 +133,24 @@ def run(
             or, for programs, lists of 32-bit words) and
             ``alice_init`` / ``bob_init`` / ``public_init`` (netlist
             init-vector bits).
-        mode: ``"local"`` (counting backend; outputs from the plain
-            simulator), ``"protocol"`` (both crypto parties in-process
+        mode: ``"local"`` (the residual trace replayed in the clear,
+            every output bit checked against the plain simulator or the
+            ISA emulator; a mismatch raises ``AssertionError``),
+            ``"protocol"`` (both crypto parties in-process
             over the in-memory channel), ``"party"`` (resumable
             session(s) over a real transport; see ``role``), or
             ``"serve"`` (a started multi-session
             :class:`~repro.serve.server.GarbleServer` garbling this
             computation for many concurrent evaluators; the caller
             shuts it down).
-        engine: local mode only: ``"compiled"`` cycle-plan kernel
-            (default) or ``"reference"`` interpreted engine —
-            bit-identical results.  The other modes run no engine and
-            raise ``ValueError`` for anything but the default.
         profile: collect per-phase timing into ``result.timing``
             (shorthand for passing a fresh :class:`repro.obs.Obs`).
         obs: explicit observability sink (overrides ``profile``).
         cycles: clock cycles to run (netlists default to 1; programs
             derive the count from the reference emulator when omitted).
-        seed: deterministic label seed (counting backend seed, or the
-            parties' label RNG seed in protocol mode).
-        check: cross-check outputs against the reference
-            simulator/emulator (local mode).
-        on_cycle: ``completed_cycles -> None`` progress callback
-            (local mode).
+        seed: protocol mode only: the parties' label RNG seed
+            (deterministic labels for tests; a local replay has no
+            labels to seed).
         machine_config: memory layout for program runs — keys
             ``alice_words``, ``bob_words``, ``output_words``,
             ``data_words``, ``imem_words``.
@@ -197,12 +188,6 @@ def run(
     from .gc.ot_extension import check_session_ot
 
     check_session_ot(ot)
-    if mode != "local" and engine != "compiled":
-        raise ValueError(
-            f"engine={engine!r} picks the engine of mode='local'; "
-            f"mode={mode!r} replays the program's residual trace and "
-            "runs no engine"
-        )
     obs = _make_obs(profile, obs)
     bits = _split_inputs(inputs)
     is_netlist = isinstance(program_or_netlist, Netlist)
@@ -214,11 +199,7 @@ def run(
             return _evaluate(
                 program_or_netlist,
                 cycles if cycles is not None else 1,
-                seed=seed if seed is not None else 0x5EED,
-                check=check,
                 obs=obs,
-                on_cycle=on_cycle,
-                engine=engine,
                 **bits,
             )
         machine = _make_machine(program_or_netlist, bits, machine_config)
@@ -226,9 +207,7 @@ def run(
             alice=bits.get("alice", ()),
             bob=bits.get("bob", ()),
             cycles=cycles,
-            check=check,
             obs=obs,
-            engine=engine,
         )
 
     if mode == "protocol":

@@ -14,8 +14,10 @@ framework does:
 
 The cycle count is derived by running the reference emulator; for
 predicated (if-converted) programs it is input-independent, which the
-machine verifies by also running the emulator on zeroed inputs.  The
-emulator's outputs additionally cross-check the garbled run.
+machine verifies by also running the emulator on zeroed inputs.  A run
+replays, in the clear, the residual trace the two parties would replay
+(:mod:`repro.core.run`), and the emulator — an oracle independent of
+the processor netlist and of SkipGate — checks every output bit of it.
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..circuit.bits import pack_words, unpack_words
+from ..circuit.bits import bits_to_int, pack_words, unpack_words
 from ..core.results import BaseResult
-from ..core.run import RunResult, _evaluate
-from ..core.stats import RunStats
+from ..core.run import check_outputs, replay_clear
+from ..obs import timing_summary
 from .assembler import assemble
 from .cpu import build_cpu
 from .emulator import Emulator, EmulatorError, MachineConfig
@@ -148,20 +150,18 @@ class GarbledMachine:
         alice: Sequence[int] = (),
         bob: Sequence[int] = (),
         cycles: Optional[int] = None,
-        check: bool = True,
         max_cycles: int = 200_000,
         obs=None,
-        engine: str = "compiled",
     ) -> MachineResult:
         """Garble/evaluate the processor on the parties' inputs.
 
         ``cycles`` overrides the emulator-derived count (needed for
         programs whose control flow depends on secret data; pass the
-        public worst case).  With ``check`` the output memory is
-        compared against the reference emulator.  ``obs`` enables
-        per-phase timing and per-cycle trace events.  ``engine``
-        selects the cycle-plan kernel (``"compiled"``, default) or the
-        interpreted engine (``"reference"``); both are bit-identical.
+        public worst case).  The run is the parties' residual trace
+        replayed in the clear; every output bit is checked against the
+        reference emulator run for the same ``cycles``, and a mismatch
+        raises ``AssertionError``.  ``obs`` reports the trace build (on
+        a cold cache) and the replay's per-cycle events.
         """
         alice = list(alice)
         bob = list(bob)
@@ -182,33 +182,24 @@ class GarbledMachine:
             self.config.imem_words - len(self.program)
         )
 
-        result: RunResult = _evaluate(
-            self.net,
-            cycles,
+        outputs, stats = replay_clear(
+            self.net, cycles,
             alice_init=pack_words(alice_padded, 32),
             bob_init=pack_words(bob_padded, 32),
             public_init=pack_words(imem, 32),
             obs=obs,
-            engine=engine,
         )
-        output_words = unpack_words(result.outputs, 32)
-
-        if check:
-            emu = Emulator(self.program, self.config, alice, bob)
-            for _ in range(cycles):
-                emu.step()
-            if output_words != emu.output:
-                raise AssertionError(
-                    "garbled processor output disagrees with the "
-                    f"reference emulator: {output_words} != {emu.output}"
-                )
+        emu = Emulator(self.program, self.config, alice, bob)
+        for _ in range(cycles):
+            emu.step()
+        check_outputs(outputs, pack_words(emu.output, 32), "reference emulator")
 
         return MachineResult(
-            outputs=result.outputs,
-            value=result.value,
-            output_words=output_words,
+            outputs=outputs,
+            value=bits_to_int(outputs),
+            output_words=unpack_words(outputs, 32),
             cycles=cycles,
-            stats=result.stats,
+            stats=stats,
             input_independent_flow=flow_independent,
-            timing=result.timing,
+            timing=timing_summary(obs) if obs is not None and obs.enabled else None,
         )

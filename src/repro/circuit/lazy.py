@@ -66,6 +66,12 @@ class LazyUnit:
             raise ValueError("lazy units must be purely combinational")
         self.plain_fn = plain_fn
         self.n_outputs = len(self.subnet.outputs)
+        #: Readers of each sub-netlist wire (gate pins and unit outputs).
+        sub = self.subnet
+        self.reads = [0] * sub.n_wires
+        for w in [*sub.outputs, *(f[g] for g in sub.schedule
+                                  for f in (sub.gate_a, sub.gate_b))]:
+            self.reads[w] += 1
         self.ports: List["LazyUnitPort"] = []
         self.keep_final_writes = False
 
@@ -128,16 +134,26 @@ class LazyUnitPort:
             local[w] = s
         tts, gas, gbs, gouts = sub.gate_tt, sub.gate_a, sub.gate_b, sub.gate_out
         gate = ctx.gate
+        # Hold a record read more than once until its last read (see
+        # MacroContext.gate).
+        left = list(self.macro.reads)
+        held = {}
         for gi in sub.schedule:
-            sa = local[gas[gi]]
-            sb = local[gbs[gi]]
+            a, b, o = gas[gi], gbs[gi], gouts[gi]
+            sa, sb = local[a], local[b]
             if type(sa) is int and type(sb) is int:
-                local[gouts[gi]] = (tts[gi] >> (sa + 2 * sb)) & 1
+                local[o] = (tts[gi] >> (sa + 2 * sb)) & 1
             else:
-                local[gouts[gi]] = gate(tts[gi], sa, sb)
+                local[o] = gate(tts[gi], sa, sb)
+                if left[o] > 1:
+                    held[o] = ctx.retain(local[o])
+            for w in (a, b):
+                left[w] -= 1
+                if not left[w] and w in held:
+                    ctx.release(held.pop(w))
         for w, sw in zip(self.out, sub.outputs):
             ctx.drive(w, local[sw])
-        for s in states:
+        for s in [*held.values(), *states]:
             ctx.release(s)
 
 
@@ -340,15 +356,19 @@ class LazyShifterPort:
                 for i in range(width):
                     src = self.macro.source_index(i, k)
                     shifted.append(0 if src is None else cur[src])
+                if type(sel) is int:
+                    cur = shifted if sel else cur
+                    continue
+                # A stage reads each bit of ``cur`` up to three times.
+                for s in cur:
+                    ctx.retain(s)
                 nxt = []
-                for i in range(width):
-                    x, y = cur[i], shifted[i]
-                    if type(sel) is int:
-                        nxt.append(y if sel else x)
-                        continue
+                for x, y in zip(cur, shifted):
                     diff = ctx.gate(_XOR, x, y)
                     gated = ctx.gate(_AND, sel, diff)
                     nxt.append(ctx.gate(_XOR, gated, x))
+                for s in cur:
+                    ctx.release(s)
                 cur = nxt
         # Credit each output's consumers, then release the statically
         # counted input pins.

@@ -395,12 +395,15 @@ class MemWritePort:
             if wen_secret:
                 cond = ctx.gate(_AND, cond, wen)
             old = store[idx]
+            # Hold ``cond`` across the bit loop (see MacroContext.gate).
+            ctx.retain(cond)
             new_word = [
                 ctx.strip(
                     ctx.retain(_mux(ctx, cond, old[bit], data_states[bit]))
                 )
                 for bit in range(width)
             ]
+            ctx.release(cond)
             commits.append((idx, new_word))
 
         def commit() -> None:
@@ -430,15 +433,28 @@ def _dyn_decoder(ctx, sels):
     half = k // 2
     lo = _dyn_decoder(ctx, sels[:half])
     hi = _dyn_decoder(ctx, sels[half:])
-    return [ctx.gate(_AND, h, l) for h in hi for l in lo]
+    # Hold each sub-decoder output across its outer ANDs.
+    for s in lo + hi:
+        ctx.retain(s)
+    out = [ctx.gate(_AND, h, l) for h in hi for l in lo]
+    for s in lo + hi:
+        ctx.release(s)
+    return out
 
 
 def _mux(ctx, sel, x, y):
     """Dynamic 2-to-1 MUX: ``y if sel else x`` via ``x ^ (sel & (x^y))``.
 
     Mirrors :meth:`CircuitBuilder.mux` gate for gate, so SkipGate sees
-    exactly the structure a synthesized MUX tree would have.
+    exactly the structure a synthesized MUX tree would have; a dynamic
+    ``x`` (stored words have none) is held across its two reads.
     """
+    held = type(x) is not int and x[2] >= 0
+    if held:
+        ctx.retain(x)
     diff = ctx.gate(_XOR, x, y)
     gated = ctx.gate(_AND, sel, diff)
-    return ctx.gate(_XOR, gated, x)
+    out = ctx.gate(_XOR, gated, x)
+    if held:
+        ctx.release(x)
+    return out

@@ -108,8 +108,12 @@ class MacroContext:
         and :meth:`retain` accounts for a label being latched into
         persistent storage.  The statically counted port input pins
         are balanced by one :meth:`release` each when the expansion
-        finishes.  This makes the macro's label_fanout evolution match
-        the equivalent gate-level subcircuit exactly.
+        finishes.  A dynamic record starts at 0, unlike a static one,
+        so a reader that resolves publicly can drop it back to 0 (and
+        release its parents) while another read is due: a macro holds
+        such a record with :meth:`retain` until its last read.  Only
+        then does its label_fanout evolve as the gate-level
+        subcircuit's would.
         """
         eng = self._eng
         eng._cs.dynamic_gates += 1
@@ -128,7 +132,7 @@ class MacroContext:
         eng.state[wire] = state
 
     def retain(self, state: WireState) -> WireState:
-        """Credit one persistent consumer (a storage flip-flop pin)."""
+        """Credit one consumer: a storage flip-flop pin, or a hold."""
         if type(state) is not int and state[2] >= 0:
             self._eng._rec_fanout[state[2]] += 1
         return state
@@ -137,7 +141,7 @@ class MacroContext:
         """Release one consumer pin of a state (Algorithm 6 step).
 
         Used for statically counted macro-port input pins whose label
-        the expansion did not store or consume.
+        the expansion did not store or consume, and to end a hold.
         """
         if type(state) is not int:
             self._eng._reduce(state[2])

@@ -1,68 +1,93 @@
-"""Local (counting-backend) evaluation of a netlist.
+"""Local evaluation: the parties' residual trace, replayed in the clear.
 
-:func:`repro.api.run` with ``mode="local"`` — the one-stop API used by
-the benchmark harness and most tests — lands here.  It runs two things
-side by side:
-
-* the **SkipGate engine** with a :class:`CountingBackend`, which sees
-  only public information (public inputs, public initializers, the
-  circuit) and produces the garbling cost statistics, and
-* the **plain simulator** on the cleartext inputs, which produces the
-  functional outputs.
-
-Keeping them separate demonstrates the security property of
-Section 3.5 in the code structure itself: the skipping decisions (and
-hence the cost) cannot depend on private data, because the engine is
-never given any.  The engine's public output bits are cross-checked
-against the simulator, which would catch any divergence between the
-two models.
-
+:func:`repro.api.run` with ``mode="local"`` lands here.  It fetches the
+program's residual trace (:mod:`repro.core.trace`) from the cache every
+protocol, party and serve session uses, under the same key, and drives
+a :class:`~repro.core.trace.TraceReplayer` through
+:class:`ClearBackend`, whose label *is* the wire's cleartext bit (a
+cleartext evaluator over the gate list the garbled path runs).  Every
+output bit is checked against an oracle that shares no code with
+SkipGate: the plain simulator for a netlist (:func:`_evaluate`), the
+ISA emulator for a program (:meth:`repro.arm.machine.GarbledMachine.run`).
+So Section 3.5's argument is executed: a skip decision that is wrong
+for some private input makes a local run raise, on exactly the trace
+the parties replay.  Statistics are the trace's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Union
+from typing import Callable, Dict, Hashable, List, Sequence, Tuple, Union
 
 from ..circuit.bits import bits_to_int
 from ..circuit.netlist import ALICE, BOB, Netlist, PUBLIC
 from ..circuit.simulate import PlainSimulator
-from ..obs import timing_summary
-from .backend import CountingBackend
-from .plan import make_engine
+from ..obs import NULL_OBS, timing_summary
+from .backend import Backend
+from .protocol import _expand_bits
 from .results import BaseResult
+from .stats import RunStats
+from .trace import ResidualTrace, TraceReplayer, residual_trace
 
 BitSource = Union[Sequence[int], Callable[[int], Sequence[int]]]
 
 
-class _MemoSource:
-    """Wrap a callable bit source so each cycle's row is computed once.
+class ClearBackend(Backend):
+    """A label is a bit: input labels are the parties' bits (keyed as
+    :func:`~repro.core.protocol._expand_bits` keys them), free XOR is
+    ``^``, and a garble row applies its truth table, into which the
+    trace has already folded the input flips."""
 
-    The engine and the reference simulator both consume the same
-    per-cycle sources; without memoization a callable source would be
-    invoked twice per cycle (and a stateful one would desync the two
-    consumers).
-    """
+    def __init__(self, bits: Dict[Hashable, int]) -> None:
+        self._bits = bits
 
-    __slots__ = ("_fn", "_rows")
+    def secret_labels(self, keys) -> List[int]:
+        bits = self._bits
+        return [bits[key] for key in keys]
 
-    def __init__(self, fn: Callable[[int], Sequence[int]]) -> None:
-        self._fn = fn
-        self._rows: Dict[int, Sequence[int]] = {}
+    def xor(self, la: int, lb: int) -> int:
+        return la ^ lb
 
-    def __call__(self, cycle: int) -> Sequence[int]:
-        row = self._rows.get(cycle)
-        if row is None:
-            row = self._rows[cycle] = self._fn(cycle)
-        return row
-
-
-def _memoized(source: BitSource) -> BitSource:
-    return _MemoSource(source) if callable(source) else source
+    def garble_many(self, tts, gids, srcs_a, srcs_b, dsts, labels) -> None:
+        for tt, ia, ib, d in zip(tts, srcs_a, srcs_b, dsts):
+            labels[d] = (tt >> (labels[ia] | labels[ib] << 1)) & 1
 
 
-def _per_cycle(source: BitSource, cycle: int) -> Sequence[int]:
-    return source(cycle) if callable(source) else source
+def replay(trace: ResidualTrace, bits: Dict[Hashable, int], obs=NULL_OBS
+           ) -> Tuple[List[int], RunStats]:
+    """Replay every cycle of ``trace`` on cleartext ``bits`` (both
+    parties' bits, keyed as :func:`~repro.core.protocol._expand_bits`
+    keys them); returns the output bits and the trace's statistics."""
+    replayer = TraceReplayer(trace, ClearBackend(bits), obs=obs)
+    for _ in trace.tables:
+        replayer.step()
+    outputs = [s if type(s) is int else s[0] ^ s[1]
+               for s in replayer.output_states()]
+    return outputs, replayer.stats
+
+
+def replay_clear(
+    net: Netlist, cycles: int, alice: BitSource = (), bob: BitSource = (),
+    public: BitSource = (), alice_init: Sequence[int] = (),
+    bob_init: Sequence[int] = (), public_init: Sequence[int] = (), obs=None,
+) -> Tuple[List[int], RunStats]:
+    """:func:`replay` of the cached residual trace of ``net`` (the one
+    the parties replay) on the parties' cleartext inputs."""
+    obs = NULL_OBS if obs is None else obs
+    bits = _expand_bits(net, ALICE, alice, alice_init, cycles)
+    bits.update(_expand_bits(net, BOB, bob, bob_init, cycles))
+    return replay(residual_trace(net, cycles, public, public_init, obs=obs),
+                  bits, obs)
+
+
+def check_outputs(outputs: Sequence[int], expected: Sequence[int], oracle: str) -> None:
+    """Raise ``AssertionError`` naming the first output bit of the
+    replay that differs from ``oracle``'s."""
+    for i, (got, want) in enumerate(zip(outputs, expected)):
+        if got != want:
+            raise AssertionError(
+                f"replayed trace output {i} = {got} disagrees with the "
+                f"{oracle} ({want})")
 
 
 @dataclass(kw_only=True)
@@ -79,78 +104,29 @@ def _evaluate(
     alice_init: Sequence[int] = (),
     bob_init: Sequence[int] = (),
     public_init: Sequence[int] = (),
-    seed: int = 0x5EED,
-    check: bool = True,
     obs=None,
-    on_cycle: Optional[Callable[[int], None]] = None,
-    engine: str = "compiled",
 ) -> RunResult:
-    """Evaluate ``net`` for ``cycles`` and return outputs plus stats.
-
-    Args:
-        net: the sequential circuit.
-        cycles: number of clock cycles to run.
-        alice / bob / public: per-cycle input bits for each input role;
-            either a constant bit sequence or ``cycle -> bits``
-            (callables are memoized so each cycle's row is computed
-            exactly once even though both the engine and the simulator
-            consume it).
-        alice_init / bob_init / public_init: init vectors referenced by
-            flip-flop and memory ``InitSpec`` entries.  ``public_init``
-            is the public input ``p`` of the paper.
-        seed: deterministic label seed for the counting backend.
-        check: verify that every output wire the engine resolved as
-            public matches the reference simulation.
-        obs: optional :class:`repro.obs.Obs` for per-phase timing and
-            per-cycle trace events; the default adds no overhead and
-            leaves gate counts bit-identical.
-        on_cycle: optional callback fired with the number of completed
-            cycles after each engine cycle — the same boundary grid the
-            two-party protocol checkpoints on (:mod:`repro.net.session`),
-            so progress reporting and checkpoint cadence line up across
-            the ideal and real models.
-        engine: ``"compiled"`` (cycle-plan kernel, the default) or
-            ``"reference"`` (the interpreted engine); both are
-            bit-identical in outputs and statistics.
-    """
-    alice = _memoized(alice)
-    bob = _memoized(bob)
-    public = _memoized(public)
-
-    eng = make_engine(
-        net, CountingBackend(seed), public_init=public_init, obs=obs,
-        engine=engine,
-    )
-    for i in range(cycles):
-        eng.step(_per_cycle(public, eng.cycle), final=(i == cycles - 1))
-        if on_cycle is not None:
-            on_cycle(eng.cycle)
-
+    """Replay ``cycles`` cycles of ``net`` in the clear and check every
+    output bit against the plain simulator.  ``alice`` / ``bob`` /
+    ``public`` are per-cycle bits, constant or ``cycle -> bits`` (called
+    once per cycle, in order); the ``*_init`` vectors feed ``InitSpec``
+    entries (``public_init`` is the paper's public input ``p``)."""
+    rows = {
+        role: [src(c) for c in range(cycles)] if callable(src) else [src] * cycles
+        for role, src in ((ALICE, alice), (BOB, bob), (PUBLIC, public))
+    }
     sim = PlainSimulator(
-        net,
-        init_bits={ALICE: alice_init, BOB: bob_init, PUBLIC: public_init},
-    )
+        net, init_bits={ALICE: alice_init, BOB: bob_init, PUBLIC: public_init})
     for cycle in range(cycles):
-        sim.step(
-            {
-                ALICE: _per_cycle(alice, cycle),
-                BOB: _per_cycle(bob, cycle),
-                PUBLIC: _per_cycle(public, cycle),
-            }
-        )
-    outputs = sim.outputs()
-
-    if check:
-        for i, s in enumerate(eng.public_output_bits()):
-            if s is not None and s != outputs[i]:
-                raise AssertionError(
-                    f"engine public output {i} = {s} disagrees with "
-                    f"reference simulation {outputs[i]}"
-                )
-
+        sim.step({role: rows[role][cycle] for role in rows})
+    outputs, stats = replay_clear(
+        net, cycles, rows[ALICE].__getitem__, rows[BOB].__getitem__,
+        rows[PUBLIC].__getitem__ if callable(public) else public,
+        alice_init, bob_init, public_init, obs)
+    check_outputs(outputs, sim.outputs(), "plain simulator")
     return RunResult(
         outputs=outputs,
         value=bits_to_int(outputs),
-        stats=eng.stats,
+        stats=stats,
         timing=timing_summary(obs) if obs is not None and obs.enabled else None,
     )

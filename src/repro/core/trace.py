@@ -77,21 +77,27 @@ class TraceBackend(Backend):
     """Records one sweeping-engine run into ``trace``.  Labels come from
     a wrapped :class:`CountingBackend` and each one handed out gets the
     next id, so ids name *values*: a memoised ``secret_label`` key is
-    logged at first mint only, an ``xor`` that reproduces a label
-    renames it."""
+    logged at first mint only, and an ``xor`` that reproduces a label
+    is not logged: free XOR is exact, so later rows read the first id,
+    not a rebuild through a table the filter may drop (``(a ^ g) ^ g``)."""
 
     def __init__(self) -> None:
         self._inner = CountingBackend()
         self.ids: dict = {}
         self.trace = t = ResidualTrace()
-        self._columns = (t.op, t.x, t.a, t.b, t.dst)
+        self._appends = tuple(c.append for c in (t.op, t.x, t.a, t.b, t.dst))
         self.filtered: set = set()  # gate ids of the tables the engine dropped
         self._gid = self._cycle_gid = 0
 
     def _log(self, op: int, x: int, a: int = 0, b: int = 0, label=None) -> None:
         t = self.trace
-        for column, v in zip(self._columns, (op, x, a, b, t.n_labels)):
-            column.append(v)
+        # Unrolled: this is the recorder's hot path.
+        op_, x_, a_, b_, dst_ = self._appends
+        op_(op)
+        x_(x)
+        a_(a)
+        b_(b)
+        dst_(t.n_labels)
         if label is not None:
             self.ids[label] = t.n_labels
             t.n_labels += 1
@@ -104,8 +110,10 @@ class TraceBackend(Backend):
         return label
 
     def xor(self, la: int, lb: int) -> int:
-        self._log(XOR, 0, self.ids[la], self.ids[lb], la ^ lb)
-        return la ^ lb
+        label = la ^ lb
+        if label not in self.ids:
+            self._log(XOR, 0, self.ids[la], self.ids[lb], label)
+        return label
 
     def garble(self, tt: int, la: int, lb: int, key: int) -> int:
         label = self._inner.garble(tt, la, lb, key)

@@ -52,8 +52,9 @@ def run_processor_benchmark(
     Returns a dict with ``garbled_nonxor``, ``conventional_nonxor``,
     ``cycles``, ``correct`` and timing.  The run cross-checks the
     output memory against the program's oracle and the reference
-    emulator.  Passing an enabled ``obs`` instruments the engine
-    (per-phase timing, per-cycle trace events) and adds a ``timing``
+    emulator.  Passing an enabled ``obs`` instruments the run (the
+    trace build on a cold cache, per-phase timing, per-cycle trace
+    events) and adds a ``timing``
     breakdown to the entry; it also bypasses the cache, since a cached
     entry carries no fresh measurements.
     """
@@ -94,7 +95,7 @@ def run_processor_benchmark(
         imem_words=prog.imem_words,
     )
     # The stopwatch is a local obs span (monotonic perf_counter, not
-    # the NTP-steppable wall clock); engine instrumentation stays off
+    # the NTP-steppable wall clock); run instrumentation stays off
     # unless the caller passed an enabled obs.
     watch = Obs()
     with watch.span("bench"):

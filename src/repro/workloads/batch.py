@@ -130,8 +130,9 @@ def run_batch(
 
     ``values[j]`` seeds query ``j``'s set
     (:func:`~repro.workloads.psi.set_from_seed`); ``server_value``
-    seeds the garbler's set.  ``mode="local"`` runs the counting
-    simulator, ``mode="protocol"`` the real two-party crypto with both
+    seeds the garbler's set.  ``mode="local"`` replays the residual
+    trace in the clear, checked against the plain simulator,
+    ``mode="protocol"`` the real two-party crypto with both
     parties in-process.  Returns a :class:`BatchResult` whose
     ``queries[j].outputs`` is bit-identical to a fresh batch-1 run of
     query ``j`` alone — asserted by ``tests/workloads``.

@@ -17,7 +17,10 @@ from repro.circuit.bits import int_to_bits
 from repro.circuit.netlist import ALICE
 from repro.core.protocol import ProtocolResult
 from repro.core.results import BaseResult
+from repro.core import trace as T
 from repro.core.run import RunResult, _evaluate
+from repro.core.trace import residual_trace
+from tests.helpers import replay_trace
 
 PROG = """
         MOV r0, #0x1000
@@ -79,14 +82,18 @@ class TestRunFacade:
         assert a_res.stats.garbled_nonxor == b_res.stats.garbled_nonxor
 
     def test_engine_selection_is_bit_identical(self):
+        """Both sweeping engines build the same trace: replayed in the
+        clear, they give local mode's outputs and statistics."""
         net, cycles = BC.hamming_sequential(32)
         x, y = 0xF0F0F0F0, 0x12345678
         inputs = {"alice": lambda c: [(x >> c) & 1],
                   "bob": lambda c: [(y >> c) & 1]}
-        compiled = api.run(net, inputs, cycles=cycles, engine="compiled")
-        reference = api.run(net, inputs, cycles=cycles, engine="reference")
-        assert compiled.outputs == reference.outputs
-        assert compiled.stats == reference.stats
+        local = api.run(net, inputs, cycles=cycles)
+        for engine in ("compiled", "reference"):
+            trace = residual_trace(net, cycles, engine=engine)
+            outputs, stats = replay_trace(trace, net, cycles, **inputs)
+            assert outputs == local.outputs
+            assert stats == local.stats
 
     def test_profile_populates_timing(self):
         net, cycles = BC.sum_combinational(32)
@@ -106,18 +113,19 @@ class TestRunFacade:
         with pytest.raises(ValueError, match="unknown mode"):
             api.run(net, mode="remote")
         with pytest.raises(ValueError):
-            api.run(net, engine="turbo", cycles=cycles)
+            residual_trace(net, cycles, engine="turbo")
 
     @pytest.mark.parametrize("mode", ["protocol", "party", "serve"])
     def test_engine_choice_is_local_mode_only(self, mode):
-        """Only count mode runs an engine; a session replays the trace
-        the compiled builder recorded, so choosing another is an error
-        raised before anything runs."""
+        """No mode runs an engine per call (local mode too replays the
+        trace), so no mode takes ``engine=``: only the trace builder
+        picks one."""
         net, cycles = BC.sum_combinational(32)
         inputs = {"alice": int_to_bits(1, 32), "bob": int_to_bits(2, 32)}
-        with pytest.raises(ValueError, match=f"mode='{mode}'"):
-            api.run(net, inputs, mode=mode, engine="reference",
-                    cycles=cycles, role="both", listen=("127.0.0.1", 0))
+        for m in ("local", mode):
+            with pytest.raises(TypeError, match="engine"):
+                api.run(net, inputs, mode=m, engine="reference",
+                        cycles=cycles, role="both", listen=("127.0.0.1", 0))
 
     def test_party_mode_requires_netlist(self):
         with pytest.raises(TypeError, match="netlist"):
@@ -190,7 +198,64 @@ class TestMemoizedSources:
 
         res = _evaluate(net, cycles, alice=alice,
                         bob=lambda c: [0] * width)
-        # Both the engine and the reference simulator consume the
+        # Both the replay and the reference simulator consume the
         # source, but each cycle's row is computed exactly once.
         assert calls == list(range(cycles))
         assert res.value == res.value  # result is well-formed
+
+
+def _inverted_pair():
+    """``out = AND(a ^ y, ~a ^ y) ^ y``: the AND sees one label with
+    opposite flips (category iii), which SkipGate resolves to public 0."""
+    from repro.circuit import CircuitBuilder
+
+    b = CircuitBuilder()
+    a, y = b.alice_input(1)[0], b.bob_input(1)[0]
+    pair = b.and_(b.xor_(a, y), b.xor_(b.not_(a), y))
+    b.set_outputs([b.xor_(pair, y)])
+    return b.build()
+
+
+class TestLocalReplaysTheTrace:
+    """``mode="local"`` is the parties' residual trace, replayed in the
+    clear and checked on every output bit."""
+
+    @pytest.mark.parametrize("a,y", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_a_wrong_category_iii_decision_raises(self, monkeypatch, a, y):
+        from repro.circuit import gates as G
+
+        assert api.run(_inverted_pair(), {"alice": [a], "bob": [y]}).outputs == [y]
+        real = G.restrict_inverted
+
+        def flipped(tt):
+            r = real(tt)
+            return G.Restriction(G.CONST, r.value ^ 1) if r.kind == G.CONST else r
+
+        monkeypatch.setattr(G, "restrict_inverted", flipped)
+        with pytest.raises(AssertionError, match="output 0 = "):
+            api.run(_inverted_pair(), {"alice": [a], "bob": [y]})
+
+    def test_local_mode_builds_the_trace_the_parties_replay(self):
+        net, cycles = BC.hamming_sequential(8)
+        inputs = {"alice": lambda c: [(0x5A >> c) & 1],
+                  "bob": lambda c: [(0x0F >> c) & 1]}
+        builds = T.BUILDS
+        local = api.run(net, inputs, cycles=cycles)
+        assert T.BUILDS == builds + 1
+        proto = api.run(net, inputs, mode="protocol", cycles=cycles)
+        assert T.BUILDS == builds + 1
+        assert proto.outputs == local.outputs
+        assert proto.stats == local.stats
+
+    def test_no_local_mode_knob_is_left(self):
+        import inspect
+
+        from repro.__main__ import main
+        from repro.arm.machine import GarbledMachine
+
+        for fn in (api.run, GarbledMachine.run):
+            assert not {"engine", "on_cycle", "check"} & set(
+                inspect.signature(fn).parameters), fn
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "program.c", "--engine", "reference"])
+        assert exc.value.code == 2

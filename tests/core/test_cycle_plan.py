@@ -24,8 +24,10 @@ from repro.arm import GarbledMachine
 from repro.circuit.bits import int_to_bits, pack_words
 from repro.circuit.netlist import PUBLIC
 from repro.core import CountingBackend, SkipGateEngine, make_engine
+from repro.core import trace as T
 from repro.core.plan import CompiledSkipGateEngine, compile_plan, warm_plan
-from repro.obs import ListSink, Obs
+from repro.obs import ListSink, Obs, timing_summary
+from tests.helpers import replay_trace
 
 # (name, builder) — one entry per bench_circuits module family.
 CIRCUITS = [
@@ -135,16 +137,30 @@ def _machine_engine(cls, backend=None, prog=LDR_PROG):
                public_init=pack_words(imem, 32))
 
 
+def _machine_traces(prog, alice, bob, cycles=None):
+    """A fresh machine's local run plus both builders' traces of it
+    (built here, not fetched: the cache is emptied first), each
+    replayed in the clear: ``(run, {engine: (outputs, stats)})``."""
+    m = _small_machine(prog)
+    T._TRACES.pop(m.net, None)
+    run = m.run(alice=[alice], bob=[bob], cycles=cycles)
+    imem = m.program + [0] * (m.config.imem_words - len(m.program))
+    replays = {}
+    for engine in ("compiled", "reference"):
+        trace = T.residual_trace(m.net, run.cycles, (), pack_words(imem, 32),
+                                 engine=engine)
+        replays[engine] = replay_trace(
+            trace, m.net, run.cycles, alice_init=pack_words([alice], 32),
+            bob_init=pack_words([bob], 32))
+    return run, replays
+
+
 class TestArmDifferential:
     def test_machine_run_bit_identical(self):
-        m_ref = _small_machine()
-        m_cmp = _small_machine()
-        ref = m_ref.run(alice=[5], bob=[9], cycles=40, engine="reference")
-        cmp_ = m_cmp.run(alice=[5], bob=[9], cycles=40, engine="compiled")
-        assert ref.output_words == cmp_.output_words
-        assert ref.outputs == cmp_.outputs
-        assert ref.value == cmp_.value
-        assert ref.stats == cmp_.stats
+        run, replays = _machine_traces(LDR_PROG, 5, 9, cycles=40)
+        for outputs, stats in replays.values():
+            assert outputs == run.outputs
+            assert stats == run.stats
 
 
 @pytest.fixture
@@ -191,14 +207,12 @@ class TestFallbackDifferential:
     @pytest.mark.parametrize("alice,bob", [(5, 9), (2, 9), (7, 7)])
     def test_machine_matches_the_emulator_on_both_engines(
             self, alice, bob, fallbacks_taken):
-        # run() checks the output memory against the reference emulator.
-        ref = _small_machine(FALLBACK_PROG).run(
-            alice=[alice], bob=[bob], engine="reference")
-        cmp_ = _small_machine(FALLBACK_PROG).run(
-            alice=[alice], bob=[bob], engine="compiled")
-        assert ref.cycles == cmp_.cycles == self.CYCLES
-        assert ref.outputs == cmp_.outputs
-        assert ref.stats == cmp_.stats
+        # run() checks every output bit against the reference emulator.
+        run, replays = _machine_traces(FALLBACK_PROG, alice, bob)
+        assert run.cycles == self.CYCLES
+        for outputs, stats in replays.values():
+            assert outputs == run.outputs
+            assert stats == run.stats
         assert all(fallbacks_taken[kind] for kind in self.PORT_KINDS)
 
 
@@ -288,16 +302,29 @@ class TestGeneratedSweep:
     def test_profiled_run_goes_through_the_same_loop(self):
         plain = _small_machine().run(alice=[5], bob=[9], cycles=40)
         assert not plain.timing
+        # A local run replays the trace: steps and cycle events, no sweep.
+        sink = ListSink()
+        profiled = _small_machine().run(alice=[5], bob=[9], cycles=40,
+                                        obs=Obs(sink))
+        assert profiled.outputs == plain.outputs
+        assert profiled.stats == plain.stats
+        assert profiled.timing["step"] > 0
+        assert "reduce" not in profiled.timing and "macro" not in profiled.timing
+        assert len([e for e in sink.events if e["event"] == "cycle"]) == 40
+        # The sweeping engines, profiled, run one skeleton.
         cycle_events = {}
         for engine in ("compiled", "reference"):
             sink = ListSink()
-            profiled = _small_machine().run(
-                alice=[5], bob=[9], cycles=40, obs=Obs(sink), engine=engine
-            )
-            assert profiled.outputs == plain.outputs
-            assert profiled.stats == plain.stats
-            assert profiled.timing["step"] > profiled.timing["macro"] > 0
-            assert profiled.timing["reduce"] > 0
+            obs = Obs(sink)
+            eng = _machine_engine(
+                lambda net, backend, **kw: make_engine(
+                    net, backend, obs=obs, engine=engine, **kw))
+            for i in range(40):
+                eng.step(final=(i == 39))
+            assert eng.stats == plain.stats
+            timing = timing_summary(obs)
+            assert timing["step"] > timing["macro"] > 0
+            assert timing["reduce"] > 0
             cycle_events[engine] = [
                 e for e in sink.events if e["event"] == "cycle"
             ]

@@ -8,6 +8,9 @@ call sites short while routing every test through the public API.
 """
 
 from repro import api
+from repro.core.protocol import _expand_bits
+from repro.core.run import replay
+from repro.core.trace import residual_trace
 
 #: Keys lifted out of the keyword arguments into api.run's ``inputs``.
 _INPUT_KEYS = (
@@ -20,21 +23,35 @@ def _split(kwargs: dict) -> dict:
 
 
 def run_local(net, cycles=1, **kwargs):
-    """``api.run(net, inputs, mode="local", ...)`` — counting backend
-    plus plain-simulator outputs (the old ``evaluate_with_stats``)."""
+    """``api.run(net, inputs, mode="local", ...)`` — the residual trace
+    replayed in the clear, every output checked against the plain
+    simulator (the old ``evaluate_with_stats``)."""
     inputs = _split(kwargs)
     return api.run(net, inputs, mode="local", cycles=cycles, **kwargs)
 
 
+def replay_trace(trace, net, cycles=1, alice=(), bob=(), alice_init=(),
+                 bob_init=(), **_public):
+    """:func:`repro.core.run.replay` of a given ``trace`` of ``net`` on
+    the spelling of :func:`run_local`: ``(outputs, stats)``."""
+    bits = _expand_bits(net, "alice", alice, alice_init, cycles)
+    bits.update(_expand_bits(net, "bob", bob, bob_init, cycles))
+    return replay(trace, bits)
+
+
 def run_local_both(net, cycles=1, **kwargs):
-    """:func:`run_local` on the reference and the compiled engine.
-    The two must agree on outputs and every statistic; used where a
-    macro port takes its secret path (the compiled engine then runs
-    the port's own ``engine_step`` through its MacroContext)."""
-    ref = run_local(net, cycles, engine="reference", **kwargs)
-    compiled = run_local(net, cycles, engine="compiled", **kwargs)
-    assert ref.outputs == compiled.outputs
-    assert ref.stats == compiled.stats
+    """:func:`run_local`, plus the trace the reference engine builds,
+    replayed in the clear.  The two builders must agree on outputs and
+    every statistic; used where a macro port takes its secret path (the
+    compiled engine then runs the port's own ``engine_step`` through
+    its MacroContext)."""
+    compiled = run_local(net, cycles, **kwargs)
+    inputs = _split(dict(kwargs))
+    ref = residual_trace(net, cycles, inputs.get("public", ()),
+                         inputs.get("public_init", ()), engine="reference")
+    outputs, stats = replay_trace(ref, net, cycles, **inputs)
+    assert outputs == compiled.outputs
+    assert stats == compiled.stats
     return compiled
 
 

@@ -167,15 +167,28 @@ class TestEngineIntegration:
         assert enabled.stats.tables_filtered == disabled.stats.tables_filtered
         assert enabled.stats.reduction_calls == disabled.stats.reduction_calls
         assert disabled.timing is None
-        # The enabled run traced one event per cycle; the disabled run
-        # cannot have touched the sink (it never saw it).
-        assert len(sink.events) == enabled.stats.cycles
+        # The enabled run traced one cycle event per cycle (and, on a
+        # cold cache, one trace.build); the disabled run cannot have
+        # touched the sink (it never saw it).
+        cycles = [e for e in sink.events if e["event"] == "cycle"]
+        assert len(cycles) == enabled.stats.cycles
+        assert {e["event"] for e in sink.events} <= {"cycle", "trace.build"}
 
     def test_enabled_run_reports_phases(self):
+        from repro import bench_circuits as BC
+        from repro.core import CountingBackend, make_engine
+
         result = _hamming_run(obs=Obs())
         assert result.timing is not None
-        assert set(result.timing) >= {"step", "garble", "reduce"}
+        assert set(result.timing) >= {"step", "garble"}
         assert result.timing["step"] > 0
+        # Reduction is a sweep phase: a profiled engine reports it.
+        net, cc = BC.hamming_sequential(32)
+        obs = Obs()
+        engine = make_engine(net, CountingBackend(), obs=obs)
+        engine.run(cc, [])
+        assert set(timing_summary(obs)) >= {"step", "garble", "reduce"}
+        assert timing_summary(obs)["step"] > 0
 
     def test_per_cycle_events_carry_category_counts(self):
         sink = ListSink()
