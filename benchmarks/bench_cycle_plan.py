@@ -10,26 +10,20 @@ the non-XOR count comparison non-trivial.
 Runs under pytest (``pytest benchmarks/bench_cycle_plan.py``) or
 standalone (``python benchmarks/bench_cycle_plan.py``).  Writes a JSON
 artifact (for the CI perf-smoke job) to ``results/cycle_plan_perf.json``
-or ``$CYCLE_PLAN_JSON``, plus the flat time-series records to
-``BENCH_cycle_plan.json`` at the repo root (see ``bench_schema``).
-The assertion threshold defaults to 2x so noisy shared CI runners
-don't flap; the measured ratio on a quiet machine is >= 3x and is
-recorded in the artifact.
+or ``$CYCLE_PLAN_JSON``.  The assertion threshold defaults to 2x so
+noisy shared CI runners don't flap; the measured ratio on a quiet
+machine is >= 3x and is recorded in the artifact.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import sys
 import time
 
 from repro.arm import GarbledMachine
 from repro.circuit.bits import pack_words
 from repro.core import CountingBackend, make_engine
-
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from bench_schema import write_bench_records  # noqa: E402
 
 CYCLES = 300
 REPEATS = 5
@@ -120,24 +114,20 @@ def _write_artifact(report: dict) -> str:
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
-    records = [{"metric": "cycle_plan_speedup",
-                "value": report["speedup"], "unit": "x"}]
-    for name, row in report["workloads"].items():
-        records.append({"metric": f"{name}_compiled_ms_per_cycle",
-                        "value": row["compiled_ms_per_cycle"],
-                        "unit": "ms"})
-    write_bench_records("cycle_plan", records)
     return path
 
 
 def test_compiled_engine_speedup():
     report = measure()
     path = _write_artifact(report)
+    # The protected quantity is the compiled engine's absolute ms/cycle;
+    # the ratio's denominator is the reference oracle, which is allowed
+    # to get slower.
     for name, row in report["workloads"].items():
         print(
-            f"\n{name}: {row['speedup']:.2f}x "
-            f"(ref {row['reference_ms_per_cycle']:.3f} ms/cycle, "
-            f"compiled {row['compiled_ms_per_cycle']:.3f} ms/cycle, "
+            f"\n{name}: compiled {row['compiled_ms_per_cycle']} ms/cycle, "
+            f"reference {row['reference_ms_per_cycle']} ms/cycle "
+            f"({row['speedup']:.2f}x, "
             f"garbled non-XOR {row['garbled_nonxor']:,})"
         )
     print(f"artifact -> {path}")

@@ -29,23 +29,20 @@ runs on noisy machines.
 
 Runs under pytest (``pytest benchmarks/bench_psi.py``) or standalone
 (``python benchmarks/bench_psi.py``).  Writes the detailed report to
-``results/psi_perf.json`` (or ``$PSI_JSON``) and merges ``psi_*``
-rows into ``BENCH_serve.json`` (see ``bench_schema``).
+``results/psi_perf.json`` (or ``$PSI_JSON``).
 """
 
 from __future__ import annotations
 
 import json
 import os
-import sys
 import time
 
 from repro.serve import GarbleServer, ServeClient
 from repro.workloads import get_workload, workload_program
 from repro.workloads import psi as psi_mod
 
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from bench_schema import REPO_ROOT, write_bench_records  # noqa: E402
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: The base workload shape; the batch sibling is ``@b{BATCH}``.
 WORKLOAD = os.environ.get("PSI_WORKLOAD", "psi-sort8x16")
@@ -136,18 +133,6 @@ def _write_artifacts(report: dict) -> str:
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
-    records = [
-        {"metric": "psi_batch_queries_per_sec",
-         "value": report["batched"]["queries_per_sec"],
-         "unit": "queries/s"},
-        {"metric": "psi_fresh_queries_per_sec",
-         "value": report["fresh"]["queries_per_sec"],
-         "unit": "queries/s"},
-        {"metric": "psi_batch_speedup",
-         "value": report["batch_speedup"], "unit": "x"},
-    ]
-    # Merge mode: the serve bench family shares BENCH_serve.json.
-    write_bench_records("serve", records, merge=True)
     return path
 
 

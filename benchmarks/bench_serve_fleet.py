@@ -27,16 +27,13 @@ figure; smaller machines report without gating
 
 Runs under pytest (``pytest benchmarks/bench_serve_fleet.py``) or
 standalone (``python benchmarks/bench_serve_fleet.py``).  Writes the
-detailed report to ``results/fleet_perf.json`` (or ``$FLEET_JSON``)
-and merges ``serve_fleet_*`` rows into ``BENCH_serve.json`` (see
-``bench_schema``; merge mode keeps the throughput benchmark's rows).
+detailed report to ``results/fleet_perf.json`` (or ``$FLEET_JSON``).
 """
 
 from __future__ import annotations
 
 import json
 import os
-import sys
 import threading
 import time
 
@@ -51,8 +48,7 @@ from repro.serve import (
 )
 from repro.serve.fleet import rendezvous_select
 
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from bench_schema import REPO_ROOT, write_bench_records  # noqa: E402
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: One-cycle registry circuits: cheap sessions, distinct digests.
 PROGRAMS = ("sum32", "compare32", "hamming32", "mult8")
@@ -185,21 +181,6 @@ def _write_artifacts(report: dict) -> str:
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
-    records = [
-        {"metric": "serve_fleet_sessions_per_sec_2_shards",
-         "value": report["fleet_2_shards"]["sessions_per_sec"],
-         "unit": "sessions/s"},
-        {"metric": "serve_fleet_sessions_per_sec_1_shard",
-         "value": report["single_shard"]["sessions_per_sec"],
-         "unit": "sessions/s"},
-        {"metric": "serve_fleet_speedup_2_shards",
-         "value": report["fleet_speedup"], "unit": "x"},
-        {"metric": "serve_fleet_worst_p95_seconds",
-         "value": report["fleet_2_shards"]["worst_p95_seconds"],
-         "unit": "s"},
-    ]
-    # Merge mode: the throughput benchmark owns the other serve rows.
-    write_bench_records("serve", records, merge=True)
     return path
 
 

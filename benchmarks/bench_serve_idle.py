@@ -16,8 +16,8 @@ against a live server and sends nothing on any of them, then asserts:
 * a real session dialled *through* the idle crowd still completes
   and verifies bit-identically against the local simulator.
 
-The headline figure lands in ``BENCH_serve.json`` (merged alongside
-the throughput metrics) as ``serve_idle_connections_supported``.
+The report (``open_connections`` is the headline figure) lands in
+``results/serve_idle.json`` (or ``$SERVE_IDLE_JSON``).
 
 Runs under pytest (``pytest benchmarks/bench_serve_idle.py``) or
 standalone (``python benchmarks/bench_serve_idle.py``).
@@ -29,14 +29,12 @@ import json
 import os
 import resource
 import socket
-import sys
 import threading
 import time
 
 from repro.serve import make_server, run_registry_session
 
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from bench_schema import REPO_ROOT, write_bench_records  # noqa: E402
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 CIRCUIT = "sum32"
 SERVER_VALUE = 9999
@@ -124,18 +122,6 @@ def _emit(report: dict) -> None:
     with open(out, "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
-    write_bench_records(
-        "serve",
-        [
-            {"metric": "serve_idle_connections_supported",
-             "value": report["open_connections"],
-             "unit": "connections"},
-            {"metric": "serve_idle_extra_threads",
-             "value": report["extra_threads"],
-             "unit": "threads"},
-        ],
-        merge=True,
-    )
 
 
 def test_idle_connections_cost_sockets_not_threads():

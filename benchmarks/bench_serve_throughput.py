@@ -32,10 +32,8 @@ reach at least 1.5x the full wave's sessions/sec
 Runs under pytest (``pytest benchmarks/bench_serve_throughput.py``)
 or standalone (``python benchmarks/bench_serve_throughput.py``).
 Writes the detailed report to ``results/serve_perf.json`` (or
-``$SERVE_JSON``) and the flat time-series records to
-``BENCH_serve.json`` at the repo root (see ``bench_schema``).  The
-speedup assertion gate defaults to 2x (``$SERVE_MIN_SPEEDUP``) so
-noisy shared CI runners don't flap.
+``$SERVE_JSON``).  The speedup assertion gate defaults to 2x
+(``$SERVE_MIN_SPEEDUP``) so noisy shared CI runners don't flap.
 """
 
 from __future__ import annotations
@@ -49,8 +47,7 @@ import time
 from repro.serve import make_server, run_loadgen
 from repro.serve.client import forget_receiver_bases
 
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from bench_schema import REPO_ROOT, write_bench_records  # noqa: E402
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 CIRCUIT = "sum32"
 SERVER_VALUE = 5555
@@ -267,38 +264,6 @@ def _write_artifacts(report: dict) -> str:
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
-    records = [
-        {"metric": "serve_speedup_4_clients",
-         "value": report["speedup_4_clients"], "unit": "x"},
-        {"metric": "serve_scaling_16_vs_4",
-         "value": report["scaling_16_vs_4"], "unit": "x"},
-    ]
-    for clients, row in report["serve"].items():
-        records.append({
-            "metric": f"serve_sessions_per_sec_{clients}_clients",
-            "value": row["sessions_per_sec"], "unit": "sessions/s",
-        })
-        records.append({
-            "metric": f"serve_p95_seconds_{clients}_clients",
-            "value": row["p95_seconds"], "unit": "s",
-        })
-    split = report["split"]
-    n = split["clients"]
-    records.extend([
-        {"metric": f"serve_online_sessions_per_sec_{n}_clients",
-         "value": split["online"]["sessions_per_sec"],
-         "unit": "sessions/s"},
-        {"metric": f"serve_online_p95_seconds_{n}_clients",
-         "value": split["online"]["p95_seconds"], "unit": "s"},
-        {"metric": f"serve_full_p95_seconds_{n}_clients",
-         "value": split["full"]["p95_seconds"], "unit": "s"},
-        {"metric": "serve_online_speedup_vs_full",
-         "value": split["online_speedup_vs_full"], "unit": "x"},
-        {"metric": "serve_offline_garble_seconds_per_epoch",
-         "value": split["offline"]["garble_seconds_per_epoch"],
-         "unit": "s"},
-    ])
-    write_bench_records("serve", records)
     return path
 
 

@@ -131,11 +131,12 @@ def cmd_bench(args) -> int:
 
 
 def cmd_anatomy(args) -> int:
-    """Per-cycle cost trace of a program (where the gates go)."""
+    """Per-cycle cost trace of a program, read off its residual trace."""
     from .arm import GarbledMachine
     from .arm.assembler import disassemble_word
+    from .arm.emulator import Emulator
     from .circuit.bits import pack_words
-    from .core import CountingBackend, make_engine
+    from .core.trace import residual_trace
 
     _, words, _ = _load_program(args.program)
     alice = _parse_words(args.alice)
@@ -152,23 +153,18 @@ def cmd_anatomy(args) -> int:
     imem = machine.program + [0] * (
         machine.config.imem_words - len(machine.program)
     )
-    engine = make_engine(
-        machine.net, CountingBackend(), public_init=pack_words(imem, 32)
-    )
-    from .arm.emulator import Emulator
-
+    stats = residual_trace(machine.net, cycles, (), pack_words(imem, 32)).stats
     emu = Emulator(machine.program, machine.config, alice, bob)
     print(f"{'cyc':>4} {'pc':>4}  {'instruction':32s} {'sent':>6} {'local':>6}")
-    for i in range(cycles):
+    for i, cs in enumerate(stats.per_cycle):
         word = emu.imem[emu.pc]
         trace = emu.step()
-        cs = engine.step(final=(i == cycles - 1))
         text = disassemble_word(word) if not emu.halted or trace.executed else "(parked)"
         marker = "" if trace.executed else "   ; skipped"
         if cs.tables_sent or args.verbose:
             print(f"{i:>4} {trace.pc:>4}  {text:32s} {cs.tables_sent:>6} "
                   f"{cs.cat_iv_garbled:>6}{marker}")
-    print(f"total garbled non-XOR: {engine.stats.garbled_nonxor:,}")
+    print(f"total garbled non-XOR: {stats.garbled_nonxor:,}")
     return 0
 
 

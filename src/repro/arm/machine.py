@@ -129,6 +129,11 @@ class GarbledMachine:
         input works; for programs with secret-PC regions the caller
         should pass an explicit worst-case ``cycles`` to :meth:`run`.
         """
+        return self._halted_emulator(alice, bob, max_cycles)[:2]
+
+    def _halted_emulator(self, alice, bob, max_cycles):
+        """:meth:`required_cycles` plus the emulator it ran to HALT on the
+        inputs, which :meth:`run` reuses as its output oracle."""
         emu = Emulator(self.program, self.config, list(alice), list(bob))
         cycles = emu.run(max_cycles)
         probe = Emulator(
@@ -141,7 +146,7 @@ class GarbledMachine:
             zero_cycles = probe.run(max_cycles)
         except EmulatorError:
             zero_cycles = -1
-        return cycles, cycles == zero_cycles
+        return cycles, cycles == zero_cycles, emu
 
     # -- the run ---------------------------------------------------------------
 
@@ -172,9 +177,13 @@ class GarbledMachine:
 
         flow_independent = True
         if cycles is None:
-            cycles, flow_independent = self.required_cycles(
+            cycles, flow_independent, emu = self._halted_emulator(
                 alice, bob, max_cycles
             )
+        else:
+            emu = Emulator(self.program, self.config, alice, bob)
+            for _ in range(cycles):
+                emu.step()
 
         alice_padded = alice + [0] * (self.config.alice_words - len(alice))
         bob_padded = bob + [0] * (self.config.bob_words - len(bob))
@@ -189,9 +198,6 @@ class GarbledMachine:
             public_init=pack_words(imem, 32),
             obs=obs,
         )
-        emu = Emulator(self.program, self.config, alice, bob)
-        for _ in range(cycles):
-            emu.step()
         check_outputs(outputs, pack_words(emu.output, 32), "reference emulator")
 
         return MachineResult(

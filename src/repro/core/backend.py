@@ -108,7 +108,6 @@ class CountingBackend(Backend):
     def __init__(self, seed: int = 0x5EED) -> None:
         self._rng = random.Random(seed)
         self._memo: Dict[Hashable, int] = {}
-        self.tables_emitted = 0
 
     def _fresh(self) -> int:
         return self._rng.getrandbits(127) | (1 << 127)
@@ -124,5 +123,4 @@ class CountingBackend(Backend):
         return la ^ lb
 
     def garble(self, tt: int, la: int, lb: int, key: int) -> int:
-        self.tables_emitted += 1
         return self._fresh()

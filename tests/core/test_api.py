@@ -247,6 +247,25 @@ class TestLocalReplaysTheTrace:
         assert proto.outputs == local.outputs
         assert proto.stats == local.stats
 
+    @pytest.mark.parametrize("cycles,runs", [(None, 2), (20, 1)])
+    def test_the_emulator_runs_once_per_input(self, monkeypatch, cycles, runs):
+        """A derived cycle count runs the emulator on the inputs and on
+        the zero probe, and the first of those is the output oracle; an
+        explicit count runs only the oracle."""
+        import repro.arm.machine as M
+
+        made = []
+
+        class Counted(M.Emulator):
+            def __init__(self, *args, **kwargs):
+                made.append(args)
+                super().__init__(*args, **kwargs)
+
+        machine = M.GarbledMachine(PROG, alice_words=1, bob_words=1)
+        monkeypatch.setattr(M, "Emulator", Counted)
+        assert machine.run([3], [4], cycles=cycles).output_words[0] == 7
+        assert len(made) == runs
+
     def test_no_local_mode_knob_is_left(self):
         import inspect
 

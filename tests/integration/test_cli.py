@@ -74,3 +74,25 @@ class TestBenchAndAnatomy:
         ) == 0
         out = capsys.readouterr().out
         assert "total garbled non-XOR: 31" in out
+
+    def test_anatomy_reads_the_cached_residual_trace(self, add_c, capsys):
+        from repro.arm import GarbledMachine
+        from repro.cc import compile_c
+        from repro.circuit.bits import pack_words
+        from repro.core import trace as T
+
+        assert main(["anatomy", add_c, "--alice", "1", "--bob", "2"]) == 0
+        capsys.readouterr()
+        with open(add_c) as fh:
+            words = compile_c(fh.read()).words
+        # The layout ``repro anatomy`` builds by default for one word
+        # per party.
+        machine = GarbledMachine(
+            words, alice_words=1, bob_words=1, output_words=8, data_words=128,
+            imem_words=max(32, 1 << (len(words) - 1).bit_length()))
+        cycles, _ = machine.required_cycles([1], [2])
+        imem = machine.program + [0] * (machine.config.imem_words - len(words))
+        builds = T.BUILDS
+        trace = T.residual_trace(machine.net, cycles, (), pack_words(imem, 32))
+        assert T.BUILDS == builds, "anatomy swept on its own, not through the trace"
+        assert trace.stats.garbled_nonxor == 31
