@@ -245,10 +245,10 @@ def test_ci_has_no_long_inline_program_and_no_source_grep():
 
 # -- docs ----------------------------------------------------------------------
 
-#: Directories that hold no citing source, and files that quote old
-#: section numbers on purpose (history, the task at hand).
+#: Directories that hold no citing source, and the change history, which
+#: quotes old section numbers on purpose.
 _SKIP_DIRS = {".git", ".hypothesis", ".pytest_cache", "__pycache__", "results"}
-_HISTORY = {"CHANGES.md", "ISSUE.md"}
+_HISTORY = {"CHANGES.md"}
 _CITATION = re.compile(r"DESIGN(?:\.md)?[\s#*>`,]*§\s*(\d+)")
 
 
