@@ -44,7 +44,8 @@ import subprocess
 import sys
 import time
 
-from repro.serve import make_server, run_loadgen
+from repro.gc.material import build_material
+from repro.serve import make_server, registry_program, run_loadgen
 from repro.serve.client import forget_receiver_bases
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -144,9 +145,8 @@ def _serve_levels() -> dict:
 def _online_vs_full() -> dict:
     """Measure the offline/online split at SPLIT_CLIENTS clients.
 
-    Both waves run over the thread pool (the material cache and its
-    build stats live in the parent there, and pool choice cancels out
-    of the ratio).  The *full* wave garbles
+    Both waves run over the thread pool (pool choice cancels out of
+    the ratio).  The *full* wave garbles
     inline and runs anonymous clients, so every session pays the kappa
     base OTs plus garbling; the *online* wave replays pre-garbled
     material to named identities whose warmup session seeded the
@@ -169,13 +169,9 @@ def _online_vs_full() -> dict:
                      material_depth=SPLIT_DEPTH, **kw) as srv:
         online = run_loadgen(srv.host, srv.port, CIRCUIT, SPLIT_CLIENTS,
                              client_prefix="bench", warmup=1, **lg_kw)
-        snap = srv.stats_snapshot()
-        # Read after the wave: the workers fill the (server-wide,
-        # thread-kind) cache before they report ready, not the
-        # constructor.  Refills count too; the per-epoch mean stands.
-        cache = srv._materials[CIRCUIT]
-        offline_built = cache.built
-        offline_seconds = cache.build_seconds
+    # Read after the drain: the parent counts a session's material when
+    # it books the outcome, which can trail the client's last frame.
+    snap = srv.stats_snapshot()
     assert online.failed == 0 and online.busy == 0, online.to_record()
     assert not online.verify_errors, online.verify_errors
     # Every session (warmup + measured) consumed pre-garbled material.
@@ -190,6 +186,13 @@ def _online_vs_full() -> dict:
             f"value {o.value}: online session diverges from full garbling"
         )
 
+    # Every worker garbles its own epochs; one more, timed here, prices
+    # an epoch.
+    prog = registry_program(CIRCUIT, SERVER_VALUE)
+    t0 = time.perf_counter()
+    build_material(prog.net, prog.cycles, alice=prog.alice)
+    per_epoch = time.perf_counter() - t0
+
     speedup = (online.sessions_per_sec / full.sessions_per_sec
                if full.sessions_per_sec > 0 else 0.0)
     return {
@@ -197,11 +200,8 @@ def _online_vs_full() -> dict:
         "material_depth": SPLIT_DEPTH,
         "min_speedup_gate": ONLINE_MIN_SPEEDUP,
         "offline": {
-            "epochs_built": offline_built,
-            "garble_seconds_total": round(offline_seconds, 4),
-            "garble_seconds_per_epoch": round(
-                offline_seconds / max(1, offline_built), 6
-            ),
+            "epochs_built": snap["material_epochs"],
+            "garble_seconds_per_epoch": round(per_epoch, 6),
         },
         "full": full.to_record(),
         "online": online.to_record(),

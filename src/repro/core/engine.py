@@ -44,12 +44,10 @@ identical to the equivalent MUX-tree subcircuit by construction.
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..circuit import gates as G
 from ..circuit.netlist import ALICE, BOB, CONST, Netlist, PUBLIC
-from ..obs import NULL_OBS
 from .backend import Backend, CountingBackend
 from .stats import CycleStats, RunStats
 
@@ -175,38 +173,17 @@ class SkipGateEngine:
         public_init: bit vector referenced by ``InitSpec("public", i)``
             flip-flop/memory initializers — this is the public input
             ``p`` of the paper (e.g. the compiled ARM binary).
-        obs: optional :class:`repro.obs.Obs`.  When enabled, each
-            cycle reports per-phase wall-clock time (garble/eval,
-            reduce, macro, step) and emits one per-cycle trace event;
-            when disabled (the default) the overhead is a handful of
-            attribute checks per cycle.
     """
-
-    #: Execution-strategy discriminator (``repro.api`` reports it);
-    #: the cycle-plan subclass overrides with ``"compiled"``.
-    engine_name = "reference"
 
     def __init__(
         self,
         net: Netlist,
         backend: Optional[Backend] = None,
         public_init: Sequence[int] = (),
-        obs=None,
     ) -> None:
         net.validate()
         self.net = net
         self.backend = backend if backend is not None else CountingBackend()
-        self.obs = NULL_OBS if obs is None else obs
-        self._profiling = self.obs.enabled
-        #: Phase name for backend.garble time: "garble" on the garbler
-        #: and counting backends, "eval" on the evaluator.
-        self._garble_phase = getattr(self.backend, "PROFILE_PHASE", "garble")
-        self._garble_seconds = 0.0
-        self._reduce_seconds = 0.0
-        self._macro_seconds = 0.0
-        if self._profiling:
-            # Shadow the method so the non-profiled path pays nothing.
-            self._reduce = self._timed_reduce  # type: ignore[assignment]
         self.public_init = list(public_init)
         self.stats = RunStats(
             conventional_nonxor_per_cycle=net.n_nonxor_equivalent()
@@ -317,12 +294,6 @@ class SkipGateEngine:
                 stack.append(roa[r])
                 stack.append(rob[r])
 
-    def _timed_reduce(self, origin: int) -> None:
-        """Profiling variant of :meth:`_reduce` (installed via ``obs``)."""
-        t0 = perf_counter()
-        SkipGateEngine._reduce(self, origin)
-        self._reduce_seconds += perf_counter() - t0
-
     def _new_record(self, fanout: int, oa: int, ob: int) -> int:
         self._rec_fanout.append(fanout)
         self._rec_oa.append(oa)
@@ -391,12 +362,7 @@ class SkipGateEngine:
         tt_eff = G.apply_input_flips(tt, fa, fb)
         key = self._next_key
         self._next_key += 1
-        if self._profiling:
-            t0 = perf_counter()
-            label = self.backend.garble(tt_eff, la, lb, key)
-            self._garble_seconds += perf_counter() - t0
-        else:
-            label = self.backend.garble(tt_eff, la, lb, key)
+        label = self.backend.garble(tt_eff, la, lb, key)
         cs.cat_iv_garbled += 1
         rec = self._new_record(fanout, oa, ob)
         self._tables.append((key, rec))
@@ -439,12 +405,6 @@ class SkipGateEngine:
         backend = self.backend
         cs = CycleStats(cycle=self.cycle)
         self._cs = cs
-        profiling = self._profiling
-        if profiling:
-            self._garble_seconds = 0.0
-            self._reduce_seconds = 0.0
-            self._macro_seconds = 0.0
-            t_step0 = perf_counter()
 
         # Initialize labels' fanout: records are per-cycle.
         self._rec_fanout = []
@@ -482,35 +442,6 @@ class SkipGateEngine:
         self._deferred.clear()
         self._ff_state = self._latch()
 
-        if profiling:
-            step_seconds = perf_counter() - t_step0
-            obs = self.obs
-            obs.add_time("step", step_seconds)
-            obs.add_time(
-                self._garble_phase, self._garble_seconds, cs.cat_iv_garbled
-            )
-            obs.add_time("reduce", self._reduce_seconds, cs.reduction_calls)
-            if self._macro_seconds:
-                obs.add_time("macro", self._macro_seconds)
-            obs.event(
-                "cycle",
-                cycle=cs.cycle,
-                seconds=round(step_seconds, 6),
-                garble_seconds=round(self._garble_seconds, 6),
-                reduce_seconds=round(self._reduce_seconds, 6),
-                macro_seconds=round(self._macro_seconds, 6),
-                cat_i=cs.cat_i,
-                cat_ii=cs.cat_ii,
-                cat_iii=cs.cat_iii,
-                cat_iv_xor=cs.cat_iv_xor,
-                cat_iv_garbled=cs.cat_iv_garbled,
-                tables_filtered=cs.tables_filtered,
-                tables_sent=cs.tables_sent,
-                reduction_calls=cs.reduction_calls,
-                dynamic_gates=cs.dynamic_gates,
-                dead_skipped=cs.dead_skipped,
-            )
-
         self.cycle += 1
         self.stats.add_cycle(cs)
         return cs
@@ -540,7 +471,6 @@ class SkipGateEngine:
         net = self.net
         state = self.state
         cs = self._cs
-        profiling = self._profiling
         tts = net.gate_tt
         gas = net.gate_a
         gbs = net.gate_b
@@ -571,10 +501,6 @@ class SkipGateEngine:
                     state[gouts[entry]] = 0
                 else:
                     state[gouts[entry]] = process(tts[entry], sa, sb, fanouts[entry])
-            elif profiling:
-                t0 = perf_counter()
-                ports[-entry - 1].engine_step(ctx)  # type: ignore[attr-defined]
-                self._macro_seconds += perf_counter() - t0
             else:
                 ports[-entry - 1].engine_step(ctx)  # type: ignore[attr-defined]
 

@@ -55,7 +55,6 @@ import threading
 import weakref
 from array import array
 from operator import itemgetter
-from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..circuit.lazy import LazySelectorPort, LazyShifterPort, LazyUnitPort
@@ -206,13 +205,14 @@ _PLAN_CACHE: "weakref.WeakKeyDictionary[Netlist, CyclePlan]" = (
     weakref.WeakKeyDictionary()
 )
 
-#: Guards the plan cache and the lazy sweep codegen.  The serve worker
-#: pool compiles concurrently from N session threads; without the lock
-#: two threads can each build (and race the insert of) a plan for the
-#: same netlist, and two engines can race ``_compile_sweep`` on one
-#: shared plan.  Compilation of *different* netlists serializes too —
-#: an acceptable cost, since each netlist compiles exactly once per
-#: process and correctness of the shared cache comes first.
+#: Guards the plan cache and the lazy sweep codegen.  The worker
+#: threads of one serve process build residual traces concurrently,
+#: each through an engine; without the lock two threads can each build
+#: (and race the insert of) a plan for the same netlist, and two
+#: engines can race ``_compile_sweep`` on one shared plan.  Compilation
+#: of *different* netlists serializes too — an acceptable cost, since
+#: each netlist compiles exactly once per process and correctness of
+#: the shared cache comes first.
 _PLAN_LOCK = threading.RLock()
 
 
@@ -246,10 +246,9 @@ def compile_plan(net: Netlist) -> CyclePlan:
 def warm_plan(net: Netlist) -> CyclePlan:
     """Fully pre-warm a netlist's compiled plan *including* the
     generated sweep (which :func:`compile_plan` leaves to the first
-    engine).  Serve worker processes call this at spawn — right before
-    pre-garbling their material pools (:mod:`repro.gc.material`), which
-    runs the plan and so rides the warm cache — so the first admitted
-    session pays neither compile."""
+    engine).  Every :class:`CompiledSkipGateEngine` calls this at
+    construction, so the residual-trace build (the only engine a
+    program path runs) pays both compiles once per process."""
     plan = compile_plan(net)
     if plan.sweep_fn is None:
         with _PLAN_LOCK:
@@ -417,10 +416,8 @@ class CompiledSkipGateEngine(SkipGateEngine):
     execution strategy differs — see the module docstring.
     """
 
-    engine_name = "compiled"
-
-    def __init__(self, net, backend=None, public_init=(), obs=None) -> None:
-        super().__init__(net, backend, public_init=public_init, obs=obs)
+    def __init__(self, net, backend=None, public_init=()) -> None:
+        super().__init__(net, backend, public_init=public_init)
         self.plan = warm_plan(net)
         #: Per-cycle side table of secret (label, flip, origin) tuples;
         #: state[w] < 0 encodes index ``-state[w] - 1`` into it.  The
@@ -820,7 +817,6 @@ class CompiledSkipGateEngine(SkipGateEngine):
         # segment's port handler.  This loop makes every call, so the
         # big generated frames never have a callee.
         state = self.state
-        profiling = self._profiling
         pairs = self.plan.pairs_final if final else self.plan.pairs
         handlers = self._handlers
         generic = self._generic_segment
@@ -831,13 +827,7 @@ class CompiledSkipGateEngine(SkipGateEngine):
                 ns, nd = generic(rows)
                 n_sec += ns
                 n_dead += nd
-            if pp is None:
-                continue
-            if profiling:
-                t0 = perf_counter()
-                handlers[pp.index]()
-                self._macro_seconds += perf_counter() - t0
-            else:
+            if pp is not None:
                 handlers[pp.index]()
         cs = self._cs
         cs.cat_i += self.plan.n_static_gates - n_sec - n_dead
@@ -861,14 +851,11 @@ def make_engine(
     net: Netlist,
     backend=None,
     public_init: Sequence[int] = (),
-    obs=None,
     engine: str = "compiled",
 ) -> SkipGateEngine:
     """Build a SkipGate engine: ``"compiled"`` (default) or ``"reference"``."""
     if engine == "compiled":
-        return CompiledSkipGateEngine(
-            net, backend, public_init=public_init, obs=obs
-        )
+        return CompiledSkipGateEngine(net, backend, public_init=public_init)
     if engine == "reference":
-        return SkipGateEngine(net, backend, public_init=public_init, obs=obs)
+        return SkipGateEngine(net, backend, public_init=public_init)
     raise ValueError(f"unknown engine {engine!r} (use 'compiled' or 'reference')")

@@ -190,10 +190,6 @@ class MaterialCache:
         self._lock = threading.Lock()
         self._fill_lock = threading.Lock()
         self._next_epoch = 0
-        self.hits = 0
-        self.misses = 0
-        self.built = 0
-        self.build_seconds = 0.0
         #: epoch -> evaluator identity that consumed it (audit trail for
         #: the rotation rule; ``None`` for anonymous sessions).
         self.assignments: Dict[int, Any] = {}
@@ -202,25 +198,20 @@ class MaterialCache:
         with self._lock:
             epoch = self._next_epoch
             self._next_epoch += 1
-        material = build_material(
+        return build_material(
             self.net,
             self.cycles,
             epoch=epoch,
             rng=self._rng,
             **self._build_kwargs,
         )
-        with self._lock:
-            self.built += 1
-            self.build_seconds += material.build_seconds
-        return material
 
     def prewarm(self, depth: Optional[int] = None) -> int:
         """Fill the pool up to ``depth`` epochs; returns epochs built.
 
-        One filler at a time: callers sharing this cache (a server's
-        worker threads) queue up, and each returns only once the pool
-        has been full — so the fill never overshoots ``depth`` and
-        "returned" always means "was warm"."""
+        One filler at a time: concurrent callers queue up, and each
+        returns only once the pool has been full — so the fill never
+        overshoots ``depth`` and "returned" always means "was warm"."""
         target = self.depth if depth is None else min(depth, self.depth)
         built = 0
         with self._fill_lock:
@@ -254,10 +245,6 @@ class MaterialCache:
         if material is None:
             material = self._build_one()
         with self._lock:
-            if hit:
-                self.hits += 1
-            else:
-                self.misses += 1
             if material.epoch in self.assignments:  # pragma: no cover
                 raise AssertionError(
                     f"delta epoch {material.epoch} handed out twice"

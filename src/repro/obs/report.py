@@ -14,10 +14,9 @@ from .core import NullObs, Obs, PhaseTotal
 
 #: Phases always shown in the profile, in display order.  ``garble``
 #: and ``eval`` are the per-table crypto work on Alice's and Bob's
-#: side, ``channel.wait`` is time blocked on the peer, ``reduce`` is
-#: Algorithm 6 fanout reduction, ``macro`` is dynamic memory-macro
-#: expansion and ``step`` the whole fused per-cycle pass.
-CANONICAL_PHASES = ("garble", "eval", "channel.wait", "reduce", "macro", "step")
+#: side, ``channel.wait`` is time blocked on the peer and ``step`` the
+#: whole per-cycle replay.
+CANONICAL_PHASES = ("garble", "eval", "channel.wait", "step")
 
 
 def timing_summary(obs: Union[Obs, NullObs]) -> Dict[str, float]:

@@ -24,21 +24,19 @@ Architecture::
   ``worker_main`` at the far end of an AF_UNIX control channel
   (:mod:`repro.serve.ipc`) and speaks one message protocol:
   ``run``/``link``/``handoff``/``handoff-release``/``stop`` down,
-  ``ready``/``done``/``failed``/``handed-off`` up; every (re)connected
-  socket crosses as a file descriptor via ``socket.send_fds``.
-  ``pool="process"`` starts it in a forkserver process (garbling runs
-  on ``min(workers, cores)`` cores; each worker records its own
-  residual traces and owns its own material caches).
-  ``pool="thread"`` starts the *same function* in a
-  ``threading.Thread`` of this process, handing it by reference what a
-  process would get by pickling or build itself — the programs, the
-  counter block and its lock, ``obs``, and one server-wide material
-  cache per program.  The thread kind is not a second implementation:
+  ``ready``/``done``/``failed``/``handed-off``/``material`` up; every
+  (re)connected socket crosses as a file descriptor via
+  ``socket.send_fds``.  Each worker records its own residual traces
+  and builds its own material caches.  ``pool="process"`` starts it in
+  a forkserver process (garbling runs on ``min(workers, cores)``
+  cores); ``pool="thread"`` starts the *same function* in a
+  ``threading.Thread`` of this process, handing it by reference only
+  ``obs``.  The thread kind is not a second implementation:
   it exists because unpicklable programs (callable bit sources) and an
   un-spawnable ``__main__`` are supported inputs only threads can run
   (``pool="auto"`` picks it for exactly those).  Past
   :meth:`GarbleServer._resolve_pool` the kind is consulted only where
-  a worker is spawned or joined.
+  a worker is spawned or joined, and in the stats echo.
 * **Admission control** — reserve, answer, commit
   (:meth:`GarbleServer._admit`).  *Reserve*: under the server lock a
   new session is registered iff the sessions no worker has been handed
@@ -63,14 +61,13 @@ Architecture::
   record and drain accounting move together, so a finished-counter
   observation implies the finished state is visible, and ``accepted
   + adopted == completed + failed + handed_off + open``.
-* **Stats** — counters live in one flat block written by the parent
-  (admission, rejects, probes, outcomes) and the workers (the
-  ``active`` gauge, material counters): a shared-memory
-  ``multiprocessing.Array`` for processes, a list for threads.
-  Per-session records come back in the outcome message into the
-  parent's ring and the obs layer (``serve.*`` counters,
-  ``serve-session`` trace events), and are served over the wire to any
-  ``op: "stats"`` hello.
+* **Stats** — the parent is the only bookkeeper: one counter dict
+  under one lock (:class:`ServeStats`), moved from the messages the
+  workers send (``ready`` and ``material`` carry the epochs garbled
+  offline, each outcome its material hit or miss).  Per-session
+  records come back in the outcome message into the parent's ring and
+  the obs layer (``serve.*`` counters, ``serve-session`` trace
+  events), and are served over the wire to any ``op: "stats"`` hello.
 * **Drain** — :meth:`GarbleServer.shutdown` (wired to SIGTERM/SIGINT
   by the CLI) drains the edge (stops accepting; every connection that
   had not been admitted yet — including one still mid-hello — gets a
@@ -114,8 +111,7 @@ from .fleet import aggregate_shard_stats, rendezvous_select
 from .handshake import HELLO, WELCOME, recv_control, send_control
 from .ipc import IpcClosed, MsgChannel
 from .replay import DENIED, HIT, ReplayBuffer
-from .worker import (STAT_FIELDS, build_material_caches, session_record,
-                     worker_main)
+from .worker import session_record, worker_main
 
 BitSource = Union[Sequence[int], Callable[[int], Sequence[int]]]
 
@@ -225,61 +221,67 @@ def registry_keyed_program(
     )
 
 
+#: The serve counters, in snapshot order.
+STAT_FIELDS = (
+    "accepted",
+    "rejected_busy",
+    "rejected_error",
+    "completed",
+    "failed",
+    "active",
+    "stats_probes",
+    "material_epochs",   # delta epochs garbled offline (prewarm + refill)
+    "material_hits",     # sessions served from pre-garbled material
+    "material_misses",   # sessions that garbled material synchronously
+    "rejected_overload",  # connections refused at max_connections
+    "handshake_rejects",  # malformed/truncated/oversized/timed-out hellos
+    "handshake_timeouts",  # hellos that missed the handshake deadline
+    "idle_timeouts",     # connections that never sent a byte in time
+    "idle_shed",         # idle connections shed to admit newcomers
+    "replay_hits",       # finished-session redials served from replay
+    "replay_misses",     # redials whose result expired or never parked
+    "handed_off",        # in-flight sessions transferred to a peer shard
+    "adopted",           # sessions adopted from a draining peer shard
+)
+
+
 class ServeStats:
-    """Serve counters plus a ring of per-session records.
+    """Serve counters plus a ring of per-session records, under one
+    lock and written only by the parent.  Each counter also reads as a
+    plain attribute (``stats.completed``)."""
 
-    The counters live in one flat ``block`` guarded by ``lock``, both
-    shared with the workers (which write the ``active`` gauge and the
-    material counters directly): a shared-memory
-    ``multiprocessing.Array`` with its cross-process lock, or a list
-    with a ``threading.Lock``.  Field layout is
-    :data:`~repro.serve.worker.STAT_FIELDS`; each field also reads as
-    a plain attribute (``stats.completed``).
-    """
-
-    def __init__(self, block, lock, keep_sessions: int = 64) -> None:
-        self._block = block
-        self._block_lock = lock
-        self._ring_lock = threading.Lock()
+    def __init__(self, keep_sessions: int = 64) -> None:
+        self._counters = dict.fromkeys(STAT_FIELDS, 0)
+        self._lock = threading.Lock()
         self._recent: "deque" = deque(maxlen=keep_sessions)
 
+    def __getattr__(self, name: str) -> int:
+        if name not in STAT_FIELDS:
+            raise AttributeError(name)
+        with self._lock:
+            return self._counters[name]
+
     def bump(self, name: str, n: int = 1) -> None:
-        i = STAT_FIELDS.index(name)
-        with self._block_lock:
-            self._block[i] += n
+        with self._lock:
+            self._counters[name] += n
 
     def done_snapshot(self) -> int:
         """``completed + failed`` as one atomic read (the
         ``max_sessions`` trigger must not see a torn pair)."""
-        with self._block_lock:
-            return (self._block[STAT_FIELDS.index("completed")]
-                    + self._block[STAT_FIELDS.index("failed")])
+        with self._lock:
+            return self._counters["completed"] + self._counters["failed"]
 
     def record_session(self, record: dict) -> None:
-        with self._ring_lock:
+        with self._lock:
             self._recent.append(dict(record))
 
     def snapshot(self) -> dict:
         """Codec-safe snapshot (ints / strings / lists / dicts only)."""
-        with self._block_lock:
-            snap = {name: self._block[i]
-                    for i, name in enumerate(STAT_FIELDS)}
-        with self._ring_lock:
+        with self._lock:
+            snap = dict(self._counters)
             snap["sessions"] = [dict(r) for r in self._recent]
         return snap
 
-
-def _stat_property(index: int) -> property:
-    def get(self: ServeStats) -> int:
-        with self._block_lock:
-            return self._block[index]
-
-    return property(get)
-
-
-for _i, _name in enumerate(STAT_FIELDS):
-    setattr(ServeStats, _name, _stat_property(_i))
-del _i, _name
 
 #: Finished sessions the registry keeps.  Their only use is to answer
 #: a late redial "already finished" rather than re-run it; older ones
@@ -400,22 +402,7 @@ class GarbleServer:
         self._client_bases = BaseOTCache()
         self.obs = obs
         self.pool = self._resolve_pool(config.pool)
-        # What a worker is handed at spawn: processes share a
-        # shared-memory counter block and each build their own
-        # material caches; threads share a list and one server-wide
-        # cache per program (so the single-use epoch audit covers the
-        # whole server).
-        if self.pool == "process":
-            self._ctx = _forkserver_context()
-            block = self._ctx.Array("l", len(STAT_FIELDS))
-            self._counters = (block, block.get_lock())
-            self._materials = None
-        else:
-            self._counters = ([0] * len(STAT_FIELDS), threading.Lock())
-            self._materials = build_material_caches(
-                self.programs, self._worker_config()
-            )
-        self.stats = ServeStats(*self._counters)
+        self.stats = ServeStats()
         workers = config.workers
         #: Worker handles (``Process`` or ``Thread``) and the parent
         #: end of each one's control channel.
@@ -1047,20 +1034,6 @@ class GarbleServer:
 
     # -- worker pool ---------------------------------------------------------
 
-    def _worker_config(self) -> dict:
-        """The slice of the config a worker needs, as the plain dict
-        that rides its spawn arguments."""
-        config = {key: getattr(self.config, key) for key in (
-            "checkpoint_every", "timeout", "resume_window", "max_attempts",
-            "ot_group", "heartbeat", "precompute",
-            "material_depth",
-        )}
-        if config["resume_window"] is None:
-            # How long a worker waits for a dropped evaluator to redial
-            # before burning one of its reconnect attempts.
-            config["resume_window"] = self.config.timeout
-        return config
-
     def _spawn_worker(self, index: int) -> None:
         """Start ``worker_main`` at the far end of a fresh control
         channel — the one place (with the join in :meth:`shutdown`)
@@ -1069,18 +1042,17 @@ class GarbleServer:
             socket_mod.AF_UNIX, socket_mod.SOCK_STREAM
         )
         chan = MsgChannel(parent_sock)
-        args = (index, child_sock, self._counters, self.programs,
-                self._worker_config())
+        args = (index, child_sock, self.programs, self.config)
         name = f"serve-worker-{index}"
         if self.pool == "process":
-            proc = self._ctx.Process(target=worker_main, args=args,
-                                     name=name, daemon=True)
+            proc = _forkserver_context().Process(
+                target=worker_main, args=args, name=name, daemon=True)
             proc.start()
             child_sock.close()  # the worker holds the only live copy now
         else:
             proc = threading.Thread(
                 target=worker_main, args=args, name=name, daemon=True,
-                kwargs={"obs": self.obs, "materials": self._materials},
+                kwargs={"obs": self.obs},
             )
             proc.start()
         self._procs[index] = proc
@@ -1105,10 +1077,20 @@ class GarbleServer:
             for fd in fds:  # pragma: no cover - workers never send fds
                 os.close(fd)
             mtype = msg.get("type")
+            if mtype in ("ready", "material"):
+                self.stats.bump("material_epochs", msg["epochs"])
             if mtype == "ready":
                 self._worker_ready[index] = True
                 self._pair(index=index)
             elif mtype in ("done", "failed", "handed-off"):
+                # A cached epoch consumed (hit), or one garbled on the
+                # spot because the pool was empty (miss).
+                hit = msg.get("material_hit")
+                if hit is not None:
+                    self.stats.bump(
+                        "material_hits" if hit else "material_misses")
+                if hit is False:
+                    self.stats.bump("material_epochs")
                 # A session a worker was handed never leaves the registry.
                 with self._lock:
                     sess = self._sessions[msg["session"]]
@@ -1135,6 +1117,7 @@ class GarbleServer:
             index = self._idle_workers.popleft()
             self._unplaced -= 1
             sess.state, sess.owner = "active", index
+            self.stats.bump("active")
             # The worker is the bundle's only reader: the registry
             # must not pin a peer's whole GarbledMaterial.
             bundle, sess.bundle = sess.bundle, None
@@ -1176,6 +1159,7 @@ class GarbleServer:
         with self._lock:
             if sess.state in _TERMINAL:
                 return
+            left_active = sess.state == "active"
             # Park before the state flips: a redial that observes the
             # finished state must find the entry already there.  The
             # payload is None when the session died before the garbler
@@ -1188,13 +1172,16 @@ class GarbleServer:
             self._finished.append(sess.id)
             if len(self._finished) > FINISHED_SESSIONS_KEPT:
                 self._sessions.pop(self._finished.popleft(), None)
+        if left_active:
+            self.stats.bump("active", -1)
         self._count(_TERMINAL[state])
         if flipped is not None:
             flipped()
         for link, _leftover in links:
             link.close()
         record = dict(record or session_record(sess.id, sess.program, state),
-                      state=state)
+                      state=state,
+                      worker=-1 if sess.owner is None else sess.owner)
         self.stats.record_session(record)
         if self.obs.enabled:
             if state == "done" and record.get("garbled_nonxor", 0) > 0:
@@ -1275,7 +1262,6 @@ class GarbleServer:
             except Exception:  # pragma: no cover - spawn failure at exit
                 pass
         for sess in owned:
-            self.stats.bump("active", -1)  # the dead worker cannot
             self._book(sess, "failed",
                        error=ChannelClosed("worker died mid-session"))
 

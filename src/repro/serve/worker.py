@@ -7,19 +7,19 @@ each at the far end of its own AF_UNIX control channel
 in nothing but the spawn:
 
 * ``pool="process"`` — a forkserver process (so this module is
-  importable and preloadable).  The worker records each served
-  program's residual trace (:mod:`repro.core.trace`; the build
-  compiles the :class:`~repro.core.plan.CyclePlan` on the way) in its
-  *own* interpreter and owns its own material caches; the parent's
-  caches are never shared across the process boundary.
+  importable and preloadable);
 * ``pool="thread"`` — a ``threading.Thread`` of the parent process,
   for programs that cannot be pickled and a ``__main__`` that cannot
-  be re-imported.  It is handed by reference what a thread cannot get
-  from pickling or from its process: the programs, the counter
-  block with its lock, ``obs``, and the parent-built material caches
-  (one per program for the whole server, so the single-use epoch
-  audit stays server-wide).  ``send_fds`` and ``TcpLink.from_fd`` work
+  be re-imported.  Beyond what a process gets it is handed only the
+  server's ``obs``, which it can share because it runs in the
+  parent's process.  ``send_fds`` and ``TcpLink.from_fd`` work
   in-process, so sockets still arrive as descriptors.
+
+Either way the worker records each served program's residual trace
+(:mod:`repro.core.trace`; the build compiles the
+:class:`~repro.core.plan.CyclePlan` on the way) and builds its own
+material caches, so ``(worker, epoch)`` names one delta for the
+worker's life.
 
 Control flow, identical for both:
 
@@ -37,13 +37,10 @@ Control flow, identical for both:
   :class:`~repro.net.session.SessionResult`) back to the parent,
   which owns all session bookkeeping.
 
-Only the ``active`` gauge and the material counters are written here,
-straight into the shared counter block — the numbers admission control
-and pre-warm waits need *while* a worker runs.  Terminal counters
-(``completed``/``failed``) are bumped by the parent when it books the
-outcome message, keeping counter and session state transitions atomic
-under the parent's lock (a client that has observed ``completed == n``
-must see those n sessions as finished).
+The worker writes no counter.  It reports what the parent's counters
+need: ``ready`` carries the epochs its pre-warm garbled, every outcome
+its ``material_hit`` (``True``, ``False`` or ``None``), and a
+``material`` message the epochs a refill built.
 
 A worker process ignores ``SIGINT``: a Ctrl-C against the CLI hits the
 whole process group, and shutdown must flow through the parent's drain
@@ -71,37 +68,7 @@ from ..net.tcp import TcpLink
 from ..obs import NULL_OBS
 from .ipc import IpcClosed, MsgChannel
 
-__all__ = ["STAT_FIELDS", "session_record", "worker_main"]
-
-#: Layout of the shared-memory counter block (one ``long`` per field).
-#: Defined here — not in ``server`` — so the worker never imports the
-#: server module (the parent imports the worker, not vice versa).
-STAT_FIELDS = (
-    "accepted",
-    "rejected_busy",
-    "rejected_error",
-    "completed",
-    "failed",
-    "active",
-    "stats_probes",
-    "material_epochs",   # delta epochs garbled offline (prewarm + refill)
-    "material_hits",     # sessions served from pre-garbled material
-    "material_misses",   # sessions that garbled material synchronously
-    "rejected_overload",  # connections refused at max_connections
-    "handshake_rejects",  # malformed/truncated/oversized/timed-out hellos
-    "handshake_timeouts",  # hellos that missed the handshake deadline
-    "idle_timeouts",     # connections that never sent a byte in time
-    "idle_shed",         # idle connections shed to admit newcomers
-    "replay_hits",       # finished-session redials served from replay
-    "replay_misses",     # redials whose result expired or never parked
-    "handed_off",        # in-flight sessions transferred to a peer shard
-    "adopted",           # sessions adopted from a draining peer shard
-)
-
-_IDX_ACTIVE = STAT_FIELDS.index("active")
-_IDX_EPOCHS = STAT_FIELDS.index("material_epochs")
-_IDX_HITS = STAT_FIELDS.index("material_hits")
-_IDX_MISSES = STAT_FIELDS.index("material_misses")
+__all__ = ["session_record", "worker_main"]
 
 _STOP = object()
 _SEALED = object()
@@ -161,14 +128,6 @@ class _WorkerSession:
             self._links.put(_SEALED)
 
 
-def _bump(stats: tuple, idx: int, n: int = 1) -> None:
-    """Move one counter of the shared ``(block, lock)`` pair."""
-    block, lock = stats
-    if n:
-        with lock:
-            block[idx] += n
-
-
 def session_record(sid: str, program: str, state: str, wall=None,
                    result=None, reconnects: int = -1, epoch=None,
                    **extra) -> dict:
@@ -193,14 +152,13 @@ def session_record(sid: str, program: str, state: str, wall=None,
     }
 
 
-def build_material_caches(programs: dict, config: dict) -> dict:
+def build_material_caches(programs: dict, config) -> dict:
     """One (still empty) :class:`MaterialCache` per served program,
-    ``material_depth`` epochs deep; workers fill it before signalling
-    ready.  Built by each worker process for itself, and once by the
-    parent for all of its worker threads (the class is thread-safe).
-    Returns ``{}`` when precompute is off.
+    ``material_depth`` epochs deep, which each worker builds for itself
+    and fills before signalling ready.  Returns ``{}`` when precompute
+    is off.
     """
-    if not config.get("precompute"):
+    if not config.precompute:
         return {}
     materials = {}
     for name, prog in programs.items():
@@ -211,15 +169,15 @@ def build_material_caches(programs: dict, config: dict) -> dict:
             alice_init=prog.alice_init,
             public=prog.public,
             public_init=prog.public_init,
-            depth=config.get("material_depth", 2),
+            depth=config.material_depth,
         )
     return materials
 
 
-def _sender_ot_factory(config: dict, sid: str, ot_base):
+def _sender_ot_factory(config, sid: str, ot_base):
     """Garbler-side OT factory for one serve session: session-unique
     PRG salt always, cached base material when the handshake agreed."""
-    return functools.partial(OTExtensionSender, group=config["ot_group"],
+    return functools.partial(OTExtensionSender, group=config.ot_group,
                              base=ot_base, salt=session_salt(sid))
 
 
@@ -270,7 +228,7 @@ def _reader_loop(chan: MsgChannel, runq: "queue.Queue", sessions: dict,
             return
 
 
-def make_garbler_party(name: str, prog, config: dict, run_msg: dict,
+def make_garbler_party(name: str, prog, config, run_msg: dict,
                        materials: dict, obs=NULL_OBS):
     """Build the garbler party for one admitted or adopted session.
 
@@ -361,7 +319,7 @@ def replay_payload(result, party) -> Optional[dict]:
 
 def _ship_handoff(chan: MsgChannel, sess: _WorkerSession, session,
                   party, run_msg: dict, handoff: SessionHandoff,
-                  wall: float, stats: tuple) -> None:
+                  wall: float, material_hit) -> None:
     """Ship the handoff bundle to the parent and hold the evaluator's
     link open until the parent confirms the peer adopted it.
 
@@ -380,22 +338,20 @@ def _ship_handoff(chan: MsgChannel, sess: _WorkerSession, session,
     )
     try:
         chan.send({"type": "handed-off", "session": sess.id,
-                   "record": record, "wall": wall, "bundle": bundle})
+                   "record": record, "material_hit": material_hit,
+                   "bundle": bundle})
         sess.released.wait(timeout=60.0)
     except IpcClosed:
         pass  # parent gone; close out locally
     session.close()
     sess.seal()
-    _bump(stats, _IDX_ACTIVE, -1)
 
 
 def _run_one(chan: MsgChannel, sess: _WorkerSession, run_msg: dict,
-             programs: dict, config: dict, stats: tuple,
-             materials: dict, obs) -> None:
+             programs: dict, config, materials: dict, obs) -> None:
     """One session end-to-end.  ``Exception`` fails the session;
     ``KeyboardInterrupt``/``SystemExit`` fail it *and* propagate so
     interpreter shutdown is never swallowed."""
-    _bump(stats, _IDX_ACTIVE, 1)
     t0 = perf_counter()
     name = run_msg["program"]
     result = None
@@ -406,17 +362,17 @@ def _run_one(chan: MsgChannel, sess: _WorkerSession, run_msg: dict,
     party, material_hit = make_garbler_party(
         name, programs[name], config, run_msg, materials, obs=obs
     )
-    if material_hit is not None:
-        _bump(stats, _IDX_HITS if material_hit else _IDX_MISSES)
-        if not material_hit:
-            _bump(stats, _IDX_EPOCHS)
+    # How long to wait for a dropped evaluator to redial before
+    # burning one of the session's reconnect attempts.
+    window = (config.timeout if config.resume_window is None
+              else config.resume_window)
     session = ResumableSession(
         party,
-        connect=lambda: sess.pop_link(config["resume_window"]),
-        checkpoint_every=config["checkpoint_every"],
-        timeout=config["timeout"],
-        max_attempts=config["max_attempts"],
-        heartbeat_interval=config["heartbeat"],
+        connect=lambda: sess.pop_link(window),
+        checkpoint_every=config.checkpoint_every,
+        timeout=config.timeout,
+        max_attempts=config.max_attempts,
+        heartbeat_interval=config.heartbeat,
         interrupt=sess.handoff.is_set,
         checkpoints=adopt["checkpoints"] if adopt is not None else None,
         obs=obs,
@@ -436,14 +392,13 @@ def _run_one(chan: MsgChannel, sess: _WorkerSession, run_msg: dict,
             # A handoff means this shard is on its way out: no refill,
             # nobody will use the material.
             _ship_handoff(chan, sess, session, party, run_msg, handoff,
-                          wall, stats)
+                          wall, material_hit)
             return
         sess.seal()
-        _bump(stats, _IDX_ACTIVE, -1)
         state = "done" if error is None else "failed"
         record = session_record(sess.id, name, state, wall, result)
         msg = {"type": state, "session": sess.id, "record": record,
-               "wall": wall}
+               "material_hit": material_hit}
         if result is not None:
             msg["result"] = result
         # A session that failed *after* the garbler decoded outputs
@@ -466,23 +421,25 @@ def _run_one(chan: MsgChannel, sess: _WorkerSession, run_msg: dict,
     # refill is the offline phase running between sessions, never on a
     # reporting path the client is waiting on.
     cache = materials.get(name)
-    if cache is not None:
-        _bump(stats, _IDX_EPOCHS, cache.refill())
+    built = 0 if cache is None else cache.refill()
+    if built:
+        try:
+            chan.send({"type": "material", "epochs": built})
+        except IpcClosed:
+            pass
     if reraise is not None:
         raise reraise
 
 
-def worker_main(index: int, sock: socket.socket, stats: tuple,
-                programs: dict, config: dict, obs=NULL_OBS,
-                materials: Optional[dict] = None) -> None:
+def worker_main(index: int, sock: socket.socket, programs: dict,
+                config, obs=NULL_OBS) -> None:
     """Entry point of one pool worker (module-level so the forkserver
     can pickle the target by reference).
 
-    ``stats`` is the shared counter ``(block, lock)`` pair.  The
-    positional arguments are everything a worker *process* gets (all
-    of it pickles); a worker *thread* is additionally handed what it
-    cannot rebuild for itself: the server's ``obs`` and the
-    server-wide ``materials`` caches (a process builds private ones).
+    The positional arguments are everything a worker *process* gets
+    (all of it pickles; ``config`` is the server's frozen
+    :class:`~repro.serve.config.ServeConfig`); a worker *thread* is
+    also handed the server's ``obs``.
     """
     if threading.current_thread() is threading.main_thread():
         # Only a process entry owns its signal disposition.
@@ -500,10 +457,8 @@ def worker_main(index: int, sock: socket.socket, stats: tuple,
     # Offline phase: pre-garble material_depth delta epochs per program
     # before signalling ready, so the first admitted session is already
     # pure replay.
-    if materials is None:
-        materials = build_material_caches(programs, config)
-    for cache in materials.values():
-        _bump(stats, _IDX_EPOCHS, cache.prewarm())
+    materials = build_material_caches(programs, config)
+    epochs = sum(cache.prewarm() for cache in materials.values())
     runq: "queue.Queue" = queue.Queue()
     sessions: dict = {}
     lock = threading.Lock()
@@ -513,7 +468,7 @@ def worker_main(index: int, sock: socket.socket, stats: tuple,
     )
     reader.start()
     try:
-        chan.send({"type": "ready", "index": index})
+        chan.send({"type": "ready", "index": index, "epochs": epochs})
     except IpcClosed:
         return
     try:
@@ -525,8 +480,8 @@ def worker_main(index: int, sock: socket.socket, stats: tuple,
             with lock:
                 sess = sessions[sid]
             try:
-                _run_one(chan, sess, run_msg, programs, config, stats,
-                         materials, obs)
+                _run_one(chan, sess, run_msg, programs, config, materials,
+                         obs)
             finally:
                 with lock:
                     sessions.pop(sid, None)

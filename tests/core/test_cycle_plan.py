@@ -26,7 +26,7 @@ from repro.circuit.netlist import PUBLIC
 from repro.core import CountingBackend, SkipGateEngine, make_engine
 from repro.core import trace as T
 from repro.core.plan import CompiledSkipGateEngine, compile_plan, warm_plan
-from repro.obs import ListSink, Obs, timing_summary
+from repro.obs import ListSink, Obs
 from tests.helpers import replay_trace
 
 # (name, builder) — one entry per bench_circuits module family.
@@ -119,8 +119,6 @@ class TestBenchCircuitDifferential:
         ref = make_engine(net, engine="reference")
         assert isinstance(ref, SkipGateEngine)
         assert not isinstance(ref, CompiledSkipGateEngine)
-        assert ref.engine_name == "reference"
-        assert make_engine(net).engine_name == "compiled"
         with pytest.raises(ValueError):
             make_engine(net, engine="turbo")
 
@@ -311,31 +309,15 @@ class TestGeneratedSweep:
         assert profiled.timing["step"] > 0
         assert "reduce" not in profiled.timing and "macro" not in profiled.timing
         assert len([e for e in sink.events if e["event"] == "cycle"]) == 40
-        # The sweeping engines, profiled, run one skeleton.
-        cycle_events = {}
+        # Both sweeping engines run one skeleton: the same per-cycle
+        # counts as the replayed trace.
         for engine in ("compiled", "reference"):
-            sink = ListSink()
-            obs = Obs(sink)
             eng = _machine_engine(
                 lambda net, backend, **kw: make_engine(
-                    net, backend, obs=obs, engine=engine, **kw))
+                    net, backend, engine=engine, **kw))
             for i in range(40):
                 eng.step(final=(i == 39))
             assert eng.stats == plain.stats
-            timing = timing_summary(obs)
-            assert timing["step"] > timing["macro"] > 0
-            assert timing["reduce"] > 0
-            cycle_events[engine] = [
-                e for e in sink.events if e["event"] == "cycle"
-            ]
-        # One skeleton emits them: same count, same keys, same counts.
-        timed = {"t", "seconds", "garble_seconds", "reduce_seconds",
-                 "macro_seconds"}
-        assert len(cycle_events["compiled"]) == 40
-        for a, b in zip(cycle_events["compiled"], cycle_events["reference"]):
-            assert set(a) == set(b)
-            assert ({k: a[k] for k in a if k not in timed}
-                    == {k: b[k] for k in b if k not in timed})
 
     def test_caller_depth_does_not_change_the_run(self):
         def at_depth(depth):

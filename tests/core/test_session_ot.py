@@ -76,7 +76,8 @@ def test_serve_config_neither_stores_nor_echoes_nor_forwards_the_keyword():
     assert config.replace(workers=3).workers == 3
     assert ServeConfig.from_dict(config.to_dict()) == config
     server = GarbleServer({"sum32": registry_program("sum32", 1)}, config=config)
-    assert "ot" not in server._worker_config()
+    # What every worker is handed: the server's config, as stored.
+    assert "ot" not in vars(server.config)
 
 
 @pytest.mark.parametrize("fn", [

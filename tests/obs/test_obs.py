@@ -132,7 +132,7 @@ class TestNullObs:
     def test_render_helpers_accept_null_obs(self):
         text = render_profile(NULL_OBS)
         # The canonical phases always appear so profiles line up.
-        for phase in ("garble", "eval", "channel.wait", "reduce"):
+        for phase in ("garble", "eval", "channel.wait", "step"):
             assert phase in text
         assert render_tree(NULL_OBS) == ""
         assert timing_summary(NULL_OBS) == {}
@@ -175,20 +175,10 @@ class TestEngineIntegration:
         assert {e["event"] for e in sink.events} <= {"cycle", "trace.build"}
 
     def test_enabled_run_reports_phases(self):
-        from repro import bench_circuits as BC
-        from repro.core import CountingBackend, make_engine
-
         result = _hamming_run(obs=Obs())
         assert result.timing is not None
         assert set(result.timing) >= {"step", "garble"}
         assert result.timing["step"] > 0
-        # Reduction is a sweep phase: a profiled engine reports it.
-        net, cc = BC.hamming_sequential(32)
-        obs = Obs()
-        engine = make_engine(net, CountingBackend(), obs=obs)
-        engine.run(cc, [])
-        assert set(timing_summary(obs)) >= {"step", "garble", "reduce"}
-        assert timing_summary(obs)["step"] > 0
 
     def test_per_cycle_events_carry_category_counts(self):
         sink = ListSink()

@@ -21,6 +21,7 @@ import hashlib
 import random
 import secrets
 import threading
+import time
 
 import pytest
 
@@ -34,7 +35,8 @@ from repro.gc.material import (
 )
 from repro.net.cli import _registry
 from repro.net.fault import FaultPlan, FaultRule, FaultyTransport
-from repro.serve import make_server, run_loadgen, run_registry_session
+from repro.serve import (ServeConfig, make_server, run_loadgen,
+                         run_registry_session)
 from repro.serve.server import registry_program
 
 SERVER_VALUE = 4321
@@ -178,10 +180,12 @@ class TestResumeAcrossMaterial:
         assert faulted.reconnects >= 1
         # Both sessions replayed material (not fresh fallback)...
         assert snap["material_hits"] == 2
-        epochs = {r["session"]: r["epoch"] for r in snap["sessions"]}
-        assert epochs["clean"] >= 0 and epochs["faulted"] >= 0
-        # ...from different epochs (one bundle per session), and the
-        # resumed replay is bit-identical to the uninterrupted one.
+        # ...from different deltas: an epoch number is per worker.
+        epochs = {r["session"]: (r["worker"], r["epoch"])
+                  for r in snap["sessions"]}
+        assert epochs["clean"][1] >= 0 and epochs["faulted"][1] >= 0
+        # One bundle per session, and the resumed replay is
+        # bit-identical to the uninterrupted one.
         assert epochs["clean"] != epochs["faulted"]
         assert faulted.value == clean.value
         assert faulted.value == (SERVER_VALUE + CLIENT_VALUE) & 0xFFFFFFFF
@@ -190,7 +194,7 @@ class TestResumeAcrossMaterial:
         # The garbler-side result names the epoch its checkpoints rode.
         server_result = srv.session_result("faulted")
         assert server_result is not None
-        assert server_result.material_epoch == epochs["faulted"]
+        assert server_result.material_epoch == epochs["faulted"][1]
         assert server_result.reconnects >= 1
 
     def test_restore_across_epochs_is_fatal(self):
@@ -221,28 +225,46 @@ class TestIdentitiesNeverShareADelta:
     def test_two_identities_get_disjoint_epochs(self):
         """Negative test for the rotation rule: across many sessions of
         two client identities, no delta epoch is ever observed twice —
-        by the other identity or by the same one."""
-        with make_server([CIRCUIT], value=SERVER_VALUE, workers=2,
-                         pool="thread", material_depth=8, port=0) as srv:
-            for i in range(2):
-                for who in ("alpha", "beta"):
-                    run_registry_session(
-                        srv.host, srv.port, CIRCUIT, CLIENT_VALUE + i,
-                        session_id=f"{who}-{i}", client_id=who)
-        snap = srv.stats_snapshot()
-        cache = srv._materials[CIRCUIT]
+        by the other identity or by the same one.  Each worker owns its
+        caches, so ``(worker, epoch)`` names one delta, on either pool
+        kind."""
+        for pool in ("thread", "process"):
+            with make_server([CIRCUIT], value=SERVER_VALUE, workers=2,
+                             pool=pool, material_depth=8, port=0) as srv:
+                for i in range(2):
+                    for who in ("alpha", "beta"):
+                        run_registry_session(
+                            srv.host, srv.port, CIRCUIT, CLIENT_VALUE + i,
+                            session_id=f"{who}-{i}", client_id=who)
+            records = srv.stats_snapshot()["sessions"]
 
-        epochs = [r["epoch"] for r in snap["sessions"]]
-        assert all(e >= 0 for e in epochs)
-        assert len(set(epochs)) == len(epochs), (
-            "a delta epoch was served to two sessions"
-        )
-        # The cache's audit trail names the consuming identity per
-        # epoch, and each epoch has exactly one consumer.
-        by_identity = {}
-        for epoch, identity in cache.assignments.items():
-            by_identity.setdefault(identity, set()).add(epoch)
-        assert not (by_identity["alpha"] & by_identity["beta"])
+            deltas = [(r["worker"], r["epoch"]) for r in records]
+            assert len(deltas) == 4, pool
+            assert all(w >= 0 and e >= 0 for w, e in deltas), pool
+            assert len(set(deltas)) == len(deltas), (
+                f"{pool}: a delta epoch was served to two sessions"
+            )
+            by_identity = {}
+            for r, delta in zip(records, deltas):
+                who = r["session"].split("-")[0]
+                by_identity.setdefault(who, set()).add(delta)
+            assert not (by_identity["alpha"] & by_identity["beta"]), pool
+
+
+class TestEveryWorkerPrewarms:
+    @pytest.mark.parametrize("pool", ["thread", "process"])
+    def test_material_epochs_after_ready(self, pool):
+        """Each worker fills its own caches before ``ready``, on either
+        pool kind, and the parent counts what every worker reported."""
+        programs, depth = [CIRCUIT, "mult8"], 3
+        with make_server(programs, value=SERVER_VALUE, workers=2,
+                         pool=pool, material_depth=depth, port=0) as srv:
+            deadline = time.monotonic() + 60.0
+            while not all(srv._worker_ready):
+                assert time.monotonic() < deadline, "workers never ready"
+                time.sleep(0.01)
+            epochs = srv.counters()["material_epochs"]
+        assert epochs == 2 * len(programs) * depth
 
 
 class TestTraceWarmBeforeReady:
@@ -543,8 +565,7 @@ class TestDefaultPathsDrawFromSecrets:
         from repro.serve.worker import build_material_caches
 
         prog = registry_program(SEQ_CIRCUIT, SERVER_VALUE)
-        config = {"precompute": True, "material_depth": 2,
-                  "ot_group": "modp512"}
+        config = ServeConfig(material_depth=2)
         residual_trace(prog.net, prog.cycles)
         drawn, deltas = self._refuse_random(monkeypatch)
         caches = build_material_caches({SEQ_CIRCUIT: prog}, config)
@@ -561,7 +582,7 @@ class TestDefaultPathsDrawFromSecrets:
         local = _local_reference(SEQ_CIRCUIT, SERVER_VALUE, CLIENT_VALUE)
         prog = registry_program(SEQ_CIRCUIT, SERVER_VALUE)
         bob = _registry()[SEQ_CIRCUIT].bob_source(CLIENT_VALUE, prog.cycles)
-        config = {"ot_group": "modp512"}
+        config = ServeConfig()
         residual_trace(prog.net, prog.cycles)
         drawn, deltas = self._refuse_random(monkeypatch)
         garbler, hit = make_garbler_party(

@@ -95,6 +95,9 @@ GUARDS = [
     ("Macro ports reach an engine only through MacroContext",
      ["src/repro/circuit/"], "G", r"_eng\b",
      "        state = ctx._eng.state"),
+    ("A serve worker shares no memory with its parent",
+     ["src/repro/serve"], "E", r"\.Array\(|get_lock\(|_IDX_|materials=",
+     '            block = self._ctx.Array("l", len(STAT_FIELDS))'),
     ("The router has no byte path",
      ["src/repro/serve/router.py"], "E",
      r"_Splice|set_protocol|pause_reading|resume_reading",
