@@ -5,8 +5,10 @@ one that is still read fails the build (DESIGN.md §11, "Residual
 trace").  Every program's trace then runs in local mode (the trace
 replayed in the clear, every output bit checked against the ISA
 emulator) for seeds 1-3 against its oracle; seeds 2-3 hit the cached
-trace.  dijkstra8 also runs in protocol mode for seeds 1-3.  Exits
-non-zero naming every program that failed.
+trace.  dijkstra8 also runs in protocol mode for seeds 1-3, and aes128
+(whose C is emitted from the S-box netlist) for seed 1; the trace is
+cached by then, so protocol mode adds only the replay.  Exits non-zero
+naming every program that failed.
 
     PYTHONPATH=src python .github/scripts/audit_traces.py
 """
@@ -45,16 +47,16 @@ for name, prog in REGISTRY.items():
             failed.append(f"arm-{name} seed {seed}: local != oracle")
         if not garbles == sum(trace.tables) == trace.stats.tables_sent:
             failed.append(f"arm-{name}")
-    for seed in (1, 2, 3) if name == "dijkstra8" else ():
+    for seed in {"dijkstra8": (1, 2, 3), "aes128": (1,)}.get(name, ()):
         alice, bob = prog.gen_inputs(random.Random(seed))
         expect = prog.oracle(alice, bob)
         t0 = time.perf_counter()
         proto = api.run(words, {"alice": alice, "bob": bob},
                         mode="protocol", machine_config=layout)
-        print(f"arm-dijkstra8 protocol seed {seed}: "
+        print(f"arm-{name} protocol seed {seed}: "
               f"{time.perf_counter() - t0:.1f} s")
         if unpack_words(proto.outputs, 32)[: len(expect)] != expect:
-            failed.append(f"arm-dijkstra8 protocol seed {seed} != oracle")
+            failed.append(f"arm-{name} protocol seed {seed} != oracle")
 for name, entry in workload_circuits().items():
     net, cycles = entry.build()
     trace = residual_trace(net, cycles)

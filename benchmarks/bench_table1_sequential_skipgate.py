@@ -4,8 +4,9 @@ Regenerates the paper's Table 1 — garbled non-XOR counts with and
 without SkipGate on the HDL benchmark suite, where the only public
 information is the flip-flops' initial values.  Four rows (Sum,
 Compare, Hamming 32, Mult 32) reproduce the paper's numbers exactly,
-including the skipped-gate counts; the rest are architecture-dependent
-and compared in shape (see EXPERIMENTS.md).
+including the skipped-gate counts, and AES's with-SkipGate count is
+exact; the rest are architecture-dependent and compared in shape (see
+EXPERIMENTS.md).
 
 The timed kernel is the SkipGate engine running the Mult 32 sequential
 circuit — one full 32-cycle garbling pass.
@@ -24,6 +25,8 @@ ROWS = [
 #: Rows whose circuits we constructed to match the paper exactly.
 EXACT = {"Sum 32", "Sum 1024", "Compare 32", "Compare 16384",
          "Hamming 32", "Hamming 160", "Hamming 512", "Mult 32"}
+#: Rows whose with-SkipGate column alone matches the paper.
+EXACT_WITH = {"AES 128"}
 
 
 def test_table1_report(circuit_row, benchmark):
@@ -39,8 +42,9 @@ def test_table1_report(circuit_row, benchmark):
         ])
         # Shape: SkipGate never increases cost; exact rows match.
         assert measured["garbled_nonxor"] <= measured["conventional_nonxor"]
-        if name in EXACT:
+        if name in EXACT | EXACT_WITH:
             assert measured["garbled_nonxor"] == paper_w, name
+        if name in EXACT:
             assert measured["skipped"] == paper_skip, name
 
     publish("table1", render_table(
@@ -56,6 +60,9 @@ def test_table1_report(circuit_row, benchmark):
             "charged every cycle; the paper's netlist keeps them in "
             "dedicated registers. The with-SkipGate numbers agree "
             "exactly (27,369 / 127,225 / 522,304).",
+            "AES w/ matches exactly (6,400 = 20 S-boxes x 32 ANDs x 10 "
+            "rounds); w/o and skipped sit 447 below the paper's, the "
+            "public round glue SkipGate removes in both.",
         ],
     ))
 

@@ -4,29 +4,18 @@ One AES round per clock cycle, 10 cycles, with the round keys computed
 on the fly — the "missing key expansion module" the paper adds to the
 TinyGarble AES benchmark (footnote to Tables 1-2).
 
-The only non-linear element of AES is the S-box inversion in
-GF(2^8).  We implement it over the composite tower field
-GF(((2^2)^2)^2), where
+The only non-linear element of AES is the S-box.  :func:`sbox_circuit`
+is the 115-gate straight-line program of Boyar and Peralta ("A new
+combinational logic minimization technique with applications to
+cryptology", SEA 2010): 32 ANDs and 83 XOR/XNORs, kept below as one
+table.  ShiftRows, MixColumns, AddRoundKey and the round constants are
+GF(2)-linear and therefore free under free-XOR.  The cost is 20
+S-boxes x 32 ANDs x 10 rounds = 6,400 garbled non-XOR gates, the
+paper's figure.
 
-* GF(2^2) multiplication costs 3 ANDs (Karatsuba),
-* GF(2^4) multiplication costs 9 ANDs, inversion 9 ANDs
-  (the GF(2^2) norm inverse is a squaring, which is linear),
-* GF(2^8) inversion costs 36 ANDs: one GF(2^4) multiplication for the
-  norm, one GF(2^4) inversion, and two output multiplications.
-
-Everything else — the basis-change matrices in and out of the tower,
-the AES affine map, ShiftRows, MixColumns, AddRoundKey, and the round
-constants — is GF(2)-linear and therefore free under free-XOR.  The
-cost is 20 S-boxes x 36 ANDs x 10 rounds = 7,200 garbled non-XOR
-gates, versus the paper's 6,400 (their synthesis reaches the 32-AND
-Boyar-Peralta S-box; the 4 extra ANDs per S-box are the documented gap
-— see EXPERIMENTS.md).
-
-The tower parameters and the GF(2^8) -> tower isomorphism are *derived
-in this module* (a root of the AES polynomial is located in the tower
-field and the basis-change matrices are built from its powers), and
-the inversion formulas are verified exhaustively at import of the
-self-check helpers.
+:func:`sbox_reference` is the textbook S-box (GF(2^8) inversion, then
+the affine map), independent of the table, and
+:func:`aes128_reference` builds on it.
 """
 
 from __future__ import annotations
@@ -38,91 +27,6 @@ from ..circuit.builder import CircuitBuilder
 from ..circuit.netlist import InitSpec, Netlist
 
 ROUNDS = 10
-
-# -- integer tower-field arithmetic (reference + matrix derivation) ---------
-
-
-def gf4_mul(a: int, b: int) -> int:
-    """GF(2^2) = GF(2)[u]/(u^2+u+1); elements are 2-bit ints."""
-    a0, a1 = a & 1, (a >> 1) & 1
-    b0, b1 = b & 1, (b >> 1) & 1
-    m0 = a0 & b0
-    m1 = a1 & b1
-    m2 = (a0 ^ a1) & (b0 ^ b1)
-    return (m0 ^ m1) | ((m2 ^ m0) << 1)
-
-
-def gf4_sq(a: int) -> int:
-    a0, a1 = a & 1, (a >> 1) & 1
-    return (a0 ^ a1) | (a1 << 1)
-
-
-def gf4_mul_u(a: int) -> int:
-    """Multiply by the GF(2^2) generator u (the lambda scaling)."""
-    a0, a1 = a & 1, (a >> 1) & 1
-    return a1 | ((a0 ^ a1) << 1)
-
-
-LAMBDA = 0b10  # u, makes v^2 + v + u irreducible over GF(2^2)
-
-
-def gf16_mul(a: int, b: int) -> int:
-    """GF(2^4) = GF(2^2)[v]/(v^2+v+u); elements are 4-bit ints."""
-    al, ah = a & 3, (a >> 2) & 3
-    bl, bh = b & 3, (b >> 2) & 3
-    m0 = gf4_mul(al, bl)
-    m1 = gf4_mul(ah, bh)
-    m2 = gf4_mul(al ^ ah, bl ^ bh)
-    lo = m0 ^ gf4_mul_u(m1)
-    hi = m2 ^ m0
-    return lo | (hi << 2)
-
-
-def gf16_sq(a: int) -> int:
-    return gf16_mul(a, a)
-
-
-def gf16_inv(a: int) -> int:
-    """GF(2^4) inversion (0 maps to 0): 1 mul + linear ops."""
-    al, ah = a & 3, (a >> 2) & 3
-    nu = gf4_mul_u(gf4_sq(ah)) ^ gf4_mul(ah, al) ^ gf4_sq(al)
-    nu_inv = gf4_sq(nu)  # x^-1 == x^2 in GF(4)
-    hi = gf4_mul(ah, nu_inv)
-    lo = gf4_mul(ah ^ al, nu_inv)
-    return (hi << 2) | lo
-
-
-def _find_mu() -> int:
-    """Find mu in GF(2^4) making w^2 + w + mu irreducible."""
-    for mu in range(1, 16):
-        if all(gf16_mul(w, w) ^ w ^ mu for w in range(16)):
-            return mu
-    raise AssertionError("no irreducible mu found")
-
-
-MU = _find_mu()
-
-
-def gf256_mul(a: int, b: int) -> int:
-    """Tower GF(2^8) = GF(2^4)[w]/(w^2+w+mu); 8-bit ints."""
-    al, ah = a & 15, (a >> 4) & 15
-    bl, bh = b & 15, (b >> 4) & 15
-    m0 = gf16_mul(al, bl)
-    m1 = gf16_mul(ah, bh)
-    m2 = gf16_mul(al ^ ah, bl ^ bh)
-    lo = m0 ^ gf16_mul(MU, m1)
-    hi = m2 ^ m0
-    return lo | (hi << 4)
-
-
-def gf256_inv(a: int) -> int:
-    """Tower GF(2^8) inversion (0 -> 0): 36 ANDs at the bit level."""
-    al, ah = a & 15, (a >> 4) & 15
-    delta = gf16_mul(MU, gf16_sq(ah)) ^ gf16_mul(ah, al) ^ gf16_sq(al)
-    dinv = gf16_inv(delta)
-    hi = gf16_mul(ah, dinv)
-    lo = gf16_mul(ah ^ al, dinv)
-    return (hi << 4) | lo
 
 
 def aes_mul(a: int, b: int) -> int:
@@ -139,205 +43,152 @@ def aes_mul(a: int, b: int) -> int:
     return r
 
 
-@lru_cache(maxsize=1)
-def tower_maps() -> Tuple[List[int], List[int]]:
-    """Basis-change matrices AES-poly-basis <-> tower basis.
-
-    Returned as two lists of 8 column masks: ``to_tower[j]`` is the
-    tower representation of the AES basis element ``x^j``, so
-    ``tower(a) = XOR of to_tower[j] for each set bit j of a`` — a pure
-    GF(2) linear map.  Derived by locating a root of the AES
-    polynomial in the tower field.
-    """
-    for h in range(2, 256):
-        # Evaluate x^8+x^4+x^3+x+1 at h using tower arithmetic.
-        p = [1]
-        for _ in range(8):
-            p.append(gf256_mul(p[-1], h))
-        if p[8] ^ p[4] ^ p[3] ^ p[1] ^ 1 == 0:
-            to_tower = p[:8]  # tower images of x^0 .. x^7
-            # Invert the GF(2) matrix whose columns are to_tower.
-            rows = list(to_tower)
-            inv = _invert_gf2_columns(rows)
-            return to_tower, inv
-    raise AssertionError("no root of the AES polynomial in the tower")
-
-
-def _invert_gf2_columns(cols: List[int]) -> List[int]:
-    """Invert an 8x8 GF(2) matrix given as 8 column masks.
-
-    Row-reduces the matrix augmented with the identity; returns the
-    inverse again as 8 column masks.
-    """
-    n = 8
-    # rows[i] = (matrix row i as a bitmask over j, identity row i)
-    rows = []
-    for i in range(n):
-        row = 0
-        for j in range(n):
-            row |= ((cols[j] >> i) & 1) << j
-        rows.append([row, 1 << i])
-    for col in range(n):
-        pivot = next(
-            (r for r in range(col, n) if (rows[r][0] >> col) & 1), None
-        )
-        if pivot is None:
-            raise AssertionError("singular basis-change matrix")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        for r in range(n):
-            if r != col and (rows[r][0] >> col) & 1:
-                rows[r][0] ^= rows[col][0]
-                rows[r][1] ^= rows[col][1]
-    inv_cols = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if (rows[i][1] >> j) & 1:
-                inv_cols[j] |= 1 << i
-    return inv_cols
-
-
-def apply_columns(cols: Sequence[int], value: int) -> int:
-    """Apply a GF(2) linear map given as column masks."""
-    out = 0
-    for j in range(8):
-        if (value >> j) & 1:
-            out ^= cols[j]
-    return out
-
-
-#: AES affine transform columns (output bit masks per input bit) and
-#: constant: sbox(x) = A * inv(x) + 0x63 in the AES basis.
-AFFINE_COLS: List[int] = []
-for j in range(8):
-    col = 0
-    for i in range(8):
-        # sbox affine: b_i = x_i ^ x_{(i+4)%8} ^ x_{(i+5)%8} ^
-        #                    x_{(i+6)%8} ^ x_{(i+7)%8} ^ c_i
-        if j in (i, (i + 4) % 8, (i + 5) % 8, (i + 6) % 8, (i + 7) % 8):
-            col |= 1 << i
-    AFFINE_COLS.append(col)
-AFFINE_CONST = 0x63
-
-
+@lru_cache(maxsize=None)
 def sbox_reference(x: int) -> int:
-    """S-box via the tower inversion (used to self-check the circuit)."""
-    to_t, from_t = tower_maps()
-    t = apply_columns(to_t, x)
-    t = gf256_inv(t)
-    v = apply_columns(from_t, t)
-    return apply_columns(AFFINE_COLS, v) ^ AFFINE_CONST
-
-
-# -- circuit builders --------------------------------------------------------
-
-
-def _xor_many(b: CircuitBuilder, wires: List[int]) -> int:
-    out = b.const(0)
-    for w in wires:
-        out = b.xor_(out, w)
+    """The AES S-box by its definition (FIPS-197 §5.1.1): the GF(2^8)
+    inverse ``x^254`` (0 maps to 0), then the affine map
+    ``v ^ rotl(v, 1) ^ rotl(v, 2) ^ rotl(v, 3) ^ rotl(v, 4) ^ 0x63``."""
+    v = 1
+    for _ in range(254):
+        v = aes_mul(v, x)
+    out = 0x63
+    for k in range(5):
+        out ^= ((v << k) | (v >> (8 - k))) & 0xFF
     return out
 
 
-def _linear_map(b: CircuitBuilder, cols: Sequence[int], bits: Sequence[int]) -> List[int]:
-    """Free GF(2) linear map over wire bits (LSB first)."""
-    out = []
-    for i in range(8):
-        terms = [bits[j] for j in range(8) if (cols[j] >> i) & 1]
-        out.append(_xor_many(b, terms))
-    return out
-
-
-def _gf4_mul_c(b, x, y):
-    m0 = b.and_(x[0], y[0])
-    m1 = b.and_(x[1], y[1])
-    m2 = b.and_(b.xor_(x[0], x[1]), b.xor_(y[0], y[1]))
-    return [b.xor_(m0, m1), b.xor_(m2, m0)]
-
-
-def _gf4_sq_c(b, x):
-    return [b.xor_(x[0], x[1]), x[1]]
-
-
-def _gf4_mul_u_c(b, x):
-    return [x[1], b.xor_(x[0], x[1])]
-
-
-def _gf16_mul_c(b, x, y):
-    xl, xh = x[:2], x[2:]
-    yl, yh = y[:2], y[2:]
-    m0 = _gf4_mul_c(b, xl, yl)
-    m1 = _gf4_mul_c(b, xh, yh)
-    m2 = _gf4_mul_c(
-        b, [b.xor_(xl[0], xh[0]), b.xor_(xl[1], xh[1])],
-        [b.xor_(yl[0], yh[0]), b.xor_(yl[1], yh[1])],
-    )
-    lam = _gf4_mul_u_c(b, m1)
-    lo = [b.xor_(m0[0], lam[0]), b.xor_(m0[1], lam[1])]
-    hi = [b.xor_(m2[0], m0[0]), b.xor_(m2[1], m0[1])]
-    return lo + hi
-
-
-def _gf16_scale_c(b, const4: int, x):
-    """Multiply by a GF(2^4) constant: a free linear map."""
-    out_cols = [gf16_mul(const4, 1 << j) for j in range(4)]
-    out = []
-    for i in range(4):
-        terms = [x[j] for j in range(4) if (out_cols[j] >> i) & 1]
-        out.append(_xor_many(b, terms))
-    return out
-
-
-def _gf16_sq_c(b, x):
-    """Squaring in GF(2^4) is GF(2)-linear: derive columns and wire XORs."""
-    cols = [gf16_sq(1 << j) for j in range(4)]
-    out = []
-    for i in range(4):
-        terms = [x[j] for j in range(4) if (cols[j] >> i) & 1]
-        out.append(_xor_many(b, terms))
-    return out
-
-
-def _gf16_inv_c(b, x):
-    xl, xh = x[:2], x[2:]
-    hl = _gf4_mul_c(b, xh, xl)  # 3 ANDs
-    sq_h = _gf4_sq_c(b, xh)
-    sq_l = _gf4_sq_c(b, xl)
-    nu = [
-        b.xor_(b.xor_(_gf4_mul_u_c(b, sq_h)[i], hl[i]), sq_l[i])
-        for i in range(2)
-    ]
-    nu_inv = _gf4_sq_c(b, nu)
-    hi = _gf4_mul_c(b, xh, nu_inv)  # 3
-    lo = _gf4_mul_c(b, [b.xor_(xh[0], xl[0]), b.xor_(xh[1], xl[1])], nu_inv)  # 3
-    return lo + hi
-
-
-def _gf256_inv_c(b, x):
-    """Tower inversion circuit: 36 AND gates."""
-    xl, xh = x[:4], x[4:]
-    prod = _gf16_mul_c(b, xh, xl)  # 9
-    sq_h = _gf16_sq_c(b, xh)
-    sq_l = _gf16_sq_c(b, xl)
-    musq = _gf16_scale_c(b, MU, sq_h)
-    delta = [b.xor_(b.xor_(musq[i], prod[i]), sq_l[i]) for i in range(4)]
-    dinv = _gf16_inv_c(b, delta)  # 9
-    hi = _gf16_mul_c(b, xh, dinv)  # 9
-    xsum = [b.xor_(xh[i], xl[i]) for i in range(4)]
-    lo = _gf16_mul_c(b, xsum, dinv)  # 9
-    return lo + hi
+#: The Boyar–Peralta S-box, one gate per row in evaluation order.
+#: ``U0..U7`` are the input bits and ``S0..S7`` the output bits, both
+#: MSB first (``U0`` is bit 7 of the byte).  Rows 1-23 are the top
+#: linear layer, rows 24-85 the non-linear core (all 32 ANDs), rows
+#: 86-115 the bottom linear layer.
+SBOX_PROGRAM = """
+y14 = U3 ^ U5
+y13 = U0 ^ U6
+y9 = U0 ^ U3
+y8 = U0 ^ U5
+t0 = U1 ^ U2
+y1 = t0 ^ U7
+y4 = y1 ^ U3
+y12 = y13 ^ y14
+y2 = y1 ^ U0
+y5 = y1 ^ U6
+y3 = y5 ^ y8
+t1 = U4 ^ y12
+y15 = t1 ^ U5
+y20 = t1 ^ U1
+y6 = y15 ^ U7
+y10 = y15 ^ t0
+y11 = y20 ^ y9
+y7 = U7 ^ y11
+y17 = y10 ^ y11
+y19 = y10 ^ y8
+y16 = t0 ^ y11
+y21 = y13 ^ y16
+y18 = U0 ^ y16
+t2 = y12 & y15
+t3 = y3 & y6
+t4 = t3 ^ t2
+t5 = y4 & U7
+t6 = t5 ^ t2
+t7 = y13 & y16
+t8 = y5 & y1
+t9 = t8 ^ t7
+t10 = y2 & y7
+t11 = t10 ^ t7
+t12 = y9 & y11
+t13 = y14 & y17
+t14 = t13 ^ t12
+t15 = y8 & y10
+t16 = t15 ^ t12
+t17 = t4 ^ t14
+t18 = t6 ^ t16
+t19 = t9 ^ t14
+t20 = t11 ^ t16
+t21 = t17 ^ y20
+t22 = t18 ^ y19
+t23 = t19 ^ y21
+t24 = t20 ^ y18
+t25 = t21 ^ t22
+t26 = t21 & t23
+t27 = t24 ^ t26
+t28 = t25 & t27
+t29 = t28 ^ t22
+t30 = t23 ^ t24
+t31 = t22 ^ t26
+t32 = t31 & t30
+t33 = t32 ^ t24
+t34 = t23 ^ t33
+t35 = t27 ^ t33
+t36 = t24 & t35
+t37 = t36 ^ t34
+t38 = t27 ^ t36
+t39 = t29 & t38
+t40 = t25 ^ t39
+t41 = t40 ^ t37
+t42 = t29 ^ t33
+t43 = t29 ^ t40
+t44 = t33 ^ t37
+t45 = t42 ^ t41
+z0 = t44 & y15
+z1 = t37 & y6
+z2 = t33 & U7
+z3 = t43 & y16
+z4 = t40 & y1
+z5 = t29 & y7
+z6 = t42 & y11
+z7 = t45 & y17
+z8 = t41 & y10
+z9 = t44 & y12
+z10 = t37 & y3
+z11 = t33 & y4
+z12 = t43 & y13
+z13 = t40 & y5
+z14 = t29 & y2
+z15 = t42 & y9
+z16 = t45 & y14
+z17 = t41 & y8
+t46 = z15 ^ z16
+t47 = z10 ^ z11
+t48 = z5 ^ z13
+t49 = z9 ^ z10
+t50 = z2 ^ z12
+t51 = z2 ^ z5
+t52 = z7 ^ z8
+t53 = z0 ^ z3
+t54 = z6 ^ z7
+t55 = z16 ^ z17
+t56 = z12 ^ t48
+t57 = t50 ^ t53
+t58 = z4 ^ t46
+t59 = z3 ^ t54
+t60 = t46 ^ t57
+t61 = z14 ^ t57
+t62 = t52 ^ t58
+t63 = t49 ^ t58
+t64 = z4 ^ t59
+t65 = t61 ^ t62
+t66 = z1 ^ t63
+S0 = t59 ^ t63
+S6 = t56 xnor t62
+S7 = t48 xnor t60
+t67 = t64 ^ t65
+S3 = t53 ^ t66
+S4 = t51 ^ t66
+S5 = t47 ^ t65
+S1 = t64 xnor S3
+S2 = t55 xnor t67
+"""
 
 
 def sbox_circuit(b: CircuitBuilder, bits: Sequence[int]) -> List[int]:
-    """AES S-box over 8 wires: 36 garbled ANDs, everything else free."""
-    to_t, from_t = tower_maps()
-    t = _linear_map(b, to_t, bits)
-    t = _gf256_inv_c(b, t)
-    v = _linear_map(b, from_t, t)
-    out = _linear_map(b, AFFINE_COLS, v)
-    return [
-        b.xor_(w, b.const(1)) if (AFFINE_CONST >> i) & 1 else w
-        for i, w in enumerate(out)
-    ]
+    """AES S-box over 8 wires (LSB first): 32 garbled ANDs, the rest free."""
+    gates = {"^": b.xor_, "&": b.and_, "xnor": b.xnor}
+    wire = {f"U{7 - i}": w for i, w in enumerate(bits)}
+    for row in SBOX_PROGRAM.strip().splitlines():
+        dst, _, x, op, y = row.split()
+        wire[dst] = gates[op](wire[x], wire[y])
+    return [wire[f"S{7 - i}"] for i in range(8)]
 
 
 def _mix_single_column(b: CircuitBuilder, col: List[List[int]]) -> List[List[int]]:
@@ -447,16 +298,10 @@ def aes128_sequential() -> Tuple[Netlist, int]:
 
 def aes128_reference(key: bytes, pt: bytes) -> bytes:
     """Reference AES-128 encryption (validated against test vectors)."""
-    to_t, from_t = tower_maps()
-
-    def sbox(x):
-        return sbox_reference(x)
-
     rk = [list(key)]
     for rnd in range(10):
         prev = rk[-1]
-        word = prev[12:16]
-        word = [sbox(word[1]), sbox(word[2]), sbox(word[3]), sbox(word[0])]
+        word = [sbox_reference(x) for x in prev[13:16] + prev[12:13]]
         word[0] ^= RCON[rnd]
         new = []
         for i in range(4):
@@ -469,7 +314,7 @@ def aes128_reference(key: bytes, pt: bytes) -> bytes:
 
     state = [p ^ k for p, k in zip(pt, rk[0])]
     for rnd in range(1, 11):
-        state = [sbox(x) for x in state]
+        state = [sbox_reference(x) for x in state]
         # ShiftRows (column-major state).
         shifted = [0] * 16
         for col in range(4):

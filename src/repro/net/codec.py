@@ -33,6 +33,10 @@ run to run.  Protocol code keeps label material as fixed-width
 ``bytes`` on the wire precisely so that sizes cannot leak or wobble
 with the random label values (a 128-bit label always costs 18 encoded
 bytes regardless of leading zeros).
+
+Containers nest at most :data:`MAX_DEPTH` deep, on both sides: a
+hostile payload of a few kilobytes (one-item lists nested 1,000 deep)
+is a :class:`CodecError`, not a ``RecursionError`` out of the parser.
 """
 
 from __future__ import annotations
@@ -41,8 +45,21 @@ import struct
 from typing import Any, List, Tuple
 
 
+#: Deepest container nesting :func:`encode` writes and :func:`decode`
+#: reads.  The deepest payload the system sends is 7 (a fleet
+#: ``stats`` reply: per-shard records with per-worker counters).
+MAX_DEPTH = 32
+
+
 class CodecError(ValueError):
     """Raised when a payload cannot be encoded or decoded."""
+
+
+def _nest(depth: int) -> int:
+    """Depth of a container's items; raises past :data:`MAX_DEPTH`."""
+    if depth >= MAX_DEPTH:
+        raise CodecError(f"payload nests deeper than MAX_DEPTH={MAX_DEPTH}")
+    return depth + 1
 
 
 def _write_varint(out: List[bytes], n: int) -> None:
@@ -72,7 +89,7 @@ def _read_varint(data: bytes, pos: int) -> Tuple[int, int]:
             raise CodecError("varint too long")
 
 
-def _encode_into(out: List[bytes], obj: Any) -> None:
+def _encode_into(out: List[bytes], obj: Any, depth: int = 0) -> None:
     if obj is None:
         out.append(b"N")
     elif obj is True:
@@ -99,16 +116,19 @@ def _encode_into(out: List[bytes], obj: Any) -> None:
         _write_varint(out, len(raw))
         out.append(raw)
     elif type(obj) is list:
+        depth = _nest(depth)
         out.append(b"l")
         _write_varint(out, len(obj))
         for item in obj:
-            _encode_into(out, item)
+            _encode_into(out, item, depth)
     elif type(obj) is tuple:
+        depth = _nest(depth)
         out.append(b"t")
         _write_varint(out, len(obj))
         for item in obj:
-            _encode_into(out, item)
+            _encode_into(out, item, depth)
     elif type(obj) is dict:
+        depth = _nest(depth)
         out.append(b"d")
         _write_varint(out, len(obj))
         try:
@@ -118,8 +138,8 @@ def _encode_into(out: List[bytes], obj: Any) -> None:
         for key in keys:
             if type(key) is not str:
                 raise CodecError(f"dict keys must be str, got {type(key).__name__}")
-            _encode_into(out, key)
-            _encode_into(out, obj[key])
+            _encode_into(out, key, depth)
+            _encode_into(out, obj[key], depth)
     else:
         raise CodecError(f"cannot encode {type(obj).__name__} values")
 
@@ -136,7 +156,7 @@ def encoded_size(obj: Any) -> int:
     return len(encode(obj))
 
 
-def _decode_at(data: bytes, pos: int) -> Tuple[Any, int]:
+def _decode_at(data: bytes, pos: int, depth: int = 0) -> Tuple[Any, int]:
     if pos >= len(data):
         raise CodecError("truncated value")
     kind = data[pos : pos + 1]
@@ -167,20 +187,22 @@ def _decode_at(data: bytes, pos: int) -> Tuple[Any, int]:
         except UnicodeDecodeError as exc:
             raise CodecError("invalid UTF-8 string") from exc
     if kind in (b"l", b"t"):
+        depth = _nest(depth)
         n, pos = _read_varint(data, pos)
         items = []
         for _ in range(n):
-            item, pos = _decode_at(data, pos)
+            item, pos = _decode_at(data, pos, depth)
             items.append(item)
         return (items if kind == b"l" else tuple(items)), pos
     if kind == b"d":
+        depth = _nest(depth)
         n, pos = _read_varint(data, pos)
         result = {}
         for _ in range(n):
-            key, pos = _decode_at(data, pos)
+            key, pos = _decode_at(data, pos, depth)
             if type(key) is not str:
                 raise CodecError("dict keys must decode to str")
-            value, pos = _decode_at(data, pos)
+            value, pos = _decode_at(data, pos, depth)
             result[key] = value
         return result, pos
     raise CodecError(f"unknown type byte {kind!r}")

@@ -502,8 +502,8 @@ def aes_c() -> str:
     """Bitsliced AES-128 with on-the-fly key expansion, generated C.
 
     The state's 16 bytes plus the key schedule's 4 S-boxed bytes are
-    packed into eight 20-bit slice words; the tower-field S-box circuit
-    (36 ANDs, emitted from the netlist by :func:`netlist_to_c`) then
+    packed into eight 20-bit slice words; the Boyar-Peralta S-box circuit
+    (32 ANDs, emitted from the netlist by :func:`netlist_to_c`) then
     computes all 20 S-boxes of a round word-parallel.  ShiftRows,
     MixColumns, AddRoundKey and the round constants are XOR/shift only.
     """

@@ -33,6 +33,26 @@ from repro.bench_circuits.sha3 import sha3_256_reference, sha3_256_sequential
 from repro.circuit.bits import int_to_bits, pack_words, unpack_words
 from tests.helpers import run_local
 
+#: FIPS-197 Figure 7, the AES S-box, row-major by input byte.
+FIPS197_SBOX = bytes.fromhex(
+    "637c777bf26b6fc53001672bfed7ab76"
+    "ca82c97dfa5947f0add4a2af9ca472c0"
+    "b7fd9326363ff7cc34a5e5f171d83115"
+    "04c723c31896059a071280e2eb27b275"
+    "09832c1a1b6e5aa0523bd6b329e32f84"
+    "53d100ed20fcb15b6acbbe394a4c58cf"
+    "d0efaafb434d338545f9027f503c9fa8"
+    "51a3408f929d38f5bcb6da2110fff3d2"
+    "cd0c13ec5f974417c4a77e3d645d1973"
+    "60814fdc222a908846eeb814de5e0bdb"
+    "e0323a0a4906245cc2d3ac629195e479"
+    "e7c8376d8dd54ea96c56f4ea657aae08"
+    "ba78252e1ca6b4c6e8dd741f4bbd8b8a"
+    "703eb5664803f60e613557b986c11d9e"
+    "e1f8981169d98e949b1e87e9ce5528df"
+    "8ca1890dbfe6426841992d0fb054bb16"
+)
+
 
 def bitstream(value):
     return lambda c: [(value >> c) & 1]
@@ -222,32 +242,31 @@ class TestAes:
         assert ct == aes128_reference(key, pt)
 
     def test_cost_is_20_sboxes_by_10_rounds(self):
-        """Paper: 6,400 with a 32-AND S-box; our tower-field S-box is
-        36 ANDs, giving exactly 7,200 = 20 * 36 * 10."""
+        """Paper: 6,400 = 20 S-boxes * 32 ANDs * 10 rounds, with the
+        Boyar-Peralta S-box."""
         net, cc = aes128_sequential()
         r = run_local(
             net, cc, alice_init=[0] * 128, bob_init=[1] * 128
         )
-        assert r.stats.garbled_nonxor == 7200
+        assert r.stats.garbled_nonxor == 6400
 
     def test_sbox_circuit_exhaustive(self):
-        from repro.bench_circuits.aes import sbox_circuit, sbox_reference
+        from repro.bench_circuits.aes import sbox_circuit
         from repro.circuit import CircuitBuilder, simulate
 
         b = CircuitBuilder()
         x = b.alice_input(8)
         b.set_outputs(sbox_circuit(b, x))
         net = b.build()
-        assert net.n_nonxor() == 36
-        for v in range(0, 256, 7):
+        assert net.n_nonxor() == 32
+        for v in range(256):
             out = simulate(net, 1, alice=int_to_bits(v, 8))
-            assert sum(bit << i for i, bit in enumerate(out)) == sbox_reference(v)
+            assert sum(bit << i for i, bit in enumerate(out)) == FIPS197_SBOX[v]
 
     def test_sbox_reference_is_the_aes_sbox(self):
         from repro.bench_circuits.aes import sbox_reference
 
-        expected_head = [0x63, 0x7C, 0x77, 0x7B, 0xF2, 0x6B, 0x6F, 0xC5]
-        assert [sbox_reference(x) for x in range(8)] == expected_head
+        assert bytes(sbox_reference(x) for x in range(256)) == FIPS197_SBOX
 
 
 class TestCordic:

@@ -1,8 +1,10 @@
 """The deterministic binary codec: round trips, sizes, rejection."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.net.codec import CodecError, decode, encode, encoded_size
+from repro.net.codec import MAX_DEPTH, CodecError, decode, encode, encoded_size
 
 ROUND_TRIP_CASES = [
     None,
@@ -93,3 +95,95 @@ class TestRejection:
     def test_non_string_dict_keys_rejected(self):
         with pytest.raises(CodecError):
             encode({1: "x"})
+
+    def test_deep_nesting_is_a_codec_error(self):
+        """2,001 bytes nested 1,000 lists deep: a structured reject,
+        not a RecursionError out of the parser."""
+        with pytest.raises(CodecError, match="MAX_DEPTH"):
+            decode(b"l\x01" * 1000 + b"N")
+
+    def test_max_depth_is_inclusive_on_both_sides(self):
+        value = _nest(None, "l" * MAX_DEPTH)
+        assert decode(encode(value)) == value
+        with pytest.raises(CodecError, match="MAX_DEPTH"):
+            encode([value])
+        with pytest.raises(CodecError, match="MAX_DEPTH"):
+            decode(b"l\x01" + encode(value))
+
+
+def _nest(value, kinds):
+    """Wrap ``value`` in one list, tuple or dict per letter of ``kinds``."""
+    for kind in kinds:
+        value = {"l": [value], "t": (value,), "d": {"k": value}}[kind]
+    return value
+
+
+def _depth(value):
+    if type(value) in (list, tuple):
+        return 1 + max(map(_depth, value), default=0)
+    if type(value) is dict:
+        return 1 + max(map(_depth, value.values()), default=0)
+    return 0
+
+
+_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False),
+    st.binary(max_size=16), st.text(max_size=8),
+)
+_values = st.recursive(
+    _leaves,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=3),
+        st.lists(kids, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    ),
+    max_leaves=8,
+)
+_kinds = st.text(alphabet="ltd", max_size=MAX_DEPTH + 2)
+
+
+def _mutate(blob, at, to, cut):
+    """One byte of ``blob`` overwritten, then the tail cut at ``cut``."""
+    if blob:
+        at %= len(blob)
+        blob = blob[:at] + bytes([to]) + blob[at + 1:]
+    return blob[:cut]
+
+
+#: Inputs near valid payloads: a real encoding with one byte changed
+#: and its tail cut, behind up to 2 x MAX_DEPTH one-item list headers.
+#: Plain random bytes rarely get past the first type byte.
+_near_payloads = st.builds(
+    lambda depth, value, at, to, cut: b"l\x01" * depth + _mutate(
+        encode(value), at, to, cut),
+    st.integers(0, 2 * MAX_DEPTH), _values, st.integers(0, 255),
+    st.integers(0, 255), st.integers(0, 80),
+)
+
+
+class TestFuzz:
+    """Fixed-seed properties over arbitrary bytes and nested values;
+    small budgets keep them well under a second."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None,
+              database=None)
+    @given(blob=st.one_of(_near_payloads, st.binary(max_size=64)))
+    def test_any_bytes_decode_or_codec_error(self, blob):
+        try:
+            value = decode(blob)
+        except CodecError:
+            return
+        assert _depth(value) <= MAX_DEPTH
+
+    @settings(derandomize=True, max_examples=150, deadline=None,
+              database=None)
+    @given(value=_values, kinds=_kinds)
+    def test_nested_values_round_trip_byte_exactly(self, value, kinds):
+        value = _nest(value, kinds)
+        if _depth(value) > MAX_DEPTH:
+            with pytest.raises(CodecError, match="MAX_DEPTH"):
+                encode(value)
+            return
+        blob = encode(value)
+        assert decode(blob) == value
+        assert encode(decode(blob)) == blob

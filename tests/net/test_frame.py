@@ -1,6 +1,8 @@
 """Framing: length prefixes, CRC32, sequence numbers, corruption."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gc.channel import FrameCorruption, ProtocolDesync
 from repro.net.frame import (
@@ -111,3 +113,62 @@ class TestCorruption:
         desync (the streams disagree) but specifically the retryable
         transport-integrity kind."""
         assert issubclass(FrameCorruption, ProtocolDesync)
+
+
+def _run(chunks):
+    """Feed ``chunks`` to one decoder: the frames it yields and the
+    corruption message that stopped it, if any."""
+    dec = FrameDecoder()
+    frames, error = [], None
+    for chunk in chunks:
+        try:
+            frames += dec.feed(chunk)
+        except FrameCorruption as exc:
+            error = str(exc)
+            break
+        assert dec.pending_bytes < 4 + MAX_FRAME_BYTES
+    return frames, error
+
+
+def _stream(frames, flip, at, to, tail_len, tail):
+    """Encoded ``frames``, one byte optionally overwritten, then a tail
+    that starts with an arbitrary 4-byte length prefix."""
+    blob = b"".join(encode_frame(*f) for f in frames)
+    if flip and blob:
+        at %= len(blob)
+        blob = blob[:at] + bytes([to]) + blob[at + 1:]
+    return blob + tail_len.to_bytes(4, "big") + tail
+
+
+_streams = st.builds(
+    _stream,
+    st.lists(st.tuples(
+        st.sampled_from((FRAME_DATA, FRAME_HEARTBEAT, FRAME_ABORT)),
+        st.integers(0, 2**32 - 1), st.text(max_size=6),
+        st.binary(max_size=24),
+    ), max_size=4),
+    st.booleans(), st.integers(0, 2**16), st.integers(0, 255),
+    st.one_of(st.integers(0, 64), st.integers(0, 2**32 - 1)),
+    st.binary(max_size=24),
+)
+
+
+class TestFuzz:
+    """Fixed-seed split-point properties, to the standard of the serve
+    hello parser: a structured outcome and a bounded buffer."""
+
+    @settings(derandomize=True, max_examples=120, deadline=None,
+              database=None)
+    @given(blob=_streams)
+    def test_every_split_point_gives_the_same_outcome(self, blob):
+        """Fed whole-then-rest at any cut, a stream yields the frames it
+        yields byte by byte, or stops at the same FrameCorruption having
+        yielded a prefix of them."""
+        ref_frames, ref_error = _run([blob[i:i + 1] for i in range(len(blob))])
+        for cut in range(len(blob) + 1):
+            frames, error = _run([blob[:cut], blob[cut:]])
+            assert error == ref_error
+            if error is None:
+                assert frames == ref_frames
+            else:
+                assert frames == ref_frames[: len(frames)]

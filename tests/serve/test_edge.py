@@ -295,6 +295,26 @@ class TestEdgeRejects:
             _await(lambda: ep.counter("handshake_rejects") >= 1,
                    what="handshake_rejects counter")
 
+    def test_deeply_nested_hello_gets_bad_hello_welcome(self, endpoint):
+        """A 3 KB hello whose ``session`` field nests 1,500 lists deep
+        is a ``malformed`` reject, not a traceback out of the parser,
+        and the edge admits a real session afterwards."""
+        payload = b"d\x01" + encode("session") + b"l\x01" * 1500 + b"N"
+        with endpoint(value=SERVER_VALUE) as ep:
+            link = _dial(ep)
+            try:
+                link.send_bytes(encode_frame(FRAME_DATA, 1, HELLO, payload))
+                w = _read_welcome(link)
+            finally:
+                link.close()
+            assert w["status"] == "bad-hello"
+            assert w["error"] == "malformed"
+            _await(lambda: ep.counter("handshake_rejects") >= 1,
+                   what="handshake_rejects counter")
+            report = run_loadgen(ep.host, ep.port, "sum32", clients=1,
+                                 server_value=SERVER_VALUE, max_attempts=1)
+            assert report.ok == 1 and report.failed == 0
+
     def test_truncated_hello_counts_as_reject(self, endpoint):
         """Disconnecting mid-hello is a truncated handshake — counted,
         not raised."""
